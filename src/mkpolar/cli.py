@@ -8,6 +8,7 @@ its arguments, including seeds.
 """
 
 import argparse
+import math
 import sys
 
 from .codes import (
@@ -59,23 +60,34 @@ def _kernels_arg(text):
     return sizes
 
 
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
 def _snr_arg(text):
     try:
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError
-            start, step, stop = (float(x) for x in parts)
+            start, step, stop = (_finite_float(x) for x in parts)
             if step <= 0:
                 raise ValueError
             count = int((stop - start) / step + 1e-9) + 1
             if count < 1:
                 raise ValueError
             return tuple(round(start + k * step, 10) for k in range(count))
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
+        return tuple(_finite_float(x) for x in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             f"SNR spec {text!r} is not start:step:stop or a comma-separated list"
+            " of finite numbers"
         )
 
 
@@ -235,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="Monte-Carlo frozen-set construction")
     p.add_argument("--kernels", type=_kernels_arg, required=True)
     p.add_argument("--k", type=_nonneg_int, required=True, help="information length")
-    p.add_argument("--snr", type=float, required=True, help="design Eb/N0 in dB")
+    p.add_argument("--snr", type=_finite_float, required=True, help="design Eb/N0 in dB")
     p.add_argument("--frames", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--out", help="write the code file here instead of stdout")

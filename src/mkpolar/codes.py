@@ -121,10 +121,13 @@ class CodeSpec:
         self.kernels = _as_kernels(kernels)
         self.bases = tuple(k.p for k in self.kernels)
         self.N = prod(self.bases)
-        frozen = [int(f) for f in frozen]
+        frozen = list(frozen)
         for f in frozen:
+            if int(f) != f:
+                raise ValueError(f"frozen index {f!r} is not an integer")
             if not 0 <= f < self.N:
                 raise IndexOutOfRange(f"frozen index {f} outside [0, {self.N})")
+        frozen = [int(f) for f in frozen]
         if len(set(frozen)) != len(frozen):
             raise ValueError("frozen set contains duplicates")
         self.frozen = tuple(sorted(frozen))
@@ -189,26 +192,29 @@ def channel_permutation(kernels):
 
 
 def encode(code: CodeSpec, u):
-    """Encode the length-N input vector u: return x = u * G_N over GF(2).
+    """Encode input vectors: return x = u * G_N over GF(2).
 
-    The Kronecker structure is applied one kernel at a time; the full
-    generator matrix is never materialized. Frozen positions of u must
-    be zero (FrozenViolation otherwise). Output is in natural order.
+    ``u`` is one length-N input vector, or an (F, N) batch of them, one
+    per row. The Kronecker structure is applied one kernel at a time; the
+    full generator matrix is never materialized. Frozen positions of u
+    must be zero (FrozenViolation otherwise). Output is in natural order,
+    with the shape of u.
     """
     u = np.asarray(u)
-    if u.shape != (code.N,):
-        raise LengthMismatch(f"expected {code.N} input bits, got shape {u.shape}")
+    if u.ndim not in (1, 2) or u.shape[-1] != code.N:
+        raise LengthMismatch(f"expected {code.N} input bits per row, got shape {u.shape}")
     if not np.isin(u, (0, 1)).all():
         raise ValueError("input bits must be 0 or 1")
     u = u.astype(np.uint8)
-    if u[code.frozen_mask].any():
-        bad = int(np.flatnonzero(u & code.frozen_mask)[0])
+    if u[..., code.frozen_mask].any():
+        bad = int(np.flatnonzero(u & code.frozen_mask)[0]) % code.N
         raise FrozenViolation(f"nonzero bit on frozen position {bad}")
-    t = u.reshape(code.bases)
-    for axis, kern in enumerate(code.kernels):
+    lead = u.ndim - 1
+    t = u.reshape(u.shape[:lead] + code.bases)
+    for axis, kern in enumerate(code.kernels, start=lead):
         t = np.tensordot(t, kern.rows, axes=([axis], [0]))
         t = np.moveaxis(t, -1, axis) % 2
-    return np.ascontiguousarray(t.reshape(-1), dtype=np.uint8)
+    return np.ascontiguousarray(t.reshape(u.shape), dtype=np.uint8)
 
 
 def naive_generator(kernels):
@@ -223,22 +229,28 @@ def naive_generator(kernels):
     return g
 
 
+# A genie-aided decision LLR within this distance of 0 is a tie.
+GENIE_TIE_TOL = 1e-12
+
+
 def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed: int):
     """Pick the frozen set by genie-aided Monte-Carlo at a design SNR.
 
     The all-zero codeword is sent over AWGN `frames` times; a genie-aided
-    SC pass counts, per bit position, how often the decision LLR argues
-    for the wrong bit while all previous decisions are forced correct.
-    The N - k positions with the highest error counts are frozen, ties
-    broken toward the lower index. Frame f uses its own generator seeded
-    with seed + f, so the result does not depend on how frames are
-    distributed over workers.
+    SC pass, which is the decode of the all-frozen code, scores per bit
+    position how often the decision LLR argues for the wrong bit while
+    all previous decisions are forced correct. A negative decision LLR
+    scores a whole error, one within GENIE_TIE_TOL of 0 half an error:
+    such a bit carries no information, whatever sign rounding gives it.
+    The N - k positions with the highest scores are frozen, ties broken
+    toward the lower index. Frame f uses its own generator seeded with
+    seed + f, so the result does not depend on how frames are batched.
     """
-    from .decoder import genie_error_counts
+    from .decoder import BATCH_LLR_ENTRIES, decode_batch
     from .simulation import awgn_llrs
 
-    code = CodeSpec(kernels)
-    n = code.N
+    kerns = _as_kernels(kernels)
+    n = prod(kern.p for kern in kerns)
     if not 0 <= k <= n:
         raise InvalidK(f"K = {k} outside [0, {n}]")
     if frames < 1:
@@ -249,19 +261,31 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
         return ()
     if k == 0:
         return tuple(range(n))
+    genie = CodeSpec(kerns, range(n))
     rate = k / n
-    errors = np.zeros(n, dtype=np.int64)
-    zero_word = np.zeros(n, dtype=np.uint8)
-    for f in range(frames):
-        rng = np.random.default_rng(seed + f)
-        llrs = awgn_llrs(zero_word, design_snr_db, rate, rng)
-        errors += genie_error_counts(code, llrs)
-    order = np.argsort(-errors, kind="stable")
+    scores = np.zeros(n, dtype=np.int64)
+    batch = max(1, BATCH_LLR_ENTRIES // n)
+    for start in range(0, frames, batch):
+        rngs = [np.random.default_rng(seed + f) for f in range(start, min(frames, start + batch))]
+        llrs = awgn_llrs(np.zeros((len(rngs), n), dtype=np.uint8), design_snr_db, rate, rngs)
+        final = decode_batch(genie, llrs, "exact").final_llrs
+        scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=0)
+        scores += (np.abs(final) <= GENIE_TIE_TOL).sum(axis=0)
+    order = np.argsort(-scores, kind="stable")
     return tuple(sorted(int(i) for i in order[: n - k]))
 
 
 def format_code_file(code: CodeSpec) -> str:
-    """Serialize a code to the four-line text format."""
+    """Serialize a code to the four-line text format.
+
+    The format names kernels by size only, so a code whose kernels are
+    not the built-in ones raises CodeFileError.
+    """
+    for kern in code.kernels:
+        if kern.p not in (2, 3) or kern.key != builtin_kernel(kern.p).key:
+            raise CodeFileError(
+                f"kernel of size {kern.p} is not the built-in one; the code file cannot name it"
+            )
     lines = [
         "kernels: " + ",".join(str(p) for p in code.bases),
         f"N: {code.N}",
@@ -315,8 +339,9 @@ def parse_code_file(text: str) -> CodeSpec:
 
 
 def save_code(code: CodeSpec, path):
+    text = format_code_file(code)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_code_file(code))
+        fh.write(text)
 
 
 def load_code(path) -> CodeSpec:

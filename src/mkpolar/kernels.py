@@ -34,6 +34,12 @@ _T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 _T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
 
 
+def _enumerate(n):
+    """All 2^n bit rows of length n, the first bit most significant."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    return ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
 def _gf2_rank(matrix):
     a = matrix.astype(np.uint8).copy()
     n_rows, n_cols = a.shape
@@ -94,21 +100,23 @@ class KernelMatrix:
         self._build_tables()
 
     def _build_tables(self):
-        # Enumerate all 2^p kernel inputs, input bit 0 as the most
-        # significant bit of the enumeration index. With that ordering the
-        # inputs matching a known prefix form one contiguous index block,
-        # so marginalization masks become slices.
+        # Known input bits 0 .. i-1 fix a partial codeword c, and output m
+        # of the block is c_m XOR y_m, where y is the codeword of the
+        # unknown inputs i .. p-1. Since (1 - 2 x_m) = (1 - 2 c_m)(1 - 2 y_m),
+        # flipping each output LLR by the sign of c leaves a marginalization
+        # over the unknown inputs alone, whose metric table does not depend
+        # on the known bits. Enumerations put the first bit most significant,
+        # so completions with input i = 0 form the first half of a table.
         p = self.p
-        idx = np.arange(1 << p, dtype=np.uint32)
-        shifts = np.arange(p - 1, -1, -1, dtype=np.uint32)
-        inputs = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        outputs = inputs @ self.rows % 2
-        # Metric table already carries the 1/2 factor: metric = L @ table.T
-        self._metric_t = np.ascontiguousarray(
-            (1.0 - 2.0 * outputs.astype(np.float64)).T / 2.0
-        )
-        self._prefix_weights = (1 << shifts).astype(np.int64)
-        self._inputs = inputs
+        self._prefix_weights = []  # [i]: value of a known prefix of length i
+        self._prefix_signs = []  # [i]: (2^i, p) sign of c per prefix value
+        self._rest_metrics = []  # [i]: (p, 2^(p-i)) metric table, 1/2 included
+        for i in range(p):
+            self._prefix_weights.append(1 << np.arange(i - 1, -1, -1, dtype=np.int64))
+            prefix = _enumerate(i) @ self.rows[:i] % 2
+            self._prefix_signs.append(1.0 - 2.0 * prefix)
+            rest = _enumerate(p - i) @ self.rows[i:] % 2
+            self._rest_metrics.append(np.ascontiguousarray((1.0 - 2.0 * rest).T / 2.0))
 
     @property
     def key(self):
@@ -164,37 +172,37 @@ def ps_map(u, kernel: KernelMatrix):
     return u @ kernel.rows % 2
 
 
-def _logsumexp_rows(m):
-    mx = m.max(axis=1)
-    return mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
-
-
 def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exact"):
     """Vectorized kernel LLR update for many blocks at once.
 
-    ``llr_rows`` has shape (n, p): per block, the LLRs attached to the p
-    kernel outputs. ``ps_rows`` has shape (n, i): per block, the already
-    known input bits 0 .. i-1. Returns the length-n vector of LLRs for
-    input bit i, saturated to +-LLR_MAX. Rows are independent; this is
-    exactly the scalar update applied per row.
+    ``llr_rows`` has shape (..., p): per block, the LLRs attached to the p
+    kernel outputs. ``ps_rows`` has shape (..., i): per block, the already
+    known input bits 0 .. i-1. Returns the LLRs of input bit i, shape
+    (...), saturated to +-LLR_MAX. Blocks are independent: each one gets
+    exactly the scalar update, whatever the number of blocks in the call.
     """
     if mode not in ("exact", "minsum"):
         raise ValueError(f"unknown mode {mode!r}")
     p = kernel.p
-    metrics = llr_rows @ kernel._metric_t
-    width = 1 << (p - i)
     if i:
-        starts = ps_rows.astype(np.int64) @ kernel._prefix_weights[:i]
-        cols = starts[:, None] + np.arange(width, dtype=np.int64)
-        metrics = np.take_along_axis(metrics, cols, axis=1)
-    half = width >> 1
-    m0 = metrics[:, :half]
-    m1 = metrics[:, half:width]
-    if mode == "exact":
-        out = _logsumexp_rows(m0) - _logsumexp_rows(m1)
-    else:
-        out = m0.max(axis=1) - m1.max(axis=1)
-    return np.clip(out, -LLR_MAX, LLR_MAX)
+        prefix = ps_rows @ kernel._prefix_weights[i]
+        llr_rows = llr_rows * kernel._prefix_signs[i].take(prefix, axis=0)
+    table = kernel._rest_metrics[i]
+    # One 2-D product for all blocks: a stacked product would make one
+    # BLAS call per leading index.
+    metrics = (llr_rows.reshape(-1, p) @ table).reshape(-1, 2, table.shape[1] >> 1)
+    best = np.maximum.reduce(metrics, axis=2)
+    if mode == "exact" and metrics.shape[2] > 1:
+        # log-sum-exp over each half, shifted by its maximum
+        metrics -= best[:, :, None]
+        np.exp(metrics, out=metrics)
+        total = np.add.reduce(metrics, axis=2)
+        np.log(total, out=total)
+        best += total
+    out = best[:, 0] - best[:, 1]
+    np.minimum(out, LLR_MAX, out=out)
+    np.maximum(out, -LLR_MAX, out=out)
+    return out.reshape(np.shape(llr_rows)[:-1])
 
 
 def _check_update_args(kernel, i, llrs, ps_bits):

@@ -101,6 +101,22 @@ def memory_report(kernels, q_bits: int = 6) -> MemoryReport:
     )
 
 
+def stage_shapes(bases) -> tuple:
+    """Shapes of the stage-indexed memory of one frame.
+
+    Returns (llr_sizes, ps_shapes): the length of the LLR vector of
+    stages 0 .. s, and the (depth, width) of the partial-sum matrix of
+    stages 1 .. s.
+    """
+    s = len(bases)
+    llr_sizes = tuple(prod(bases[j:]) for j in range(s + 1))
+    ps_shapes = tuple(
+        (prod(bases[j:]), bases[0] - 1 if j == 1 else bases[j - 1])
+        for j in range(1, s + 1)
+    )
+    return llr_sizes, ps_shapes
+
+
 class DecoderMemory:
     """Working state for one in-flight SC decode.
 
@@ -124,15 +140,10 @@ class DecoderMemory:
     def __init__(self, code: CodeSpec):
         bases = code.bases
         s = len(bases)
+        llr_sizes, ps_shapes = stage_shapes(bases)
         self.code = code
-        self.llr = [
-            np.zeros(prod(bases[j:]), dtype=np.float64) for j in range(s + 1)
-        ]
-        self.ps = []
-        for j in range(1, s + 1):
-            depth = prod(bases[j:])
-            width = bases[0] - 1 if j == 1 else bases[j - 1]
-            self.ps.append(np.zeros((depth, width), dtype=np.uint8))
+        self.llr = [np.zeros(n, dtype=np.float64) for n in llr_sizes]
+        self.ps = [np.zeros(shape, dtype=np.uint8) for shape in ps_shapes]
         self.decisions = np.zeros(code.N, dtype=np.uint8)
         self.llr_updates = np.zeros(s, dtype=np.int64)
         self.ps_propagations = np.zeros(s, dtype=np.int64)

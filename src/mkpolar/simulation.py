@@ -10,11 +10,12 @@ are scheduled across workers.
 
 import time
 from dataclasses import dataclass, field
+from math import ceil
 
 import numpy as np
 
 from .codes import CodeSpec, encode, naive_generator
-from .decoder import decode
+from .decoder import BATCH_LLR_ENTRIES, decode_batch
 from .errors import (
     IndexOutOfRange,
     InvalidRate,
@@ -30,19 +31,31 @@ SC_ORACLE_MAX_N = 16
 
 
 def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool = False):
-    """Transmit a codeword over BPSK/AWGN and return channel LLRs.
+    """Transmit codewords over BPSK/AWGN and return channel LLRs.
 
-    With ``noiseless`` the channel is bypassed and each bit maps straight
-    to +-LLR_MAX with the sign of its BPSK symbol.
+    ``codeword_bits`` is one codeword, or an (F, N) batch of them. ``rng``
+    is one Generator, or for a batch a sequence of F generators: row f
+    then draws its noise from ``rng[f]`` alone, exactly as the single
+    codeword would. With ``noiseless`` the channel is bypassed and each
+    bit maps straight to +-LLR_MAX with the sign of its BPSK symbol.
     """
     bits = np.asarray(codeword_bits, dtype=np.uint8)
     if not 0.0 < rate <= 1.0:
         raise InvalidRate(f"rate {rate} outside (0, 1]")
+    if not np.isfinite(ebn0_db):
+        raise NonFiniteInput(f"Eb/N0 of {ebn0_db} dB is not finite")
     symbols = 1.0 - 2.0 * bits
     if noiseless:
         return symbols * LLR_MAX
     sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
-    y = symbols + rng.normal(0.0, np.sqrt(sigma2), size=bits.size)
+    scale = np.sqrt(sigma2)
+    if isinstance(rng, np.random.Generator):
+        noise = rng.normal(0.0, scale, size=bits.shape)
+    else:
+        if bits.ndim != 2 or len(rng) != bits.shape[0]:
+            raise LengthMismatch(f"{len(rng)} generators for codewords of shape {bits.shape}")
+        noise = np.reshape([r.normal(0.0, scale, size=bits.shape[1]) for r in rng], bits.shape)
+    y = symbols + noise
     return np.clip(2.0 * y / sigma2, -LLR_MAX, LLR_MAX)
 
 
@@ -104,29 +117,58 @@ class SimResult:
         return "\n".join(lines) + "\n"
 
 
+def _batch_frames(frames: int, frame_errors: int, target: int) -> int:
+    """How many frames an SNR point decodes next.
+
+    No frame adds more than one error, so the point needs at least
+    target - frame_errors more frames. Beyond that, it takes half of what
+    the frame error rate counted so far predicts, so the frames past the
+    target that a batch decodes and does not count stay few. While no
+    error has been counted, the batches double.
+    """
+    floor = target - frame_errors
+    if not frame_errors:
+        return max(floor, frames)
+    return max(floor, ceil(floor * frames / frame_errors / 2))
+
+
 def simulate(config: SimConfig) -> SimResult:
-    """Run the Monte-Carlo sweep described by `config`."""
+    """Run the Monte-Carlo sweep described by `config`.
+
+    Frames are drawn, encoded and decoded in batches, and counted one by
+    one in order, so each point stops at exactly the frame where it
+    reaches target_frame_errors or max_frames.
+    """
     code = config.code
     info = np.asarray(code.info, dtype=np.int64)
     k = code.K
     rate = k / code.N if k else 1.0
+    cap = max(1, BATCH_LLR_ENTRIES // code.N)
+    target = config.target_frame_errors
     result = SimResult()
     for point_index, ebn0_db in enumerate(config.snr_points_db):
         start = time.perf_counter()
         frames = frame_errors = bit_errors = 0
-        while frames < config.max_frames and frame_errors < config.target_frame_errors:
-            rng = np.random.default_rng([config.seed, point_index, frames])
-            u = np.zeros(code.N, dtype=np.uint8)
+        while frames < config.max_frames and frame_errors < target:
+            batch = _batch_frames(frames, frame_errors, target)
+            batch = min(batch, config.max_frames - frames, cap)
+            rngs = [
+                np.random.default_rng([config.seed, point_index, f])
+                for f in range(frames, frames + batch)
+            ]
+            u = np.zeros((batch, code.N), dtype=np.uint8)
             if k:
-                u[info] = rng.integers(0, 2, size=k, dtype=np.uint8)
-            x = encode(code, u)
-            llrs = awgn_llrs(x, ebn0_db, rate, rng, noiseless=config.noiseless)
-            res = decode(code, llrs, config.mode)
-            frames += 1
-            wrong = int(np.count_nonzero(res.u_hat[info] != u[info])) if k else 0
-            if wrong:
-                frame_errors += 1
-                bit_errors += wrong
+                u[:, info] = [rng.integers(0, 2, size=k, dtype=np.uint8) for rng in rngs]
+            llrs = awgn_llrs(encode(code, u), ebn0_db, rate, rngs, noiseless=config.noiseless)
+            u_hat = decode_batch(code, llrs, config.mode).u_hat
+            wrong = np.count_nonzero(u_hat[:, info] != u[:, info], axis=1)
+            for w in wrong.tolist():
+                frames += 1
+                if w:
+                    frame_errors += 1
+                    bit_errors += w
+                    if frame_errors == target:
+                        break
         result.points.append(
             SnrPointResult(
                 ebn0_db=ebn0_db,

@@ -192,6 +192,19 @@ def test_bad_arguments_exit_one(capsys, tmp_path):
     assert invoke(capsys, "simulate", "--code", str(path), "--snr", "abc")[0] == 1
 
 
+def test_non_finite_snr_exits_one(capsys, tmp_path):
+    # NaN LLRs used to make the genie pass count no error at all, so
+    # construct froze the first N - K indices and exited 0.
+    for snr in ("nan", "inf", "-inf"):
+        status, out, err = invoke(capsys, "construct", "--kernels", "2,2,3", "--k", "6",
+                                  f"--snr={snr}", "--frames", "10")
+        assert status == 1 and out == "" and "finite" in err
+    path = make_code_file(capsys, tmp_path)
+    for spec in ("nan", "0,nan", "inf", "0:nan:4", "0:1:inf"):
+        status, out, _ = invoke(capsys, "simulate", "--code", str(path), "--snr", spec)
+        assert status == 1 and out == ""
+
+
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "simulate", "--help")[0] == 0

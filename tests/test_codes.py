@@ -23,6 +23,7 @@ from mkpolar import (
     save_code,
     start_stage,
     trailing_max_run,
+    validate_kernel,
 )
 from reference_sc import all_kernel_sequences
 
@@ -107,6 +108,11 @@ def test_code_spec_validation():
         CodeSpec(BASES_223, (3, 3))
     with pytest.raises(ValueError):
         CodeSpec(())
+    # a non-integral index is refused, not truncated; integral values of
+    # any numeric type are taken
+    with pytest.raises(ValueError):
+        CodeSpec(BASES_223, [1.7])
+    assert CodeSpec(BASES_223, [np.int64(1), 2.0]).frozen == (1, 2)
 
 
 def test_encode_unit_vector_rows():
@@ -140,10 +146,30 @@ def test_encode_matches_naive_generator_everywhere():
             assert np.array_equal(encode(code, eye[r]), g[r])
 
 
+def test_encode_batch_equals_rows():
+    rng = np.random.default_rng(3)
+    for bases in all_kernel_sequences(72):
+        code = CodeSpec(bases)
+        u = rng.integers(0, 2, (50, code.N), dtype=np.uint8)
+        x = encode(code, u)
+        assert x.shape == u.shape and x.dtype == np.uint8
+        assert np.array_equal(x, u @ naive_generator(bases) % 2)
+        for r in range(50):
+            assert np.array_equal(x[r], encode(code, u[r]))
+
+
 def test_encode_validation():
     code = CodeSpec(BASES_223, (0,))
     with pytest.raises(LengthMismatch):
         encode(code, np.zeros(11, dtype=np.uint8))
+    with pytest.raises(LengthMismatch):
+        encode(code, np.zeros((2, 11), dtype=np.uint8))
+    with pytest.raises(LengthMismatch):
+        encode(code, np.zeros((2, 2, 12), dtype=np.uint8))
+    batch = np.zeros((3, 12), dtype=np.uint8)
+    batch[1, 0] = 1
+    with pytest.raises(FrozenViolation, match="position 0"):
+        encode(code, batch)
     with pytest.raises(ValueError):
         encode(code, np.full(12, 2, dtype=np.uint8))
     bad = np.zeros(12, dtype=np.uint8)
@@ -199,6 +225,16 @@ def test_construct_tie_break_prefers_low_index():
     assert frozen == (0, 1, 2)
 
 
+def test_construct_counts_genie_ties_as_half_errors():
+    # Bit 0 of this code carries no information: its genie decision LLR
+    # is 0 up to rounding (0.0 or +-2.2e-16) on every frame. Counting only
+    # negative LLRs as errors left it unfrozen for these seeds, and the
+    # resulting code lost about every other frame at any SNR.
+    for seed in (0, 1, 7):
+        frozen = construct_frozen_mc((2, 2, 2, 2, 3, 3), 72, 1.0, 200, seed)
+        assert 0 in frozen
+
+
 def test_construct_validation():
     with pytest.raises(InvalidK):
         construct_frozen_mc(BASES_223, 13, 1.0, 10, 0)
@@ -218,6 +254,23 @@ def test_code_file_round_trip(tmp_path):
     save_code(code, path)
     loaded = load_code(path)
     assert loaded.frozen == code.frozen and loaded.K == 6
+
+
+def test_code_file_refuses_custom_kernels(tmp_path):
+    # The file names kernels by size, and loading maps size 3 to the
+    # built-in T3, so another 3x3 kernel would come back as a different
+    # code.
+    custom = validate_kernel([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+    code = CodeSpec((2, custom), (0,))
+    with pytest.raises(CodeFileError):
+        format_code_file(code)
+    path = tmp_path / "code.txt"
+    with pytest.raises(CodeFileError):
+        save_code(code, path)
+    assert not path.exists()
+    # equal contents are the built-in kernel, whatever the object
+    t3 = validate_kernel([[1, 1, 1], [1, 0, 1], [0, 1, 1]])
+    assert format_code_file(CodeSpec((2, t3))) == format_code_file(CodeSpec((2, 3)))
 
 
 def test_code_file_empty_frozen():

@@ -11,15 +11,17 @@ from mkpolar import (
     allocate,
     channel_permutation,
     decode,
+    decode_batch,
     encode,
     estimate_bit,
     exact_sc_oracle_llr,
-    genie_error_counts,
     ingest_channel_llrs,
     llr_phase,
     ps_phase,
+    validate_kernel,
 )
-from reference_sc import textbook_sc_decode
+from mkpolar.decoder import schedule_of
+from reference_sc import all_kernel_sequences, textbook_sc_decode
 
 CODE_223 = CodeSpec((2, 2, 3))
 
@@ -100,6 +102,53 @@ def test_decode_validation():
         decode(CODE_223, bad)
 
 
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_decode_batch_rows_equal_single_decodes(mode):
+    # Every ordering up to N = 72, random and noiseless frames, with a
+    # frozen set so that decisions feed back into later bits.
+    rng = np.random.default_rng(31)
+    for bases in all_kernel_sequences(72):
+        n = int(np.prod(bases))
+        frozen = rng.choice(n, n // 2, replace=False)
+        code = CodeSpec(bases, frozen)
+        u = np.zeros((3, n), dtype=np.uint8)
+        u[:, list(code.info)] = rng.integers(0, 2, (3, code.K))
+        llrs = np.vstack([rng.uniform(-4, 4, (4, n)), noiseless_llrs(encode(code, u))])
+        batch = decode_batch(code, llrs, mode)
+        assert batch.u_hat.shape == batch.final_llrs.shape == (7, n)
+        for f in range(7):
+            single = decode(code, llrs[f], mode)
+            assert np.array_equal(batch.u_hat[f], single.u_hat), (bases, f)
+            assert np.abs(batch.final_llrs[f] - single.final_llrs).max() <= 1e-12
+        assert np.array_equal(batch.u_hat[4:], u)
+        assert batch.stats.llr_updates.tolist() == single.stats.llr_updates.tolist()
+
+
+def test_decode_batch_validation():
+    with pytest.raises(LengthMismatch):
+        decode_batch(CODE_223, np.zeros(12))
+    with pytest.raises(LengthMismatch):
+        decode_batch(CODE_223, np.zeros((2, 11)))
+    bad = np.zeros((2, 12))
+    bad[1, 3] = np.nan
+    with pytest.raises(NonFiniteInput):
+        decode_batch(CODE_223, bad)
+    with pytest.raises(ValueError):
+        decode_batch(CODE_223, np.zeros((2, 12)), "fast")
+    empty = decode_batch(CODE_223, np.zeros((0, 12)))
+    assert empty.u_hat.shape == empty.final_llrs.shape == (0, 12)
+
+
+def test_schedule_is_shared_by_kernel_contents():
+    # Codes built afresh, with any frozen set, reuse one schedule, while
+    # a different kernel of the same size gets its own.
+    assert schedule_of(CodeSpec((2, 3), (0,))) is schedule_of(CodeSpec((2, 3), (1, 4)))
+    t3 = validate_kernel([[1, 1, 1], [1, 0, 1], [0, 1, 1]])
+    assert schedule_of(CodeSpec((2, t3))) is schedule_of(CodeSpec((2, 3)))
+    other = validate_kernel([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+    assert schedule_of(CodeSpec((2, other))) is not schedule_of(CodeSpec((2, 3)))
+
+
 def test_decode_all_zero_llrs_ties_to_zero():
     res = decode(CODE_223, np.zeros(12))
     assert not res.u_hat.any()
@@ -144,22 +193,25 @@ def test_decision_llrs_match_exhaustive_marginal(bases):
             assert res.final_llrs[i] == pytest.approx(want, abs=1e-9)
 
 
-def test_genie_error_counts_against_marginal():
-    code = CodeSpec((2, 3, 2))
+def test_all_frozen_decode_is_the_genie_pass():
+    # Decoding the all-frozen code forces every decision to the true 0,
+    # which is the genie-aided pass of Monte-Carlo construction: its
+    # decision LLRs argue for 1 exactly where the exhaustive marginal,
+    # conditioned on an all-zero prefix, does.
+    code = CodeSpec((2, 3, 2), range(12))
     rng = np.random.default_rng(17)
     zeros = np.zeros(code.N, dtype=np.uint8)
     for _ in range(10):
         llrs = rng.uniform(-3, 3, code.N)
-        errors = genie_error_counts(code, llrs)
+        errors = decode(code, llrs).final_llrs < 0
         for i in range(code.N):
             want = exact_sc_oracle_llr(code, llrs, i, zeros[:i]) < 0
-            assert errors[i] == int(want)
+            assert errors[i] == want
 
 
-def test_genie_noiseless_is_error_free():
-    code = CodeSpec((2, 2, 3))
-    errors = genie_error_counts(code, np.full(12, LLR_MAX))
-    assert not errors.any()
+def test_all_frozen_noiseless_decode_is_error_free():
+    code = CodeSpec((2, 2, 3), range(12))
+    assert not (decode(code, np.full(12, LLR_MAX)).final_llrs < 0).any()
 
 
 def cumulative_products(bases):

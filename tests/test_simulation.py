@@ -10,6 +10,7 @@ from mkpolar import (
     IndexOutOfRange,
     InvalidRate,
     LengthMismatch,
+    NonFiniteInput,
     SimConfig,
     TooLarge,
     awgn_llrs,
@@ -19,6 +20,7 @@ from mkpolar import (
     ml_oracle_decode,
     simulate,
 )
+from mkpolar import simulation
 from reference_sc import f_exact, kernel_marginal_llr
 
 T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
@@ -56,6 +58,72 @@ def test_awgn_saturates_at_high_snr():
     llrs = awgn_llrs(bits, 60.0, 0.5, np.random.default_rng(1))
     assert np.array_equal(np.abs(llrs), np.full(16, LLR_MAX))
     assert np.array_equal(llrs < 0, bits.astype(bool))
+
+
+def test_awgn_batch_rows_draw_from_their_own_generators():
+    bits = np.random.default_rng(3).integers(0, 2, (5, 12), dtype=np.uint8)
+    rngs = [np.random.default_rng([9, f]) for f in range(5)]
+    batch = awgn_llrs(bits, 1.0, 0.5, rngs)
+    for f in range(5):
+        row = awgn_llrs(bits[f], 1.0, 0.5, np.random.default_rng([9, f]))
+        assert np.array_equal(batch[f], row)
+    with pytest.raises(LengthMismatch):
+        awgn_llrs(bits, 1.0, 0.5, rngs[:4])
+    assert awgn_llrs(bits[:0], 1.0, 0.5, []).shape == (0, 12)
+
+
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+def test_non_finite_snr_is_rejected(snr):
+    rng = np.random.default_rng(0)
+    for noiseless in (False, True):
+        with pytest.raises(NonFiniteInput):
+            awgn_llrs(np.zeros(4, dtype=np.uint8), snr, 0.5, rng, noiseless)
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    with pytest.raises(NonFiniteInput):
+        simulate(SimConfig(code, (0.0, snr), max_frames=10))
+
+
+def per_frame_counts(config):
+    """(frames, frame errors, bit errors) per SNR point, one frame at a
+    time from the documented per-frame generators."""
+    code = config.code
+    info = list(code.info)
+    rate = code.K / code.N
+    out = []
+    for point, snr in enumerate(config.snr_points_db):
+        frames = errors = bits = 0
+        while frames < config.max_frames and errors < config.target_frame_errors:
+            rng = np.random.default_rng([config.seed, point, frames])
+            u = np.zeros(code.N, dtype=np.uint8)
+            u[info] = rng.integers(0, 2, size=code.K, dtype=np.uint8)
+            llrs = awgn_llrs(encode(code, u), snr, rate, rng, config.noiseless)
+            wrong = int(np.count_nonzero(decode(code, llrs, config.mode).u_hat[info] != u[info]))
+            frames += 1
+            errors += wrong > 0
+            bits += wrong
+        out.append((frames, errors, bits))
+    return out
+
+
+@pytest.mark.parametrize("batch", [1, 7, None])
+def test_simulate_counts_do_not_depend_on_batching(monkeypatch, batch):
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    configs = [
+        # the target is reached inside a batch of 7: at frame 36 of the
+        # 0 dB point here, and at frame 6 in the next config
+        SimConfig(code, (0.0, 2.0), max_frames=5000, target_frame_errors=13, seed=4),
+        SimConfig(code, (0.0,), max_frames=5000, target_frame_errors=4, seed=4, mode="minsum"),
+        # cut by max_frames, 30 = 4 * 7 + 2
+        SimConfig(code, (3.0,), max_frames=30, target_frame_errors=1000, seed=2),
+    ]
+    if batch is not None:
+        monkeypatch.setattr(simulation, "_batch_frames", lambda *args: batch)
+    for config in configs:
+        got = [(p.frames, p.frame_errors, p.bit_errors) for p in simulate(config).points]
+        assert got == per_frame_counts(config)
+    assert per_frame_counts(configs[0])[0][0] == 36
+    assert per_frame_counts(configs[1])[0][0] == 6
+    assert per_frame_counts(configs[2])[0][0] == 30
 
 
 def test_sim_config_validation():
