@@ -60,10 +60,6 @@ from .decoder import (
     DecodeStats,
     decode,
     decode_batch,
-    estimate_bit,
-    ingest_channel_llrs,
-    llr_phase,
-    ps_phase,
 )
 from .simulation import (
     CSV_HEADER,
@@ -111,10 +107,6 @@ __all__ = [
     "DecodeStats",
     "decode",
     "decode_batch",
-    "llr_phase",
-    "estimate_bit",
-    "ps_phase",
-    "ingest_channel_llrs",
     "CSV_HEADER",
     "SimConfig",
     "SimResult",

@@ -20,8 +20,8 @@ from .codes import (
     mixed_radix_digits,
 )
 from .decoder import decode
-from .errors import CodingError, FrozenViolation
-from .kernels import LLR_MAX
+from .errors import CodingError, FrozenViolation, UnsupportedKernelSize
+from .kernels import LLR_MAX, builtin_kernel
 from .memory import memory_report
 from .simulation import SimConfig, simulate
 
@@ -36,6 +36,10 @@ TABLE_KERNELS = (
     (2, 2, 2, 2, 2, 2, 2, 3),
     (2, 2, 3, 3, 3, 3, 3),
 )
+
+
+# Most points a start:step:stop SNR spec may expand to.
+MAX_SNR_POINTS = 1000
 
 
 class _UsageError(Exception):
@@ -55,8 +59,10 @@ def _kernels_arg(text):
     if not sizes:
         raise argparse.ArgumentTypeError("kernel list is empty")
     for p in sizes:
-        if p not in (2, 3):
-            raise argparse.ArgumentTypeError(f"unsupported kernel size {p}")
+        try:
+            builtin_kernel(p)
+        except UnsupportedKernelSize as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     return sizes
 
 
@@ -79,15 +85,15 @@ def _snr_arg(text):
             start, step, stop = (_finite_float(x) for x in parts)
             if step <= 0:
                 raise ValueError
-            count = int((stop - start) / step + 1e-9) + 1
-            if count < 1:
+            span = (stop - start) / step + 1e-9
+            if not 0 <= span < MAX_SNR_POINTS:  # also false for nan
                 raise ValueError
-            return tuple(round(start + k * step, 10) for k in range(count))
+            return tuple(round(start + k * step, 10) for k in range(int(span) + 1))
         return tuple(_finite_float(x) for x in text.split(","))
     except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
-            f"SNR spec {text!r} is not start:step:stop or a comma-separated list"
-            " of finite numbers"
+            f"SNR spec {text!r} is not start:step:stop (at most {MAX_SNR_POINTS} points)"
+            " or a comma-separated list of finite numbers"
         )
 
 
@@ -165,9 +171,7 @@ def _cmd_meminfo(args):
 
 
 def _cmd_construct(args):
-    n = 1
-    for p in args.kernels:
-        n *= p
+    n = math.prod(args.kernels)
     if args.k > n:
         raise _UsageError(f"--k {args.k} exceeds N = {n}")
     frozen = construct_frozen_mc(args.kernels, args.k, args.snr, args.frames, args.seed)
@@ -220,9 +224,7 @@ def _cmd_simulate(args):
 
 def _cmd_digits(args):
     sizes = args.kernels
-    n = 1
-    for p in sizes:
-        n *= p
+    n = math.prod(sizes)
     rows = [mixed_radix_digits(i, sizes) for i in range(n)]
     lines = ["i," + ",".join(str(i) for i in range(n))]
     for j in range(len(sizes)):

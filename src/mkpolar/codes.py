@@ -22,6 +22,7 @@ from .errors import (
     InvalidK,
     LengthMismatch,
     TooLarge,
+    UnsupportedKernelSize,
 )
 from .kernels import KernelMatrix, builtin_kernel
 
@@ -243,8 +244,9 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     scores a whole error, one within GENIE_TIE_TOL of 0 half an error:
     such a bit carries no information, whatever sign rounding gives it.
     The N - k positions with the highest scores are frozen, ties broken
-    toward the lower index. Frame f uses its own generator seeded with
-    seed + f, so the result does not depend on how frames are batched.
+    toward the lower index. Frame f draws from its own generator, seeded
+    with (seed, f), so the result does not depend on how frames are
+    batched, and no two seeds share a frame's noise.
     """
     from .decoder import BATCH_LLR_ENTRIES, decode_batch
     from .simulation import awgn_llrs
@@ -266,7 +268,7 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     scores = np.zeros(n, dtype=np.int64)
     batch = max(1, BATCH_LLR_ENTRIES // n)
     for start in range(0, frames, batch):
-        rngs = [np.random.default_rng(seed + f) for f in range(start, min(frames, start + batch))]
+        rngs = [np.random.default_rng([seed, f]) for f in range(start, min(frames, start + batch))]
         llrs = awgn_llrs(np.zeros((len(rngs), n), dtype=np.uint8), design_snr_db, rate, rngs)
         final = decode_batch(genie, llrs, "exact").final_llrs
         scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=0)
@@ -324,9 +326,10 @@ def parse_code_file(text: str) -> CodeSpec:
         )
     except ValueError as exc:
         raise CodeFileError(f"malformed field: {exc}") from None
-    for p in sizes:
-        if p not in (2, 3):
-            raise CodeFileError(f"unsupported kernel size {p} in code file")
+    try:
+        kernels = [builtin_kernel(p) for p in sizes]
+    except UnsupportedKernelSize as exc:
+        raise CodeFileError(f"{exc} in code file") from None
     if prod(sizes) != n:
         raise CodeFileError(f"N = {n} does not match kernel product {prod(sizes)}")
     if sorted(set(frozen)) != list(frozen):
@@ -335,7 +338,7 @@ def parse_code_file(text: str) -> CodeSpec:
         raise CodeFileError("frozen index outside [0, N)")
     if k != n - len(frozen):
         raise CodeFileError(f"K = {k} does not match N - |frozen| = {n - len(frozen)}")
-    return CodeSpec(sizes, frozen)
+    return CodeSpec(kernels, frozen)
 
 
 def save_code(code: CodeSpec, path):

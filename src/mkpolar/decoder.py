@@ -23,9 +23,8 @@ holds F frames:
   maximum. Nothing propagates after the last bit, which is why the
   stage-1 matrix never needs its final column.
 
-decode_batch runs the schedule on F frames and decode is its F = 1
-case. llr_phase, estimate_bit and ps_phase run the ops of one bit on a
-DecoderMemory, through the same op functions, for hand traces.
+decode_batch runs the schedule on the stage memory that memory.allocate
+builds for F frames, and decode is its F = 1 case.
 """
 
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ import numpy as np
 from .codes import CodeSpec
 from .errors import LengthMismatch, NonFiniteInput
 from .kernels import llr_kernel_batch
-from .memory import DecoderMemory, stage_shapes
+from .memory import allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
 
@@ -92,20 +91,6 @@ class DecodeResult:
     stats: DecodeStats
 
 
-def _count(counters, s, op):
-    """Add the memory accesses of one op to DecodeStats-like counters."""
-    kind, a, b, _ = op
-    if kind == REFRESH:
-        counters.llr_updates[a - 1] += 1
-        counters.ps_reads[a - 1][:b] += 1
-    elif kind == DECIDE:
-        if b >= 0:
-            counters.ps_writes[s - 1][b] += 1
-    else:
-        counters.ps_writes[a - 2][b] += 1
-        counters.ps_propagations[a - 1] += 1
-
-
 class Schedule:
     """The SC schedule of one kernel sequence.
 
@@ -114,24 +99,16 @@ class Schedule:
     ops : tuple
         (kind, a, b, kernel) in execution order: (REFRESH, j, b_j, T_j),
         (DECIDE, i, column or -1, None) and (PROPAGATE, j, column, T_j).
-    bit_ops : tuple
-        (start, decide, stop) per bit i: ops[start:decide] are its
-        refreshes, ops[decide] its decision, ops[decide + 1:stop] its
-        propagations.
-    llr_sizes, ps_shapes : tuple
-        Per-frame shapes of the stage memory (memory.stage_shapes).
     stats : DecodeStats
-        The counters of one frame's decode.
+        The counters of one frame's decode, counted op by op.
     """
 
     def __init__(self, code: CodeSpec):
         bases, kernels, s, n = code.bases, code.kernels, code.s, code.N
         starts = code.start_stages.tolist()
-        ops, bit_ops = [], []
+        ops = []
         for i, d in enumerate(code.digit_table.tolist()):
-            begin = len(ops)
             ops.extend((REFRESH, j, d[j - 1], kernels[j - 1]) for j in range(starts[i], s + 1))
-            decide = len(ops)
             if i == n - 1:
                 ops.append((DECIDE, i, -1, None))
             else:
@@ -140,18 +117,23 @@ class Schedule:
                 while j >= 2 and d[j - 1] == bases[j - 1] - 1:
                     ops.append((PROPAGATE, j, d[j - 2], kernels[j - 1]))
                     j -= 1
-            bit_ops.append((begin, decide, len(ops)))
         self.ops = tuple(ops)
-        self.bit_ops = tuple(bit_ops)
-        self.llr_sizes, self.ps_shapes = stage_shapes(bases)
-        self.stats = DecodeStats(
+        self.stats = stats = DecodeStats(
             llr_updates=np.zeros(s, dtype=np.int64),
             ps_propagations=np.zeros(s, dtype=np.int64),
             ps_reads=[np.zeros(p, dtype=np.int64) for p in bases],
             ps_writes=[np.zeros(p, dtype=np.int64) for p in bases],
         )
-        for op in self.ops:
-            _count(self.stats, s, op)
+        for kind, a, b, _ in self.ops:
+            if kind == REFRESH:
+                stats.llr_updates[a - 1] += 1
+                stats.ps_reads[a - 1][:b] += 1
+            elif kind == DECIDE:
+                if b >= 0:
+                    stats.ps_writes[s - 1][b] += 1
+            else:
+                stats.ps_writes[a - 2][b] += 1
+                stats.ps_propagations[a - 1] += 1
 
 
 _SCHEDULES = {}
@@ -169,86 +151,30 @@ def schedule_of(code: CodeSpec) -> Schedule:
     return schedule
 
 
-# ---- the ops, on stage arrays with a leading frame axis -----------------
+def _execute(code: CodeSpec, mem, channel_llrs, mode):
+    """Ingest (F, N) channel LLRs into `mem` and run the code's schedule.
 
-
-def _refresh(llr, ps, j, b, kernel, mode):
-    target = llr[j]
-    groups = llr[j - 1].reshape(target.shape + (kernel.p,))
-    target[:] = llr_kernel_batch(kernel, b, groups, ps[j - 1][:, :, :b], mode)
-
-
-def _decide(decision_llrs, frozen, out):
-    out[:] = False if frozen else decision_llrs < 0
-
-
-def _store(ps, col, bits):
-    ps[-1][:, 0, col] = bits
-
-
-def _propagate(ps, j, col, kernel):
-    target = ps[j - 2][:, :, col]
-    target[:] = (ps[j - 1] @ kernel.rows & 1).reshape(target.shape)
-
-
-def _execute(schedule, frozen_mask, llr, ps, decisions, final_llrs, mode):
+    Leaves the decisions in mem.decisions and returns the (F, N) decision
+    LLRs.
+    """
+    llr, ps, decisions = mem.llr, mem.ps, mem.decisions
+    llr[0][:, code.permutation] = channel_llrs
+    final_llrs = np.empty(decisions.shape, dtype=np.float64)
     decision_llrs = llr[-1][:, 0]
-    for kind, a, b, kernel in schedule.ops:
+    for kind, a, b, kernel in schedule_of(code).ops:
         if kind == REFRESH:
-            _refresh(llr, ps, a, b, kernel, mode)
+            target = llr[a]
+            groups = llr[a - 1].reshape(target.shape + (kernel.p,))
+            target[:] = llr_kernel_batch(kernel, b, groups, ps[a - 1][:, :, :b], mode)
         elif kind == DECIDE:
             final_llrs[:, a] = decision_llrs
-            bits = decisions[:, a]
-            _decide(decision_llrs, frozen_mask[a], bits)
+            decisions[:, a] = False if code.frozen_mask[a] else decision_llrs < 0
             if b >= 0:
-                _store(ps, b, bits)
+                ps[-1][:, 0, b] = decisions[:, a]
         else:
-            _propagate(ps, a, b, kernel)
-
-
-# ---- one bit at a time, on a DecoderMemory ------------------------------
-
-
-def _frame_view(mem: DecoderMemory):
-    return [v[None] for v in mem.llr], [m[None] for m in mem.ps]
-
-
-def ingest_channel_llrs(mem: DecoderMemory, code: CodeSpec, channel_llrs):
-    """Load channel LLRs into stage 0 in digit-reversed order."""
-    mem.llr[0][code.permutation] = channel_llrs
-
-
-def llr_phase(mem: DecoderMemory, code: CodeSpec, i: int, mode: str = "exact"):
-    """Refresh stages start_stage(i) .. s for bit i."""
-    schedule = schedule_of(code)
-    start, decide, _ = schedule.bit_ops[i]
-    llr, ps = _frame_view(mem)
-    for op in schedule.ops[start:decide]:
-        _count(mem, code.s, op)
-        _refresh(llr, ps, op[1], op[2], op[3], mode)
-
-
-def estimate_bit(mem: DecoderMemory, code: CodeSpec, i: int) -> int:
-    """Hard-decide bit i from the stage-s LLR and record it."""
-    _decide(mem.llr[-1], code.frozen_mask[i], mem.decisions[i : i + 1])
-    return int(mem.decisions[i])
-
-
-def ps_phase(mem: DecoderMemory, code: CodeSpec, i: int, bit: int):
-    """Store the decision for bit i and propagate completed matrices."""
-    schedule = schedule_of(code)
-    _, decide, stop = schedule.bit_ops[i]
-    _, ps = _frame_view(mem)
-    for op in schedule.ops[decide:stop]:
-        _count(mem, code.s, op)
-        if op[0] == DECIDE:
-            if op[2] >= 0:
-                _store(ps, op[2], bit)
-        else:
-            _propagate(ps, op[1], op[2], op[3])
-
-
-# ---- whole frames --------------------------------------------------------
+            target = ps[a - 2][:, :, b]
+            target[:] = (ps[a - 1] @ kernel.rows & 1).reshape(target.shape)
+    return final_llrs
 
 
 def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
@@ -274,15 +200,19 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
         raise LengthMismatch(f"expected (F, {code.N}) LLRs, got shape {llrs.shape}")
     if not np.isfinite(llrs).all():
         raise NonFiniteInput("channel LLRs must be finite")
-    schedule = schedule_of(code)
-    frames = llrs.shape[0]
-    llr = [np.empty((frames, n), dtype=np.float64) for n in schedule.llr_sizes]
-    llr[0][:, code.permutation] = llrs
-    ps = [np.zeros((frames,) + shape, dtype=np.uint8) for shape in schedule.ps_shapes]
-    decisions = np.zeros((frames, code.N), dtype=np.uint8)
-    final_llrs = np.empty((frames, code.N), dtype=np.float64)
-    _execute(schedule, code.frozen_mask, llr, ps, decisions, final_llrs, mode)
-    return DecodeResult(u_hat=decisions, final_llrs=final_llrs, stats=schedule.stats.copy())
+    mem = allocate(code, llrs.shape[0])
+    final_llrs = _execute(code, mem, llrs, mode)
+    return DecodeResult(mem.decisions, final_llrs, schedule_of(code).stats.copy())
+
+
+def _checked_llrs(code: CodeSpec, channel_llrs):
+    """Check one frame of N finite channel LLRs; return it as float64."""
+    llrs = np.asarray(channel_llrs, dtype=np.float64)
+    if llrs.shape != (code.N,):
+        raise LengthMismatch(f"expected {code.N} LLRs, got shape {llrs.shape}")
+    if not np.isfinite(llrs).all():
+        raise NonFiniteInput("channel LLRs must be finite")
+    return llrs
 
 
 def decode(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
@@ -301,8 +231,5 @@ def decode(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
     DecodeResult with the N hard decisions, the decision LLR observed
     for every bit, and the update counters.
     """
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if llrs.shape != (code.N,):
-        raise LengthMismatch(f"expected {code.N} LLRs, got shape {llrs.shape}")
-    result = decode_batch(code, llrs[None], mode)
+    result = decode_batch(code, _checked_llrs(code, channel_llrs)[None], mode)
     return DecodeResult(u_hat=result.u_hat[0], final_llrs=result.final_llrs[0], stats=result.stats)

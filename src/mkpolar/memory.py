@@ -8,8 +8,10 @@ matrix is one column narrower (p_1 - 1): its final column would only be
 needed after the last bit, which terminates the decode instead. A naive
 layout keeps s + 1 full-length LLR vectors and s full-length bit vectors.
 
-Matrices are stored as (depth, width) arrays: ``ps[j-1][k, c]`` is the
-partial sum of sub-block c at block position k of stage j.
+allocate builds this memory for F frames at once, each array with a
+leading frame axis (the inter-frame layout): ``ps[j-1][f, k, c]`` is the
+partial sum of sub-block c at block position k of stage j in frame f.
+The decoder runs on exactly these arrays.
 """
 
 from dataclasses import dataclass
@@ -17,19 +19,11 @@ from math import prod
 
 import numpy as np
 
-from .codes import CodeSpec
-from .kernels import KernelMatrix
+from .codes import CodeSpec, _as_kernels
 
 
 def _sizes(kernels):
-    sizes = tuple(
-        k.p if isinstance(k, KernelMatrix) else int(k) for k in kernels
-    )
-    if not sizes:
-        raise ValueError("kernel sequence must be non-empty")
-    if any(p < 2 for p in sizes):
-        raise ValueError("kernel sizes must be at least 2")
-    return sizes
+    return tuple(k.p for k in _as_kernels(kernels))
 
 
 def llr_element_count(kernels) -> int:
@@ -101,62 +95,42 @@ def memory_report(kernels, q_bits: int = 6) -> MemoryReport:
     )
 
 
-def stage_shapes(bases) -> tuple:
-    """Shapes of the stage-indexed memory of one frame.
-
-    Returns (llr_sizes, ps_shapes): the length of the LLR vector of
-    stages 0 .. s, and the (depth, width) of the partial-sum matrix of
-    stages 1 .. s.
-    """
-    s = len(bases)
-    llr_sizes = tuple(prod(bases[j:]) for j in range(s + 1))
-    ps_shapes = tuple(
-        (prod(bases[j:]), bases[0] - 1 if j == 1 else bases[j - 1])
-        for j in range(1, s + 1)
-    )
-    return llr_sizes, ps_shapes
-
-
 class DecoderMemory:
-    """Working state for one in-flight SC decode.
+    """The stage-indexed memory of F in-flight SC decodes.
 
     Attributes
     ----------
     llr : list of ndarray
-        llr[0] is the ingested channel vector (length N); llr[j] is the
-        stage-j vector of length p_{j+1} * ... * p_s; llr[s] is the
-        single decision LLR.
+        llr[0] is the ingested channel vector, (F, N); llr[j] is the
+        stage-j vector, (F, p_{j+1} * ... * p_s); llr[s] is the single
+        decision LLR, (F, 1).
     ps : list of ndarray
-        ps[j-1] is the stage-j partial-sum matrix, shape (depth, width).
+        ps[j-1] is the stage-j partial-sum matrix, (F, depth, width).
     decisions : ndarray
-        Hard decisions for all N input bits.
-
-    Access counters (llr_updates, ps_reads, ps_writes, ps_propagations)
-    are column-granular tallies filled in by the decoder; the stage-1
-    read/write counters include a slot for the absent column p_1 - 1 so
-    tests can assert it is never touched.
+        Hard decisions for all N input bits, (F, N).
     """
 
-    def __init__(self, code: CodeSpec):
+    def __init__(self, code: CodeSpec, frames: int = 1):
         bases = code.bases
-        s = len(bases)
-        llr_sizes, ps_shapes = stage_shapes(bases)
-        self.code = code
-        self.llr = [np.zeros(n, dtype=np.float64) for n in llr_sizes]
-        self.ps = [np.zeros(shape, dtype=np.uint8) for shape in ps_shapes]
-        self.decisions = np.zeros(code.N, dtype=np.uint8)
-        self.llr_updates = np.zeros(s, dtype=np.int64)
-        self.ps_propagations = np.zeros(s, dtype=np.int64)
-        self.ps_reads = [np.zeros(bases[j], dtype=np.int64) for j in range(s)]
-        self.ps_writes = [np.zeros(bases[j], dtype=np.int64) for j in range(s)]
+        self.llr = [
+            np.zeros((frames, prod(bases[j:])), dtype=np.float64)
+            for j in range(code.s + 1)
+        ]
+        self.ps = [
+            np.zeros((frames, prod(bases[j:]), p - 1 if j == 1 else p), dtype=np.uint8)
+            for j, p in enumerate(bases, start=1)
+        ]
+        self.decisions = np.zeros((frames, code.N), dtype=np.uint8)
 
     def llr_element_total(self) -> int:
-        return sum(v.size for v in self.llr)
+        """LLR entries per frame."""
+        return sum(prod(v.shape[1:]) for v in self.llr)
 
     def ps_element_total(self) -> int:
-        return sum(m.size for m in self.ps)
+        """Partial-sum bits per frame."""
+        return sum(prod(m.shape[1:]) for m in self.ps)
 
 
-def allocate(code: CodeSpec) -> DecoderMemory:
-    """Allocate the stage-indexed memory for one decode of `code`."""
-    return DecoderMemory(code)
+def allocate(code: CodeSpec, frames: int = 1) -> DecoderMemory:
+    """Allocate the stage-indexed memory for `frames` decodes of `code`."""
+    return DecoderMemory(code, frames)

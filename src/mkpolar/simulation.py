@@ -15,7 +15,7 @@ from math import ceil
 import numpy as np
 
 from .codes import CodeSpec, encode, naive_generator
-from .decoder import BATCH_LLR_ENTRIES, decode_batch
+from .decoder import BATCH_LLR_ENTRIES, _checked_llrs, decode_batch
 from .errors import (
     IndexOutOfRange,
     InvalidRate,
@@ -181,15 +181,6 @@ def simulate(config: SimConfig) -> SimResult:
             )
         )
     return result
-
-
-def _checked_llrs(code, channel_llrs):
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if llrs.shape != (code.N,):
-        raise LengthMismatch(f"expected {code.N} LLRs, got shape {llrs.shape}")
-    if not np.isfinite(llrs).all():
-        raise NonFiniteInput("channel LLRs must be finite")
-    return llrs
 
 
 def ml_oracle_decode(code: CodeSpec, channel_llrs):

@@ -1,10 +1,13 @@
 """Command-line interface: output formats, exit codes, round trips."""
 
+import argparse
 import subprocess
 import sys
 
+import pytest
+
 from mkpolar import load_code
-from mkpolar.cli import run
+from mkpolar.cli import MAX_SNR_POINTS, _snr_arg, run
 
 PAPER_TABLE = """\
 N,s,kernels,llr_prop,llr_naive,ps_prop,ps_naive,total_bits_q6
@@ -189,6 +192,7 @@ def test_bad_arguments_exit_one(capsys, tmp_path):
     path = make_code_file(capsys, tmp_path)
     assert invoke(capsys, "simulate", "--code", str(path), "--snr", "4:0:8")[0] == 1
     assert invoke(capsys, "simulate", "--code", str(path), "--snr", "4:1:2")[0] == 1
+    assert invoke(capsys, "simulate", "--code", str(path), "--snr", "4:1:3.5")[0] == 1
     assert invoke(capsys, "simulate", "--code", str(path), "--snr", "abc")[0] == 1
 
 
@@ -203,6 +207,21 @@ def test_non_finite_snr_exits_one(capsys, tmp_path):
     for spec in ("nan", "0,nan", "inf", "0:nan:4", "0:1:inf"):
         status, out, _ = invoke(capsys, "simulate", "--code", str(path), "--snr", spec)
         assert status == 1 and out == ""
+
+
+def test_snr_sweep_is_capped(capsys, tmp_path):
+    assert MAX_SNR_POINTS == 1000
+    points = _snr_arg("0:1:999")
+    assert len(points) == 1000 and points[-1] == 999.0
+    for spec in ("0:1:1000", "0:0.001:10", "-1e308:1e-300:1e308"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _snr_arg(spec)
+    # the overflowing spec used to escape run() as an OverflowError
+    path = make_code_file(capsys, tmp_path)
+    for spec in ("0:1:1000", "-1e308:1e-300:1e308"):
+        status, out, err = invoke(capsys, "simulate", "--code", str(path),
+                                  f"--snr={spec}", "--max-frames", "1")
+        assert status == 1 and out == "" and err.startswith("error:")
 
 
 def test_help_exits_zero(capsys):

@@ -235,6 +235,24 @@ def test_construct_counts_genie_ties_as_half_errors():
         assert 0 in frozen
 
 
+def test_construct_seeds_share_no_frame(monkeypatch):
+    # Frame f used to draw from seed + f, so seeds 0 and 1 shared the
+    # noise of all but one of their frames.
+    real_default_rng = np.random.default_rng
+    requested = []
+
+    def recording_default_rng(seed=None):
+        requested[-1].add(tuple(np.atleast_1d(seed).tolist()))
+        return real_default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+    for seed in (0, 1):
+        requested.append(set())
+        construct_frozen_mc(BASES_223, 6, 1.0, 20, seed)
+    assert len(requested[0]) == len(requested[1]) == 20
+    assert not requested[0] & requested[1]
+
+
 def test_construct_validation():
     with pytest.raises(InvalidK):
         construct_frozen_mc(BASES_223, 13, 1.0, 10, 0)

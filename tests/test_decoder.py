@@ -13,14 +13,12 @@ from mkpolar import (
     decode,
     decode_batch,
     encode,
-    estimate_bit,
     exact_sc_oracle_llr,
-    ingest_channel_llrs,
-    llr_phase,
-    ps_phase,
+    start_stage,
+    trailing_max_run,
     validate_kernel,
 )
-from mkpolar.decoder import schedule_of
+from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _execute, schedule_of
 from reference_sc import all_kernel_sequences, textbook_sc_decode
 
 CODE_223 = CodeSpec((2, 2, 3))
@@ -30,64 +28,88 @@ def noiseless_llrs(x):
     return LLR_MAX * (1.0 - 2.0 * np.asarray(x, dtype=np.float64))
 
 
+def run_on_memory(code, llrs, mode="exact"):
+    """Decode one frame on an allocated memory and return that memory."""
+    mem = allocate(code)
+    _execute(code, mem, np.asarray(llrs, dtype=np.float64)[None], mode)
+    return mem
+
+
+def ops_per_bit(ops):
+    """(refreshed stages, propagated stages) of each bit of a schedule."""
+    bits, refreshed = [], []
+    for kind, a, _, _ in ops:
+        if kind == REFRESH:
+            refreshed.append(a)
+        elif kind == DECIDE:
+            bits.append((refreshed, []))
+            refreshed = []
+        else:
+            bits[-1][1].append(a)
+    return bits
+
+
 def test_ingest_uses_digit_reversal():
-    mem = allocate(CODE_223)
-    llrs = np.arange(12, dtype=np.float64)
-    ingest_channel_llrs(mem, CODE_223, llrs)
+    mem = run_on_memory(CODE_223, np.arange(12))
     assert np.array_equal(
-        mem.llr[0], [0, 6, 3, 9, 1, 7, 4, 10, 2, 8, 5, 11]
+        mem.llr[0][0], [0, 6, 3, 9, 1, 7, 4, 10, 2, 8, 5, 11]
     )
 
 
 def test_llr_phase_refresh_schedule():
-    mem = allocate(CODE_223)
-    ingest_channel_llrs(mem, CODE_223, np.ones(12))
-    llr_phase(mem, CODE_223, 0)
-    assert mem.llr_updates.tolist() == [1, 1, 1]
-    bit = estimate_bit(mem, CODE_223, 0)
-    ps_phase(mem, CODE_223, 0, bit)
-    llr_phase(mem, CODE_223, 1)
-    # start_stage(1) = 3: only the innermost stage is refreshed
-    assert mem.llr_updates.tolist() == [1, 1, 2]
-    ps_phase(mem, CODE_223, 1, estimate_bit(mem, CODE_223, 1))
-    llr_phase(mem, CODE_223, 2)
-    ps_phase(mem, CODE_223, 2, estimate_bit(mem, CODE_223, 2))
-    llr_phase(mem, CODE_223, 3)
-    # start_stage(3) = 2: stages 2 and 3 refresh, stage 1 does not
-    assert mem.llr_updates.tolist() == [1, 2, 4]
+    bits = ops_per_bit(schedule_of(CODE_223).ops)
+    # bit 0 refreshes every stage; start_stage(1) = start_stage(2) = 3:
+    # only the innermost stage; start_stage(3) = 2: stages 2 and 3
+    # refresh, stage 1 does not
+    assert [refreshed for refreshed, _ in bits[:4]] == [[1, 2, 3], [3], [3], [2, 3]]
+
+
+def test_schedule_follows_start_stage_and_trailing_max_run():
+    for bases in all_kernel_sequences(72):
+        code = CodeSpec(bases)
+        bits = ops_per_bit(schedule_of(code).ops)
+        assert len(bits) == code.N
+        for i, (refreshed, propagated) in enumerate(bits):
+            assert refreshed == list(range(start_stage(i, bases), code.s + 1)), (bases, i)
+            # the innermost completed matrices propagate, except after the
+            # last bit, which ends the decode
+            run = trailing_max_run(i, bases) if i < code.N - 1 else 0
+            assert propagated == list(range(code.s, code.s - run, -1)), (bases, i)
 
 
 @pytest.mark.parametrize("u0", [0, 1])
 @pytest.mark.parametrize("u1", [0, 1])
 def test_ps_phase_hand_trace_2x2(u0, u1):
     code = CodeSpec((2, 2))
-    mem = allocate(code)
-    ps_phase(mem, code, 0, u0)
-    assert mem.ps[1][0, 0] == u0
-    assert mem.ps_propagations.tolist() == [0, 0]
-    ps_phase(mem, code, 1, u1)
-    # completed stage-2 pair re-encodes through the kernel into column 0
-    assert mem.ps[1][0, 1] == u1
-    assert mem.ps[0][:, 0].tolist() == [u0 ^ u1, u1]
-    assert mem.ps_propagations.tolist() == [0, 1]
+    ops = [(kind, a, b) for kind, a, b, _ in schedule_of(code).ops]
+    assert ops == [
+        (REFRESH, 1, 0), (REFRESH, 2, 0), (DECIDE, 0, 0),
+        (REFRESH, 2, 1), (DECIDE, 1, 1), (PROPAGATE, 2, 0),
+        (REFRESH, 1, 1), (REFRESH, 2, 0), (DECIDE, 2, 0),
+        (REFRESH, 2, 1), (DECIDE, 3, -1),
+    ]
+    u = np.array([u0, u1, 1 - u0, 1 - u1], dtype=np.uint8)
+    mem = run_on_memory(code, noiseless_llrs(encode(code, u)))
+    assert np.array_equal(mem.decisions[0], u)
+    # the completed stage-2 pair re-encoded through the kernel into
+    # column 0 of stage 1; bit 2 then overwrote stage-2 column 0, and
+    # bit 3, the last, is never stored
+    assert mem.ps[0][0, :, 0].tolist() == [u0 ^ u1, u1]
+    assert mem.ps[1][0, 0].tolist() == [1 - u0, u1]
 
 
 def test_ps_phase_propagates_encoded_subblock():
     # After the first half of the inputs is decided, the stage-1 matrix
     # column 0 must hold that sub-block re-encoded by the inner kernels,
-    # stored in the digit-reversed slot order of the sub-problem.
+    # stored in the digit-reversed slot order of the sub-problem. It is
+    # the only stage-1 column, so it keeps that value to the end.
     rng = np.random.default_rng(7)
     u = rng.integers(0, 2, 12, dtype=np.uint8)
-    llrs = noiseless_llrs(encode(CODE_223, u))
-    mem = allocate(CODE_223)
-    ingest_channel_llrs(mem, CODE_223, llrs)
-    for i in range(6):
-        llr_phase(mem, CODE_223, i)
-        ps_phase(mem, CODE_223, i, estimate_bit(mem, CODE_223, i))
-    assert np.array_equal(mem.decisions[:6], u[:6])
+    mem = run_on_memory(CODE_223, noiseless_llrs(encode(CODE_223, u)))
+    assert np.array_equal(mem.decisions[0], u)
     sub = encode(CodeSpec((2, 3)), u[:6])
     perm = channel_permutation((2, 3))
-    assert np.array_equal(mem.ps[0][:, 0][perm], sub)
+    assert np.array_equal(mem.ps[0][0, :, 0][perm], sub)
 
 
 def test_decode_validation():
@@ -241,6 +263,16 @@ def test_counter_laws(bases):
         writes = [before - (1 if c == p - 1 else 0) for c in range(p)]
         assert stats.ps_reads[j - 1].tolist() == reads
         assert stats.ps_writes[j - 1].tolist() == writes
+
+
+def test_stage_one_counters_keep_a_slot_for_the_absent_column():
+    code = CodeSpec((2, 3, 2))
+    first = decode(code, np.zeros(12)).stats
+    assert first.ps_reads[0].size == first.ps_writes[0].size == 2
+    assert allocate(code).ps[0].shape[-1] == 1
+    # each decode reports its own counts: they start from zero every time
+    first.llr_updates[:] = 99
+    assert decode(code, np.ones(12)).stats.llr_updates.tolist() == [2, 6, 12]
 
 
 def test_total_updates_all_binary():

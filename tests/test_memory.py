@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import mkpolar.decoder
 from mkpolar import (
     CodeSpec,
-    DecoderMemory,
     allocate,
+    decode_batch,
     llr_element_count,
     memory_report,
     naive_counts,
@@ -26,31 +27,57 @@ COUNT_TABLE = [
 
 def test_allocate_shapes_223():
     mem = allocate(CodeSpec((2, 2, 3)))
-    assert [v.size for v in mem.llr] == [12, 6, 3, 1]
-    assert [m.shape for m in mem.ps] == [(6, 1), (3, 2), (1, 3)]
-    assert mem.decisions.shape == (12,)
+    assert [v.shape for v in mem.llr] == [(1, 12), (1, 6), (1, 3), (1, 1)]
+    assert [m.shape for m in mem.ps] == [(1, 6, 1), (1, 3, 2), (1, 1, 3)]
+    assert mem.decisions.shape == (1, 12)
     assert mem.llr[0].dtype == np.float64
     assert mem.ps[0].dtype == np.uint8
 
 
 def test_allocate_shapes_32():
     mem = allocate(CodeSpec((3, 2)))
-    assert [v.size for v in mem.llr] == [6, 2, 1]
-    assert [m.shape for m in mem.ps] == [(2, 2), (1, 2)]
+    assert [v.shape for v in mem.llr] == [(1, 6), (1, 2), (1, 1)]
+    assert [m.shape for m in mem.ps] == [(1, 2, 2), (1, 1, 2)]
 
 
 def test_allocate_shapes_single_kernel():
     mem = allocate(CodeSpec((2,)))
-    assert [v.size for v in mem.llr] == [2, 1]
-    assert [m.shape for m in mem.ps] == [(1, 1)]
+    assert [v.shape for v in mem.llr] == [(1, 2), (1, 1)]
+    assert [m.shape for m in mem.ps] == [(1, 1, 1)]
+
+
+def test_allocate_frames_lead_every_array():
+    code = CodeSpec((2, 2, 3))
+    mem = allocate(code, 5)
+    assert [v.shape for v in mem.llr] == [(5, 12), (5, 6), (5, 3), (5, 1)]
+    assert [m.shape for m in mem.ps] == [(5, 6, 1), (5, 3, 2), (5, 1, 3)]
+    assert mem.decisions.shape == (5, 12)
+    # element totals count one frame
+    assert mem.llr_element_total() == llr_element_count(code.kernels) == 22
+    assert mem.ps_element_total() == ps_element_count(code.kernels) == 15
+
+
+def test_decode_batch_runs_on_allocated_memory(monkeypatch):
+    made = []
+
+    def recording_allocate(code, frames=1):
+        made.append(allocate(code, frames))
+        return made[-1]
+
+    monkeypatch.setattr(mkpolar.decoder, "allocate", recording_allocate)
+    code = CodeSpec((2, 2, 3), (0, 1, 2))
+    result = decode_batch(code, np.random.default_rng(5).uniform(-3, 3, (3, 12)))
+    assert len(made) == 1
+    assert [v.shape for v in made[0].llr] == [(3, 12), (3, 6), (3, 3), (3, 1)]
+    assert result.u_hat is made[0].decisions
 
 
 def test_stage_one_matrix_is_one_column_short():
     for bases in [(2, 2), (3, 2), (3, 3, 3), (2, 3, 2)]:
         mem = allocate(CodeSpec(bases))
-        assert mem.ps[0].shape[1] == bases[0] - 1
+        assert mem.ps[0].shape[-1] == bases[0] - 1
         for j in range(1, len(bases)):
-            assert mem.ps[j].shape[1] == bases[j]
+            assert mem.ps[j].shape[-1] == bases[j]
 
 
 @pytest.mark.parametrize("sizes,llr,ps", COUNT_TABLE)
@@ -104,14 +131,3 @@ def test_memory_report_q_scaling():
 def test_memory_report_rejects_empty():
     with pytest.raises(ValueError):
         memory_report(())
-
-
-def test_counters_start_at_zero():
-    mem = DecoderMemory(CodeSpec((2, 3, 2)))
-    assert not mem.llr_updates.any()
-    assert not mem.ps_propagations.any()
-    assert all(not c.any() for c in mem.ps_reads)
-    assert all(not c.any() for c in mem.ps_writes)
-    # stage-1 counters carry a slot for the column that is never stored
-    assert mem.ps_reads[0].size == 2
-    assert mem.ps[0].shape[1] == 1
