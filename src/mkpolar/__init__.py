@@ -4,7 +4,7 @@ The package covers the full pipeline: kernel validation and LLR update
 rules, code definition (mixed-radix indexing, encoder, channel
 permutation, Monte-Carlo construction), decoder memory with exact
 element accounting, the SC decoder itself, an AWGN simulation harness
-with brute-force reference decoders, and a CLI front end.
+and a CLI front end.
 """
 
 from .errors import (
@@ -40,7 +40,6 @@ from .codes import (
     format_code_file,
     load_code,
     mixed_radix_digits,
-    naive_generator,
     parse_code_file,
     save_code,
     start_stage,
@@ -67,8 +66,6 @@ from .simulation import (
     SimResult,
     SnrPointResult,
     awgn_llrs,
-    exact_sc_oracle_llr,
-    ml_oracle_decode,
     simulate,
 )
 
@@ -89,7 +86,6 @@ __all__ = [
     "start_stage",
     "trailing_max_run",
     "encode",
-    "naive_generator",
     "channel_permutation",
     "construct_frozen_mc",
     "format_code_file",
@@ -113,8 +109,6 @@ __all__ = [
     "SnrPointResult",
     "awgn_llrs",
     "simulate",
-    "ml_oracle_decode",
-    "exact_sc_oracle_llr",
     "CodingError",
     "NotSquare",
     "SingularKernel",

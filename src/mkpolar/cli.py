@@ -21,7 +21,7 @@ from .codes import (
 )
 from .decoder import decode
 from .errors import CodingError, FrozenViolation, UnsupportedKernelSize
-from .kernels import LLR_MAX, builtin_kernel
+from .kernels import LLR_MAX, MODES, builtin_kernel
 from .memory import memory_report
 from .simulation import SimConfig, simulate
 
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="SC-decode one frame of LLRs")
     p.add_argument("--code", required=True, help="code file path")
     p.add_argument("--llrs", required=True, help="file with N comma/whitespace separated LLRs")
-    p.add_argument("--mode", choices=("exact", "minsum"), default="exact")
+    p.add_argument("--mode", choices=MODES, default="exact")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("simulate", help="Monte-Carlo FER/BER sweep as CSV")
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-frames", type=_positive_int, default=10000)
     p.add_argument("--target-errors", type=_positive_int, default=100)
     p.add_argument("--seed", type=_nonneg_int, default=0)
-    p.add_argument("--mode", choices=("exact", "minsum"), default="exact")
+    p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--noiseless", action="store_true")
     p.set_defaults(func=_cmd_simulate)
 

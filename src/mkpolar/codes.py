@@ -21,13 +21,9 @@ from .errors import (
     IndexOutOfRange,
     InvalidK,
     LengthMismatch,
-    TooLarge,
     UnsupportedKernelSize,
 )
 from .kernels import KernelMatrix, builtin_kernel
-
-# Size bound for explicitly materialized generator matrices.
-NAIVE_GENERATOR_LIMIT = 4096
 
 
 def _as_kernels(kernels):
@@ -37,6 +33,14 @@ def _as_kernels(kernels):
     if not out:
         raise ValueError("kernel sequence must be non-empty")
     return tuple(out)
+
+
+def _is_whole(value) -> bool:
+    """True if value equals an integer; False for 2.5, inf and nan."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):
+        return False
 
 
 def mixed_radix_digits(i: int, bases) -> tuple:
@@ -124,7 +128,7 @@ class CodeSpec:
         self.N = prod(self.bases)
         frozen = list(frozen)
         for f in frozen:
-            if int(f) != f:
+            if not _is_whole(f):
                 raise ValueError(f"frozen index {f!r} is not an integer")
             if not 0 <= f < self.N:
                 raise IndexOutOfRange(f"frozen index {f} outside [0, {self.N})")
@@ -218,18 +222,6 @@ def encode(code: CodeSpec, u):
     return np.ascontiguousarray(t.reshape(u.shape), dtype=np.uint8)
 
 
-def naive_generator(kernels):
-    """Materialize G_N as an explicit Kronecker product (N <= 4096)."""
-    kerns = _as_kernels(kernels)
-    n = prod(k.p for k in kerns)
-    if n > NAIVE_GENERATOR_LIMIT:
-        raise TooLarge(f"N = {n} exceeds the {NAIVE_GENERATOR_LIMIT} limit")
-    g = np.array([[1]], dtype=np.uint8)
-    for k in kerns:
-        g = np.kron(g, k.rows) % 2
-    return g
-
-
 # A genie-aided decision LLR within this distance of 0 is a tie.
 GENIE_TIE_TOL = 1e-12
 
@@ -253,6 +245,10 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
 
     kerns = _as_kernels(kernels)
     n = prod(kern.p for kern in kerns)
+    for name, value in (("k", k), ("frames", frames), ("seed", seed)):
+        if not _is_whole(value):
+            raise ValueError(f"{name} = {value!r} is not an integer")
+    k, frames, seed = int(k), int(frames), int(seed)
     if not 0 <= k <= n:
         raise InvalidK(f"K = {k} outside [0, {n}]")
     if frames < 1:

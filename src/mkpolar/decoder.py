@@ -24,19 +24,28 @@ holds F frames:
   stage-1 matrix never needs its final column.
 
 decode_batch runs the schedule on the stage memory that memory.allocate
-builds for F frames, and decode is its F = 1 case.
+builds for F frames, and decode is its F = 1 case. The schedule is bound
+to that memory once per kernel sequence and F: each op becomes a few
+in-place numpy calls on fixed views, so a run creates no views and
+allocates nothing. The arithmetic is unchanged, call for call the table
+rule of llr_kernel_batch, so results are bit for bit the same. A call
+takes its program out of the cache while it runs and returns copies.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from .codes import CodeSpec
 from .errors import LengthMismatch, NonFiniteInput
-from .kernels import llr_kernel_batch
+from .kernels import check_mode, llr_update_steps
 from .memory import allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
+# parity mask for PROPAGATE: a uint8 array operand costs less per call
+# than the Python int 1
+_ONE = np.ones(1, dtype=np.uint8)
 
 # Most LLR entries (frames x N) that construction and simulation put into
 # one decode_batch call.
@@ -137,6 +146,11 @@ class Schedule:
 
 
 _SCHEDULES = {}
+_PROGRAMS = {}
+
+
+def _kernel_key(code: CodeSpec):
+    return tuple(k.key for k in code.kernels)
 
 
 def schedule_of(code: CodeSpec) -> Schedule:
@@ -144,37 +158,76 @@ def schedule_of(code: CodeSpec) -> Schedule:
 
     Codes with equal kernel contents share it, whatever their frozen sets.
     """
-    key = tuple(k.key for k in code.kernels)
+    key = _kernel_key(code)
     schedule = _SCHEDULES.get(key)
     if schedule is None:
         schedule = _SCHEDULES[key] = Schedule(code)
     return schedule
 
 
-def _execute(code: CodeSpec, mem, channel_llrs, mode):
-    """Ingest (F, N) channel LLRs into `mem` and run the code's schedule.
+class _Program:
+    """The schedule of one kernel sequence bound to the memory of F frames.
 
-    Leaves the decisions in mem.decisions and returns the (F, N) decision
-    LLRs.
+    Each op becomes a few (function, args) on views and work arrays fixed
+    here; an op that recurs in the schedule reuses them. A frozen bit
+    decides 0 because its threshold is -inf: each run sets the thresholds
+    from the frozen set of the code it decodes.
     """
-    llr, ps, decisions = mem.llr, mem.ps, mem.decisions
-    llr[0][:, code.permutation] = channel_llrs
-    final_llrs = np.empty(decisions.shape, dtype=np.float64)
-    decision_llrs = llr[-1][:, 0]
-    for kind, a, b, kernel in schedule_of(code).ops:
+
+    def __init__(self, code: CodeSpec, frames: int):
+        self.frames = frames
+        self.schedule = schedule_of(code)
+        self.permutation = code.permutation
+        self.mem = allocate(code, frames)
+        self.final_llrs = np.empty((frames, code.N))
+        self.thresholds = np.empty(code.N)
+        self._work, self._bound, self._steps = {}, {}, {}
+
+    def _scratch(self, role, shape, dtype):
+        # one work array per role serves every REFRESH: ops run one at a time
+        size = prod(shape)
+        if role not in self._work or self._work[role].size < size:
+            self._work[role] = np.empty(size, dtype)
+        return self._work[role][:size].reshape(shape)
+
+    def _bind(self, kind, a, b, kernel, mode):
+        llr, ps = self.mem.llr, self.mem.ps
         if kind == REFRESH:
-            target = llr[a]
-            groups = llr[a - 1].reshape(target.shape + (kernel.p,))
-            target[:] = llr_kernel_batch(kernel, b, groups, ps[a - 1][:, :, :b], mode)
-        elif kind == DECIDE:
-            final_llrs[:, a] = decision_llrs
-            decisions[:, a] = False if code.frozen_mask[a] else decision_llrs < 0
+            target = llr[a].reshape(-1)
+            groups = llr[a - 1].reshape(len(target), kernel.p)
+            known = ps[a - 1].reshape(len(target), ps[a - 1].shape[-1])[:, :b]
+            return llr_update_steps(kernel, b, mode, groups, known, target, self._scratch)
+        if kind == DECIDE:
+            decision_llr = llr[-1][:, 0]
+            steps = [(np.copyto, (self.final_llrs[:, a], decision_llr))]
             if b >= 0:
-                ps[-1][:, 0, b] = decisions[:, a]
-        else:
-            target = ps[a - 2][:, :, b]
-            target[:] = (ps[a - 1] @ kernel.rows & 1).reshape(target.shape)
-    return final_llrs
+                # a bool view of the uint8 bits: np.less then casts nothing
+                slot = ps[-1].view(np.bool_)[:, 0, b]
+                steps.append((np.less, (decision_llr, self.thresholds[a : a + 1], slot)))
+            return steps
+        source, target = ps[a - 1], ps[a - 2]
+        target = target.reshape(source.shape + target.shape[-1:])[..., b]
+        return [(np.matmul, (source, kernel.rows, target)), (np.bitwise_and, (target, _ONE, target))]
+
+    def steps(self, mode):
+        steps = self._steps.get(mode)
+        if steps is None:
+            steps = self._steps[mode] = []
+            for op in self.schedule.ops:
+                key = (op, mode) if op[0] == REFRESH else op  # only REFRESH reads the mode
+                if key not in self._bound:
+                    self._bound[key] = self._bind(*op, mode)
+                steps.extend(self._bound[key])
+        return steps
+
+    def run(self, code: CodeSpec, channel_llrs, mode):
+        """Decode (F, N) channel LLRs into mem.decisions and final_llrs."""
+        mem = self.mem
+        mem.llr[0][:, self.permutation] = channel_llrs
+        np.copyto(self.thresholds, np.where(code.frozen_mask, -np.inf, 0.0))
+        for fn, args in self.steps(mode):
+            fn(*args)
+        np.less(self.final_llrs, self.thresholds, out=mem.decisions)
 
 
 def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
@@ -193,26 +246,26 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     -------
     DecodeResult whose u_hat and final_llrs are (F, N): row f holds
     exactly what decode(code, channel_llrs[f], mode) returns. stats are
-    the counters of each frame's decode.
+    the counters of each frame's decode. All are fresh arrays.
     """
+    check_mode(mode)
     llrs = np.asarray(channel_llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.N:
-        raise LengthMismatch(f"expected (F, {code.N}) LLRs, got shape {llrs.shape}")
+        raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
     if not np.isfinite(llrs).all():
         raise NonFiniteInput("channel LLRs must be finite")
-    mem = allocate(code, llrs.shape[0])
-    final_llrs = _execute(code, mem, llrs, mode)
-    return DecodeResult(mem.decisions, final_llrs, schedule_of(code).stats.copy())
-
-
-def _checked_llrs(code: CodeSpec, channel_llrs):
-    """Check one frame of N finite channel LLRs; return it as float64."""
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
-    if llrs.shape != (code.N,):
-        raise LengthMismatch(f"expected {code.N} LLRs, got shape {llrs.shape}")
-    if not np.isfinite(llrs).all():
-        raise NonFiniteInput("channel LLRs must be finite")
-    return llrs
+    # checked out, so that no other call runs on this memory meanwhile
+    key = _kernel_key(code)
+    program = _PROGRAMS.pop(key, None)
+    if program is None or program.frames != len(llrs):
+        program = _Program(code, len(llrs))
+    try:
+        program.run(code, llrs, mode)
+        mem, stats = program.mem, program.schedule.stats
+        return DecodeResult(mem.decisions.copy(), program.final_llrs.copy(), stats.copy())
+    finally:
+        if program.frames * code.N <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
+            _PROGRAMS[key] = program
 
 
 def decode(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
@@ -231,5 +284,5 @@ def decode(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
     DecodeResult with the N hard decisions, the decision LLR observed
     for every bit, and the update counters.
     """
-    result = decode_batch(code, _checked_llrs(code, channel_llrs)[None], mode)
+    result = decode_batch(code, np.asarray(channel_llrs, dtype=np.float64)[None], mode)
     return DecodeResult(u_hat=result.u_hat[0], final_llrs=result.final_llrs[0], stats=result.stats)

@@ -17,6 +17,8 @@ LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
 """
 
+from functools import partial
+
 import numpy as np
 
 from .errors import (
@@ -172,6 +174,71 @@ def ps_map(u, kernel: KernelMatrix):
     return u @ kernel.rows % 2
 
 
+MODES = ("exact", "minsum")
+
+
+def check_mode(mode):
+    """Raise ValueError unless mode is one of MODES."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+
+
+def llr_update_steps(kernel: KernelMatrix, i: int, mode, groups, known, out, scratch):
+    """The update of input bit i as a list of in-place (function, args).
+
+    ``groups`` is a C-contiguous (R, p) float64 array of output LLRs per
+    block, ``known`` an (R, i) integer array of known input bits and
+    ``out`` an (R,) float64 array. Calling the steps in order writes what
+    llr_kernel_batch returns into ``out``, using work arrays from
+    ``scratch(role, shape, dtype)`` and allocating nothing else. The
+    calls and their operand layouts do not depend on where the arrays
+    live, so every bound copy of the steps gives the same bits.
+    """
+    p, rows = kernel.p, len(groups)
+    table = kernel._rest_metrics[i]
+    half = table.shape[1] >> 1
+    steps = []
+    if i:
+        prefix = scratch("prefix", (rows,), np.int64)
+        flip = scratch("flip", (rows, p), np.float64)
+        flipped = scratch("flipped", (rows, p), np.float64)
+        steps += [
+            (np.matmul, (known, kernel._prefix_weights[i], prefix)),
+            (kernel._prefix_signs[i].take, (prefix, 0, flip)),
+            (np.multiply, (groups, flip, flipped)),
+        ]
+        groups = flipped
+    # One 2-D product for all blocks: a stacked product would make one
+    # BLAS call per leading index.
+    metrics = scratch("metrics", (rows, 2 * half), np.float64)
+    steps.append((np.matmul, (groups, table, metrics)))
+    best = metrics  # one completion per hypothesis: its metric is the best
+    if half > 1:
+        metrics = metrics.reshape(rows, 2, half)
+        best = scratch("best", (rows, 2), np.float64)
+        steps.append((np.maximum.reduce, (metrics, 2, None, best)))
+        if mode == "exact":
+            # log-sum-exp over each half, shifted by its maximum
+            total = scratch("total", (rows, 2), np.float64)
+            steps += [
+                (np.subtract, (metrics, best[:, :, None], metrics)),
+                (np.exp, (metrics, metrics)),
+                (np.add.reduce, (metrics, 2, None, total)),
+                (np.log, (total, total)),
+                (np.add, (best, total, best)),
+            ]
+    # minimum and maximum take `out` only by keyword
+    return steps + [
+        (np.subtract, (best[:, 0], best[:, 1], out)),
+        (partial(np.minimum, out=out), (out, LLR_MAX)),
+        (partial(np.maximum, out=out), (out, -LLR_MAX)),
+    ]
+
+
+def _fresh(role, shape, dtype):
+    return np.empty(shape, dtype)
+
+
 def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exact"):
     """Vectorized kernel LLR update for many blocks at once.
 
@@ -181,28 +248,14 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     (...), saturated to +-LLR_MAX. Blocks are independent: each one gets
     exactly the scalar update, whatever the number of blocks in the call.
     """
-    if mode not in ("exact", "minsum"):
-        raise ValueError(f"unknown mode {mode!r}")
-    p = kernel.p
-    if i:
-        prefix = ps_rows @ kernel._prefix_weights[i]
-        llr_rows = llr_rows * kernel._prefix_signs[i].take(prefix, axis=0)
-    table = kernel._rest_metrics[i]
-    # One 2-D product for all blocks: a stacked product would make one
-    # BLAS call per leading index.
-    metrics = (llr_rows.reshape(-1, p) @ table).reshape(-1, 2, table.shape[1] >> 1)
-    best = np.maximum.reduce(metrics, axis=2)
-    if mode == "exact" and metrics.shape[2] > 1:
-        # log-sum-exp over each half, shifted by its maximum
-        metrics -= best[:, :, None]
-        np.exp(metrics, out=metrics)
-        total = np.add.reduce(metrics, axis=2)
-        np.log(total, out=total)
-        best += total
-    out = best[:, 0] - best[:, 1]
-    np.minimum(out, LLR_MAX, out=out)
-    np.maximum(out, -LLR_MAX, out=out)
-    return out.reshape(np.shape(llr_rows)[:-1])
+    check_mode(mode)
+    llr_rows = np.asarray(llr_rows, dtype=np.float64)
+    groups = np.ascontiguousarray(llr_rows.reshape(-1, kernel.p))
+    known = np.asarray(ps_rows).reshape(len(groups), i) if i else None
+    out = np.empty(len(groups))
+    for fn, args in llr_update_steps(kernel, i, mode, groups, known, out, _fresh):
+        fn(*args)
+    return out.reshape(llr_rows.shape[:-1])
 
 
 def _check_update_args(kernel, i, llrs, ps_bits):

@@ -1,4 +1,4 @@
-"""AWGN Monte-Carlo harness and brute-force reference decoders.
+"""AWGN Monte-Carlo harness.
 
 BPSK mapping is symbol = 1 - 2*bit; with Eb/N0 given in dB and code rate
 R = K/N the noise variance is sigma^2 = 1 / (2 * R * 10^(Eb/N0 / 10)) and
@@ -14,20 +14,10 @@ from math import ceil
 
 import numpy as np
 
-from .codes import CodeSpec, encode, naive_generator
-from .decoder import BATCH_LLR_ENTRIES, _checked_llrs, decode_batch
-from .errors import (
-    IndexOutOfRange,
-    InvalidRate,
-    LengthMismatch,
-    NonFiniteInput,
-    TooLarge,
-)
-from .kernels import LLR_MAX
-
-# Size bounds for the exhaustive reference decoders.
-ML_ORACLE_MAX_K = 16
-SC_ORACLE_MAX_N = 16
+from .codes import CodeSpec, _is_whole, encode
+from .decoder import BATCH_LLR_ENTRIES, decode_batch
+from .errors import InvalidRate, LengthMismatch, NonFiniteInput
+from .kernels import LLR_MAX, check_mode
 
 
 def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool = False):
@@ -79,14 +69,20 @@ class SimConfig:
         self.snr_points_db = tuple(float(x) for x in self.snr_points_db)
         if not self.snr_points_db:
             raise ValueError("at least one SNR point is required")
+        if not np.isfinite(self.snr_points_db).all():
+            raise NonFiniteInput(f"SNR points {self.snr_points_db} are not all finite")
+        for name in ("max_frames", "target_frame_errors", "seed"):
+            value = getattr(self, name)
+            if not _is_whole(value):
+                raise ValueError(f"{name} = {value!r} is not an integer")
+            setattr(self, name, int(value))
         if self.max_frames < 1:
             raise ValueError("max_frames must be at least 1")
         if self.target_frame_errors < 1:
             raise ValueError("target_frame_errors must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.mode not in ("exact", "minsum"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+        check_mode(self.mode)
 
 
 @dataclass
@@ -181,76 +177,3 @@ def simulate(config: SimConfig) -> SimResult:
             )
         )
     return result
-
-
-def ml_oracle_decode(code: CodeSpec, channel_llrs):
-    """Exact maximum-likelihood decoding by enumerating all 2^K messages.
-
-    Returns the full input vector u maximizing the codeword correlation
-    sum_j (1 - 2 x_j) L_j; ties go to the lexicographically smallest
-    message. Guarded to K <= 16.
-    """
-    if code.K > ML_ORACLE_MAX_K:
-        raise TooLarge(f"K = {code.K} exceeds the {ML_ORACLE_MAX_K} limit")
-    llrs = _checked_llrs(code, channel_llrs)
-    k = code.K
-    messages = np.arange(1 << k, dtype=np.int64)
-    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
-    bits = ((messages[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    u_all = np.zeros((1 << k, code.N), dtype=np.uint8)
-    if k:
-        u_all[:, np.asarray(code.info, dtype=np.int64)] = bits
-    x_all = u_all @ naive_generator(code.kernels) % 2
-    scores = (1.0 - 2.0 * x_all.astype(np.float64)) @ llrs
-    # argmax takes the first maximum; message enumeration is MSB-first,
-    # so that is the lexicographically smallest tied message.
-    return u_all[int(np.argmax(scores))].copy()
-
-
-_METRIC_TABLES = {}
-
-
-def _metric_table(code: CodeSpec):
-    key = tuple(k.key for k in code.kernels)
-    table = _METRIC_TABLES.get(key)
-    if table is None:
-        n = code.N
-        idx = np.arange(1 << n, dtype=np.int64)
-        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-        u_all = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        x_all = u_all @ naive_generator(code.kernels) % 2
-        table = (1 - 2 * x_all.astype(np.int8)).astype(np.int8)
-        _METRIC_TABLES[key] = table
-    return table
-
-
-def exact_sc_oracle_llr(code: CodeSpec, channel_llrs, i: int, prefix) -> float:
-    """Whole-code SC decision LLR by exhaustive marginalization (N <= 16).
-
-    Computes ln sum exp over all length-N inputs extending ``prefix`` with
-    u_i = 0 versus u_i = 1, with the metric sum_j (1 - 2 x_j) L_j / 2.
-    Later bits are marginalized over all completions regardless of the
-    frozen set, matching the decoder's per-kernel semantics.
-    """
-    n = code.N
-    if n > SC_ORACLE_MAX_N:
-        raise TooLarge(f"N = {n} exceeds the {SC_ORACLE_MAX_N} limit")
-    llrs = _checked_llrs(code, channel_llrs)
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"bit index {i} outside [0, {n})")
-    prefix = np.asarray(prefix, dtype=np.uint8).reshape(-1)
-    if prefix.shape != (i,):
-        raise LengthMismatch(f"expected prefix of length {i}, got {prefix.shape[0]}")
-    metrics = _metric_table(code) @ llrs / 2.0
-    value = 0
-    for bit in prefix:
-        value = (value << 1) | int(bit)
-    block = 1 << (n - i)
-    seg = metrics[value * block : (value + 1) * block]
-    half = block >> 1
-
-    def lse(v):
-        mx = v.max()
-        return mx + np.log(np.exp(v - mx).sum())
-
-    return float(lse(seg[:half]) - lse(seg[half:]))

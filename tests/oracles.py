@@ -1,0 +1,111 @@
+"""Brute-force references that the tests check the package against.
+
+They enumerate every codeword or every input vector, so they only run on
+small codes: the generator is materialized for N <= 4096, the ML decoder
+enumerates 2^K messages for K <= 16, and the SC oracle enumerates all
+2^N inputs for N <= 16.
+"""
+
+from math import prod
+
+import numpy as np
+
+from mkpolar import CodeSpec, IndexOutOfRange, LengthMismatch, NonFiniteInput, TooLarge
+
+NAIVE_GENERATOR_LIMIT = 4096
+ML_ORACLE_MAX_K = 16
+SC_ORACLE_MAX_N = 16
+
+
+def _checked_llrs(code, channel_llrs):
+    llrs = np.asarray(channel_llrs, dtype=np.float64)
+    if llrs.shape != (code.N,):
+        raise LengthMismatch(f"expected {code.N} LLRs, got shape {llrs.shape}")
+    if not np.isfinite(llrs).all():
+        raise NonFiniteInput("channel LLRs must be finite")
+    return llrs
+
+
+def naive_generator(kernels):
+    """Materialize G_N as an explicit Kronecker product (N <= 4096)."""
+    kerns = CodeSpec(kernels).kernels
+    n = prod(k.p for k in kerns)
+    if n > NAIVE_GENERATOR_LIMIT:
+        raise TooLarge(f"N = {n} exceeds the {NAIVE_GENERATOR_LIMIT} limit")
+    g = np.array([[1]], dtype=np.uint8)
+    for k in kerns:
+        g = np.kron(g, k.rows) % 2
+    return g
+
+
+def ml_oracle_decode(code: CodeSpec, channel_llrs):
+    """Exact maximum-likelihood decoding by enumerating all 2^K messages.
+
+    Returns the full input vector u maximizing the codeword correlation
+    sum_j (1 - 2 x_j) L_j; ties go to the lexicographically smallest
+    message. Guarded to K <= 16.
+    """
+    if code.K > ML_ORACLE_MAX_K:
+        raise TooLarge(f"K = {code.K} exceeds the {ML_ORACLE_MAX_K} limit")
+    llrs = _checked_llrs(code, channel_llrs)
+    k = code.K
+    messages = np.arange(1 << k, dtype=np.int64)
+    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
+    bits = ((messages[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    u_all = np.zeros((1 << k, code.N), dtype=np.uint8)
+    if k:
+        u_all[:, np.asarray(code.info, dtype=np.int64)] = bits
+    x_all = u_all @ naive_generator(code.kernels) % 2
+    scores = (1.0 - 2.0 * x_all.astype(np.float64)) @ llrs
+    # argmax takes the first maximum; message enumeration is MSB-first,
+    # so that is the lexicographically smallest tied message.
+    return u_all[int(np.argmax(scores))].copy()
+
+
+_METRIC_TABLES = {}
+
+
+def _metric_table(code: CodeSpec):
+    key = tuple(k.key for k in code.kernels)
+    table = _METRIC_TABLES.get(key)
+    if table is None:
+        n = code.N
+        idx = np.arange(1 << n, dtype=np.int64)
+        shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
+        u_all = ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+        x_all = u_all @ naive_generator(code.kernels) % 2
+        table = (1 - 2 * x_all.astype(np.int8)).astype(np.int8)
+        _METRIC_TABLES[key] = table
+    return table
+
+
+def exact_sc_oracle_llr(code: CodeSpec, channel_llrs, i: int, prefix) -> float:
+    """Whole-code SC decision LLR by exhaustive marginalization (N <= 16).
+
+    Computes ln sum exp over all length-N inputs extending ``prefix`` with
+    u_i = 0 versus u_i = 1, with the metric sum_j (1 - 2 x_j) L_j / 2.
+    Later bits are marginalized over all completions regardless of the
+    frozen set, matching the decoder's per-kernel semantics.
+    """
+    n = code.N
+    if n > SC_ORACLE_MAX_N:
+        raise TooLarge(f"N = {n} exceeds the {SC_ORACLE_MAX_N} limit")
+    llrs = _checked_llrs(code, channel_llrs)
+    if not 0 <= i < n:
+        raise IndexOutOfRange(f"bit index {i} outside [0, {n})")
+    prefix = np.asarray(prefix, dtype=np.uint8).reshape(-1)
+    if prefix.shape != (i,):
+        raise LengthMismatch(f"expected prefix of length {i}, got {prefix.shape[0]}")
+    metrics = _metric_table(code) @ llrs / 2.0
+    value = 0
+    for bit in prefix:
+        value = (value << 1) | int(bit)
+    block = 1 << (n - i)
+    seg = metrics[value * block : (value + 1) * block]
+    half = block >> 1
+
+    def lse(v):
+        mx = v.max()
+        return mx + np.log(np.exp(v - mx).sum())
+
+    return float(lse(seg[:half]) - lse(seg[half:]))

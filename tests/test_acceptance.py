@@ -21,16 +21,15 @@ from mkpolar import (
     construct_frozen_mc,
     decode,
     encode,
-    exact_sc_oracle_llr,
     llr_element_count,
     naive_counts,
-    naive_generator,
     ps_element_count,
     validate_kernel,
     SimConfig,
     simulate,
 )
 from mkpolar.cli import run as cli_run
+from oracles import exact_sc_oracle_llr, naive_generator
 from reference_sc import all_kernel_sequences, textbook_sc_decode
 
 # the reference length-12 transformation matrix (T2 x T2 x T3)

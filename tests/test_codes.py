@@ -18,13 +18,13 @@ from mkpolar import (
     format_code_file,
     load_code,
     mixed_radix_digits,
-    naive_generator,
     parse_code_file,
     save_code,
     start_stage,
     trailing_max_run,
     validate_kernel,
 )
+from oracles import naive_generator
 from reference_sc import all_kernel_sequences
 
 BASES_223 = (2, 2, 3)
@@ -113,6 +113,13 @@ def test_code_spec_validation():
     with pytest.raises(ValueError):
         CodeSpec(BASES_223, [1.7])
     assert CodeSpec(BASES_223, [np.int64(1), 2.0]).frozen == (1, 2)
+
+
+@pytest.mark.parametrize("index", [np.inf, -np.inf, np.nan])
+def test_code_spec_rejects_non_finite_frozen_index(index):
+    # inf used to raise OverflowError from int()
+    with pytest.raises(ValueError):
+        CodeSpec((2, 2), [index])
 
 
 def test_encode_unit_vector_rows():
@@ -260,6 +267,15 @@ def test_construct_validation():
         construct_frozen_mc(BASES_223, -1, 1.0, 10, 0)
     with pytest.raises(ValueError):
         construct_frozen_mc(BASES_223, 6, 1.0, 0, 0)
+
+
+def test_construct_rejects_fractional_arguments():
+    # these used to raise TypeError from deep inside the construction
+    with pytest.raises(ValueError):
+        construct_frozen_mc(BASES_223, 6.5, 1.0, 10, 0)
+    with pytest.raises(ValueError):
+        construct_frozen_mc(BASES_223, 6, 1.0, 2.5, 0)
+    assert construct_frozen_mc(BASES_223, 6.0, 1.0, 10.0, 0) == construct_frozen_mc(BASES_223, 6, 1.0, 10, 0)
 
 
 def test_code_file_round_trip(tmp_path):

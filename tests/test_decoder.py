@@ -13,12 +13,14 @@ from mkpolar import (
     decode,
     decode_batch,
     encode,
-    exact_sc_oracle_llr,
+    llr_kernel_batch,
     start_stage,
     trailing_max_run,
     validate_kernel,
 )
-from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _execute, schedule_of
+import mkpolar.decoder
+from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _Program, schedule_of
+from oracles import exact_sc_oracle_llr
 from reference_sc import all_kernel_sequences, textbook_sc_decode
 
 CODE_223 = CodeSpec((2, 2, 3))
@@ -29,10 +31,44 @@ def noiseless_llrs(x):
 
 
 def run_on_memory(code, llrs, mode="exact"):
-    """Decode one frame on an allocated memory and return that memory."""
-    mem = allocate(code)
-    _execute(code, mem, np.asarray(llrs, dtype=np.float64)[None], mode)
-    return mem
+    """Decode one frame with a freshly bound program; return its memory."""
+    program = _Program(code, 1)
+    program.run(code, np.asarray(llrs, dtype=np.float64)[None], mode)
+    return program.mem
+
+
+def reference_decode(code, llrs, mode="exact"):
+    """The schedule run op by op, one llr_kernel_batch call per REFRESH,
+    on a fresh allocate(code, F). Returns (decisions, decision LLRs)."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    mem = allocate(code, len(llrs))
+    llr, ps, decisions = mem.llr, mem.ps, mem.decisions
+    llr[0][:, code.permutation] = llrs
+    final_llrs = np.empty(decisions.shape, dtype=np.float64)
+    decision_llrs = llr[-1][:, 0]
+    for kind, a, b, kernel in schedule_of(code).ops:
+        if kind == REFRESH:
+            target = llr[a]
+            groups = llr[a - 1].reshape(target.shape + (kernel.p,))
+            target[:] = llr_kernel_batch(kernel, b, groups, ps[a - 1][:, :, :b], mode)
+        elif kind == DECIDE:
+            final_llrs[:, a] = decision_llrs
+            decisions[:, a] = False if code.frozen_mask[a] else decision_llrs < 0
+            if b >= 0:
+                ps[-1][:, 0, b] = decisions[:, a]
+        else:
+            target = ps[a - 2][:, :, b]
+            target[:] = (ps[a - 1] @ kernel.rows & 1).reshape(target.shape)
+    return decisions, final_llrs
+
+
+def assert_same_as_reference(result, code, llrs, mode, where):
+    """Bitwise equality: a tie bit decided differently can change the
+    rest of the frame, so no tolerance is safe."""
+    decisions, final_llrs = reference_decode(code, np.atleast_2d(llrs), mode)
+    shape = np.shape(result.u_hat)
+    assert np.array_equal(result.u_hat, decisions.reshape(shape)), where
+    assert np.array_equal(result.final_llrs, final_llrs.reshape(shape)), where
 
 
 def ops_per_bit(ops):
@@ -144,6 +180,123 @@ def test_decode_batch_rows_equal_single_decodes(mode):
             assert np.abs(batch.final_llrs[f] - single.final_llrs).max() <= 1e-12
         assert np.array_equal(batch.u_hat[4:], u)
         assert batch.stats.llr_updates.tolist() == single.stats.llr_updates.tolist()
+
+
+def mixed_frames(code, rng):
+    """Seven frames: four random, one noiseless, one all-zero (every
+    decision a tie) and one close to zero."""
+    n = code.N
+    u = np.zeros(n, dtype=np.uint8)
+    u[list(code.info)] = rng.integers(0, 2, code.K)
+    return np.vstack([
+        rng.uniform(-4, 4, (4, n)),
+        noiseless_llrs(encode(code, u)),
+        np.zeros(n),
+        rng.normal(0.0, 0.1, n),
+    ])
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_bound_program_matches_reference_executor(mode):
+    # every ordering up to N = 72; decode_batch (F = 7) and decode (F = 1)
+    # alternate, so each code's program is also rebound for a new F
+    rng = np.random.default_rng(37)
+    for bases in all_kernel_sequences(72):
+        n = int(np.prod(bases))
+        code = CodeSpec(bases, rng.choice(n, n // 2, replace=False))
+        llrs = mixed_frames(code, rng)
+        assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, bases)
+        for f in range(len(llrs)):
+            assert_same_as_reference(decode(code, llrs[f], mode), code, llrs[f], mode, (bases, f))
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_bound_program_matches_reference_executor_at_972(mode):
+    # An exact-mode variant that summed with np.logaddexp.reduce flipped
+    # a tie bit of this frame (|LLR| = 4.4e-16), and the frame's decision
+    # LLRs then diverged by up to 80.
+    code = CodeSpec((2, 2, 3, 3, 3, 3, 3), range(0, 972, 2))
+    z = np.random.default_rng(1).standard_normal(code.N)
+    llrs = np.clip(2.0 * (1.0 + 0.8 * z) / 0.64, -LLR_MAX, LLR_MAX)
+    assert_same_as_reference(decode(code, llrs, mode), code, llrs, mode, mode)
+
+
+def test_decode_results_are_fresh_arrays():
+    code = CodeSpec((2, 2, 3), (0, 1, 2))
+    rng = np.random.default_rng(41)
+    for run in (decode, decode_batch):
+        shape = (12,) if run is decode else (3, 12)
+        first = run(code, rng.uniform(-3, 3, shape))
+        kept = (first.u_hat.copy(), first.final_llrs.copy(), first.stats.copy())
+        second = run(code, rng.uniform(-3, 3, shape))
+        # the second decode leaves the first result alone
+        assert np.array_equal(first.u_hat, kept[0])
+        assert np.array_equal(first.final_llrs, kept[1])
+        assert first.stats.llr_updates.tolist() == kept[2].llr_updates.tolist()
+        mem = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code)].mem
+        arrays = lambda r: [r.u_hat, r.final_llrs, r.stats.llr_updates, r.stats.ps_propagations,
+                            *r.stats.ps_reads, *r.stats.ps_writes]
+        for x in arrays(first):
+            for y in arrays(second) + mem.llr + mem.ps + [mem.decisions]:
+                assert not np.shares_memory(x, y)
+
+
+def test_frame_count_changes_rebind_the_program(monkeypatch):
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    code = CodeSpec((3, 2, 2), (0, 1, 2, 4))
+    rng = np.random.default_rng(43)
+    three, one = rng.uniform(-3, 3, (3, 12)), rng.uniform(-3, 3, (1, 12))
+    first = decode_batch(code, three)
+    assert_same_as_reference(first, code, three, "exact", "F = 3")
+    assert_same_as_reference(decode_batch(code, one), code, one, "exact", "F = 1")
+    again = decode_batch(code, three)
+    assert np.array_equal(again.u_hat, first.u_hat)
+    assert np.array_equal(again.final_llrs, first.final_llrs)
+
+
+def test_only_batches_up_to_the_entry_cap_stay_bound(monkeypatch):
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    cap = mkpolar.decoder.BATCH_LLR_ENTRIES // CODE_223.N
+    key = mkpolar.decoder._kernel_key(CODE_223)
+    decode_batch(CODE_223, np.ones((cap, 12)))
+    assert mkpolar.decoder._PROGRAMS[key].frames == cap
+    # a larger batch runs on memory of its own, freed when it returns
+    decode_batch(CODE_223, np.ones((cap + 1, 12)))
+    assert key not in mkpolar.decoder._PROGRAMS
+
+
+def test_a_call_made_during_a_decode_gets_its_own_program(monkeypatch):
+    # As another thread could: a decode of the same code that runs before
+    # the first one has copied out its results.
+    code = CodeSpec((2, 2, 3), (0, 1, 2))
+    outer, inner = np.random.default_rng(47).uniform(-3, 3, (2, 12))
+    decode(code, inner)  # leaves an idle program in the cache
+    real_run = _Program.run
+
+    def run_then_decode_again(self, *args):
+        real_run(self, *args)
+        monkeypatch.setattr(_Program, "run", real_run)
+        decode(code, inner)
+
+    monkeypatch.setattr(_Program, "run", run_then_decode_again)
+    assert_same_as_reference(decode(code, outer), code, outer, "exact", "outer")
+
+
+def test_bad_arguments_fail_before_any_binding(monkeypatch):
+    def no_allocate(code, frames=1):
+        raise AssertionError("memory allocated for a call that must fail")
+
+    monkeypatch.setattr(mkpolar.decoder, "allocate", no_allocate)
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    bad = np.zeros(12)
+    bad[5] = np.nan
+    for run, llrs in ((decode, np.zeros(12)), (decode_batch, np.zeros((2, 12)))):
+        with pytest.raises(ValueError):
+            run(CODE_223, llrs, "fast")
+    with pytest.raises(LengthMismatch):
+        decode(CODE_223, np.zeros(11))
+    with pytest.raises(NonFiniteInput):
+        decode_batch(CODE_223, bad[None])
 
 
 def test_decode_batch_validation():

@@ -65,11 +65,17 @@ def test_decode_batch_runs_on_allocated_memory(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(mkpolar.decoder, "allocate", recording_allocate)
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     code = CodeSpec((2, 2, 3), (0, 1, 2))
-    result = decode_batch(code, np.random.default_rng(5).uniform(-3, 3, (3, 12)))
+    rng = np.random.default_rng(5)
+    decode_batch(code, rng.uniform(-3, 3, (3, 12)))
+    result = decode_batch(code, rng.uniform(-3, 3, (3, 12)))
+    # the memory is bound once per frame count and kept for the next call;
+    # each call returns a copy of its decisions
     assert len(made) == 1
     assert [v.shape for v in made[0].llr] == [(3, 12), (3, 6), (3, 3), (3, 1)]
-    assert result.u_hat is made[0].decisions
+    assert np.array_equal(result.u_hat, made[0].decisions)
+    assert not np.shares_memory(result.u_hat, made[0].decisions)
 
 
 def test_stage_one_matrix_is_one_column_short():

@@ -16,11 +16,10 @@ from mkpolar import (
     awgn_llrs,
     decode,
     encode,
-    exact_sc_oracle_llr,
-    ml_oracle_decode,
     simulate,
 )
 from mkpolar import simulation
+from oracles import exact_sc_oracle_llr, ml_oracle_decode
 from reference_sc import f_exact, kernel_marginal_llr
 
 T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
@@ -138,6 +137,23 @@ def test_sim_config_validation():
         SimConfig(code, (1.0,), seed=-1)
     with pytest.raises(ValueError):
         SimConfig(code, (1.0,), mode="fast")
+
+
+@pytest.mark.parametrize("field,value", [("max_frames", 2.5), ("target_frame_errors", 1.5)])
+def test_sim_config_rejects_fractional_counts(field, value):
+    # these used to pass and then raise TypeError from range in simulate
+    code = CodeSpec((2, 2), (0,))
+    with pytest.raises(ValueError):
+        SimConfig(code, (1.0,), **{field: value})
+    assert getattr(SimConfig(code, (1.0,), **{field: 3.0}), field) == 3
+
+
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+def test_sim_config_rejects_non_finite_snr_up_front(snr):
+    # simulate used to run every earlier point in full before raising
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    with pytest.raises(NonFiniteInput):
+        SimConfig(code, (0.0, 1.0, snr))
 
 
 def test_simulate_is_deterministic():
