@@ -27,8 +27,13 @@ decode_batch runs the schedule on the stage memory that memory.allocate
 builds for F frames, and decode is its F = 1 case. The schedule is bound
 to that memory once per kernel sequence and F: each op becomes a few
 in-place numpy calls on fixed views, so a run creates no views and
-allocates nothing. The arithmetic is unchanged, call for call the table
-rule of llr_kernel_batch, so results are bit for bit the same. A call
+allocates nothing. A REFRESH runs kernels.llr_update_steps, the table
+rule that llr_kernel_batch also runs, on hypothesis-major (2, half, R)
+work arrays with the kernel blocks of all F frames innermost, so that
+its reductions are whole-row numpy calls at any F. Results are bit for bit
+those of the per-op executor, and for kernels of size 2 and 3 (every
+built-in code) also those of the block-major (R, 2, half) layout; for
+larger custom kernels they agree with it up to summation order. A call
 takes its program out of the cache while it runs and returns copies.
 """
 

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     IndexOutOfRange,
     LengthMismatch,
+    NonFiniteInput,
     NotSquare,
     SingularKernel,
     UnsupportedKernelSize,
@@ -112,13 +113,13 @@ class KernelMatrix:
         p = self.p
         self._prefix_weights = []  # [i]: value of a known prefix of length i
         self._prefix_signs = []  # [i]: (2^i, p) sign of c per prefix value
-        self._rest_metrics = []  # [i]: (p, 2^(p-i)) metric table, 1/2 included
+        self._rest_metrics = []  # [i]: (2^(p-i), p) metric row per completion, 1/2 included
         for i in range(p):
             self._prefix_weights.append(1 << np.arange(i - 1, -1, -1, dtype=np.int64))
             prefix = _enumerate(i) @ self.rows[:i] % 2
             self._prefix_signs.append(1.0 - 2.0 * prefix)
             rest = _enumerate(p - i) @ self.rows[i:] % 2
-            self._rest_metrics.append(np.ascontiguousarray((1.0 - 2.0 * rest).T / 2.0))
+            self._rest_metrics.append((1.0 - 2.0 * rest) / 2.0)
 
     @property
     def key(self):
@@ -193,10 +194,19 @@ def llr_update_steps(kernel: KernelMatrix, i: int, mode, groups, known, out, scr
     ``scratch(role, shape, dtype)`` and allocating nothing else. The
     calls and their operand layouts do not depend on where the arrays
     live, so every bound copy of the steps gives the same bits.
+
+    The metric work arrays are hypothesis-major, (2, half, R): the R
+    blocks lie innermost, so each reduction over the completions of a
+    hypothesis is a few whole-row operations, not a walk over R short
+    rows. For a kernel of size p <= 3 every metric is a sum of at most 3
+    exact terms and every reduction has at most 4, which numpy sums in
+    sequence in either layout, so the bits are those of the block-major
+    (R, 2, half) layout. For p >= 4 the summation order can differ, and
+    results agree with it only to rounding.
     """
     p, rows = kernel.p, len(groups)
     table = kernel._rest_metrics[i]
-    half = table.shape[1] >> 1
+    half = len(table) >> 1
     steps = []
     if i:
         prefix = scratch("prefix", (rows,), np.int64)
@@ -210,26 +220,26 @@ def llr_update_steps(kernel: KernelMatrix, i: int, mode, groups, known, out, scr
         groups = flipped
     # One 2-D product for all blocks: a stacked product would make one
     # BLAS call per leading index.
-    metrics = scratch("metrics", (rows, 2 * half), np.float64)
-    steps.append((np.matmul, (groups, table, metrics)))
+    metrics = scratch("metrics", (2 * half, rows), np.float64)
+    steps.append((np.matmul, (table, groups.T, metrics)))
     best = metrics  # one completion per hypothesis: its metric is the best
     if half > 1:
-        metrics = metrics.reshape(rows, 2, half)
-        best = scratch("best", (rows, 2), np.float64)
-        steps.append((np.maximum.reduce, (metrics, 2, None, best)))
+        metrics = metrics.reshape(2, half, rows)
+        best = scratch("best", (2, rows), np.float64)
+        steps.append((np.maximum.reduce, (metrics, 1, None, best)))
         if mode == "exact":
             # log-sum-exp over each half, shifted by its maximum
-            total = scratch("total", (rows, 2), np.float64)
+            total = scratch("total", (2, rows), np.float64)
             steps += [
-                (np.subtract, (metrics, best[:, :, None], metrics)),
+                (np.subtract, (metrics, best[:, None], metrics)),
                 (np.exp, (metrics, metrics)),
-                (np.add.reduce, (metrics, 2, None, total)),
+                (np.add.reduce, (metrics, 1, None, total)),
                 (np.log, (total, total)),
                 (np.add, (best, total, best)),
             ]
     # minimum and maximum take `out` only by keyword
     return steps + [
-        (np.subtract, (best[:, 0], best[:, 1], out)),
+        (np.subtract, (best[0], best[1], out)),
         (partial(np.minimum, out=out), (out, LLR_MAX)),
         (partial(np.maximum, out=out), (out, -LLR_MAX)),
     ]
@@ -247,9 +257,12 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     known input bits 0 .. i-1. Returns the LLRs of input bit i, shape
     (...), saturated to +-LLR_MAX. Blocks are independent: each one gets
     exactly the scalar update, whatever the number of blocks in the call.
+    Raises NonFiniteInput if any LLR is NaN or infinite.
     """
     check_mode(mode)
     llr_rows = np.asarray(llr_rows, dtype=np.float64)
+    if not np.isfinite(llr_rows).all():
+        raise NonFiniteInput("kernel output LLRs must be finite")
     groups = np.ascontiguousarray(llr_rows.reshape(-1, kernel.p))
     known = np.asarray(ps_rows).reshape(len(groups), i) if i else None
     out = np.empty(len(groups))

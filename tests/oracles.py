@@ -3,7 +3,9 @@
 They enumerate every codeword or every input vector, so they only run on
 small codes: the generator is materialized for N <= 4096, the ML decoder
 enumerates 2^K messages for K <= 16, and the SC oracle enumerates all
-2^N inputs for N <= 16.
+2^N inputs for N <= 16. ``row_major_kernel_update`` is the kernel LLR
+update in its block-major layout, kept to pin the bits of the package's
+hypothesis-major one.
 """
 
 from math import prod
@@ -109,3 +111,31 @@ def exact_sc_oracle_llr(code: CodeSpec, channel_llrs, i: int, prefix) -> float:
         return mx + np.log(np.exp(v - mx).sum())
 
     return float(lse(seg[:half]) - lse(seg[half:]))
+
+
+def row_major_kernel_update(rows, i, llr_rows, ps_rows, mode="exact"):
+    """The kernel update of input bit i over (R, p) blocks, block-major.
+
+    Each block's output LLRs are sign-flipped by the codeword of its
+    known bits, scored against the (p, 2^(p-i)) metric table of the
+    unknown bits and reduced over the last axis of (R, 2, half) work
+    arrays, the first half holding the completions with u_i = 0. The
+    result is saturated to +-40. These are the operations, in the same
+    order, of the update before its work arrays became hypothesis-major.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    p = len(rows)
+    llr_rows = np.asarray(llr_rows, dtype=np.float64).reshape(-1, p)
+    count = 1 << (p - i)
+    completions = (np.arange(count)[:, None] >> np.arange(p - i - 1, -1, -1)) & 1
+    table = np.ascontiguousarray((1.0 - 2.0 * (completions @ rows[i:] % 2)).T / 2.0)
+    groups = llr_rows
+    if i:
+        known = np.asarray(ps_rows, dtype=np.int64).reshape(len(llr_rows), i)
+        groups = llr_rows * (1.0 - 2.0 * (known @ rows[:i] % 2))
+    metrics = (groups @ table).reshape(len(groups), 2, count >> 1)
+    best = np.maximum.reduce(metrics, axis=2)
+    if mode == "exact":
+        shifted = np.exp(metrics - best[:, :, None])
+        best = best + np.log(np.add.reduce(shifted, axis=2))
+    return np.clip(best[:, 0] - best[:, 1], -40.0, 40.0)

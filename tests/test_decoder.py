@@ -208,6 +208,20 @@ def test_bound_program_matches_reference_executor(mode):
         assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, bases)
         for f in range(len(llrs)):
             assert_same_as_reference(decode(code, llrs[f], mode), code, llrs[f], mode, (bases, f))
+    # Batches at the entry cap (5461 frames at N = 12, 455 at N = 144),
+    # where a refresh updates thousands of blocks per numpy call: the
+    # rows must still be what single-frame decodes give.
+    for bases in ((2, 2, 3), (2, 2, 2, 2, 3, 3)):
+        n = int(np.prod(bases))
+        code = CodeSpec(bases, rng.choice(n, n // 2, replace=False))
+        frames = mkpolar.decoder.BATCH_LLR_ENTRIES // n
+        llrs = np.vstack([mixed_frames(code, rng) for _ in range(-(-frames // 7))])[:frames]
+        llrs *= rng.uniform(0.05, 1.0, (frames, 1))
+        batch = decode_batch(code, llrs, mode)
+        for f in np.unique(np.linspace(0, frames - 1, 64).astype(int)):
+            single = decode(code, llrs[f], mode)
+            assert np.array_equal(batch.u_hat[f], single.u_hat), (bases, f)
+            assert np.array_equal(batch.final_llrs[f], single.final_llrs), (bases, f)
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])

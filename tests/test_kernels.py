@@ -9,6 +9,7 @@ from mkpolar import (
     LLR_MAX,
     IndexOutOfRange,
     LengthMismatch,
+    NonFiniteInput,
     NotSquare,
     SingularKernel,
     UnsupportedKernelSize,
@@ -19,10 +20,12 @@ from mkpolar import (
     ps_map,
     validate_kernel,
 )
+from oracles import row_major_kernel_update
 from reference_sc import kernel_marginal_llr
 
 T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+LOWER3 = np.tril(np.ones((3, 3), dtype=np.uint8))
 
 # Value computed with kernel_marginal_llr and frozen here.
 T3_BIT0_ALL_ONES_LLR = 0.19801683714598628
@@ -258,3 +261,50 @@ def test_batch_rejects_unknown_mode():
     k2 = builtin_kernel(2)
     with pytest.raises(ValueError):
         llr_kernel_batch(k2, 0, np.zeros((1, 2)), np.zeros((1, 0), dtype=np.uint8), "soft")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_updates_reject_non_finite_llrs(bad):
+    k3 = builtin_kernel(3)
+    llr_rows = np.ones((4, 3))
+    llr_rows[2, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        llr_kernel_batch(k3, 1, llr_rows, np.zeros((4, 1), dtype=np.uint8))
+    with pytest.raises(NonFiniteInput):
+        llr_kernel_exact(k3, 0, llr_rows[2])
+    with pytest.raises(NonFiniteInput):
+        llr_kernel_minsum(k3, 2, llr_rows[2], [0, 1])
+
+
+def update_inputs(rng, count, p, i):
+    """(count, p) LLRs with ties, saturated and tiny entries up front, and
+    (count, i) known bits."""
+    llr_rows = rng.normal(0.0, 3.0, (count, p))
+    special = np.array([[0.0] * p, [LLR_MAX] * p, [-LLR_MAX, LLR_MAX] + [0.0] * (p - 2),
+                        [1e-300] * p, [2.0, -2.0] + [2.0] * (p - 2)])
+    llr_rows[: len(special)] = special[:count]
+    return llr_rows, rng.integers(0, 2, (count, i), dtype=np.uint8)
+
+
+@pytest.mark.parametrize(
+    "p, rows",
+    [(2, T2), (3, T3), (3, LOWER3), (4, None), (5, None)],
+    ids=["T2", "T3", "lower3", "lower4", "lower5"],
+)
+def test_batch_matches_row_major_update(p, rows):
+    # Sums of at most 3 terms and reductions over at most 4 come out the
+    # same in either layout, whatever the number of blocks; longer ones
+    # may be added in another order, so they agree up to rounding.
+    rows = np.tril(np.ones((p, p), dtype=np.uint8)) if rows is None else rows
+    k = validate_kernel(rows)
+    rng = np.random.default_rng(48)
+    for i in range(p):
+        for count in (1, 7, 1000, 20000):
+            llr_rows, ps_rows = update_inputs(rng, count, p, i)
+            for mode in ("exact", "minsum"):
+                got = llr_kernel_batch(k, i, llr_rows, ps_rows, mode)
+                want = row_major_kernel_update(rows, i, llr_rows, ps_rows, mode)
+                if p <= 3:
+                    assert got.tobytes() == want.tobytes(), (i, count, mode)
+                else:
+                    assert np.abs(got - want).max() <= 1e-12, (i, count, mode)
