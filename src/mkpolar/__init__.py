@@ -18,7 +18,6 @@ from .errors import (
     NonFiniteInput,
     NotSquare,
     SingularKernel,
-    TooLarge,
     UnsupportedKernelSize,
 )
 from .kernels import (
@@ -26,28 +25,18 @@ from .kernels import (
     KernelMatrix,
     builtin_kernel,
     llr_kernel_batch,
-    llr_kernel_exact,
-    llr_kernel_minsum,
-    ps_map,
-    validate_kernel,
 )
 from .codes import (
     CodeSpec,
     channel_permutation,
     construct_frozen_mc,
-    digits_to_index,
     encode,
     format_code_file,
     load_code,
-    mixed_radix_digits,
     parse_code_file,
     save_code,
-    start_stage,
-    trailing_max_run,
 )
 from .memory import (
-    DecoderMemory,
-    MemoryReport,
     allocate,
     llr_element_count,
     memory_report,
@@ -55,16 +44,12 @@ from .memory import (
     ps_element_count,
 )
 from .decoder import (
-    DecodeResult,
-    DecodeStats,
     decode,
     decode_batch,
 )
 from .simulation import (
     CSV_HEADER,
     SimConfig,
-    SimResult,
-    SnrPointResult,
     awgn_llrs,
     simulate,
 )
@@ -75,16 +60,8 @@ __all__ = [
     "LLR_MAX",
     "KernelMatrix",
     "builtin_kernel",
-    "validate_kernel",
-    "ps_map",
-    "llr_kernel_exact",
-    "llr_kernel_minsum",
     "llr_kernel_batch",
     "CodeSpec",
-    "mixed_radix_digits",
-    "digits_to_index",
-    "start_stage",
-    "trailing_max_run",
     "encode",
     "channel_permutation",
     "construct_frozen_mc",
@@ -92,21 +69,15 @@ __all__ = [
     "parse_code_file",
     "save_code",
     "load_code",
-    "DecoderMemory",
-    "MemoryReport",
     "allocate",
     "memory_report",
     "llr_element_count",
     "ps_element_count",
     "naive_counts",
-    "DecodeResult",
-    "DecodeStats",
     "decode",
     "decode_batch",
     "CSV_HEADER",
     "SimConfig",
-    "SimResult",
-    "SnrPointResult",
     "awgn_llrs",
     "simulate",
     "CodingError",
@@ -116,7 +87,6 @@ __all__ = [
     "LengthMismatch",
     "IndexOutOfRange",
     "FrozenViolation",
-    "TooLarge",
     "InvalidK",
     "InvalidRate",
     "NonFiniteInput",

@@ -17,7 +17,7 @@ from .codes import (
     encode,
     format_code_file,
     load_code,
-    mixed_radix_digits,
+    save_code,
 )
 from .decoder import decode
 from .errors import CodingError, FrozenViolation, UnsupportedKernelSize
@@ -175,12 +175,11 @@ def _cmd_construct(args):
     if args.k > n:
         raise _UsageError(f"--k {args.k} exceeds N = {n}")
     frozen = construct_frozen_mc(args.kernels, args.k, args.snr, args.frames, args.seed)
-    text = format_code_file(CodeSpec(args.kernels, frozen))
+    code = CodeSpec(args.kernels, frozen)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        save_code(code, args.out)
     else:
-        print(text, end="")
+        print(format_code_file(code), end="")
     return 0
 
 
@@ -223,12 +222,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_digits(args):
-    sizes = args.kernels
-    n = math.prod(sizes)
-    rows = [mixed_radix_digits(i, sizes) for i in range(n)]
-    lines = ["i," + ",".join(str(i) for i in range(n))]
-    for j in range(len(sizes)):
-        lines.append(f"b{j + 1}," + ",".join(str(r[j]) for r in rows))
+    table = CodeSpec(args.kernels).digit_table
+    lines = ["i," + ",".join(str(i) for i in range(len(table)))]
+    for j, column in enumerate(table.T.tolist(), start=1):
+        lines.append(f"b{j}," + ",".join(map(str, column)))
     print("\n".join(lines))
     return 0
 

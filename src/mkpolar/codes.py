@@ -43,61 +43,6 @@ def _is_whole(value) -> bool:
         return False
 
 
-def mixed_radix_digits(i: int, bases) -> tuple:
-    """Digits (b_1, ..., b_s) of index i, most significant first."""
-    bases = tuple(int(p) for p in bases)
-    n = prod(bases)
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"index {i} outside [0, {n})")
-    digits = []
-    for p in reversed(bases):
-        i, d = divmod(i, p)
-        digits.append(d)
-    return tuple(reversed(digits))
-
-
-def digits_to_index(digits, bases) -> int:
-    """Inverse of mixed_radix_digits."""
-    bases = tuple(int(p) for p in bases)
-    if len(digits) != len(bases):
-        raise LengthMismatch(f"expected {len(bases)} digits, got {len(digits)}")
-    i = 0
-    for d, p in zip(digits, bases):
-        if not 0 <= d < p:
-            raise IndexOutOfRange(f"digit {d} outside [0, {p})")
-        i = i * p + d
-    return i
-
-
-def start_stage(i: int, bases) -> int:
-    """First stage whose LLR vector must be refreshed for bit i.
-
-    Equals the position (1-based) of the rightmost nonzero digit of i;
-    by convention 1 for i = 0, where every stage is refreshed.
-    """
-    digits = mixed_radix_digits(i, bases)
-    for z in range(len(digits), 0, -1):
-        if digits[z - 1] != 0:
-            return z
-    return 1
-
-
-def trailing_max_run(i: int, bases) -> int:
-    """Number of trailing digits of i that sit at their maximum p_j - 1.
-
-    This is how many partial-sum matrices complete, and therefore
-    propagate, after bit i is decided.
-    """
-    digits = mixed_radix_digits(i, bases)
-    bases = tuple(int(p) for p in bases)
-    run = 0
-    for d, p in zip(reversed(digits), reversed(bases)):
-        if d != p - 1:
-            break
-        run += 1
-    return run
-
-
 class CodeSpec:
     """A multi-kernel polar code: kernel sequence plus frozen set.
 
@@ -158,7 +103,11 @@ class CodeSpec:
 
     @cached_property
     def start_stages(self):
-        """start_stage(i) for every i, as an int array."""
+        """First stage that bit i refreshes, for every i, as an int array.
+
+        That is the 1-based position of the rightmost nonzero digit of i,
+        and 1 for i = 0, where every stage refreshes.
+        """
         nonzero = self.digit_table != 0
         out = np.ones(self.N, dtype=np.int64)
         for j in range(self.s):

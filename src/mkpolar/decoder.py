@@ -10,18 +10,18 @@ holds F frames:
   is the kernel update of input bit b given the contiguous group
   k*p_j .. (k+1)*p_j - 1 of the previous stage and the known sub-block
   bits in columns 0 .. b - 1 of its partial-sum matrix. Bit i with
-  digits (b_1, ..., b_s) refreshes stages start_stage(i) .. s, the
-  rightmost nonzero digit position onwards; stages below it still hold
-  valid values from earlier bits.
+  digits (b_1, ..., b_s) refreshes stages z .. s, where z is the
+  position of its rightmost nonzero digit (1 for i = 0); stages below z
+  still hold valid values from earlier bits.
 - DECIDE (i, c): read the single stage-s LLR. Frozen bits decide 0,
   otherwise a negative LLR decides 1 (tie decides 0). Unless i is the
   last bit, store the decision in column c = b_s of the stage-s matrix.
 - PROPAGATE (j, c): push the completed stage-j matrix through its
   kernel. Row k of stage j maps to rows k*p_j .. k*p_j + p_j - 1 of
-  stage j-1, landing in column c = b_{j-1}. After bit i this happens for
-  the trailing_max_run(i) innermost stages whose digit sits at its
-  maximum. Nothing propagates after the last bit, which is why the
-  stage-1 matrix never needs its final column.
+  stage j-1, landing in column c = b_{j-1}. After bit i this happens
+  for each stage j of the trailing run of digits b_j = p_j - 1, from
+  stage s outwards. Nothing propagates after the last bit, which is why
+  the stage-1 matrix never needs its final column.
 
 decode_batch runs the schedule on the stage memory that memory.allocate
 builds for F frames, and decode is its F = 1 case. The schedule is bound

@@ -29,10 +29,6 @@ class FrozenViolation(CodingError):
     """An input vector carries a nonzero value on a frozen position."""
 
 
-class TooLarge(CodingError):
-    """The instance exceeds the size bound of a brute-force routine."""
-
-
 class InvalidK(CodingError):
     """Requested information length is outside [0, N]."""
 

@@ -79,8 +79,6 @@ class KernelMatrix:
         Kernel size.
     rows : ndarray
         The kernel matrix as read-only uint8.
-    columns : ndarray
-        Cached transpose, ``columns[i]`` selects output position i.
     """
 
     def __init__(self, rows):
@@ -98,8 +96,6 @@ class KernelMatrix:
         self.p = p
         self.rows = rows
         self.rows.flags.writeable = False
-        self.columns = np.ascontiguousarray(rows.T)
-        self.columns.flags.writeable = False
         self._build_tables()
 
     def _build_tables(self):
@@ -130,15 +126,6 @@ class KernelMatrix:
         return f"KernelMatrix(p={self.p})"
 
 
-def validate_kernel(rows) -> KernelMatrix:
-    """Validate a binary matrix and wrap it as a KernelMatrix.
-
-    Raises NotSquare for non-square input and SingularKernel when the
-    matrix has no GF(2) inverse.
-    """
-    return KernelMatrix(rows)
-
-
 _BUILTIN = {}
 
 
@@ -152,27 +139,6 @@ def builtin_kernel(p: int) -> KernelMatrix:
     if p not in _BUILTIN:
         _BUILTIN[p] = KernelMatrix(_T2 if p == 2 else _T3)
     return _BUILTIN[p]
-
-
-def ps_map(u, kernel: KernelMatrix):
-    """Encode one kernel block: return u * T over GF(2).
-
-    Parameters
-    ----------
-    u : array_like
-        Input bits, length kernel.p.
-    kernel : KernelMatrix
-
-    Returns
-    -------
-    ndarray of uint8, length kernel.p.
-    """
-    u = np.asarray(u, dtype=np.uint8)
-    if u.shape != (kernel.p,):
-        raise LengthMismatch(
-            f"expected {kernel.p} input bits, got shape {u.shape}"
-        )
-    return u @ kernel.rows % 2
 
 
 MODES = ("exact", "minsum")
@@ -255,64 +221,30 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     ``llr_rows`` has shape (..., p): per block, the LLRs attached to the p
     kernel outputs. ``ps_rows`` has shape (..., i): per block, the already
     known input bits 0 .. i-1. Returns the LLRs of input bit i, shape
-    (...), saturated to +-LLR_MAX. Blocks are independent: each one gets
-    exactly the scalar update, whatever the number of blocks in the call.
-    Raises NonFiniteInput if any LLR is NaN or infinite.
+    (...), saturated to +-LLR_MAX, with input bits i+1 .. p-1
+    marginalized out. Blocks are independent: each one gets exactly the
+    update of a one-block call, whatever the number of blocks in the call.
+
+    Raises IndexOutOfRange unless 0 <= i < p, LengthMismatch for other
+    shapes, NonFiniteInput for NaN or infinite LLRs and ValueError for
+    known bits other than 0 and 1.
     """
     check_mode(mode)
+    if not 0 <= i < kernel.p:
+        raise IndexOutOfRange(f"bit index {i} outside [0, {kernel.p})")
     llr_rows = np.asarray(llr_rows, dtype=np.float64)
+    if llr_rows.shape[-1:] != (kernel.p,):
+        raise LengthMismatch(f"expected {kernel.p} output LLRs per block, got shape {llr_rows.shape}")
     if not np.isfinite(llr_rows).all():
         raise NonFiniteInput("kernel output LLRs must be finite")
+    known = np.asarray(ps_rows)
+    if known.shape != llr_rows.shape[:-1] + (i,):
+        raise LengthMismatch(f"expected {i} known input bits per block, got shape {known.shape}")
+    if not np.isin(known, (0, 1)).all():
+        raise ValueError("known input bits must be 0 or 1")
     groups = np.ascontiguousarray(llr_rows.reshape(-1, kernel.p))
-    known = np.asarray(ps_rows).reshape(len(groups), i) if i else None
+    known = known.astype(np.uint8).reshape(len(groups), i) if i else None
     out = np.empty(len(groups))
     for fn, args in llr_update_steps(kernel, i, mode, groups, known, out, _fresh):
         fn(*args)
     return out.reshape(llr_rows.shape[:-1])
-
-
-def _check_update_args(kernel, i, llrs, ps_bits):
-    if not 0 <= i < kernel.p:
-        raise IndexOutOfRange(f"bit index {i} outside [0, {kernel.p})")
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.shape != (kernel.p,):
-        raise LengthMismatch(
-            f"expected {kernel.p} output LLRs, got shape {llrs.shape}"
-        )
-    ps_bits = np.asarray(ps_bits, dtype=np.uint8).reshape(-1)
-    if ps_bits.shape != (i,):
-        raise LengthMismatch(
-            f"expected {i} known input bits, got {ps_bits.shape[0]}"
-        )
-    return llrs, ps_bits
-
-
-def llr_kernel_exact(kernel: KernelMatrix, i: int, llrs, ps_bits=()):
-    """LLR of kernel input bit i by exact marginalization.
-
-    Parameters
-    ----------
-    kernel : KernelMatrix
-    i : int
-        Input bit index, 0 <= i < p.
-    llrs : array_like
-        LLRs of the p kernel outputs.
-    ps_bits : array_like
-        Values of input bits 0 .. i-1 (length i).
-
-    Returns
-    -------
-    float, saturated to +-LLR_MAX. Remaining input bits i+1 .. p-1 are
-    marginalized over all completions.
-    """
-    llrs, ps_bits = _check_update_args(kernel, i, llrs, ps_bits)
-    return float(llr_kernel_batch(kernel, i, llrs[None, :], ps_bits[None, :], "exact")[0])
-
-
-def llr_kernel_minsum(kernel: KernelMatrix, i: int, llrs, ps_bits=()):
-    """Min-sum (max-log) variant of llr_kernel_exact.
-
-    Ties between the two hypotheses return exactly 0.0.
-    """
-    llrs, ps_bits = _check_update_args(kernel, i, llrs, ps_bits)
-    return float(llr_kernel_batch(kernel, i, llrs[None, :], ps_bits[None, :], "minsum")[0])

@@ -122,14 +122,6 @@ class DecoderMemory:
         ]
         self.decisions = np.zeros((frames, code.N), dtype=np.uint8)
 
-    def llr_element_total(self) -> int:
-        """LLR entries per frame."""
-        return sum(prod(v.shape[1:]) for v in self.llr)
-
-    def ps_element_total(self) -> int:
-        """Partial-sum bits per frame."""
-        return sum(prod(m.shape[1:]) for m in self.ps)
-
 
 def allocate(code: CodeSpec, frames: int = 1) -> DecoderMemory:
     """Allocate the stage-indexed memory for `frames` decodes of `code`."""

@@ -5,18 +5,62 @@ small codes: the generator is materialized for N <= 4096, the ML decoder
 enumerates 2^K messages for K <= 16, and the SC oracle enumerates all
 2^N inputs for N <= 16. ``row_major_kernel_update`` is the kernel LLR
 update in its block-major layout, kept to pin the bits of the package's
-hypothesis-major one.
+hypothesis-major one. The scalar digit rules below define, one index at
+a time, what ``CodeSpec.digit_table``, ``CodeSpec.start_stages`` and the
+SC schedule compute for all indices at once.
 """
 
 from math import prod
 
 import numpy as np
 
-from mkpolar import CodeSpec, IndexOutOfRange, LengthMismatch, NonFiniteInput, TooLarge
+from mkpolar import CodeSpec, IndexOutOfRange, LengthMismatch, NonFiniteInput
 
 NAIVE_GENERATOR_LIMIT = 4096
 ML_ORACLE_MAX_K = 16
 SC_ORACLE_MAX_N = 16
+
+
+class TooLarge(Exception):
+    """The instance exceeds the size bound of a brute-force oracle."""
+
+
+def mixed_radix_digits(i, bases):
+    """Digits (b_1, ..., b_s) of index i, most significant first."""
+    digits = []
+    for p in reversed(bases):
+        i, d = divmod(i, p)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def digits_to_index(digits, bases):
+    """Inverse of mixed_radix_digits."""
+    i = 0
+    for d, p in zip(digits, bases):
+        i = i * p + d
+    return i
+
+
+def start_stage(i, bases):
+    """First stage refreshed for bit i: the 1-based position of the
+    rightmost nonzero digit of i, and 1 for i = 0."""
+    digits = mixed_radix_digits(i, bases)
+    for z in range(len(digits), 0, -1):
+        if digits[z - 1] != 0:
+            return z
+    return 1
+
+
+def trailing_max_run(i, bases):
+    """Number of trailing digits of i that sit at their maximum p_j - 1:
+    how many partial-sum matrices complete after bit i."""
+    run = 0
+    for d, p in zip(reversed(mixed_radix_digits(i, bases)), reversed(bases)):
+        if d != p - 1:
+            break
+        run += 1
+    return run
 
 
 def _checked_llrs(code, channel_llrs):

@@ -16,6 +16,7 @@ import numpy as np
 from mkpolar import (
     LLR_MAX,
     CodeSpec,
+    KernelMatrix,
     allocate,
     awgn_llrs,
     construct_frozen_mc,
@@ -24,7 +25,6 @@ from mkpolar import (
     llr_element_count,
     naive_counts,
     ps_element_count,
-    validate_kernel,
     SimConfig,
     simulate,
 )
@@ -91,7 +91,7 @@ def test_criterion_01_memory_table():
 
 def test_criterion_02_count_identities():
     rng = np.random.default_rng(2024)
-    k5 = validate_kernel(np.eye(5, dtype=np.uint8))
+    k5 = KernelMatrix(np.eye(5, dtype=np.uint8))
     ok = True
     for _ in range(200):
         sizes = tuple(int(p) for p in rng.choice([2, 3, 5], size=rng.integers(1, 9)))
@@ -102,8 +102,8 @@ def test_criterion_02_count_identities():
             prod(sizes[j:]) * sizes[j - 1] for j in range(2, s + 1)
         )
         mem = allocate(CodeSpec(kernels))
-        ok &= llr_element_count(kernels) == llr_sum == mem.llr_element_total()
-        ok &= ps_element_count(kernels) == ps_sum == mem.ps_element_total()
+        ok &= llr_element_count(kernels) == llr_sum == sum(prod(v.shape[1:]) for v in mem.llr)
+        ok &= ps_element_count(kernels) == ps_sum == sum(prod(m.shape[1:]) for m in mem.ps)
         if not ok:
             break
     assert report(2, ok), f"count identity broken for {sizes}"

@@ -25,6 +25,12 @@ b2,0,0,0,1,1,1,0,0,0,1,1,1
 b3,0,1,2,0,1,2,0,1,2,0,1,2
 """
 
+DIGITS_32 = """\
+i,0,1,2,3,4,5
+b1,0,0,1,1,2,2
+b2,0,1,0,1,0,1
+"""
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -65,6 +71,10 @@ def test_digits_table(capsys):
     status, out, _ = invoke(capsys, "digits", "--kernels", "2,2,3")
     assert status == 0
     assert out == DIGITS_223
+    # kernel order is significant: the ternary digit leads here
+    status, out, _ = invoke(capsys, "digits", "--kernels", "3,2")
+    assert status == 0
+    assert out == DIGITS_32
 
 
 def test_outputs_are_reproducible(capsys):

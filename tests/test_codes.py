@@ -9,22 +9,24 @@ from mkpolar import (
     FrozenViolation,
     IndexOutOfRange,
     InvalidK,
+    KernelMatrix,
     LengthMismatch,
-    TooLarge,
     channel_permutation,
     construct_frozen_mc,
-    digits_to_index,
     encode,
     format_code_file,
     load_code,
-    mixed_radix_digits,
     parse_code_file,
     save_code,
+)
+from oracles import (
+    TooLarge,
+    digits_to_index,
+    mixed_radix_digits,
+    naive_generator,
     start_stage,
     trailing_max_run,
-    validate_kernel,
 )
-from oracles import naive_generator
 from reference_sc import all_kernel_sequences
 
 BASES_223 = (2, 2, 3)
@@ -37,12 +39,14 @@ DIGIT_TABLE_223 = [
 
 
 def test_mixed_radix_examples():
-    assert mixed_radix_digits(7, BASES_223) == (1, 0, 1)
-    assert mixed_radix_digits(11, BASES_223) == (1, 1, 2)
-    assert mixed_radix_digits(0, BASES_223) == (0, 0, 0)
+    table = CodeSpec(BASES_223).digit_table
+    for i, digits in ((7, (1, 0, 1)), (11, (1, 1, 2)), (0, (0, 0, 0))):
+        assert tuple(table[i]) == mixed_radix_digits(i, BASES_223) == digits
 
 
 def test_mixed_radix_full_table():
+    table = CodeSpec(BASES_223).digit_table
+    assert table.tolist() == [list(digits) for digits in DIGIT_TABLE_223]
     for i, digits in enumerate(DIGIT_TABLE_223):
         assert mixed_radix_digits(i, BASES_223) == digits
         assert digits_to_index(digits, BASES_223) == i
@@ -50,22 +54,14 @@ def test_mixed_radix_full_table():
 
 def test_mixed_radix_round_trip_random_bases():
     rng = np.random.default_rng(1)
+    k5 = KernelMatrix(np.eye(5, dtype=np.uint8))
     for _ in range(50):
-        bases = tuple(rng.choice([2, 3, 5], size=rng.integers(1, 7)))
+        bases = tuple(int(p) for p in rng.choice([2, 3, 5], size=rng.integers(1, 7)))
+        table = CodeSpec([k5 if p == 5 else p for p in bases]).digit_table
         n = int(np.prod(bases))
         for i in (0, 1, n - 1, int(rng.integers(0, n))):
-            assert digits_to_index(mixed_radix_digits(i, bases), bases) == i
-
-
-def test_mixed_radix_validation():
-    with pytest.raises(IndexOutOfRange):
-        mixed_radix_digits(12, BASES_223)
-    with pytest.raises(IndexOutOfRange):
-        mixed_radix_digits(-1, BASES_223)
-    with pytest.raises(LengthMismatch):
-        digits_to_index((0, 0), BASES_223)
-    with pytest.raises(IndexOutOfRange):
-        digits_to_index((0, 0, 3), BASES_223)
+            assert tuple(table[i]) == mixed_radix_digits(i, bases)
+            assert digits_to_index(table[i], bases) == i
 
 
 def test_start_stage_examples():
@@ -73,6 +69,9 @@ def test_start_stage_examples():
     assert start_stage(0, BASES_223) == 1
     assert start_stage(5, BASES_223) == 3
     assert start_stage(3, BASES_223) == 2
+    for bases in [BASES_223, (3, 2, 2), (2, 3, 2, 3), (2,) * 6, (3, 3, 3)]:
+        stages = CodeSpec(bases).start_stages
+        assert stages.tolist() == [start_stage(i, bases) for i in range(len(stages))]
 
 
 def test_trailing_max_run_examples():
@@ -85,12 +84,11 @@ def test_consecutive_indices_share_digit_prefix():
     # Digits left of the start stage never change between i-1 and i,
     # which is what makes skipping those stage updates sound.
     for bases in [(2, 2, 3), (3, 2, 2), (2, 3, 2, 3), (2,) * 6, (3, 3, 3)]:
-        n = int(np.prod(bases))
-        for i in range(1, n):
-            z = start_stage(i, bases)
-            prev = mixed_radix_digits(i - 1, bases)
-            cur = mixed_radix_digits(i, bases)
-            assert prev[: z - 1] == cur[: z - 1]
+        code = CodeSpec(bases)
+        table = code.digit_table
+        for i in range(1, code.N):
+            z = code.start_stages[i]
+            assert np.array_equal(table[i - 1, : z - 1], table[i, : z - 1])
 
 
 def test_code_spec_basics():
@@ -294,7 +292,7 @@ def test_code_file_refuses_custom_kernels(tmp_path):
     # The file names kernels by size, and loading maps size 3 to the
     # built-in T3, so another 3x3 kernel would come back as a different
     # code.
-    custom = validate_kernel([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+    custom = KernelMatrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
     code = CodeSpec((2, custom), (0,))
     with pytest.raises(CodeFileError):
         format_code_file(code)
@@ -303,7 +301,7 @@ def test_code_file_refuses_custom_kernels(tmp_path):
         save_code(code, path)
     assert not path.exists()
     # equal contents are the built-in kernel, whatever the object
-    t3 = validate_kernel([[1, 1, 1], [1, 0, 1], [0, 1, 1]])
+    t3 = KernelMatrix([[1, 1, 1], [1, 0, 1], [0, 1, 1]])
     assert format_code_file(CodeSpec((2, t3))) == format_code_file(CodeSpec((2, 3)))
 
 

@@ -6,6 +6,7 @@ import pytest
 from mkpolar import (
     LLR_MAX,
     CodeSpec,
+    KernelMatrix,
     LengthMismatch,
     NonFiniteInput,
     allocate,
@@ -14,13 +15,10 @@ from mkpolar import (
     decode_batch,
     encode,
     llr_kernel_batch,
-    start_stage,
-    trailing_max_run,
-    validate_kernel,
 )
 import mkpolar.decoder
 from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _Program, schedule_of
-from oracles import exact_sc_oracle_llr
+from oracles import exact_sc_oracle_llr, start_stage, trailing_max_run
 from reference_sc import all_kernel_sequences, textbook_sc_decode
 
 CODE_223 = CodeSpec((2, 2, 3))
@@ -94,9 +92,9 @@ def test_ingest_uses_digit_reversal():
 
 def test_llr_phase_refresh_schedule():
     bits = ops_per_bit(schedule_of(CODE_223).ops)
-    # bit 0 refreshes every stage; start_stage(1) = start_stage(2) = 3:
-    # only the innermost stage; start_stage(3) = 2: stages 2 and 3
-    # refresh, stage 1 does not
+    # bit 0 refreshes every stage; bits 1 and 2, digits (0, 0, 1) and
+    # (0, 0, 2), refresh only from their rightmost nonzero digit, stage 3;
+    # bit 3, digits (0, 1, 0), refreshes stages 2 and 3, not stage 1
     assert [refreshed for refreshed, _ in bits[:4]] == [[1, 2, 3], [3], [3], [2, 3]]
 
 
@@ -332,9 +330,9 @@ def test_schedule_is_shared_by_kernel_contents():
     # Codes built afresh, with any frozen set, reuse one schedule, while
     # a different kernel of the same size gets its own.
     assert schedule_of(CodeSpec((2, 3), (0,))) is schedule_of(CodeSpec((2, 3), (1, 4)))
-    t3 = validate_kernel([[1, 1, 1], [1, 0, 1], [0, 1, 1]])
+    t3 = KernelMatrix([[1, 1, 1], [1, 0, 1], [0, 1, 1]])
     assert schedule_of(CodeSpec((2, t3))) is schedule_of(CodeSpec((2, 3)))
-    other = validate_kernel([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+    other = KernelMatrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
     assert schedule_of(CodeSpec((2, other))) is not schedule_of(CodeSpec((2, 3)))
 
 

@@ -7,18 +7,17 @@ import pytest
 
 from mkpolar import (
     LLR_MAX,
+    CodeSpec,
     IndexOutOfRange,
+    KernelMatrix,
     LengthMismatch,
     NonFiniteInput,
     NotSquare,
     SingularKernel,
     UnsupportedKernelSize,
     builtin_kernel,
+    encode,
     llr_kernel_batch,
-    llr_kernel_exact,
-    llr_kernel_minsum,
-    ps_map,
-    validate_kernel,
 )
 from oracles import row_major_kernel_update
 from reference_sc import kernel_marginal_llr
@@ -29,6 +28,16 @@ LOWER3 = np.tril(np.ones((3, 3), dtype=np.uint8))
 
 # Value computed with kernel_marginal_llr and frozen here.
 T3_BIT0_ALL_ONES_LLR = 0.19801683714598628
+
+
+def update(kernel, i, llrs, known=(), mode="exact"):
+    """The update of input bit i of one block: a one-block llr_kernel_batch call."""
+    return float(llr_kernel_batch(kernel, i, llrs, known, mode))
+
+
+def block_map(u, kernel):
+    """u * T over GF(2): the encoder of the one-kernel code."""
+    return encode(CodeSpec([kernel]), u)
 
 
 def test_builtin_kernels_match_definitions():
@@ -45,33 +54,33 @@ def test_builtin_kernel_unsupported_sizes(p):
 
 
 def test_validate_kernel_accepts_nonsingular():
-    k = validate_kernel(np.eye(5, dtype=np.uint8))
+    k = KernelMatrix(np.eye(5, dtype=np.uint8))
     assert k.p == 5
-    assert np.array_equal(k.columns, np.eye(5, dtype=np.uint8))
+    assert np.array_equal(k.rows, np.eye(5, dtype=np.uint8))
 
 
 def test_validate_kernel_rejects_non_square():
     with pytest.raises(NotSquare):
-        validate_kernel(np.ones((2, 3), dtype=np.uint8))
+        KernelMatrix(np.ones((2, 3), dtype=np.uint8))
     with pytest.raises(NotSquare):
-        validate_kernel(np.array([1, 0], dtype=np.uint8))
+        KernelMatrix(np.array([1, 0], dtype=np.uint8))
 
 
 def test_validate_kernel_rejects_singular():
     with pytest.raises(SingularKernel):
-        validate_kernel(np.array([[1, 1], [1, 1]], dtype=np.uint8))
+        KernelMatrix(np.array([[1, 1], [1, 1]], dtype=np.uint8))
     with pytest.raises(SingularKernel):
-        validate_kernel(np.zeros((3, 3), dtype=np.uint8))
+        KernelMatrix(np.zeros((3, 3), dtype=np.uint8))
 
 
 def test_validate_kernel_rejects_non_binary_entries():
     with pytest.raises(SingularKernel):
-        validate_kernel(np.array([[2, 0], [0, 1]]))
+        KernelMatrix(np.array([[2, 0], [0, 1]]))
 
 
 def test_validate_kernel_rejects_size_one():
     with pytest.raises(UnsupportedKernelSize):
-        validate_kernel(np.array([[1]], dtype=np.uint8))
+        KernelMatrix(np.array([[1]], dtype=np.uint8))
 
 
 def test_kernel_rows_are_read_only():
@@ -81,14 +90,14 @@ def test_kernel_rows_are_read_only():
 
 
 def test_ps_map_examples():
-    assert np.array_equal(ps_map((1, 0, 0), builtin_kernel(3)), [1, 1, 1])
-    assert np.array_equal(ps_map((1, 1), builtin_kernel(2)), [0, 1])
-    assert np.array_equal(ps_map((0, 0), builtin_kernel(2)), [0, 0])
+    assert np.array_equal(block_map((1, 0, 0), builtin_kernel(3)), [1, 1, 1])
+    assert np.array_equal(block_map((1, 1), builtin_kernel(2)), [0, 1])
+    assert np.array_equal(block_map((0, 0), builtin_kernel(2)), [0, 0])
 
 
 def test_ps_map_length_mismatch():
     with pytest.raises(LengthMismatch):
-        ps_map((1, 0), builtin_kernel(3))
+        block_map((1, 0), builtin_kernel(3))
 
 
 @pytest.mark.parametrize(
@@ -100,41 +109,41 @@ def test_ps_map_length_mismatch():
     ],
 )
 def test_ps_map_is_linear_and_bijective(rows):
-    k = validate_kernel(rows)
+    k = KernelMatrix(rows)
     p = k.p
     words = list(itertools.product((0, 1), repeat=p))
-    images = [tuple(ps_map(w, k)) for w in words]
+    images = [tuple(block_map(w, k)) for w in words]
     assert len(set(images)) == len(words)
     for a in words[:8]:
         for b in words[:8]:
             xor = tuple(x ^ y for x, y in zip(a, b))
-            lhs = ps_map(xor, k)
-            rhs = ps_map(a, k) ^ ps_map(b, k)
+            lhs = block_map(xor, k)
+            rhs = block_map(a, k) ^ block_map(b, k)
             assert np.array_equal(lhs, rhs)
 
 
 def test_llr_kernel_exact_examples():
     k2, k3 = builtin_kernel(2), builtin_kernel(3)
-    assert abs(llr_kernel_exact(k2, 1, [3.0, 2.0], [1]) - (-1.0)) < 1e-12
-    assert abs(llr_kernel_exact(k2, 0, [0.0, 5.0])) < 1e-12
-    assert abs(llr_kernel_exact(k3, 0, [1.0, 1.0, 1.0]) - T3_BIT0_ALL_ONES_LLR) < 1e-12
+    assert abs(update(k2, 1, [3.0, 2.0], [1]) - (-1.0)) < 1e-12
+    assert abs(update(k2, 0, [0.0, 5.0])) < 1e-12
+    assert abs(update(k3, 0, [1.0, 1.0, 1.0]) - T3_BIT0_ALL_ONES_LLR) < 1e-12
 
 
 def test_llr_kernel_minsum_examples():
     k2 = builtin_kernel(2)
-    assert llr_kernel_minsum(k2, 0, [2.0, -3.0]) == -2.0
-    assert llr_kernel_minsum(k2, 1, [3.0, 2.0], [0]) == 5.0
+    assert update(k2, 0, [2.0, -3.0], mode="minsum") == -2.0
+    assert update(k2, 1, [3.0, 2.0], [0], mode="minsum") == 5.0
 
 
 def test_exact_matches_brute_force_all_kernels():
     rng = np.random.default_rng(42)
     for rows in (T2, T3):
-        k = validate_kernel(rows)
+        k = KernelMatrix(rows)
         for i in range(k.p):
             for _ in range(50):
                 llrs = rng.normal(0.0, 2.0, k.p)
                 prefix = rng.integers(0, 2, i)
-                got = llr_kernel_exact(k, i, llrs, prefix)
+                got = update(k, i, llrs, prefix)
                 want = kernel_marginal_llr(rows, i, llrs, prefix, "exact")
                 assert abs(got - want) < 1e-10
 
@@ -142,12 +151,12 @@ def test_exact_matches_brute_force_all_kernels():
 def test_minsum_matches_brute_force_all_kernels():
     rng = np.random.default_rng(43)
     for rows in (T2, T3):
-        k = validate_kernel(rows)
+        k = KernelMatrix(rows)
         for i in range(k.p):
             for _ in range(50):
                 llrs = rng.normal(0.0, 2.0, k.p)
                 prefix = rng.integers(0, 2, i)
-                got = llr_kernel_minsum(k, i, llrs, prefix)
+                got = update(k, i, llrs, prefix, mode="minsum")
                 want = kernel_marginal_llr(rows, i, llrs, prefix, "minsum")
                 assert abs(got - want) < 1e-10
 
@@ -160,7 +169,7 @@ def test_size2_exact_equals_tanh_rule():
     for _ in range(2000):
         l0, l1 = rng.uniform(-20.0, 20.0, 2)
         want = 2.0 * np.arctanh(np.tanh(l0 / 2.0) * np.tanh(l1 / 2.0))
-        assert abs(llr_kernel_exact(k2, 0, [l0, l1]) - want) < 1e-7
+        assert abs(update(k2, 0, [l0, l1]) - want) < 1e-7
 
 
 def test_size2_exact_bit1_is_affine():
@@ -170,7 +179,7 @@ def test_size2_exact_bit1_is_affine():
         l0, l1 = rng.uniform(-30.0, 30.0, 2)
         for u0 in (0, 1):
             want = (1.0 - 2.0 * u0) * l0 + l1
-            got = llr_kernel_exact(k2, 1, [l0, l1], [u0])
+            got = update(k2, 1, [l0, l1], [u0])
             assert abs(got - np.clip(want, -LLR_MAX, LLR_MAX)) < 1e-12
 
 
@@ -183,25 +192,25 @@ def test_minsum_sign_agreement_with_exact():
             i = int(rng.integers(0, p))
             llrs = rng.normal(0.0, 2.0, p)
             prefix = rng.integers(0, 2, i)
-            exact = llr_kernel_exact(k, i, llrs, prefix)
-            if abs(exact) <= 1.0:
+            want = update(k, i, llrs, prefix)
+            if abs(want) <= 1.0:
                 continue
             checked += 1
-            assert np.sign(llr_kernel_minsum(k, i, llrs, prefix)) == np.sign(exact)
+            assert np.sign(update(k, i, llrs, prefix, mode="minsum")) == np.sign(want)
         # the property must not be vacuously true
         assert checked > 4000
 
 
 def test_updates_saturate():
     k2 = builtin_kernel(2)
-    assert llr_kernel_exact(k2, 1, [LLR_MAX, LLR_MAX], [0]) == LLR_MAX
-    assert llr_kernel_minsum(k2, 1, [-LLR_MAX, -LLR_MAX], [0]) == -LLR_MAX
+    assert update(k2, 1, [LLR_MAX, LLR_MAX], [0]) == LLR_MAX
+    assert update(k2, 1, [-LLR_MAX, -LLR_MAX], [0], mode="minsum") == -LLR_MAX
 
 
 def test_minsum_tie_returns_exact_zero():
     k2 = builtin_kernel(2)
-    assert llr_kernel_minsum(k2, 0, [2.0, 0.0]) == 0.0
-    assert llr_kernel_exact(builtin_kernel(3), 0, [0.0, 0.0, 0.0]) == 0.0
+    assert update(k2, 0, [2.0, 0.0], mode="minsum") == 0.0
+    assert update(builtin_kernel(3), 0, [0.0, 0.0, 0.0]) == 0.0
 
 
 def test_flip_symmetry_properties():
@@ -210,51 +219,60 @@ def test_flip_symmetry_properties():
     # result.
     rng = np.random.default_rng(45)
     for rows in (T2, T3):
-        k = validate_kernel(rows)
+        k = KernelMatrix(rows)
         p = k.p
         for _ in range(100):
             llrs = rng.normal(0.0, 2.0, p)
             i = int(rng.integers(0, p))
             prefix = rng.integers(0, 2, i)
-            base = llr_kernel_exact(k, i, llrs, prefix)
+            base = update(k, i, llrs, prefix)
             flip_hyp = llrs * (1.0 - 2.0 * rows[i])
-            assert abs(llr_kernel_exact(k, i, flip_hyp, prefix) + base) < 1e-10
+            assert abs(update(k, i, flip_hyp, prefix) + base) < 1e-10
             if i:
                 j = int(rng.integers(0, i))
                 flipped = prefix.copy()
                 flipped[j] ^= 1
                 flip_known = llrs * (1.0 - 2.0 * rows[j])
                 assert (
-                    abs(llr_kernel_exact(k, i, flip_known, prefix) -
-                        llr_kernel_exact(k, i, llrs, flipped)) < 1e-10
+                    abs(update(k, i, flip_known, prefix) -
+                        update(k, i, llrs, flipped)) < 1e-10
                 )
 
 
 def test_update_argument_validation():
-    k2 = builtin_kernel(2)
-    with pytest.raises(IndexOutOfRange):
-        llr_kernel_exact(k2, 2, [1.0, 1.0])
-    with pytest.raises(IndexOutOfRange):
-        llr_kernel_exact(k2, -1, [1.0, 1.0])
+    k2, k3 = builtin_kernel(2), builtin_kernel(3)
+    for i in (2, -1):
+        with pytest.raises(IndexOutOfRange):
+            llr_kernel_batch(k2, i, [1.0, 1.0], [0] * max(i, 0))
     with pytest.raises(LengthMismatch):
-        llr_kernel_exact(k2, 0, [1.0, 1.0, 1.0])
+        llr_kernel_batch(k2, 0, [1.0, 1.0, 1.0], [])
     with pytest.raises(LengthMismatch):
-        llr_kernel_exact(k2, 1, [1.0, 1.0])  # missing known bit
+        llr_kernel_batch(k2, 1, [1.0, 1.0], [])  # missing known bit
     with pytest.raises(LengthMismatch):
-        llr_kernel_minsum(k2, 0, [1.0, 1.0], [0])
+        llr_kernel_batch(k2, 0, [1.0, 1.0], [0], "minsum")
+    with pytest.raises(LengthMismatch):
+        llr_kernel_batch(k2, 1, np.ones((3, 2)), np.zeros((2, 1), dtype=np.uint8))
+    # known bits index a table, so a 2 must not pass as some other prefix
+    with pytest.raises(ValueError, match="0 or 1"):
+        llr_kernel_batch(k3, 2, [1.0, 2.0, 3.0], [0, 2])
+    with pytest.raises(ValueError, match="0 or 1"):
+        llr_kernel_batch(k3, 1, [[1.0, 2.0, 3.0]], [[2]])
+    with pytest.raises(ValueError, match="0 or 1"):
+        llr_kernel_batch(k3, 1, [[1.0, 2.0, 3.0]], [[-1]], "minsum")
 
 
 def test_batch_matches_scalar():
+    # every block of a batch gets exactly its one-block update
     rng = np.random.default_rng(46)
     for p in (2, 3):
         k = builtin_kernel(p)
         for i in range(p):
             llr_rows = rng.normal(0.0, 3.0, (64, p))
             ps_rows = rng.integers(0, 2, (64, i), dtype=np.uint8)
-            for mode, scalar in (("exact", llr_kernel_exact), ("minsum", llr_kernel_minsum)):
+            for mode in ("exact", "minsum"):
                 batch = llr_kernel_batch(k, i, llr_rows, ps_rows, mode)
                 for r in range(64):
-                    assert abs(batch[r] - scalar(k, i, llr_rows[r], ps_rows[r])) < 1e-12
+                    assert abs(batch[r] - update(k, i, llr_rows[r], ps_rows[r], mode)) < 1e-12
 
 
 def test_batch_rejects_unknown_mode():
@@ -271,9 +289,9 @@ def test_updates_reject_non_finite_llrs(bad):
     with pytest.raises(NonFiniteInput):
         llr_kernel_batch(k3, 1, llr_rows, np.zeros((4, 1), dtype=np.uint8))
     with pytest.raises(NonFiniteInput):
-        llr_kernel_exact(k3, 0, llr_rows[2])
+        update(k3, 0, llr_rows[2])
     with pytest.raises(NonFiniteInput):
-        llr_kernel_minsum(k3, 2, llr_rows[2], [0, 1])
+        update(k3, 2, llr_rows[2], [0, 1], mode="minsum")
 
 
 def update_inputs(rng, count, p, i):
@@ -296,7 +314,7 @@ def test_batch_matches_row_major_update(p, rows):
     # same in either layout, whatever the number of blocks; longer ones
     # may be added in another order, so they agree up to rounding.
     rows = np.tril(np.ones((p, p), dtype=np.uint8)) if rows is None else rows
-    k = validate_kernel(rows)
+    k = KernelMatrix(rows)
     rng = np.random.default_rng(48)
     for i in range(p):
         for count in (1, 7, 1000, 20000):

@@ -1,18 +1,20 @@
 """Stage-indexed memory layout and exact element accounting."""
 
+from math import prod
+
 import numpy as np
 import pytest
 
 import mkpolar.decoder
 from mkpolar import (
     CodeSpec,
+    KernelMatrix,
     allocate,
     decode_batch,
     llr_element_count,
     memory_report,
     naive_counts,
     ps_element_count,
-    validate_kernel,
 )
 
 # (kernel sizes, llr elements, ps elements) for the reference configurations.
@@ -53,8 +55,8 @@ def test_allocate_frames_lead_every_array():
     assert [m.shape for m in mem.ps] == [(5, 6, 1), (5, 3, 2), (5, 1, 3)]
     assert mem.decisions.shape == (5, 12)
     # element totals count one frame
-    assert mem.llr_element_total() == llr_element_count(code.kernels) == 22
-    assert mem.ps_element_total() == ps_element_count(code.kernels) == 15
+    assert sum(prod(v.shape[1:]) for v in mem.llr) == llr_element_count(code.kernels) == 22
+    assert sum(prod(m.shape[1:]) for m in mem.ps) == ps_element_count(code.kernels) == 15
 
 
 def test_decode_batch_runs_on_allocated_memory(monkeypatch):
@@ -101,7 +103,7 @@ def test_counts_match_allocation_random_sequences():
     # The closed-form counters, the per-stage sums, and the actually
     # allocated array sizes must agree for arbitrary kernel sequences.
     rng = np.random.default_rng(3)
-    k5 = validate_kernel(np.eye(5, dtype=np.uint8))
+    k5 = KernelMatrix(np.eye(5, dtype=np.uint8))
     for _ in range(60):
         sizes = tuple(int(p) for p in rng.choice([2, 3, 5], size=rng.integers(1, 8)))
         kernels = [k5 if p == 5 else p for p in sizes]
@@ -113,8 +115,8 @@ def test_counts_match_allocation_random_sequences():
         ps_sum = rest[0] * (sizes[0] - 1) + sum(
             r * p for r, p in zip(rest[1:], sizes[1:])
         )
-        assert llr_element_count(kernels) == llr_sum == mem.llr_element_total()
-        assert ps_element_count(kernels) == ps_sum == mem.ps_element_total()
+        assert llr_element_count(kernels) == llr_sum == sum(prod(v.shape[1:]) for v in mem.llr)
+        assert ps_element_count(kernels) == ps_sum == sum(prod(m.shape[1:]) for m in mem.ps)
         # shrinking LLR chain stays within [N + 1, 2N)
         assert n + 1 <= llr_sum < 2 * n
 

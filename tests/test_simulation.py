@@ -12,14 +12,13 @@ from mkpolar import (
     LengthMismatch,
     NonFiniteInput,
     SimConfig,
-    TooLarge,
     awgn_llrs,
     decode,
     encode,
     simulate,
 )
 from mkpolar import simulation
-from oracles import exact_sc_oracle_llr, ml_oracle_decode
+from oracles import TooLarge, exact_sc_oracle_llr, ml_oracle_decode
 from reference_sc import f_exact, kernel_marginal_llr
 
 T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
