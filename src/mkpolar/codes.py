@@ -23,7 +23,7 @@ from .errors import (
     LengthMismatch,
     UnsupportedKernelSize,
 )
-from .kernels import KernelMatrix, builtin_kernel
+from .kernels import KernelMatrix, _is_whole, builtin_kernel
 
 
 def _as_kernels(kernels):
@@ -33,14 +33,6 @@ def _as_kernels(kernels):
     if not out:
         raise ValueError("kernel sequence must be non-empty")
     return tuple(out)
-
-
-def _is_whole(value) -> bool:
-    """True if value equals an integer; False for 2.5, inf and nan."""
-    try:
-        return int(value) == value
-    except (OverflowError, ValueError):
-        return False
 
 
 class CodeSpec:

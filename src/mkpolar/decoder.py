@@ -13,9 +13,10 @@ holds F frames:
   digits (b_1, ..., b_s) refreshes stages z .. s, where z is the
   position of its rightmost nonzero digit (1 for i = 0); stages below z
   still hold valid values from earlier bits.
-- DECIDE (i, c): read the single stage-s LLR. Frozen bits decide 0,
-  otherwise a negative LLR decides 1 (tie decides 0). Unless i is the
-  last bit, store the decision in column c = b_s of the stage-s matrix.
+- DECIDE (i, c): read the decision LLR of bit i, the single stage-s
+  LLR. Frozen bits decide 0, otherwise a negative LLR decides 1 (tie
+  decides 0). Unless i is the last bit, store the decision in column
+  c = b_s of the stage-s matrix.
 - PROPAGATE (j, c): push the completed stage-j matrix through its
   kernel. Row k of stage j maps to rows k*p_j .. k*p_j + p_j - 1 of
   stage j-1, landing in column c = b_{j-1}. After bit i this happens
@@ -27,14 +28,31 @@ decode_batch runs the schedule on the stage memory that memory.allocate
 builds for F frames, and decode is its F = 1 case. The schedule is bound
 to that memory once per kernel sequence and F: each op becomes a few
 in-place numpy calls on fixed views, so a run creates no views and
-allocates nothing. A REFRESH runs kernels.llr_update_steps, the table
-rule that llr_kernel_batch also runs, on hypothesis-major (2, half, R)
-work arrays with the kernel blocks of all F frames innermost, so that
-its reductions are whole-row numpy calls at any F. Results are bit for bit
-those of the per-op executor, and for kernels of size 2 and 3 (every
-built-in code) also those of the block-major (R, 2, half) layout; for
-larger custom kernels they agree with it up to summation order. A call
-takes its program out of the cache while it runs and returns copies.
+allocates nothing. A REFRESH of stages 1 .. s-1 runs
+kernels.llr_update_steps, the table rule that llr_kernel_batch also
+runs, on hypothesis-major (2, half, R) work arrays with the kernel
+blocks of all F frames innermost, so that its reductions are whole-row
+numpy calls at any F.
+
+The last stage is bound as one unit per leaf block, the p_s bits that
+share the digits b_1 .. b_{s-1}. At the block's bit 0, one pass of
+kernels.llr_candidate_steps turns the p_s stage-(s-1) LLRs into the
+decision LLR of every bit t under every known prefix v, 2^p_s - 1
+candidates. DECIDE of bit t > 0 then reads v from columns 0 .. t-1 of
+the stage-s matrix with one matmul, takes its candidate into the bit's
+row of final LLRs, and decides it with one less into column t; with
+F > 1 frames one add first offsets each frame's index. Bit 0 needs only
+a copy. The stage-s REFRESH ops of bits t > 0 bind to no calls, and the
+stage-s vector is never written, since each decision LLR goes straight
+to its final-LLR row. The schedule, its counters and the memory are
+unchanged.
+
+Results are bit for bit those of the per-op executor for kernels of
+size 2 and 3, which covers every built-in code, and also those of the
+block-major (R, 2, half) layout. A kernel of size 4 or more sums longer
+runs, which numpy and BLAS may add in another order in another layout
+or at another F, so its results agree up to rounding. A call takes its
+program out of the cache while it runs and returns copies.
 """
 
 from dataclasses import dataclass
@@ -44,7 +62,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .errors import LengthMismatch, NonFiniteInput
-from .kernels import check_mode, llr_update_steps
+from .kernels import check_mode, llr_candidate_steps, llr_update_steps
 from .memory import allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
@@ -184,8 +202,14 @@ class _Program:
         self.schedule = schedule_of(code)
         self.permutation = code.permutation
         self.mem = allocate(code, frames)
-        self.final_llrs = np.empty((frames, code.N))
+        self.leaf = code.kernels[-1]
+        # row i holds bit i's decision LLR in every frame
+        self.final_llrs = np.empty((code.N, frames))
         self.thresholds = np.empty(code.N)
+        # row 2^t - 1 + v: the decision LLR of leaf bit t after prefix v
+        self.candidates = np.empty(((1 << self.leaf.p) - 1, frames))
+        self.index = np.empty(frames, dtype=np.intp)
+        self.offsets = np.arange(frames)
         self._work, self._bound, self._steps = {}, {}, {}
 
     def _scratch(self, role, shape, dtype):
@@ -197,22 +221,43 @@ class _Program:
 
     def _bind(self, kind, a, b, kernel, mode):
         llr, ps = self.mem.llr, self.mem.ps
+        if kind == REFRESH and a == len(ps):
+            # the leaf block: one pass at its bit 0 serves all its bits
+            if b:
+                return []
+            groups = llr[a - 1].reshape(self.frames, kernel.p)
+            return llr_candidate_steps(kernel, mode, groups, self.candidates, self._scratch)
         if kind == REFRESH:
             target = llr[a].reshape(-1)
             groups = llr[a - 1].reshape(len(target), kernel.p)
             known = ps[a - 1].reshape(len(target), ps[a - 1].shape[-1])[:, :b]
             return llr_update_steps(kernel, b, mode, groups, known, target, self._scratch)
         if kind == DECIDE:
-            decision_llr = llr[-1][:, 0]
-            steps = [(np.copyto, (self.final_llrs[:, a], decision_llr))]
-            if b >= 0:
-                # a bool view of the uint8 bits: np.less then casts nothing
-                slot = ps[-1].view(np.bool_)[:, 0, b]
-                steps.append((np.less, (decision_llr, self.thresholds[a : a + 1], slot)))
-            return steps
+            return self._decide(a, b)
         source, target = ps[a - 1], ps[a - 2]
         target = target.reshape(source.shape + target.shape[-1:])[..., b]
         return [(np.matmul, (source, kernel.rows, target)), (np.bitwise_and, (target, _ONE, target))]
+
+    def _decide(self, i, column):
+        # Bit t of the leaf block takes the candidate of its known prefix
+        # v: flat entry v * F + f of candidate rows 2^t - 1 .. 2^(t+1) - 2.
+        t = i % self.leaf.p
+        choices = self.candidates[(1 << t) - 1 : (2 << t) - 1]
+        decision_llr = self.final_llrs[i]
+        if t == 0:
+            steps = [(np.copyto, (decision_llr, choices[0]))]
+        else:
+            known = self.mem.ps[-1][:, 0, :t]
+            weights = self.leaf._prefix_weights[t] * self.frames
+            steps = [(np.matmul, (known, weights, self.index))]
+            if self.frames > 1:  # a single frame has offset 0
+                steps.append((np.add, (self.index, self.offsets, self.index)))
+            steps.append((choices.take, (self.index, None, decision_llr, "clip")))
+        if column >= 0:
+            # a bool view of the uint8 bits: np.less then casts nothing
+            slot = self.mem.ps[-1].view(np.bool_)[:, 0, column]
+            steps.append((np.less, (decision_llr, self.thresholds[i : i + 1], slot)))
+        return steps
 
     def steps(self, mode):
         steps = self._steps.get(mode)
@@ -232,7 +277,7 @@ class _Program:
         np.copyto(self.thresholds, np.where(code.frozen_mask, -np.inf, 0.0))
         for fn, args in self.steps(mode):
             fn(*args)
-        np.less(self.final_llrs, self.thresholds, out=mem.decisions)
+        np.less(self.final_llrs.T, self.thresholds, out=mem.decisions)
 
 
 def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
@@ -250,8 +295,10 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     Returns
     -------
     DecodeResult whose u_hat and final_llrs are (F, N): row f holds
-    exactly what decode(code, channel_llrs[f], mode) returns. stats are
-    the counters of each frame's decode. All are fresh arrays.
+    exactly what decode(code, channel_llrs[f], mode) returns when every
+    kernel has size 2 or 3; with a kernel of size 4 or more the LLRs
+    agree up to rounding. stats are the counters of each frame's decode.
+    All are fresh arrays.
     """
     check_mode(mode)
     llrs = np.asarray(channel_llrs, dtype=np.float64)
@@ -267,7 +314,7 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     try:
         program.run(code, llrs, mode)
         mem, stats = program.mem, program.schedule.stats
-        return DecodeResult(mem.decisions.copy(), program.final_llrs.copy(), stats.copy())
+        return DecodeResult(mem.decisions.copy(), program.final_llrs.T.copy(), stats.copy())
     finally:
         if program.frames * code.N <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
             _PROGRAMS[key] = program

@@ -37,6 +37,14 @@ _T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 _T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
 
 
+def _is_whole(value) -> bool:
+    """True if value equals an integer; False for 2.5, inf, nan and "1"."""
+    try:
+        return int(value) == value
+    except (OverflowError, TypeError, ValueError):
+        return False
+
+
 def _enumerate(n):
     """All 2^n bit rows of length n, the first bit most significant."""
     idx = np.arange(1 << n, dtype=np.int64)
@@ -211,6 +219,62 @@ def llr_update_steps(kernel: KernelMatrix, i: int, mode, groups, known, out, scr
     ]
 
 
+def llr_candidate_steps(kernel: KernelMatrix, mode, groups, out, scratch):
+    """The update of every input bit under every known prefix, as steps.
+
+    ``groups`` is a C-contiguous (R, p) float64 array of output LLRs per
+    block and ``out`` a (2^p - 1, R) float64 array. Calling the steps in
+    order writes into row 2^t - 1 + v of ``out`` what llr_kernel_batch
+    returns for bit t of each block when its known prefix, read as a
+    binary number with the first bit most significant, is v. Work arrays
+    come from ``scratch(role, shape, dtype)``.
+
+    Every metric of every update is the metric of one whole input word
+    u: with prefix v, hypothesis h and completion c, u = (v, h, c). A
+    rest-table entry times the sign of the prefix is the entry of u in
+    the table of bit 0, so one product with that table forms each metric
+    once, from the same exact terms in the same order. Ordered by u, the
+    words of one (v, h) are a run of 2^(p-1-t) rows, so each update
+    reduces runs of one array. For a kernel of size p <= 3 each row of
+    ``out`` holds the bits of the matching update; for p >= 4 they agree
+    to rounding.
+    """
+    p, rows = kernel.p, len(groups)
+    # best[2c + h]: the best metric of hypothesis h of candidate c; bit t
+    # owns rows bit[t]. The last bit has one completion per hypothesis,
+    # so its rows are the metrics of the 2^p words, and a run of bit t
+    # is two runs of bit t + 1.
+    bit = [slice(2 * ((1 << t) - 1), 2 * ((2 << t) - 1)) for t in range(p)]
+    done = bit[-1].start  # the hypotheses of bits 0 .. p-2
+    best = scratch("best", (bit[-1].stop, rows), np.float64)
+    words = best[bit[-1]]
+    steps = [(np.matmul, (kernel._rest_metrics[0], groups.T, words))]
+    for t in range(p - 2, -1, -1):
+        steps.append((np.maximum.reduce, (best[bit[t + 1]].reshape(2 << t, 2, rows), 1, None, best[bit[t]])))
+    if mode == "exact":
+        # log-sum-exp over each run, shifted by its best metric; numpy
+        # adds along the middle axis in sequence
+        shifted = scratch("metrics", (p - 1, 1 << p, rows), np.float64)
+        total = scratch("total", (done, rows), np.float64)
+        sums = []
+        for t in range(p - 1):
+            runs = words.reshape(2 << t, 1 << (p - 1 - t), rows)
+            part = shifted[t].reshape(runs.shape)
+            steps.append((np.subtract, (runs, best[bit[t], None], part)))
+            sums.append((np.add.reduce, (part, 1, None, total[bit[t]])))
+        steps.append((np.exp, (shifted, shifted)))
+        steps += sums + [
+            (np.log, (total, total)),
+            (np.add, (best[:done], total, best[:done])),
+        ]
+    # minimum and maximum take `out` only by keyword
+    return steps + [
+        (np.subtract, (best[0::2], best[1::2], out)),
+        (partial(np.minimum, out=out), (out, LLR_MAX)),
+        (partial(np.maximum, out=out), (out, -LLR_MAX)),
+    ]
+
+
 def _fresh(role, shape, dtype):
     return np.empty(shape, dtype)
 
@@ -225,13 +289,14 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     marginalized out. Blocks are independent: each one gets exactly the
     update of a one-block call, whatever the number of blocks in the call.
 
-    Raises IndexOutOfRange unless 0 <= i < p, LengthMismatch for other
-    shapes, NonFiniteInput for NaN or infinite LLRs and ValueError for
-    known bits other than 0 and 1.
+    Raises IndexOutOfRange unless i is a whole number in [0, p) (1.0
+    counts as 1), LengthMismatch for other shapes, NonFiniteInput for
+    NaN or infinite LLRs and ValueError for known bits other than 0 and 1.
     """
     check_mode(mode)
-    if not 0 <= i < kernel.p:
-        raise IndexOutOfRange(f"bit index {i} outside [0, {kernel.p})")
+    if not (_is_whole(i) and 0 <= i < kernel.p):
+        raise IndexOutOfRange(f"bit index {i!r} is not an integer in [0, {kernel.p})")
+    i = int(i)
     llr_rows = np.asarray(llr_rows, dtype=np.float64)
     if llr_rows.shape[-1:] != (kernel.p,):
         raise LengthMismatch(f"expected {kernel.p} output LLRs per block, got shape {llr_rows.shape}")

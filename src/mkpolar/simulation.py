@@ -14,10 +14,10 @@ from math import ceil
 
 import numpy as np
 
-from .codes import CodeSpec, _is_whole, encode
+from .codes import CodeSpec, encode
 from .decoder import BATCH_LLR_ENTRIES, decode_batch
 from .errors import InvalidRate, LengthMismatch, NonFiniteInput
-from .kernels import LLR_MAX, check_mode
+from .kernels import LLR_MAX, _is_whole, check_mode
 
 
 def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool = False):

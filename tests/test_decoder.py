@@ -22,6 +22,9 @@ from oracles import exact_sc_oracle_llr, start_stage, trailing_max_run
 from reference_sc import all_kernel_sequences, textbook_sc_decode
 
 CODE_223 = CodeSpec((2, 2, 3))
+# a custom 3x3 kernel and a kernel of size 4, for the last stage
+OTHER = KernelMatrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+K4 = KernelMatrix([[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
 
 
 def noiseless_llrs(x):
@@ -220,6 +223,16 @@ def test_bound_program_matches_reference_executor(mode):
             single = decode(code, llrs[f], mode)
             assert np.array_equal(batch.u_hat[f], single.u_hat), (bases, f)
             assert np.array_equal(batch.final_llrs[f], single.final_llrs), (bases, f)
+    # A custom 3x3 kernel at the last stage, after two 2x2 stages and as
+    # the only stage, where the leaf block reads the channel vector.
+    rng = np.random.default_rng(38)
+    for bases in ((2, 2, OTHER), (OTHER,)):
+        n = CodeSpec(bases).N
+        code = CodeSpec(bases, rng.choice(n, n // 2, replace=False))
+        llrs = mixed_frames(code, rng)
+        assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, bases)
+        for f in range(len(llrs)):
+            assert_same_as_reference(decode(code, llrs[f], mode), code, llrs[f], mode, (bases, f))
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -231,6 +244,38 @@ def test_bound_program_matches_reference_executor_at_972(mode):
     z = np.random.default_rng(1).standard_normal(code.N)
     llrs = np.clip(2.0 * (1.0 + 0.8 * z) / 0.64, -LLR_MAX, LLR_MAX)
     assert_same_as_reference(decode(code, llrs, mode), code, llrs, mode, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_size_four_kernels_agree_to_rounding(mode):
+    # A kernel of size 4 sums 4 terms per metric and up to 8 per
+    # reduction, which numpy and BLAS may add in another order in
+    # another layout: decisions must agree, and LLRs up to rounding.
+    rng = np.random.default_rng(40)
+    for bases in ((2, K4), (K4,), (3, K4), (K4, 2)):
+        n = CodeSpec(bases).N
+        code = CodeSpec(bases, rng.choice(n, n // 2, replace=False))
+        llrs = mixed_frames(code, rng)
+        decisions, final_llrs = reference_decode(code, llrs, mode)
+        batch = decode_batch(code, llrs, mode)
+        assert np.array_equal(batch.u_hat, decisions), bases
+        assert np.abs(batch.final_llrs - final_llrs).max() <= 1e-12, bases
+        for f in range(len(llrs)):
+            single = decode(code, llrs[f], mode)
+            assert np.array_equal(single.u_hat, batch.u_hat[f]), (bases, f)
+            assert np.abs(single.final_llrs - batch.final_llrs[f]).max() <= 1e-12, (bases, f)
+
+
+@pytest.mark.parametrize("bases", [(2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3),
+                                   (2, 2, 2, 2, 2, 2, 2, 3), (2, 2, 3, 3, 3, 3, 3)])
+def test_numpy_calls_per_bit_on_the_paper_codes(bases):
+    # The leaf block is one candidate pass plus at most three calls per
+    # bit, where the per-op program spent 16.8-18.9 calls per bit (exact)
+    # and 12.2-13.9 (minsum) on these codes.
+    code = CodeSpec(bases)
+    program = _Program(code, 1)
+    assert len(program.steps("exact")) <= 14 * code.N
+    assert len(program.steps("minsum")) <= 10 * code.N
 
 
 def test_decode_results_are_fresh_arrays():
@@ -332,8 +377,7 @@ def test_schedule_is_shared_by_kernel_contents():
     assert schedule_of(CodeSpec((2, 3), (0,))) is schedule_of(CodeSpec((2, 3), (1, 4)))
     t3 = KernelMatrix([[1, 1, 1], [1, 0, 1], [0, 1, 1]])
     assert schedule_of(CodeSpec((2, t3))) is schedule_of(CodeSpec((2, 3)))
-    other = KernelMatrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
-    assert schedule_of(CodeSpec((2, other))) is not schedule_of(CodeSpec((2, 3)))
+    assert schedule_of(CodeSpec((2, OTHER))) is not schedule_of(CodeSpec((2, 3)))
 
 
 def test_decode_all_zero_llrs_ties_to_zero():

@@ -19,6 +19,7 @@ from mkpolar import (
     encode,
     llr_kernel_batch,
 )
+from mkpolar.kernels import _fresh, llr_candidate_steps
 from oracles import row_major_kernel_update
 from reference_sc import kernel_marginal_llr
 
@@ -244,6 +245,13 @@ def test_update_argument_validation():
     for i in (2, -1):
         with pytest.raises(IndexOutOfRange):
             llr_kernel_batch(k2, i, [1.0, 1.0], [0] * max(i, 0))
+    # a bit index must be a whole number: 1.0 means 1, anything else is
+    # refused before any array work
+    for i in (1.5, "1", None, np.nan, np.inf, 1j):
+        with pytest.raises(IndexOutOfRange):
+            llr_kernel_batch(k3, i, [1.0, 2.0, 3.0], [0])
+    for i in (1.0, np.float64(1.0), True, np.int8(1)):
+        assert llr_kernel_batch(k3, i, [1.0, 2.0, 3.0], [0]) == llr_kernel_batch(k3, 1, [1.0, 2.0, 3.0], [0])
     with pytest.raises(LengthMismatch):
         llr_kernel_batch(k2, 0, [1.0, 1.0, 1.0], [])
     with pytest.raises(LengthMismatch):
@@ -326,3 +334,33 @@ def test_batch_matches_row_major_update(p, rows):
                     assert got.tobytes() == want.tobytes(), (i, count, mode)
                 else:
                     assert np.abs(got - want).max() <= 1e-12, (i, count, mode)
+
+
+@pytest.mark.parametrize(
+    "p, rows",
+    [(2, T2), (3, T3), (3, LOWER3), (4, None), (5, None)],
+    ids=["T2", "T3", "lower3", "lower4", "lower5"],
+)
+def test_candidates_are_the_updates_of_every_prefix(p, rows):
+    # Row 2^t - 1 + v holds the update of bit t after the known prefix v
+    # (first bit most significant): the same bits as llr_kernel_batch
+    # for kernels of size <= 3, the same up to rounding beyond.
+    rows = np.tril(np.ones((p, p), dtype=np.uint8)) if rows is None else rows
+    k = KernelMatrix(rows)
+    rng = np.random.default_rng(49)
+    for count in (1, 7, 1000):
+        llr_rows, _ = update_inputs(rng, count, p, 0)
+        for mode in ("exact", "minsum"):
+            out = np.empty(((1 << p) - 1, count))
+            for fn, args in llr_candidate_steps(k, mode, llr_rows, out, _fresh):
+                fn(*args)
+            for t in range(p):
+                for v in range(1 << t):
+                    prefix = [(v >> (t - 1 - j)) & 1 for j in range(t)]
+                    known = np.tile(np.array(prefix, dtype=np.uint8), (count, 1))
+                    want = llr_kernel_batch(k, t, llr_rows, known, mode)
+                    got = out[(1 << t) - 1 + v]
+                    if p <= 3:
+                        assert got.tobytes() == want.tobytes(), (t, v, count, mode)
+                    else:
+                        assert np.abs(got - want).max() <= 1e-12, (t, v, count, mode)
