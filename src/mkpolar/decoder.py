@@ -28,31 +28,27 @@ decode_batch runs the schedule on the stage memory that memory.allocate
 builds for F frames, and decode is its F = 1 case. The schedule is bound
 to that memory once per kernel sequence and F: each op becomes a few
 in-place numpy calls on fixed views, so a run creates no views and
-allocates nothing. A REFRESH of stages 1 .. s-1 runs
-kernels.llr_update_steps, the table rule that llr_kernel_batch also
-runs, on hypothesis-major (2, half, R) work arrays with the kernel
-blocks of all F frames innermost, so that its reductions are whole-row
-numpy calls at any F.
+allocates nothing.
 
-The last stage is bound as one unit per leaf block, the p_s bits that
-share the digits b_1 .. b_{s-1}. At the block's bit 0, one pass of
-kernels.llr_candidate_steps turns the p_s stage-(s-1) LLRs into the
-decision LLR of every bit t under every known prefix v, 2^p_s - 1
-candidates. DECIDE of bit t > 0 then reads v from columns 0 .. t-1 of
-the stage-s matrix with one matmul, takes its candidate into the bit's
-row of final LLRs, and decides it with one less into column t; with
-F > 1 frames one add first offsets each frame's index. Bit 0 needs only
-a copy. The stage-s REFRESH ops of bits t > 0 bind to no calls, and the
-stage-s vector is never written, since each decision LLR goes straight
-to its final-LLR row. The schedule, its counters and the memory are
-unchanged.
+One rule binds every REFRESH. Stage j-1 does not change while stage j
+runs through its digits b = 0 .. p_j - 1, so at b = 0 one pass of
+kernels.llr_candidate_steps fills the stage's candidate table with the
+update of every bit t of each of its R = F * p_{j+1} * ... * p_s blocks
+under every known prefix v, the blocks innermost. Then
+kernels.llr_gather_steps refreshes the vector: a copy at b = 0, and at
+b > 0 a matmul that reads each block's prefix from columns 0 .. b-1 of
+the partial-sum matrix, an add that offsets the blocks when R > 1 and a
+take. The last stage refreshes straight into the final-LLR row of the
+bit it decides, so its vector in the memory is never written and DECIDE
+is one less into the stage-s matrix, or nothing for the last bit.
 
-Results are bit for bit those of the per-op executor for kernels of
-size 2 and 3, which covers every built-in code, and also those of the
-block-major (R, 2, half) layout. A kernel of size 4 or more sums longer
-runs, which numpy and BLAS may add in another order in another layout
-or at another F, so its results agree up to rounding. A call takes its
-program out of the cache while it runs and returns copies.
+Results are bit for bit those of the block-major update rule, one
+update per bit on output LLRs flipped by the sign of the known
+codeword, for kernels of size 2 and 3, which covers every built-in
+code. A kernel of size 4 or more sums longer runs, which numpy and BLAS
+may add in another order in another layout or at another F, so its
+results agree up to rounding. A call takes its program out of the cache
+while it runs and returns copies.
 """
 
 from dataclasses import dataclass
@@ -61,8 +57,8 @@ from math import prod
 import numpy as np
 
 from .codes import CodeSpec
-from .errors import LengthMismatch, NonFiniteInput
-from .kernels import check_mode, llr_candidate_steps, llr_update_steps
+from .errors import LengthMismatch
+from .kernels import check_llrs, check_mode, llr_candidate_steps, llr_gather_steps
 from .memory import allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
@@ -192,9 +188,9 @@ class _Program:
     """The schedule of one kernel sequence bound to the memory of F frames.
 
     Each op becomes a few (function, args) on views and work arrays fixed
-    here; an op that recurs in the schedule reuses them. A frozen bit
-    decides 0 because its threshold is -inf: each run sets the thresholds
-    from the frozen set of the code it decodes.
+    here, which an op that recurs in the schedule reuses. A frozen bit
+    decides 0 because its threshold is -inf: each run sets the
+    thresholds from the frozen set of the code it decodes.
     """
 
     def __init__(self, code: CodeSpec, frames: int):
@@ -202,72 +198,60 @@ class _Program:
         self.schedule = schedule_of(code)
         self.permutation = code.permutation
         self.mem = allocate(code, frames)
-        self.leaf = code.kernels[-1]
         # row i holds bit i's decision LLR in every frame
         self.final_llrs = np.empty((code.N, frames))
         self.thresholds = np.empty(code.N)
-        # row 2^t - 1 + v: the decision LLR of leaf bit t after prefix v
-        self.candidates = np.empty(((1 << self.leaf.p) - 1, frames))
-        self.index = np.empty(frames, dtype=np.intp)
-        self.offsets = np.arange(frames)
+        # stage j: row 2 (2^t - 1 + v) holds bit t of each block after prefix v
+        self.tables = [np.empty((2 * (2**k.p - 1), v.size)) for k, v in zip(code.kernels, self.mem.llr[1:])]
+        self.known = [m.reshape(-1, m.shape[-1]) for m in self.mem.ps]  # stage j: (blocks, width)
+        self.offsets = np.arange(self.mem.llr[1].size)
+        self.index = np.empty(self.offsets.size, np.intp)
+        # a bool view of the uint8 stage-s bits: np.less then casts nothing
+        self.decided = self.mem.ps[-1].view(np.bool_)[:, 0]
         self._work, self._bound, self._steps = {}, {}, {}
 
     def _scratch(self, role, shape, dtype):
-        # one work array per role serves every REFRESH: ops run one at a time
+        # one work array per role serves every stage: ops run one at a time
         size = prod(shape)
         if role not in self._work or self._work[role].size < size:
             self._work[role] = np.empty(size, dtype)
         return self._work[role][:size].reshape(shape)
 
-    def _bind(self, kind, a, b, kernel, mode):
+    def _bind(self, kind, a, b, kernel, bit):
         llr, ps = self.mem.llr, self.mem.ps
-        if kind == REFRESH and a == len(ps):
-            # the leaf block: one pass at its bit 0 serves all its bits
-            if b:
-                return []
-            groups = llr[a - 1].reshape(self.frames, kernel.p)
-            return llr_candidate_steps(kernel, mode, groups, self.candidates, self._scratch)
         if kind == REFRESH:
-            target = llr[a].reshape(-1)
-            groups = llr[a - 1].reshape(len(target), kernel.p)
-            known = ps[a - 1].reshape(len(target), ps[a - 1].shape[-1])[:, :b]
-            return llr_update_steps(kernel, b, mode, groups, known, target, self._scratch)
+            # the last stage refreshes straight into the row of its bit
+            target = self.final_llrs[bit] if a == len(ps) else llr[a].reshape(-1)
+            return llr_gather_steps(b, self.tables[a - 1], self.known[a - 1], target, self.index, self.offsets)
         if kind == DECIDE:
-            return self._decide(a, b)
+            if b < 0:  # the last bit is stored nowhere; run decides it with the rest
+                return []
+            return [(np.less, (self.final_llrs[a], self.thresholds[a : a + 1], self.decided[:, b]))]
         source, target = ps[a - 1], ps[a - 2]
         target = target.reshape(source.shape + target.shape[-1:])[..., b]
         return [(np.matmul, (source, kernel.rows, target)), (np.bitwise_and, (target, _ONE, target))]
-
-    def _decide(self, i, column):
-        # Bit t of the leaf block takes the candidate of its known prefix
-        # v: flat entry v * F + f of candidate rows 2^t - 1 .. 2^(t+1) - 2.
-        t = i % self.leaf.p
-        choices = self.candidates[(1 << t) - 1 : (2 << t) - 1]
-        decision_llr = self.final_llrs[i]
-        if t == 0:
-            steps = [(np.copyto, (decision_llr, choices[0]))]
-        else:
-            known = self.mem.ps[-1][:, 0, :t]
-            weights = self.leaf._prefix_weights[t] * self.frames
-            steps = [(np.matmul, (known, weights, self.index))]
-            if self.frames > 1:  # a single frame has offset 0
-                steps.append((np.add, (self.index, self.offsets, self.index)))
-            steps.append((choices.take, (self.index, None, decision_llr, "clip")))
-        if column >= 0:
-            # a bool view of the uint8 bits: np.less then casts nothing
-            slot = self.mem.ps[-1].view(np.bool_)[:, 0, column]
-            steps.append((np.less, (decision_llr, self.thresholds[i : i + 1], slot)))
-        return steps
 
     def steps(self, mode):
         steps = self._steps.get(mode)
         if steps is None:
             steps = self._steps[mode] = []
+            bit, last = 0, len(self.tables)
             for op in self.schedule.ops:
-                key = (op, mode) if op[0] == REFRESH else op  # only REFRESH reads the mode
+                kind, a, b, kernel = op
+                if kind == REFRESH and not b:
+                    # the candidate pass of stage a: the one step that reads the mode
+                    key = (a, mode)
+                    if key not in self._bound:
+                        table = self.tables[a - 1]
+                        groups = self.mem.llr[a - 1].reshape(table.shape[1], kernel.p)
+                        self._bound[key] = llr_candidate_steps(kernel, mode, groups, table, self._scratch)
+                    steps += self._bound[key]
+                # a last-stage refresh writes the row of the bit it decides
+                key = (op, bit) if kind == REFRESH and a == last else op
                 if key not in self._bound:
-                    self._bound[key] = self._bind(*op, mode)
-                steps.extend(self._bound[key])
+                    self._bound[key] = self._bind(*op, bit)
+                steps += self._bound[key]
+                bit += kind == DECIDE
         return steps
 
     def run(self, code: CodeSpec, channel_llrs, mode):
@@ -287,8 +271,9 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     ----------
     code : CodeSpec
     channel_llrs : array_like
-        (F, N) finite LLRs, one frame per row in natural codeword order,
-        positive favoring bit 0. Saturate before calling.
+        (F, N) LLRs, one frame per row in natural codeword order,
+        positive favoring bit 0, each at most 1e300 in magnitude:
+        larger ones, NaN and inf raise NonFiniteInput.
     mode : str
         "exact" marginalizes with log-sum-exp, "minsum" with max.
 
@@ -304,8 +289,7 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     llrs = np.asarray(channel_llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != code.N:
         raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
-    if not np.isfinite(llrs).all():
-        raise NonFiniteInput("channel LLRs must be finite")
+    check_llrs(llrs, "channel LLRs")
     # checked out, so that no other call runs on this memory meanwhile
     key = _kernel_key(code)
     program = _PROGRAMS.pop(key, None)
@@ -327,7 +311,7 @@ def decode(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
     ----------
     code : CodeSpec
     channel_llrs : array_like
-        N finite LLRs, positive favoring bit 0. Saturate before calling.
+        N LLRs, positive favoring bit 0, each at most 1e300 in magnitude.
     mode : str
         "exact" marginalizes with log-sum-exp, "minsum" with max.
 

@@ -13,6 +13,11 @@ where m(x) = sum_m (1 - 2 x_m) L_m / 2 is the log-likelihood metric of the
 output word x. Replacing log-sum-exp by max gives the min-sum (max-log)
 variant. For the size-2 kernel these reduce to the classic f and g updates.
 
+Every update reads one table per kernel, the metric terms of each whole
+input word. From it llr_candidate_steps forms the update of every bit of
+R blocks under every known prefix, llr_gather_steps picks each block's
+own, and llr_kernel_batch runs both.
+
 LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
 """
@@ -32,6 +37,9 @@ from .errors import (
 
 # Saturation rail for every LLR produced by an update rule.
 LLR_MAX = 40.0
+# Largest input LLR magnitude: a metric sums p of them halved, so with any
+# kernel the package can build it stays finite.
+LLR_LIMIT = 1e300
 
 _T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 _T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
@@ -104,26 +112,9 @@ class KernelMatrix:
         self.p = p
         self.rows = rows
         self.rows.flags.writeable = False
-        self._build_tables()
-
-    def _build_tables(self):
-        # Known input bits 0 .. i-1 fix a partial codeword c, and output m
-        # of the block is c_m XOR y_m, where y is the codeword of the
-        # unknown inputs i .. p-1. Since (1 - 2 x_m) = (1 - 2 c_m)(1 - 2 y_m),
-        # flipping each output LLR by the sign of c leaves a marginalization
-        # over the unknown inputs alone, whose metric table does not depend
-        # on the known bits. Enumerations put the first bit most significant,
-        # so completions with input i = 0 form the first half of a table.
-        p = self.p
-        self._prefix_weights = []  # [i]: value of a known prefix of length i
-        self._prefix_signs = []  # [i]: (2^i, p) sign of c per prefix value
-        self._rest_metrics = []  # [i]: (2^(p-i), p) metric row per completion, 1/2 included
-        for i in range(p):
-            self._prefix_weights.append(1 << np.arange(i - 1, -1, -1, dtype=np.int64))
-            prefix = _enumerate(i) @ self.rows[:i] % 2
-            self._prefix_signs.append(1.0 - 2.0 * prefix)
-            rest = _enumerate(p - i) @ self.rows[i:] % 2
-            self._rest_metrics.append((1.0 - 2.0 * rest) / 2.0)
+        # row u: the metric terms (1 - 2 x_m) / 2 of input word u, read as
+        # a binary number with the first bit most significant
+        self._word_metrics = (1.0 - 2.0 * (_enumerate(p) @ rows % 2)) / 2.0
 
     @property
     def key(self):
@@ -158,99 +149,40 @@ def check_mode(mode):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-def llr_update_steps(kernel: KernelMatrix, i: int, mode, groups, known, out, scratch):
-    """The update of input bit i as a list of in-place (function, args).
-
-    ``groups`` is a C-contiguous (R, p) float64 array of output LLRs per
-    block, ``known`` an (R, i) integer array of known input bits and
-    ``out`` an (R,) float64 array. Calling the steps in order writes what
-    llr_kernel_batch returns into ``out``, using work arrays from
-    ``scratch(role, shape, dtype)`` and allocating nothing else. The
-    calls and their operand layouts do not depend on where the arrays
-    live, so every bound copy of the steps gives the same bits.
-
-    The metric work arrays are hypothesis-major, (2, half, R): the R
-    blocks lie innermost, so each reduction over the completions of a
-    hypothesis is a few whole-row operations, not a walk over R short
-    rows. For a kernel of size p <= 3 every metric is a sum of at most 3
-    exact terms and every reduction has at most 4, which numpy sums in
-    sequence in either layout, so the bits are those of the block-major
-    (R, 2, half) layout. For p >= 4 the summation order can differ, and
-    results agree with it only to rounding.
-    """
-    p, rows = kernel.p, len(groups)
-    table = kernel._rest_metrics[i]
-    half = len(table) >> 1
-    steps = []
-    if i:
-        prefix = scratch("prefix", (rows,), np.int64)
-        flip = scratch("flip", (rows, p), np.float64)
-        flipped = scratch("flipped", (rows, p), np.float64)
-        steps += [
-            (np.matmul, (known, kernel._prefix_weights[i], prefix)),
-            (kernel._prefix_signs[i].take, (prefix, 0, flip)),
-            (np.multiply, (groups, flip, flipped)),
-        ]
-        groups = flipped
-    # One 2-D product for all blocks: a stacked product would make one
-    # BLAS call per leading index.
-    metrics = scratch("metrics", (2 * half, rows), np.float64)
-    steps.append((np.matmul, (table, groups.T, metrics)))
-    best = metrics  # one completion per hypothesis: its metric is the best
-    if half > 1:
-        metrics = metrics.reshape(2, half, rows)
-        best = scratch("best", (2, rows), np.float64)
-        steps.append((np.maximum.reduce, (metrics, 1, None, best)))
-        if mode == "exact":
-            # log-sum-exp over each half, shifted by its maximum
-            total = scratch("total", (2, rows), np.float64)
-            steps += [
-                (np.subtract, (metrics, best[:, None], metrics)),
-                (np.exp, (metrics, metrics)),
-                (np.add.reduce, (metrics, 1, None, total)),
-                (np.log, (total, total)),
-                (np.add, (best, total, best)),
-            ]
-    # minimum and maximum take `out` only by keyword
-    return steps + [
-        (np.subtract, (best[0], best[1], out)),
-        (partial(np.minimum, out=out), (out, LLR_MAX)),
-        (partial(np.maximum, out=out), (out, -LLR_MAX)),
-    ]
+def check_llrs(llrs, what):
+    """Raise NonFiniteInput unless every |LLR| is at most LLR_LIMIT (so NaN fails)."""
+    if not (np.abs(llrs) <= LLR_LIMIT).all():
+        raise NonFiniteInput(f"{what} must be finite and at most {LLR_LIMIT:g} in magnitude")
 
 
-def llr_candidate_steps(kernel: KernelMatrix, mode, groups, out, scratch):
+def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
     """The update of every input bit under every known prefix, as steps.
 
     ``groups`` is a C-contiguous (R, p) float64 array of output LLRs per
-    block and ``out`` a (2^p - 1, R) float64 array. Calling the steps in
-    order writes into row 2^t - 1 + v of ``out`` what llr_kernel_batch
-    returns for bit t of each block when its known prefix, read as a
-    binary number with the first bit most significant, is v. Work arrays
-    come from ``scratch(role, shape, dtype)``.
+    block and ``table`` a C-contiguous (2 (2^p - 1), R) float64 array.
+    The steps write into row 2 (2^t - 1 + v) of ``table`` the update of
+    bit t of each block after the known prefix v (first bit most
+    significant); odd rows are work space, and other work arrays come
+    from ``scratch(role, shape, dtype)``.
 
-    Every metric of every update is the metric of one whole input word
-    u: with prefix v, hypothesis h and completion c, u = (v, h, c). A
-    rest-table entry times the sign of the prefix is the entry of u in
-    the table of bit 0, so one product with that table forms each metric
-    once, from the same exact terms in the same order. Ordered by u, the
-    words of one (v, h) are a run of 2^(p-1-t) rows, so each update
-    reduces runs of one array. For a kernel of size p <= 3 each row of
-    ``out`` holds the bits of the matching update; for p >= 4 they agree
-    to rounding.
+    One product with the word table forms the metric of each word
+    u = (v, h, c), hypothesis h and completion c, once; the words of one
+    (v, h) are a run of 2^(p-1-t) rows. For p <= 3 every metric sums at
+    most 3 exact terms and every run at most 4, which numpy adds in
+    sequence in any layout, so each update has the bits of the
+    block-major rule; for p >= 4 they agree to rounding.
     """
     p, rows = kernel.p, len(groups)
-    # best[2c + h]: the best metric of hypothesis h of candidate c; bit t
+    # table[2c + h]: the best metric of hypothesis h of candidate c; bit t
     # owns rows bit[t]. The last bit has one completion per hypothesis,
     # so its rows are the metrics of the 2^p words, and a run of bit t
     # is two runs of bit t + 1.
     bit = [slice(2 * ((1 << t) - 1), 2 * ((2 << t) - 1)) for t in range(p)]
     done = bit[-1].start  # the hypotheses of bits 0 .. p-2
-    best = scratch("best", (bit[-1].stop, rows), np.float64)
-    words = best[bit[-1]]
-    steps = [(np.matmul, (kernel._rest_metrics[0], groups.T, words))]
+    words = table[bit[-1]]
+    steps = [(np.matmul, (kernel._word_metrics, groups.T, words))]
     for t in range(p - 2, -1, -1):
-        steps.append((np.maximum.reduce, (best[bit[t + 1]].reshape(2 << t, 2, rows), 1, None, best[bit[t]])))
+        steps.append((np.maximum.reduce, (table[bit[t + 1]].reshape(2 << t, 2, rows), 1, None, table[bit[t]])))
     if mode == "exact":
         # log-sum-exp over each run, shifted by its best metric; numpy
         # adds along the middle axis in sequence
@@ -260,19 +192,45 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, out, scratch):
         for t in range(p - 1):
             runs = words.reshape(2 << t, 1 << (p - 1 - t), rows)
             part = shifted[t].reshape(runs.shape)
-            steps.append((np.subtract, (runs, best[bit[t], None], part)))
+            steps.append((np.subtract, (runs, table[bit[t], None], part)))
             sums.append((np.add.reduce, (part, 1, None, total[bit[t]])))
         steps.append((np.exp, (shifted, shifted)))
         steps += sums + [
             (np.log, (total, total)),
-            (np.add, (best[:done], total, best[:done])),
+            (np.add, (table[:done], total, table[:done])),
         ]
-    # minimum and maximum take `out` only by keyword
+    # The difference goes in place into the even rows, since numpy
+    # buffers small operands whose strides differ from the output's;
+    # minimum and maximum take `out` only by keyword.
+    llrs = table[0::2]
     return steps + [
-        (np.subtract, (best[0::2], best[1::2], out)),
-        (partial(np.minimum, out=out), (out, LLR_MAX)),
-        (partial(np.maximum, out=out), (out, -LLR_MAX)),
+        (np.subtract, (llrs, table[1::2], llrs)),
+        (partial(np.minimum, out=table), (table, LLR_MAX)),
+        (partial(np.maximum, out=table), (table, -LLR_MAX)),
     ]
+
+
+def llr_gather_steps(i, table, known, out, index, offsets):
+    """The update of input bit i of each block, read from its candidates.
+
+    ``table`` is what llr_candidate_steps fills, ``out`` an (R,) float64
+    array and ``known`` an integer array whose first i columns hold the
+    known input bits of the R blocks. ``index`` is an intp work array and
+    ``offsets`` holds 0, 1, 2, ..., both at least R long. The steps copy
+    into ``out[r]`` the candidate of block r under its prefix v: flat
+    entry 2 R v + r of the table rows of bit i.
+    """
+    rows = len(out)
+    if not i:
+        return [(np.copyto, (out, table[0]))]
+    choices = table[2 * ((1 << i) - 1) : 2 * ((2 << i) - 1)].reshape(-1)
+    weights = (2 * rows) << np.arange(i - 1, -1, -1, dtype=np.int64)
+    index = index[:rows]
+    steps = [(np.matmul, (known[:, :i], weights, index))]
+    if rows > 1:  # a single block has offset 0
+        steps.append((np.add, (index, offsets[:rows], index)))
+    # "clip" spares numpy the copy of `out` that "raise" makes
+    return steps + [(choices.take, (index, None, out, "clip"))]
 
 
 def _fresh(role, shape, dtype):
@@ -286,12 +244,14 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     kernel outputs. ``ps_rows`` has shape (..., i): per block, the already
     known input bits 0 .. i-1. Returns the LLRs of input bit i, shape
     (...), saturated to +-LLR_MAX, with input bits i+1 .. p-1
-    marginalized out. Blocks are independent: each one gets exactly the
-    update of a one-block call, whatever the number of blocks in the call.
+    marginalized out, by the candidate pass and gather the decoder runs.
+    Blocks are independent: each one gets exactly the update of a
+    one-block call, whatever the number of blocks in the call.
 
     Raises IndexOutOfRange unless i is a whole number in [0, p) (1.0
     counts as 1), LengthMismatch for other shapes, NonFiniteInput for
-    NaN or infinite LLRs and ValueError for known bits other than 0 and 1.
+    LLRs that are NaN or above 1e300 in magnitude and ValueError for
+    known bits other than 0 and 1.
     """
     check_mode(mode)
     if not (_is_whole(i) and 0 <= i < kernel.p):
@@ -300,16 +260,19 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     llr_rows = np.asarray(llr_rows, dtype=np.float64)
     if llr_rows.shape[-1:] != (kernel.p,):
         raise LengthMismatch(f"expected {kernel.p} output LLRs per block, got shape {llr_rows.shape}")
-    if not np.isfinite(llr_rows).all():
-        raise NonFiniteInput("kernel output LLRs must be finite")
+    check_llrs(llr_rows, "kernel output LLRs")
     known = np.asarray(ps_rows)
     if known.shape != llr_rows.shape[:-1] + (i,):
         raise LengthMismatch(f"expected {i} known input bits per block, got shape {known.shape}")
     if not np.isin(known, (0, 1)).all():
         raise ValueError("known input bits must be 0 or 1")
     groups = np.ascontiguousarray(llr_rows.reshape(-1, kernel.p))
-    known = known.astype(np.uint8).reshape(len(groups), i) if i else None
-    out = np.empty(len(groups))
-    for fn, args in llr_update_steps(kernel, i, mode, groups, known, out, _fresh):
+    rows = len(groups)
+    table = np.empty((2 * ((1 << kernel.p) - 1), rows))
+    out = np.empty(rows)
+    steps = llr_candidate_steps(kernel, mode, groups, table, _fresh)
+    steps += llr_gather_steps(i, table, known.astype(np.uint8).reshape(rows, i), out,
+                              np.empty(rows, np.intp), np.arange(rows))
+    for fn, args in steps:
         fn(*args)
     return out.reshape(llr_rows.shape[:-1])

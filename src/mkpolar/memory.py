@@ -11,7 +11,9 @@ layout keeps s + 1 full-length LLR vectors and s full-length bit vectors.
 allocate builds this memory for F frames at once, each array with a
 leading frame axis (the inter-frame layout): ``ps[j-1][f, k, c]`` is the
 partial sum of sub-block c at block position k of stage j in frame f.
-The decoder runs on exactly these arrays.
+The decoder runs on these arrays plus, per stage j, a work table of the
+2^p_j - 1 candidate updates of each kernel block (decoder._Program), and
+never writes the stage-s vector: each decision LLR goes to its own row.
 """
 
 from dataclasses import dataclass

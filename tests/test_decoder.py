@@ -1,5 +1,8 @@
 """SC decoder: scheduling, partial-sum propagation, counters, oracles."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,10 @@ from mkpolar import (
     decode,
     decode_batch,
     encode,
-    llr_kernel_batch,
 )
 import mkpolar.decoder
 from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _Program, schedule_of
-from oracles import exact_sc_oracle_llr, start_stage, trailing_max_run
+from oracles import exact_sc_oracle_llr, row_major_kernel_update, start_stage, trailing_max_run
 from reference_sc import all_kernel_sequences, textbook_sc_decode
 
 CODE_223 = CodeSpec((2, 2, 3))
@@ -39,8 +41,9 @@ def run_on_memory(code, llrs, mode="exact"):
 
 
 def reference_decode(code, llrs, mode="exact"):
-    """The schedule run op by op, one llr_kernel_batch call per REFRESH,
-    on a fresh allocate(code, F). Returns (decisions, decision LLRs)."""
+    """The schedule run op by op on a fresh allocate(code, F), each
+    REFRESH one call of the block-major kernel update, which shares no
+    code with the package. Returns (decisions, decision LLRs)."""
     llrs = np.asarray(llrs, dtype=np.float64)
     mem = allocate(code, len(llrs))
     llr, ps, decisions = mem.llr, mem.ps, mem.decisions
@@ -51,7 +54,8 @@ def reference_decode(code, llrs, mode="exact"):
         if kind == REFRESH:
             target = llr[a]
             groups = llr[a - 1].reshape(target.shape + (kernel.p,))
-            target[:] = llr_kernel_batch(kernel, b, groups, ps[a - 1][:, :, :b], mode)
+            update = row_major_kernel_update(kernel.rows, b, groups, ps[a - 1][:, :, :b], mode)
+            target[:] = update.reshape(target.shape)
         elif kind == DECIDE:
             final_llrs[:, a] = decision_llrs
             decisions[:, a] = False if code.frozen_mask[a] else decision_llrs < 0
@@ -159,6 +163,18 @@ def test_decode_validation():
     bad[3] = np.nan
     with pytest.raises(NonFiniteInput):
         decode(CODE_223, bad)
+    # finite, but large enough to overflow a kernel metric into NaN
+    for big in (1.7e308, -1e301):
+        bad[3] = big
+        with pytest.raises(NonFiniteInput):
+            decode(CODE_223, bad)
+    # the limit itself decodes without a warning
+    for bases in ((3,), (2, 2, 3), (3, 3, 2)):
+        code = CodeSpec(bases)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = decode(code, np.full(code.N, 1e300))
+        assert not res.u_hat.any() and np.isfinite(res.final_llrs).all(), bases
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -269,13 +285,32 @@ def test_size_four_kernels_agree_to_rounding(mode):
 @pytest.mark.parametrize("bases", [(2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3),
                                    (2, 2, 2, 2, 2, 2, 2, 3), (2, 2, 3, 3, 3, 3, 3)])
 def test_numpy_calls_per_bit_on_the_paper_codes(bases):
-    # The leaf block is one candidate pass plus at most three calls per
-    # bit, where the per-op program spent 16.8-18.9 calls per bit (exact)
-    # and 12.2-13.9 (minsum) on these codes.
+    # Every stage runs one candidate pass per kernel block and then at
+    # most three calls per refresh: 11.1-12.9 calls per bit (exact) and
+    # 7.5-8.9 (minsum) on these codes, where the per-op program spent
+    # 16.8-18.9 and 12.2-13.9, and a per-bit update rule above the last
+    # stage 11.8-13.9 and 8.3-9.9.
     code = CodeSpec(bases)
     program = _Program(code, 1)
-    assert len(program.steps("exact")) <= 14 * code.N
-    assert len(program.steps("minsum")) <= 10 * code.N
+    assert len(program.steps("exact")) <= 13 * code.N
+    assert len(program.steps("minsum")) <= 9 * code.N
+
+
+def test_warm_decode_allocates_little():
+    # A warm decode allocates its results and little else: about 17 KiB
+    # at N = 972. A candidate pass that wrote its differences from
+    # strided rows into a separate table made numpy buffer the operands,
+    # and the peak read 24.4 KiB.
+    code = CodeSpec((2, 2, 3, 3, 3, 3, 3), range(0, 972, 2))
+    llrs = np.random.default_rng(53).normal(2.0, 2.0, code.N)
+    decode(code, llrs)
+    tracemalloc.start()
+    try:
+        decode(code, llrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 1024
 
 
 def test_decode_results_are_fresh_arrays():
@@ -362,9 +397,10 @@ def test_decode_batch_validation():
     with pytest.raises(LengthMismatch):
         decode_batch(CODE_223, np.zeros((2, 11)))
     bad = np.zeros((2, 12))
-    bad[1, 3] = np.nan
-    with pytest.raises(NonFiniteInput):
-        decode_batch(CODE_223, bad)
+    for value in (np.nan, 1.7e308, -1e301):
+        bad[1, 3] = value
+        with pytest.raises(NonFiniteInput):
+            decode_batch(CODE_223, bad)
     with pytest.raises(ValueError):
         decode_batch(CODE_223, np.zeros((2, 12)), "fast")
     empty = decode_batch(CODE_223, np.zeros((0, 12)))

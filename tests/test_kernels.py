@@ -289,7 +289,8 @@ def test_batch_rejects_unknown_mode():
         llr_kernel_batch(k2, 0, np.zeros((1, 2)), np.zeros((1, 0), dtype=np.uint8), "soft")
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# 1.7e308 and -1e301 are finite but overflow a metric of a few of them
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.7e308, -1e301])
 def test_updates_reject_non_finite_llrs(bad):
     k3 = builtin_kernel(3)
     llr_rows = np.ones((4, 3))
@@ -342,24 +343,25 @@ def test_batch_matches_row_major_update(p, rows):
     ids=["T2", "T3", "lower3", "lower4", "lower5"],
 )
 def test_candidates_are_the_updates_of_every_prefix(p, rows):
-    # Row 2^t - 1 + v holds the update of bit t after the known prefix v
-    # (first bit most significant): the same bits as llr_kernel_batch
-    # for kernels of size <= 3, the same up to rounding beyond.
+    # Row 2 (2^t - 1 + v) holds the update of bit t after the known
+    # prefix v (first bit most significant): the same bits as the
+    # block-major rule for kernels of size <= 3, the same up to rounding
+    # beyond.
     rows = np.tril(np.ones((p, p), dtype=np.uint8)) if rows is None else rows
     k = KernelMatrix(rows)
     rng = np.random.default_rng(49)
     for count in (1, 7, 1000):
         llr_rows, _ = update_inputs(rng, count, p, 0)
         for mode in ("exact", "minsum"):
-            out = np.empty(((1 << p) - 1, count))
-            for fn, args in llr_candidate_steps(k, mode, llr_rows, out, _fresh):
+            table = np.empty((2 * ((1 << p) - 1), count))
+            for fn, args in llr_candidate_steps(k, mode, llr_rows, table, _fresh):
                 fn(*args)
             for t in range(p):
                 for v in range(1 << t):
                     prefix = [(v >> (t - 1 - j)) & 1 for j in range(t)]
                     known = np.tile(np.array(prefix, dtype=np.uint8), (count, 1))
-                    want = llr_kernel_batch(k, t, llr_rows, known, mode)
-                    got = out[(1 << t) - 1 + v]
+                    want = row_major_kernel_update(rows, t, llr_rows, known, mode)
+                    got = table[2 * ((1 << t) - 1 + v)]
                     if p <= 3:
                         assert got.tobytes() == want.tobytes(), (t, v, count, mode)
                     else:
