@@ -16,7 +16,7 @@ variant. For the size-2 kernel these reduce to the classic f and g updates.
 Every update reads one table per kernel, the metric terms of each whole
 input word. From it llr_candidate_steps forms the update of every bit of
 R blocks under every known prefix, llr_gather_steps picks each block's
-own, and llr_kernel_batch runs both.
+own through gather_steps, and llr_kernel_batch runs both.
 
 LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
@@ -95,6 +95,9 @@ class KernelMatrix:
         Kernel size.
     rows : ndarray
         The kernel matrix as read-only uint8.
+    codewords : ndarray
+        Read-only uint8 (2^p, p): row u is the codeword u T of the input
+        word u, read as a binary number with the first bit most significant.
     """
 
     def __init__(self, rows):
@@ -112,9 +115,10 @@ class KernelMatrix:
         self.p = p
         self.rows = rows
         self.rows.flags.writeable = False
-        # row u: the metric terms (1 - 2 x_m) / 2 of input word u, read as
-        # a binary number with the first bit most significant
-        self._word_metrics = (1.0 - 2.0 * (_enumerate(p) @ rows % 2)) / 2.0
+        self.codewords = _enumerate(p) @ rows % 2
+        self.codewords.flags.writeable = False
+        # row u: the metric terms (1 - 2 x_m) / 2 of the codeword x of u
+        self._word_metrics = (1.0 - 2.0 * self.codewords) / 2.0
 
     @property
     def key(self):
@@ -210,27 +214,39 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
     ]
 
 
+def gather_steps(choices, known, weights, out, index, offsets):
+    """Steps that copy ``choices[known[r] @ weights + r]`` into ``out[r]``.
+
+    ``choices`` is a 1-d float64 view, ``out`` an (R,) float64 array and
+    ``known`` an (R, len(weights)) integer array. ``index`` is an intp
+    work array and ``offsets`` holds 0, 1, 2, ..., both at least R long.
+    With no known bits the steps are one copy.
+    """
+    rows = len(out)
+    if not len(weights):
+        return [(np.copyto, (out, choices[:rows]))]
+    index = index[:rows]
+    steps = [(np.matmul, (known, weights, index))]
+    if rows > 1:  # a single block has offset 0
+        steps.append((np.add, (index, offsets[:rows], index)))
+    # "clip" spares numpy the copy of `out` that "raise" makes
+    return steps + [(choices.take, (index, None, out, "clip"))]
+
+
 def llr_gather_steps(i, table, known, out, index, offsets):
     """The update of input bit i of each block, read from its candidates.
 
     ``table`` is what llr_candidate_steps fills, ``out`` an (R,) float64
     array and ``known`` an integer array whose first i columns hold the
-    known input bits of the R blocks. ``index`` is an intp work array and
-    ``offsets`` holds 0, 1, 2, ..., both at least R long. The steps copy
-    into ``out[r]`` the candidate of block r under its prefix v: flat
-    entry 2 R v + r of the table rows of bit i.
+    known input bits of the R blocks; ``index`` and ``offsets`` are as in
+    gather_steps. The steps copy into ``out[r]`` the candidate of block r
+    under its prefix v: flat entry 2 R v + r of the table rows of bit i.
     """
-    rows = len(out)
     if not i:
         return [(np.copyto, (out, table[0]))]
     choices = table[2 * ((1 << i) - 1) : 2 * ((2 << i) - 1)].reshape(-1)
-    weights = (2 * rows) << np.arange(i - 1, -1, -1, dtype=np.int64)
-    index = index[:rows]
-    steps = [(np.matmul, (known[:, :i], weights, index))]
-    if rows > 1:  # a single block has offset 0
-        steps.append((np.add, (index, offsets[:rows], index)))
-    # "clip" spares numpy the copy of `out` that "raise" makes
-    return steps + [(choices.take, (index, None, out, "clip"))]
+    weights = (2 * len(out)) << np.arange(i - 1, -1, -1, dtype=np.int64)
+    return gather_steps(choices, known[:, :i], weights, out, index, offsets)
 
 
 def _fresh(role, shape, dtype):

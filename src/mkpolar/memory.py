@@ -14,6 +14,8 @@ partial sum of sub-block c at block position k of stage j in frame f.
 The decoder runs on these arrays plus, per stage j, a work table of the
 2^p_j - 1 candidate updates of each kernel block (decoder._Program), and
 never writes the stage-s vector: each decision LLR goes to its own row.
+Its look-ahead tail adds a table of the 2^P - 1 candidates of each block
+of the last P = p_{s-1} * p_s bits, per frame.
 """
 
 from dataclasses import dataclass

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from mkpolar import (
 )
 import mkpolar.decoder
 from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _Program, schedule_of
+from mkpolar.memory import DecoderMemory
 from oracles import exact_sc_oracle_llr, row_major_kernel_update, start_stage, trailing_max_run
 from reference_sc import all_kernel_sequences, textbook_sc_decode
 
@@ -120,7 +122,7 @@ def test_schedule_follows_start_stage_and_trailing_max_run():
 
 @pytest.mark.parametrize("u0", [0, 1])
 @pytest.mark.parametrize("u1", [0, 1])
-def test_ps_phase_hand_trace_2x2(u0, u1):
+def test_ps_phase_hand_trace_2x2(u0, u1, monkeypatch):
     code = CodeSpec((2, 2))
     ops = [(kind, a, b) for kind, a, b, _ in schedule_of(code).ops]
     assert ops == [
@@ -130,6 +132,13 @@ def test_ps_phase_hand_trace_2x2(u0, u1):
         (REFRESH, 2, 1), (DECIDE, 3, -1),
     ]
     u = np.array([u0, u1, 1 - u0, 1 - u1], dtype=np.uint8)
+    # The whole code is one look-ahead tail block, which decides into
+    # mem.decisions and, being the last block, stores no partial sums.
+    mem = run_on_memory(code, noiseless_llrs(encode(code, u)))
+    assert np.array_equal(mem.decisions[0], u)
+    assert not mem.ps[0].any() and not mem.ps[1].any()
+    # The op-by-op binding stores and propagates as the schedule says.
+    monkeypatch.setattr(mkpolar.decoder, "LOOKAHEAD_CANDIDATES", 0)
     mem = run_on_memory(code, noiseless_llrs(encode(code, u)))
     assert np.array_equal(mem.decisions[0], u)
     # the completed stage-2 pair re-encoded through the kernel into
@@ -251,15 +260,61 @@ def test_bound_program_matches_reference_executor(mode):
             assert_same_as_reference(decode(code, llrs[f], mode), code, llrs[f], mode, (bases, f))
 
 
+@pytest.fixture(params=["look-ahead", "per-leaf"])
+def binding(request, monkeypatch):
+    """Binds the last two stages as one look-ahead tail at every F, or
+    never, by the budget alone."""
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    budget = 1 << 62 if request.param == "look-ahead" else 0
+    monkeypatch.setattr(mkpolar.decoder, "LOOKAHEAD_CANDIDATES", budget)
+    return request.param
+
+
+def test_lookahead_budget_counts_tail_candidates():
+    # F * (2^P - 1) < LOOKAHEAD_CANDIDATES, P the bits of a tail block:
+    # 63 per frame for a (2,3) tail, 511 for (3,3), 15 for (2,2); never
+    # for a single stage, and never for a size-8 leaf (65535 per frame)
+    cases = [((2, 2, 3), 40, True), ((2, 2, 3), 41, False), ((2, 2, 2, 2, 3, 3), 5, True),
+             ((2, 2, 2, 2, 3, 3), 6, False), ((2, 2, 2, 2, 2, 2), 170, True), ((3,), 1, False),
+             ((2, KernelMatrix(np.tril(np.ones((8, 8), np.uint8)))), 1, False)]
+    for bases, frames, lookahead in cases:
+        assert _Program(CodeSpec(bases), frames).lookahead == lookahead, (bases, frames)
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_both_tail_bindings_match_reference_executor(binding, mode):
+    # every ordering up to N = 72 at F = 7 and F = 1, then batches at the
+    # entry cap, each checked whole against the reference executor
+    rng = np.random.default_rng(59)
+    for bases in all_kernel_sequences(72):
+        n = int(np.prod(bases))
+        code = CodeSpec(bases, rng.choice(n, n // 2, replace=False))
+        llrs = mixed_frames(code, rng)
+        assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, (binding, bases))
+        for f in range(len(llrs)):
+            assert_same_as_reference(decode(code, llrs[f], mode), code, llrs[f], mode, (binding, bases, f))
+        program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code)]
+        assert program.lookahead == (binding == "look-ahead" and len(bases) > 1), bases
+    for bases in ((2, 2, 3), (2, 2, 2, 2, 3, 3)):
+        n = int(np.prod(bases))
+        code = CodeSpec(bases, rng.choice(n, n // 2, replace=False))
+        frames = mkpolar.decoder.BATCH_LLR_ENTRIES // n
+        llrs = np.vstack([mixed_frames(code, rng) for _ in range(-(-frames // 7))])[:frames]
+        llrs *= rng.uniform(0.05, 1.0, (frames, 1))
+        assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, (binding, bases))
+
+
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
 def test_bound_program_matches_reference_executor_at_972(mode):
     # An exact-mode variant that summed with np.logaddexp.reduce flipped
     # a tie bit of this frame (|LLR| = 4.4e-16), and the frame's decision
     # LLRs then diverged by up to 80.
+    # Single-frame decodes bind the last two stages as a look-ahead tail.
     code = CodeSpec((2, 2, 3, 3, 3, 3, 3), range(0, 972, 2))
     z = np.random.default_rng(1).standard_normal(code.N)
     llrs = np.clip(2.0 * (1.0 + 0.8 * z) / 0.64, -LLR_MAX, LLR_MAX)
     assert_same_as_reference(decode(code, llrs, mode), code, llrs, mode, mode)
+    assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code)].lookahead
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -285,15 +340,64 @@ def test_size_four_kernels_agree_to_rounding(mode):
 @pytest.mark.parametrize("bases", [(2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3),
                                    (2, 2, 2, 2, 2, 2, 2, 3), (2, 2, 3, 3, 3, 3, 3)])
 def test_numpy_calls_per_bit_on_the_paper_codes(bases):
-    # Every stage runs one candidate pass per kernel block and then at
-    # most three calls per refresh: 11.1-12.9 calls per bit (exact) and
-    # 7.5-8.9 (minsum) on these codes, where the per-op program spent
-    # 16.8-18.9 and 12.2-13.9, and a per-bit update rule above the last
-    # stage 11.8-13.9 and 8.3-9.9.
+    # Every stage above the tail runs one candidate pass per kernel block
+    # and then at most three calls per refresh; the look-ahead tail runs
+    # two passes per tail block and then at most three calls per bit:
+    # 7.54-10.08 calls per bit (exact) and 5.60-7.26 (minsum) on these
+    # codes, where one pass per leaf block spent 11.1-12.9 and 7.5-8.9,
+    # the per-op program 16.8-18.9 and 12.2-13.9, and a per-bit update
+    # rule above the last stage 11.8-13.9 and 8.3-9.9.
     code = CodeSpec(bases)
     program = _Program(code, 1)
-    assert len(program.steps("exact")) <= 13 * code.N
-    assert len(program.steps("minsum")) <= 9 * code.N
+    assert program.lookahead
+    assert len(program.steps("exact")) <= 10.5 * code.N
+    assert len(program.steps("minsum")) <= 7.5 * code.N
+
+
+def program_bytes(program):
+    """Bytes of the distinct numpy base arrays that a bound program holds:
+    its memory, tables, work arrays and the operands of its steps. The
+    schedule, which all programs of a kernel sequence share, is left out."""
+    bases = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while x.base is not None:
+                x = x.base
+            bases[id(x)] = x
+        elif isinstance(x, (list, tuple)):
+            for y in x:
+                walk(y)
+        elif isinstance(x, dict):
+            walk(list(x.values()))
+        elif isinstance(x, partial):
+            walk((x.args, x.keywords))
+        elif isinstance(x, DecoderMemory):
+            walk(vars(x))
+        elif isinstance(getattr(x, "__self__", None), np.ndarray):  # a bound method such as take
+            walk(x.__self__)
+
+    walk({name: value for name, value in vars(program).items() if name != "schedule"})
+    return sum(x.nbytes for x in bases.values())
+
+
+@pytest.mark.parametrize("bases", [(2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3),
+                                   (2, 2, 2, 2, 2, 2, 2, 3), (2, 2, 3, 3, 3, 3, 3)])
+def test_program_memory_against_the_paper_layout(bases):
+    # A program bound in both modes holds its candidate tables, work
+    # arrays, final-LLR rows and index arrays next to the paper's stage
+    # memory. At F = 1 the look-ahead tail adds its leaf table (2 (2^P - 1)
+    # floats, for P bits per tail block), vectors, gather index and the
+    # larger work arrays of its leaf pass: measured 6.9-26.4x, against
+    # 7.1-8.9x with one pass per leaf block. Capped batches keep that
+    # binding: 5.8-6.2x.
+    code = CodeSpec(bases)
+    for frames, bound in ((1, 26.5), (mkpolar.decoder.BATCH_LLR_ENTRIES // code.N, 6.3)):
+        program = _Program(code, frames)
+        program.steps("exact"), program.steps("minsum")
+        mem = allocate(code, frames)
+        paper = sum(x.nbytes for x in mem.llr + mem.ps + [mem.decisions])
+        assert program_bytes(program) <= bound * paper, (bases, frames, program_bytes(program) / paper)
 
 
 def test_warm_decode_allocates_little():
@@ -331,6 +435,21 @@ def test_decode_results_are_fresh_arrays():
         for x in arrays(first):
             for y in arrays(second) + mem.llr + mem.ps + [mem.decisions]:
                 assert not np.shares_memory(x, y)
+
+
+def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
+    # A program skips rebuilding its thresholds only while it decodes the
+    # same read-only frozen mask: code A, then B with the same kernels,
+    # then A again must each decode with their own frozen set.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    a, b = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6)), CodeSpec((2, 2, 3), (0, 1, 2, 5, 8, 9))
+    llrs = np.random.default_rng(61).uniform(-3, 3, (3, 12))
+    for run, frames in ((decode_batch, llrs), (decode, llrs[0])):
+        programs = set()
+        for code in (a, b, a, a):
+            assert_same_as_reference(run(code, frames), code, frames, "exact", (run, code.frozen))
+            programs.add(id(mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code)]))
+        assert len(programs) == 1  # one program decoded all four
 
 
 def test_frame_count_changes_rebind_the_program(monkeypatch):
