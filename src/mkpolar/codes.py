@@ -26,10 +26,17 @@ from .errors import (
 from .kernels import KernelMatrix, _is_whole, builtin_kernel
 
 
+def _kernel_size(k):
+    """The size of a KernelMatrix, or k itself if it is a whole number."""
+    if not (isinstance(k, KernelMatrix) or _is_whole(k)):
+        raise UnsupportedKernelSize(f"kernel size {k!r} is not an integer")
+    return k.p if isinstance(k, KernelMatrix) else int(k)
+
+
 def _as_kernels(kernels):
     out = []
     for k in kernels:
-        out.append(k if isinstance(k, KernelMatrix) else builtin_kernel(int(k)))
+        out.append(k if isinstance(k, KernelMatrix) else builtin_kernel(_kernel_size(k)))
     if not out:
         raise ValueError("kernel sequence must be non-empty")
     return tuple(out)
@@ -121,9 +128,13 @@ def channel_permutation(kernels):
     Codeword position j with digits (c_1, ..., c_s) maps to slot
     pi(j) = sum_k c_k * (p_1 * ... * p_{k-1}). This is exactly the
     ordering under which every stage's kernel blocks read contiguous
-    groups of the previous stage vector.
+    groups of the previous stage vector. Any whole size of at least 2 works.
     """
-    bases = tuple(k.p if isinstance(k, KernelMatrix) else int(k) for k in kernels)
+    bases = tuple(_kernel_size(k) for k in kernels)
+    if not bases:
+        raise ValueError("kernel sequence must be non-empty")
+    if min(bases) < 2:
+        raise UnsupportedKernelSize("kernel size must be at least 2")
     n = prod(bases)
     perm = np.zeros(n, dtype=np.int64)
     rem = np.arange(n, dtype=np.int64)

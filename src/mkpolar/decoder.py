@@ -30,44 +30,40 @@ to that memory once per kernel sequence and F: each op becomes a few
 in-place numpy calls on fixed views, so a run creates no views and
 allocates nothing.
 
-One rule binds every REFRESH. Stage j-1 does not change while stage j
-runs through its digits b = 0 .. p_j - 1, so at b = 0 one pass of
-kernels.llr_candidate_steps fills the stage's candidate table with the
-update of every bit t of each of its R = F * p_{j+1} * ... * p_s blocks
-under every known prefix v, the blocks innermost. Then
+One rule binds every REFRESH above the tail. Stage j-1 does not change
+while stage j runs through its digits b = 0 .. p_j - 1, so at b = 0 one
+pass of kernels.llr_candidate_steps fills the stage's candidate table
+with the update of every bit t of each of its R = F * p_{j+1} * ... *
+p_s blocks under every known prefix v, the blocks innermost. Then
 kernels.llr_gather_steps refreshes the vector: a copy at b = 0, and at
 b > 0 a matmul that reads each block's prefix from columns 0 .. b-1 of
 the partial-sum matrix, an add that offsets the blocks when R > 1 and a
-take. The last stage refreshes straight into the final-LLR row of the
-bit it decides, so its vector in the memory is never written and DECIDE
-is one less into the stage-s matrix, or nothing for the last bit.
+take.
 
-The last two stages are bound as one look-ahead tail wherever its
-table stays small, F * (2^P - 1) < LOOKAHEAD_CANDIDATES: pre-computation
-look-ahead (Zhang & Parhi, IEEE TSP 2013) with multi-bit decisions
-(Yuan & Parhi, IEEE TCAS-I 2014), carried across two stages. A tail
-block is the P = p_{s-1} * p_s bits that share all digits but the last
-two. Stage s-1's vector at digit b depends only on the b leaf blocks
-decided before it, so at the block's bit 0, after stage s-1's candidate
-pass, one take with an index fixed at binding builds that vector under
-every history of leaf input words at every digit (V = 5, 9, 21 or 73
-per frame for a (2,2), (2,3), (3,2) or (3,3) tail), and one leaf
-candidate pass runs over all of them: every bit of the block under
-every prefix of the block's decisions, 2^P - 1 candidates per frame.
-Each bit is then a matmul of the block's decisions so far into an
-index, an add of frame offsets when F > 1, a take into its final-LLR
-row and a less into its column of mem.decisions. After the block's last
-leaf one product of its decisions with T_s fills stage s-1's
-partial-sum matrix, which then propagates as before; neither stage's
-vector is written. Wider batches, where the leaf work of all those
-candidates costs more than the calls it saves, and codes with s = 1
-keep one pass per leaf block.
+The tail, the last stage alone or the last two, is decided block by
+block from stage s's candidate table into mem.decisions; a tail block is
+the p_s or P = p_{s-1} * p_s bits that share all digits above the tail.
+While F * (2^P - 1) < LOOKAHEAD_CANDIDATES the tail is the last two
+stages, by pre-computation look-ahead (Zhang & Parhi, IEEE TSP 2013)
+with multi-bit decisions (Yuan & Parhi, IEEE TCAS-I 2014): stage s-1's
+vector at digit b depends only on the b leaf blocks decided before it,
+so at the block's bit 0 one take after stage s-1's pass builds it under
+every history of leaf words (V = 5, 9, 21 or 73 per frame for a (2,2),
+(2,3), (3,2) or (3,3) tail), and stage s's pass runs over all of them,
+2^P - 1 candidates per frame. In wider batches, where that leaf work
+costs more than the calls it saves, and for s = 1, the one history is
+the stage-(s-1) vector itself. Each bit is then a matmul of the block's
+decisions so far into an index, an add of frame offsets when F > 1, a
+take into its final-LLR row and a less into mem.decisions. After the
+block's last bit, unless it ends the code, one product with T_s fills
+their columns of stage s-1's partial-sum matrix. So no tail stage's
+vector is written, nor stage s's partial-sum matrix.
 
 Results are bit for bit those of the block-major update rule, one
 update per bit on output LLRs flipped by the sign of the known
 codeword, for kernels of size 2 and 3, which covers every built-in
-code: the look-ahead tail reads only values that the per-leaf binding
-computes, by the same pass. A kernel of size 4 or more sums longer
+code: the look-ahead reads only values that the tail of the last stage
+alone computes, by the same pass. A kernel of size 4 or more sums longer
 runs, which numpy and BLAS may add in another order in another layout
 or at another F, so its results agree up to rounding. A call takes its
 program out of the cache while it runs and returns copies.
@@ -93,7 +89,8 @@ _ONE = np.ones(1, dtype=np.uint8)
 # one decode_batch call.
 BATCH_LLR_ENTRIES = 1 << 16
 # The last two stages are bound as one look-ahead tail while F times its
-# 2^P - 1 candidates per frame stays under this many. In exact mode the
+# 2^P - 1 candidates per frame stays under this many, and the last stage
+# alone is the tail otherwise. In exact mode the
 # look-ahead stopped paying between 2500 and 3600 on (2,3), (3,2) and
 # (3,3) tails; its leaf work grows with the candidates, not the vectors.
 LOOKAHEAD_CANDIDATES = 2560
@@ -212,12 +209,6 @@ def schedule_of(code: CodeSpec) -> Schedule:
     return schedule
 
 
-def _tail_vectors(digits, p):
-    """Stage-(s-1) vectors per frame of a look-ahead tail at its digits
-    b < digits: one per history of the b leaf blocks of size p before it."""
-    return sum(1 << b * p for b in range(digits))
-
-
 def _tail_rows(digits, leaf):
     """(V, p_s): the row of stage s-1's table that entry k of each tail
     vector reads, for digits b < digits. After leaf input words
@@ -237,10 +228,10 @@ class _Program:
     """The schedule of one kernel sequence bound to the memory of F frames.
 
     Each op becomes a few (function, args) on views and work arrays fixed
-    here, which an op that recurs in the schedule reuses. A frozen bit
-    decides 0 because its threshold is -inf: a run sets the thresholds
-    from the frozen mask of the code it decodes, unless the last run had
-    that same read-only mask.
+    here, which an op that recurs in the schedule reuses. The tail decides
+    from stage s's table, tables[-1]. A frozen bit decides 0 because its
+    threshold is -inf: a run sets the thresholds from the frozen mask of
+    the code it decodes, unless the last run had that same read-only mask.
     """
 
     def __init__(self, code: CodeSpec, frames: int):
@@ -252,36 +243,41 @@ class _Program:
         self.final_llrs = np.empty((code.N, frames))
         self.thresholds = np.empty(code.N)
         self._frozen = None
-        # stage j: row 2 (2^t - 1 + v) holds bit t of each block after prefix v
-        self.tables = [np.empty((2 * (2**k.p - 1), v.size)) for k, v in zip(code.kernels, self.mem.llr[1:])]
-        self.known = [m.reshape(-1, m.shape[-1]) for m in self.mem.ps]  # stage j: (blocks, width)
+        self.bases = code.bases
+        self.lookahead = code.s > 1 and frames * ((1 << prod(code.bases[-2:])) - 1) < LOOKAHEAD_CANDIDATES
+        # the tail: stages top .. s, whose vectors the program never writes
+        self.top = code.s - self.lookahead
+        self.leaf = code.kernels[-1]
+        upper, leaf = code.bases[-2] if self.lookahead else 1, self.leaf.p
+        # before[d]: stage-(s-1) vectors per frame at digits below d
+        before = [sum(1 << b * leaf for b in range(d)) for d in range(upper + 1)]
+        vectors = before[-1]
+        # stage j: row 2 (2^t - 1 + v) holds bit t of each block after
+        # prefix v; stage s's blocks are the leaf input vectors, frame f's
+        # vector h in column h F + f
+        widths = [v.size for v in self.mem.llr[1:-1]] + [vectors * frames]
+        self.tables = [np.empty((2 * (2**k.p - 1), w)) for k, w in zip(code.kernels, widths)]
+        self.known = [m.reshape(-1, m.shape[-1]) for m in self.mem.ps[:-1]]  # stage j: (blocks, width)
         self.offsets = np.arange(self.mem.llr[1].size)
         self.index = np.empty(self.offsets.size, np.intp)
-        # a bool view of the uint8 stage-s bits: np.less then casts nothing
-        self.decided = self.mem.ps[-1].view(np.bool_)[:, 0]
         self._work, self._bound, self._steps = {}, {}, {}
-        self.lookahead = code.s > 1 and frames * ((1 << prod(code.bases[-2:])) - 1) < LOOKAHEAD_CANDIDATES
         if self.lookahead:
-            upper, leaf = code.bases[-2:]
-            self.leaf = code.kernels[-1]
+            # stage s-1's table row of entry k of vector h F + f
             rows = _tail_rows(upper, self.leaf)
-            # frame f's vector h is row h F + f; the leaf table holds its
-            # candidates in column h F + f
-            self.vectors = np.empty((len(rows) * frames, leaf))
-            self.leaf_table = np.empty((2 * (2**leaf - 1), len(self.vectors)))
+            self.vectors = np.empty((vectors * frames, leaf))
             columns = np.arange(frames * leaf).reshape(frames, leaf)
             self.history = (rows[:, None] * columns.size + columns).reshape(-1)
-            # bit r = d p_s + t of a tail block reads the leaf table from
-            # flat entry 2 (2^t - 1) V F + (vectors before digit d) F on,
-            # weighting the d leaf words before it by vector and the t
-            # bits of its own leaf by prefix
-            self.tail_reads, choices, vectors = [], self.leaf_table.reshape(-1), len(rows)
-            for r in range(upper * leaf):
-                d, t = divmod(r, leaf)
-                start = (2 * ((1 << t) - 1) * vectors + _tail_vectors(d, leaf)) * frames
-                weights = np.concatenate([frames << np.arange(d * leaf - 1, -1, -1),
-                                          (2 * vectors * frames) << np.arange(t - 1, -1, -1)])
-                self.tail_reads.append((choices[start:], weights))
+        # bit r = d p_s + t of a tail block reads stage s's table from
+        # flat entry 2 (2^t - 1) V F + (vectors before digit d) F on,
+        # weighting the d leaf words before it by vector and the t bits
+        # of its own leaf by prefix
+        self.tail_reads, choices = [], self.tables[-1].reshape(-1)
+        for r in range(upper * leaf):
+            d, t = divmod(r, leaf)
+            start = (2 * ((1 << t) - 1) * vectors + before[d]) * frames
+            weights = np.concatenate([frames << np.arange(d * leaf - 1, -1, -1),
+                                      (2 * vectors * frames) << np.arange(t - 1, -1, -1)])
+            self.tail_reads.append((choices[start:], weights))
 
     def _scratch(self, role, shape, dtype):
         # one work array per role serves every stage: ops run one at a time
@@ -293,90 +289,73 @@ class _Program:
     def _candidates(self, a, kernel, mode):
         """Stage a's candidate pass: the one step that reads the mode.
 
-        Under the look-ahead, stage s-1's pass goes on to fill the leaf
+        Under the look-ahead, stage s-1's pass goes on to fill stage s's
         table: one take builds the vector of every history, and one leaf
         pass runs over them all."""
         key = (a, mode)
         if key not in self._bound:
             table = self.tables[a - 1]
-            groups = self.mem.llr[a - 1].reshape(table.shape[1], kernel.p)
+            groups = self.mem.llr[a - 1].reshape(-1, kernel.p)
             steps = llr_candidate_steps(kernel, mode, groups, table, self._scratch)
-            if self.lookahead and a == len(self.tables) - 1:
+            if self.lookahead and a == self.top:
                 steps.append((table.reshape(-1).take, (self.history, None, self.vectors.reshape(-1), "clip")))
-                steps += llr_candidate_steps(self.leaf, mode, self.vectors, self.leaf_table, self._scratch)
+                steps += llr_candidate_steps(self.leaf, mode, self.vectors, self.tables[-1], self._scratch)
             self._bound[key] = steps
         return self._bound[key]
 
-    def _bind(self, kind, a, b, kernel, bit):
+    def _bind(self, kind, a, b, kernel):
+        """A REFRESH or PROPAGATE above the tail."""
         llr, ps = self.mem.llr, self.mem.ps
         if kind == REFRESH:
-            # the last stage refreshes straight into the row of its bit
-            target = self.final_llrs[bit] if a == len(ps) else llr[a].reshape(-1)
-            return llr_gather_steps(b, self.tables[a - 1], self.known[a - 1], target, self.index, self.offsets)
-        if kind == DECIDE:
-            if b < 0:  # the last bit is stored nowhere; run decides it with the rest
-                return []
-            return [(np.less, (self.final_llrs[a], self.thresholds[a : a + 1], self.decided[:, b]))]
+            return llr_gather_steps(b, self.tables[a - 1], self.known[a - 1], llr[a].reshape(-1), self.index, self.offsets)
         source, target = ps[a - 1], ps[a - 2]
         target = target.reshape(source.shape + target.shape[-1:])[..., b]
         return [(np.matmul, (source, kernel.rows, target)), (np.bitwise_and, (target, _ONE, target))]
 
-    def _bind_tail(self, kind, a, b, kernel, bit):
-        """A DECIDE or stage-s PROPAGATE under the look-ahead.
-
-        A tail block decides its bits into their own columns of
-        mem.decisions. Bit r of the block reads from the leaf table its
-        candidate under the r decisions before it. After the block's last
-        leaf, one product turns its leaf words into the columns of stage
-        s-1's matrix, which then propagates as before.
-        """
+    def _bind_tail(self, a, b):
+        """DECIDE bit a, bit r of its tail block, from its candidate in
+        stage s's table under the block's r decisions before it. After
+        the block's last bit, unless it ends the code, its leaf words
+        fill their columns of stage s-1's matrix, which propagates on."""
         size, decisions = len(self.tail_reads), self.mem.decisions
-        if kind == PROPAGATE:
-            leaves = size // kernel.p
-            if b < leaves - 1:  # not the block's last leaf
-                return []
-            words = decisions[:, bit - size : bit].reshape(self.frames, leaves, kernel.p).transpose(0, 2, 1)
-            target = self.mem.ps[-2]
-            return [(np.matmul, (kernel.rows.T, words, target)), (np.bitwise_and, (target, _ONE, target))]
         r = a % size
         choices, weights = self.tail_reads[r]
         steps = gather_steps(choices, decisions[:, a - r : a], weights, self.final_llrs[a], self.index, self.offsets)
-        if b >= 0:  # the last bit is stored nowhere
-            steps.append((np.less, (self.final_llrs[a], self.thresholds[a : a + 1], decisions.view(np.bool_)[:, a])))
+        steps.append((np.less, (self.final_llrs[a], self.thresholds[a : a + 1], decisions.view(np.bool_)[:, a])))
+        if r == size - 1 and b >= 0:  # the block's last bit, not the code's
+            p = self.leaf.p
+            leaves, c = size // p, (a - r) // p % self.bases[-2]
+            words = decisions[:, a - r : a + 1].reshape(self.frames, leaves, p).transpose(0, 2, 1)
+            target = self.mem.ps[-2][..., c : c + leaves]
+            steps += [(np.matmul, (self.leaf.rows.T, words, target)), (np.bitwise_and, (target, _ONE, target))]
         return steps
 
     def steps(self, mode):
         steps = self._steps.get(mode)
         if steps is None:
             steps = self._steps[mode] = []
-            bit, last = 0, len(self.tables)
             for op in self.schedule.ops:
                 kind, a, b, kernel = op
-                # the look-ahead binds every op of stages s-1 and s per bit
-                tail = self.lookahead and (kind == DECIDE or a >= last - (kind == REFRESH))
-                if kind == REFRESH:
-                    if not b and not (tail and a == last):
-                        steps += self._candidates(a, kernel, mode)
-                    if tail:  # stage s-1's look-ahead pass computed the refresh
-                        continue
-                # a last-stage refresh writes the row of the bit it decides
-                key = (op, bit) if tail or kind == REFRESH and a == last else op
-                if key not in self._bound:
-                    self._bound[key] = (self._bind_tail if tail else self._bind)(*op, bit)
-                steps += self._bound[key]
-                bit += kind == DECIDE
+                if kind == REFRESH and not b and a <= self.top:
+                    steps += self._candidates(a, kernel, mode)
+                # the tail binds its refreshes and stage s's propagations
+                # with its decisions
+                if kind == REFRESH and a >= self.top or kind == PROPAGATE and a == len(self.tables):
+                    continue
+                if op not in self._bound:
+                    self._bound[op] = self._bind_tail(a, b) if kind == DECIDE else self._bind(*op)
+                steps += self._bound[op]
         return steps
 
     def run(self, code: CodeSpec, channel_llrs, mode):
         """Decode (F, N) channel LLRs into mem.decisions and final_llrs."""
-        mem, mask = self.mem, code.frozen_mask
-        mem.llr[0][:, self.permutation] = channel_llrs
+        mask = code.frozen_mask
+        self.mem.llr[0][:, self.permutation] = channel_llrs
         if mask is not self._frozen or mask.flags.writeable:
             np.copyto(self.thresholds, np.where(mask, -np.inf, 0.0))
             self._frozen = mask
         for fn, args in self.steps(mode):
             fn(*args)
-        np.less(self.final_llrs.T, self.thresholds, out=mem.decisions)
 
 
 def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:

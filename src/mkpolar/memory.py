@@ -12,10 +12,11 @@ allocate builds this memory for F frames at once, each array with a
 leading frame axis (the inter-frame layout): ``ps[j-1][f, k, c]`` is the
 partial sum of sub-block c at block position k of stage j in frame f.
 The decoder runs on these arrays plus, per stage j, a work table of the
-2^p_j - 1 candidate updates of each kernel block (decoder._Program), and
-never writes the stage-s vector: each decision LLR goes to its own row.
-Its look-ahead tail adds a table of the 2^P - 1 candidates of each block
-of the last P = p_{s-1} * p_s bits, per frame.
+2^p_j - 1 candidate updates of each kernel block (decoder._Program). It
+never writes the stage-s vector or partial-sum matrix: decision LLRs go
+to their own rows, decisions to ``decisions``. Under its look-ahead,
+stage s's table holds the 2^P - 1 candidates per frame of each block of
+the last P = p_{s-1} * p_s bits, and stage s-1's vector stays unwritten.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from math import prod
 import numpy as np
 
 from .codes import CodeSpec, _as_kernels
+from .kernels import _is_whole
 
 
 def _sizes(kernels):
@@ -80,8 +82,9 @@ class MemoryReport:
 def memory_report(kernels, q_bits: int = 6) -> MemoryReport:
     """Build the element-count report for a kernel sequence."""
     sizes = _sizes(kernels)
-    if q_bits < 1:
-        raise ValueError("q_bits must be at least 1")
+    if not (_is_whole(q_bits) and q_bits >= 1):
+        raise ValueError(f"q_bits = {q_bits!r} is not an integer of at least 1")
+    q_bits = int(q_bits)
     n = prod(sizes)
     llr = llr_element_count(sizes)
     ps = ps_element_count(sizes)

@@ -4,8 +4,8 @@ BPSK mapping is symbol = 1 - 2*bit; with Eb/N0 given in dB and code rate
 R = K/N the noise variance is sigma^2 = 1 / (2 * R * 10^(Eb/N0 / 10)) and
 the channel LLR of an observation y is 2*y / sigma^2, saturated to
 +-LLR_MAX. Frame f of SNR point n draws from a generator seeded with
-(seed, n, f), so results are reproducible and independent of how frames
-are scheduled across workers.
+(seed, n, f), so results are reproducible and do not depend on how the
+frames are batched.
 """
 
 import time
@@ -28,8 +28,11 @@ def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool =
     then draws its noise from ``rng[f]`` alone, exactly as the single
     codeword would. With ``noiseless`` the channel is bypassed and each
     bit maps straight to +-LLR_MAX with the sign of its BPSK symbol.
+    Bits other than 0 and 1 raise ValueError.
     """
-    bits = np.asarray(codeword_bits, dtype=np.uint8)
+    bits = np.asarray(codeword_bits)
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError("codeword bits must be 0 or 1")
     if not 0.0 < rate <= 1.0:
         raise InvalidRate(f"rate {rate} outside (0, 1]")
     if not np.isfinite(ebn0_db):

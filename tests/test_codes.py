@@ -11,11 +11,13 @@ from mkpolar import (
     InvalidK,
     KernelMatrix,
     LengthMismatch,
+    UnsupportedKernelSize,
     channel_permutation,
     construct_frozen_mc,
     encode,
     format_code_file,
     load_code,
+    memory_report,
     parse_code_file,
     save_code,
 )
@@ -193,6 +195,24 @@ def test_naive_generator_limit():
 def test_channel_permutation_examples():
     assert np.array_equal(channel_permutation((2, 2)), [0, 2, 1, 3])
     assert channel_permutation(BASES_223)[1] == 4
+    # sizes without a built-in kernel, and whole floats, are sizes too
+    assert np.array_equal(channel_permutation((4, 2)), [0, 4, 1, 5, 2, 6, 3, 7])
+    assert np.array_equal(channel_permutation((2.0, 3)), channel_permutation((2, 3)))
+
+
+@pytest.mark.parametrize("call, args, error", [
+    (CodeSpec, ((2.5, 3),), UnsupportedKernelSize),
+    (memory_report, ((2.9, 3),), UnsupportedKernelSize),
+    (channel_permutation, ((2.5, 3),), UnsupportedKernelSize),
+    (channel_permutation, ((),), ValueError),
+    (channel_permutation, ((0,),), UnsupportedKernelSize),
+    (channel_permutation, ((2, 1),), UnsupportedKernelSize),
+    (memory_report, ((2, 2, 3), 2.5), ValueError),
+], ids=["code", "memory", "permutation", "empty", "zero", "one", "q_bits"])
+def test_sizes_and_q_bits_must_be_whole(call, args, error):
+    # int() would truncate 2.5 to 2 and build the (2, 3) code
+    with pytest.raises(error):
+        call(*args)
 
 
 def test_channel_permutation_definition():

@@ -132,20 +132,17 @@ def test_ps_phase_hand_trace_2x2(u0, u1, monkeypatch):
         (REFRESH, 2, 1), (DECIDE, 3, -1),
     ]
     u = np.array([u0, u1, 1 - u0, 1 - u1], dtype=np.uint8)
-    # The whole code is one look-ahead tail block, which decides into
-    # mem.decisions and, being the last block, stores no partial sums.
-    mem = run_on_memory(code, noiseless_llrs(encode(code, u)))
-    assert np.array_equal(mem.decisions[0], u)
-    assert not mem.ps[0].any() and not mem.ps[1].any()
-    # The op-by-op binding stores and propagates as the schedule says.
-    monkeypatch.setattr(mkpolar.decoder, "LOOKAHEAD_CANDIDATES", 0)
-    mem = run_on_memory(code, noiseless_llrs(encode(code, u)))
-    assert np.array_equal(mem.decisions[0], u)
-    # the completed stage-2 pair re-encoded through the kernel into
-    # column 0 of stage 1; bit 2 then overwrote stage-2 column 0, and
-    # bit 3, the last, is never stored
-    assert mem.ps[0][0, :, 0].tolist() == [u0 ^ u1, u1]
-    assert mem.ps[1][0, 0].tolist() == [1 - u0, u1]
+    # Under the look-ahead the whole code is one tail block, which
+    # decides into mem.decisions and, being the last block, propagates
+    # nothing. With a tail of the last stage alone, the completed first
+    # pair is re-encoded through the kernel into column 0 of stage 1.
+    # Either way the stage-2 matrix is never written.
+    for budget, column in ((1 << 62, [0, 0]), (0, [u0 ^ u1, u1])):
+        monkeypatch.setattr(mkpolar.decoder, "LOOKAHEAD_CANDIDATES", budget)
+        mem = run_on_memory(code, noiseless_llrs(encode(code, u)))
+        assert np.array_equal(mem.decisions[0], u), budget
+        assert mem.ps[0][0, :, 0].tolist() == column, budget
+        assert not mem.ps[-1].any(), budget
 
 
 def test_ps_phase_propagates_encoded_subblock():
@@ -262,8 +259,8 @@ def test_bound_program_matches_reference_executor(mode):
 
 @pytest.fixture(params=["look-ahead", "per-leaf"])
 def binding(request, monkeypatch):
-    """Binds the last two stages as one look-ahead tail at every F, or
-    never, by the budget alone."""
+    """Binds the tail as the last two stages (the look-ahead) at every
+    F, or as the last stage alone, by the budget alone."""
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     budget = 1 << 62 if request.param == "look-ahead" else 0
     monkeypatch.setattr(mkpolar.decoder, "LOOKAHEAD_CANDIDATES", budget)
@@ -305,6 +302,25 @@ def test_both_tail_bindings_match_reference_executor(binding, mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_tail_never_writes_the_last_stage(binding, mode):
+    # The tail decides into mem.decisions, so the stage-s vector and
+    # partial-sum matrix keep whatever they held, and nothing reads them.
+    rng = np.random.default_rng(67)
+    for bases in all_kernel_sequences(72):
+        code = CodeSpec(bases)
+        for frames in (1, 7):
+            program = _Program(code, frames)
+            mem, s = program.mem, code.s
+            mem.llr[s].fill(-3.5)
+            mem.ps[s - 1].fill(0xA5)
+            llrs = rng.normal(1.0, 2.0, (frames, code.N))
+            program.run(code, llrs, mode)
+            where = (binding, bases, frames)
+            assert (mem.llr[s] == -3.5).all() and (mem.ps[s - 1] == 0xA5).all(), where
+            assert np.array_equal(mem.decisions, reference_decode(code, llrs, mode)[0]), where
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
 def test_bound_program_matches_reference_executor_at_972(mode):
     # An exact-mode variant that summed with np.logaddexp.reduce flipped
     # a tie bit of this frame (|LLR| = 4.4e-16), and the frame's decision
@@ -342,11 +358,12 @@ def test_size_four_kernels_agree_to_rounding(mode):
 def test_numpy_calls_per_bit_on_the_paper_codes(bases):
     # Every stage above the tail runs one candidate pass per kernel block
     # and then at most three calls per refresh; the look-ahead tail runs
-    # two passes per tail block and then at most three calls per bit:
-    # 7.54-10.08 calls per bit (exact) and 5.60-7.26 (minsum) on these
-    # codes, where one pass per leaf block spent 11.1-12.9 and 7.5-8.9,
-    # the per-op program 16.8-18.9 and 12.2-13.9, and a per-bit update
-    # rule above the last stage 11.8-13.9 and 8.3-9.9.
+    # two passes per tail block and then at most three calls per bit, the
+    # last bit's less now among them: 7.55-10.08 calls per bit (exact)
+    # and 5.60-7.26 (minsum) on these codes, where one pass per leaf block
+    # spent 11.1-12.9 and 7.5-8.9, the per-op program 16.8-18.9 and
+    # 12.2-13.9, and a per-bit update rule above the last stage 11.8-13.9
+    # and 8.3-9.9.
     code = CodeSpec(bases)
     program = _Program(code, 1)
     assert program.lookahead
@@ -388,9 +405,9 @@ def test_program_memory_against_the_paper_layout(bases):
     # arrays, final-LLR rows and index arrays next to the paper's stage
     # memory. At F = 1 the look-ahead tail adds its leaf table (2 (2^P - 1)
     # floats, for P bits per tail block), vectors, gather index and the
-    # larger work arrays of its leaf pass: measured 6.9-26.4x, against
-    # 7.1-8.9x with one pass per leaf block. Capped batches keep that
-    # binding: 5.8-6.2x.
+    # larger work arrays of its leaf pass: measured 6.9-26.3x, against
+    # 7.1-8.9x before the look-ahead. Capped batches decide the last
+    # stage alone: 5.8-6.2x.
     code = CodeSpec(bases)
     for frames, bound in ((1, 26.5), (mkpolar.decoder.BATCH_LLR_ENTRIES // code.N, 6.3)):
         program = _Program(code, frames)

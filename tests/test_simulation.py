@@ -32,6 +32,15 @@ def test_awgn_rejects_bad_rate():
             awgn_llrs(bits, 1.0, rate, rng)
 
 
+@pytest.mark.parametrize("bit", [2, 0.7, -1])
+def test_awgn_rejects_bits_other_than_0_and_1(bit):
+    # plausible LLRs for impossible bits: a cast to uint8 reads 0.7 as 0
+    bits = np.array([0, 1, bit, 0])
+    for noiseless in (False, True):
+        with pytest.raises(ValueError):
+            awgn_llrs(bits, 1.0, 0.5, np.random.default_rng(0), noiseless=noiseless)
+
+
 def test_awgn_noiseless():
     rng = np.random.default_rng(0)
     bits = np.array([0, 1, 1, 0], dtype=np.uint8)
