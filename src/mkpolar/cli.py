@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: meminfo, construct, encode, decode, simulate, digits.
-All output is plain text or CSV on stdout; errors go to stderr. Exit
-codes: 0 success, 1 malformed arguments, 2 file or parse errors,
-3 internal invariant violation. Every subcommand is deterministic given
-its arguments, including seeds.
+All output is plain text or CSV on stdout; errors go to stderr, as does
+simulate's line per SNR point (frames, elapsed_s, frames_per_s and the
+95% Wilson interval on FER). Exit codes: 0 success, 1 malformed
+arguments, 2 file or parse errors, 3 internal invariant violation. Every
+subcommand is deterministic given its arguments, including seeds.
 """
 
 import argparse
@@ -206,6 +207,14 @@ def _cmd_decode(args):
     return 0
 
 
+def _wilson_interval(errors, frames, z=1.959963984540054):
+    """Wilson score interval (Wilson, JASA 1927) on errors / frames; 95% at the default z."""
+    p, z2 = errors / frames, z * z / frames
+    centre = (p + z2 / 2) / (1 + z2)
+    half = z * math.sqrt(p * (1 - p) / frames + z2 / (4 * frames)) / (1 + z2)
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
 def _cmd_simulate(args):
     code = load_code(args.code)
     config = SimConfig(
@@ -217,7 +226,12 @@ def _cmd_simulate(args):
         mode=args.mode,
         noiseless=args.noiseless,
     )
-    print(simulate(config).to_csv(), end="")
+    result = simulate(config)
+    print(result.to_csv(), end="")
+    for p in result.points:
+        low, high = _wilson_interval(p.frame_errors, p.frames)
+        print(f"ebn0_db={p.ebn0_db} frames={p.frames} elapsed_s={p.elapsed_s:.6f} frames_per_s="
+              f"{p.frames / max(p.elapsed_s, 1e-9):.1f} fer_ci95={low:.6g},{high:.6g}", file=sys.stderr)
     return 0
 
 

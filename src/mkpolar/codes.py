@@ -188,12 +188,12 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     scores a whole error, one within GENIE_TIE_TOL of 0 half an error:
     such a bit carries no information, whatever sign rounding gives it.
     The N - k positions with the highest scores are frozen, ties broken
-    toward the lower index. Frame f draws from its own generator, seeded
-    with (seed, f), so the result does not depend on how frames are
-    batched, and no two seeds share a frame's noise.
+    toward the lower index. Frame f draws from its own generator, exactly
+    np.random.default_rng([seed, f]), so the result does not depend on
+    how frames are batched, and no two seeds share a frame's noise.
     """
     from .decoder import BATCH_LLR_ENTRIES, decode_batch
-    from .simulation import awgn_llrs
+    from .simulation import _frame_generators, awgn_llrs
 
     kerns = _as_kernels(kernels)
     n = prod(kern.p for kern in kerns)
@@ -216,7 +216,7 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     scores = np.zeros(n, dtype=np.int64)
     batch = max(1, BATCH_LLR_ENTRIES // n)
     for start in range(0, frames, batch):
-        rngs = [np.random.default_rng([seed, f]) for f in range(start, min(frames, start + batch))]
+        rngs = _frame_generators((seed,), start, min(frames - start, batch))
         llrs = awgn_llrs(np.zeros((len(rngs), n), dtype=np.uint8), design_snr_db, rate, rngs)
         final = decode_batch(genie, llrs, "exact").final_llrs
         scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=0)

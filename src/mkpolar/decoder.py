@@ -104,7 +104,11 @@ class DecodeStats:
     ps_propagations[j-1] counts pushes of the completed stage-j matrix
     into stage j-1. ps_reads / ps_writes tally column accesses of each
     partial-sum matrix (stage 1 keeps a slot for the absent last column).
-    They are counted from the schedule, op by op.
+    They count the paper's schedule, op by op, not the bound program's
+    memory traffic: the program's tail decides into mem.decisions and
+    never writes the stage-s vector and partial sums that ps_writes[s-1],
+    ps_reads[s-1] and llr_updates[s-1] count, nor, under the look-ahead,
+    the stage-(s-1) vector that llr_updates[s-2] counts.
 
     After a full decode the counters follow closed forms that depend only
     on the kernel sizes p_1, ..., p_s:

@@ -3,9 +3,10 @@
 BPSK mapping is symbol = 1 - 2*bit; with Eb/N0 given in dB and code rate
 R = K/N the noise variance is sigma^2 = 1 / (2 * R * 10^(Eb/N0 / 10)) and
 the channel LLR of an observation y is 2*y / sigma^2, saturated to
-+-LLR_MAX. Frame f of SNR point n draws from a generator seeded with
-(seed, n, f), so results are reproducible and do not depend on how the
-frames are batched.
++-LLR_MAX. Frame f of SNR point n draws from exactly
+np.random.default_rng([seed, n, f]), so results do not depend on how the
+frames are batched; the generators of a batch come from one vectorized
+pass of numpy's SeedSequence hash (O'Neill's seed_seq_fe).
 """
 
 import time
@@ -18,6 +19,59 @@ from .codes import CodeSpec, encode
 from .decoder import BATCH_LLR_ENTRIES, decode_batch
 from .errors import InvalidRate, LengthMismatch, NonFiniteInput
 from .kernels import LLR_MAX, _is_whole, check_mode
+
+# numpy's SeedSequence: pool words, word mask and mix multipliers.
+_POOL, _M32, _MIX_L, _MIX_R = 4, 0xFFFFFFFF, np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash(x, const, mult=0x931E8875):
+    """One SeedSequence hash step on uint32 words; returns the next constant too."""
+    nxt = const * mult & _M32
+    x = (x ^ np.uint32(const)) * np.uint32(nxt)
+    return x ^ x >> np.uint32(16), nxt
+
+
+def _pcg64_seeds(words):
+    """SeedSequence(entropy).generate_state(4, np.uint64) of many entropies
+    at once, one row each; words[i] holds word i of every entropy."""
+    words = words + [np.zeros_like(words[0])] * (_POOL - len(words))
+    pool, c = [], 0x43B0D7E5
+    for w in words[:_POOL]:
+        h, c = _hash(w, c)
+        pool.append(h)
+    for src in range(len(words)):
+        for dst in range(_POOL):
+            if src != dst:
+                h, c = _hash(pool[src] if src < _POOL else words[src], c)
+                r = _MIX_L * pool[dst] - _MIX_R * h
+                pool[dst] = r ^ r >> np.uint32(16)
+    state, c = np.empty((len(words[0]), 2 * _POOL), "<u4"), 0x8B51F9DD
+    for i in range(2 * _POOL):
+        state[:, i], c = _hash(pool[i % _POOL], c, 0x58F38DED)
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+@dataclass
+class _Seeded(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 the four uint64 seed words its SeedSequence would generate."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _frame_generators(key, first: int, count: int) -> list:
+    """Generators equal to np.random.default_rng([*key, f]) for f in
+    first .. first + count - 1, seeded by one hash over the batch."""
+    if first < 1 << 32 < first + count:  # frames from 2**32 on take two words
+        split = (1 << 32) - first
+        return _frame_generators(key, first, split) + _frame_generators(key, 1 << 32, count - split)
+    head = [k >> b & _M32 for k in map(int, key) for b in range(0, max(k.bit_length(), 1), 32)]
+    frames = np.arange(first, first + count, dtype=np.uint64)
+    words = [np.full(count, w, np.uint32) for w in head] + [frames.astype(np.uint32)]
+    words += [(frames >> np.uint64(32)).astype(np.uint32)] if first >> 32 else []
+    return [np.random.Generator(np.random.PCG64(_Seeded(s))) for s in _pcg64_seeds(words)]
 
 
 def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool = False):
@@ -151,13 +205,12 @@ def simulate(config: SimConfig) -> SimResult:
         while frames < config.max_frames and frame_errors < target:
             batch = _batch_frames(frames, frame_errors, target)
             batch = min(batch, config.max_frames - frames, cap)
-            rngs = [
-                np.random.default_rng([config.seed, point_index, f])
-                for f in range(frames, frames + batch)
-            ]
+            rngs = _frame_generators((config.seed, point_index), frames, batch)
             u = np.zeros((batch, code.N), dtype=np.uint8)
             if k:
-                u[:, info] = [rng.integers(0, 2, size=k, dtype=np.uint8) for rng in rngs]
+                # as integers(0, 2, k, uint8): the top bits of the first k raw bytes
+                raw = np.array([rng.bit_generator.random_raw(-(-k // 8)) for rng in rngs])
+                u[:, info] = raw.astype("<u8", copy=False).view(np.uint8)[:, :k] >> 7
             llrs = awgn_llrs(encode(code, u), ebn0_db, rate, rngs, noiseless=config.noiseless)
             u_hat = decode_batch(code, llrs, config.mode).u_hat
             wrong = np.count_nonzero(u_hat[:, info] != u[:, info], axis=1)

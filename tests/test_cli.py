@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from mkpolar import load_code
-from mkpolar.cli import MAX_SNR_POINTS, _snr_arg, run
+from mkpolar.cli import MAX_SNR_POINTS, _snr_arg, _wilson_interval, run
 
 PAPER_TABLE = """\
 N,s,kernels,llr_prop,llr_naive,ps_prop,ps_naive,total_bits_q6
@@ -178,6 +178,39 @@ def test_simulate_sweep(capsys, tmp_path):
     assert [row.split(",")[0] for row in lines[1:]] == ["0.0", "2.0", "4.0"]
     again = invoke(capsys, *args)
     assert again[1] == out
+
+
+@pytest.mark.parametrize("errors,frames,low,high", [
+    (0, 10, 0.0, 0.27753279986288915),
+    (100, 405, 0.20742501751160505, 0.29115812375952754),
+])
+def test_wilson_interval(errors, frames, low, high):
+    got = _wilson_interval(errors, frames)
+    assert got == pytest.approx((low, high), abs=1e-12)
+    # each end p solves (errors / frames - p)^2 = z^2 p (1 - p) / frames
+    z2 = 1.959963984540054 ** 2
+    for p in got:
+        assert (errors / frames - p) ** 2 == pytest.approx(z2 * p * (1 - p) / frames, abs=1e-15)
+
+
+def test_simulate_reports_each_point_on_stderr(capsys, tmp_path):
+    path = make_code_file(capsys, tmp_path)
+    args = ("simulate", "--code", str(path), "--snr", "0,3",
+            "--max-frames", "400", "--target-errors", "20", "--seed", "2")
+    status, out, err = invoke(capsys, *args)
+    assert status == 0
+    rows = [row.split(",") for row in out.strip().split("\n")[1:]]
+    lines = err.strip().split("\n")
+    assert len(lines) == len(rows) == 2
+    for row, line in zip(rows, lines):
+        fields = dict(item.split("=") for item in line.split())
+        assert list(fields) == ["ebn0_db", "frames", "elapsed_s", "frames_per_s", "fer_ci95"]
+        assert fields["ebn0_db"] == row[0] and fields["frames"] == row[1]
+        assert float(fields["elapsed_s"]) > 0 and float(fields["frames_per_s"]) > 0
+        low, high = map(float, fields["fer_ci95"].split(","))
+        assert low < float(row[4]) < high
+    # stdout does not depend on the timing that stderr reports
+    assert invoke(capsys, *args)[1] == out
 
 
 def test_simulate_snr_comma_list_and_noiseless(capsys, tmp_path):

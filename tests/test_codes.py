@@ -21,6 +21,7 @@ from mkpolar import (
     parse_code_file,
     save_code,
 )
+from mkpolar import simulation
 from oracles import (
     TooLarge,
     digits_to_index,
@@ -262,15 +263,16 @@ def test_construct_counts_genie_ties_as_half_errors():
 
 def test_construct_seeds_share_no_frame(monkeypatch):
     # Frame f used to draw from seed + f, so seeds 0 and 1 shared the
-    # noise of all but one of their frames.
-    real_default_rng = np.random.default_rng
+    # noise of all but one of their frames. Frame f's generator is
+    # default_rng([*key, f]), so the keys it is built from are recorded.
+    real_frame_generators = simulation._frame_generators
     requested = []
 
-    def recording_default_rng(seed=None):
-        requested[-1].add(tuple(np.atleast_1d(seed).tolist()))
-        return real_default_rng(seed)
+    def recording_frame_generators(key, first, count):
+        requested[-1].update((*key, f) for f in range(first, first + count))
+        return real_frame_generators(key, first, count)
 
-    monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+    monkeypatch.setattr(simulation, "_frame_generators", recording_frame_generators)
     for seed in (0, 1):
         requested.append(set())
         construct_frozen_mc(BASES_223, 6, 1.0, 20, seed)

@@ -13,6 +13,7 @@ from mkpolar import (
     NonFiniteInput,
     SimConfig,
     awgn_llrs,
+    construct_frozen_mc,
     decode,
     encode,
     simulate,
@@ -131,6 +132,63 @@ def test_simulate_counts_do_not_depend_on_batching(monkeypatch, batch):
     assert per_frame_counts(configs[0])[0][0] == 36
     assert per_frame_counts(configs[1])[0][0] == 6
     assert per_frame_counts(configs[2])[0][0] == 30
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**70 + 3])
+def test_frame_generators_equal_default_rng(seed):
+    # Keys of one and of several uint32 words, and a frame window that
+    # straddles 2**32, where a frame's entropy grows from one word to two.
+    for key in [(seed,)] + [(seed, point) for point in (0, 1, 1000)]:
+        for first, count in ((0, 5), (2**32 - 2, 4)):
+            gens = simulation._frame_generators(key, first, count)
+            assert len(gens) == count
+            for f, gen in zip(range(first, first + count), gens):
+                ref = np.random.default_rng([*key, f])
+                where = (key, f)
+                assert np.array_equal(gen.bit_generator.random_raw(7), ref.bit_generator.random_raw(7)), where
+                assert np.array_equal(gen.normal(0.0, 1.5, 13), ref.normal(0.0, 1.5, 13)), where
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 1])
+def test_simulate_message_bits_equal_integers(monkeypatch, seed):
+    # simulate draws its message bits as raw words; they must be exactly
+    # what integers(0, 2, k, uint8) gives frame f's generator.
+    drawn = []
+    real_encode = simulation.encode
+
+    def recording_encode(code, u):
+        drawn.append(u.copy())
+        return real_encode(code, u)
+
+    monkeypatch.setattr(simulation, "encode", recording_encode)
+    for k in range(1, 71):
+        code = CodeSpec((2, 2, 2, 3, 3), range(k, 72))
+        drawn.clear()
+        simulate(SimConfig(code, (1.0,), max_frames=3, target_frame_errors=10, seed=seed))
+        u = np.concatenate(drawn)
+        for f in range(3):
+            want = np.random.default_rng([seed, 0, f]).integers(0, 2, k, dtype=np.uint8)
+            assert np.array_equal(u[f, :k], want), (k, f)
+            assert not u[f, k:].any()
+
+
+def test_no_per_frame_seeding(monkeypatch):
+    # Building a generator per frame from its seed costs about 20 times
+    # the decode of a small frame; simulate and construction hash the
+    # seeds of a whole batch at once instead.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-frame seeding")
+
+    class NoIntegers(np.random.Generator):
+        integers = forbidden
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    monkeypatch.setattr(np.random, "Generator", NoIntegers)
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    result = simulate(SimConfig(code, (0.0, 3.0), max_frames=300, target_frame_errors=20, seed=5))
+    assert sum(p.frames for p in result.points) > 40
+    assert len(construct_frozen_mc((2, 2, 3), 6, 1.0, 50, 5)) == 6
 
 
 def test_sim_config_validation():
