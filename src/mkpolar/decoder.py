@@ -65,8 +65,14 @@ codeword, for kernels of size 2 and 3, which covers every built-in
 code: the look-ahead reads only values that the tail of the last stage
 alone computes, by the same pass. A kernel of size 4 or more sums longer
 runs, which numpy and BLAS may add in another order in another layout
-or at another F, so its results agree up to rounding. A call takes its
-program out of the cache while it runs and returns copies.
+or at another F, so its results agree up to rounding.
+
+A call takes its program out of the cache while it runs and returns
+copies. The cache keeps one idle program per kernel sequence and F, for
+batches of at most BATCH_LLR_ENTRIES LLR entries (F * N), so callers that
+alternate batch sizes bind each size once. After each binding it drops the
+least recently used programs until the rest hold at most twice that many
+entries.
 """
 
 from dataclasses import dataclass
@@ -77,7 +83,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .errors import LengthMismatch
-from .kernels import check_llrs, check_mode, gather_steps, llr_candidate_steps, llr_gather_steps
+from .kernels import as_llrs, check_llrs, check_mode, gather_steps, llr_candidate_steps, llr_gather_steps
 from .memory import allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
@@ -194,6 +200,7 @@ class Schedule:
 
 
 _SCHEDULES = {}
+# idle programs by (kernel key, F), least recently used first
 _PROGRAMS = {}
 
 
@@ -371,7 +378,8 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     channel_llrs : array_like
         (F, N) LLRs, one frame per row in natural codeword order,
         positive favoring bit 0, each at most 1e300 in magnitude:
-        larger ones, NaN and inf raise NonFiniteInput.
+        larger ones, NaN and inf raise NonFiniteInput, and complex ones
+        ValueError.
     mode : str
         "exact" marginalizes with log-sum-exp, "minsum" with max.
 
@@ -384,22 +392,37 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     All are fresh arrays.
     """
     check_mode(mode)
-    llrs = np.asarray(channel_llrs, dtype=np.float64)
+    llrs = as_llrs(channel_llrs, "channel LLRs")
     if llrs.ndim != 2 or llrs.shape[1] != code.N:
         raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
     check_llrs(llrs, "channel LLRs")
     # checked out, so that no other call runs on this memory meanwhile
-    key = _kernel_key(code)
+    key = (_kernel_key(code), len(llrs))
     program = _PROGRAMS.pop(key, None)
-    if program is None or program.frames != len(llrs):
+    bound = program is None
+    if bound:
         program = _Program(code, len(llrs))
     try:
         program.run(code, llrs, mode)
         mem, stats = program.mem, program.schedule.stats
         return DecodeResult(mem.decisions.copy(), program.final_llrs.T.copy(), stats.copy())
     finally:
-        if program.frames * code.N <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
-            _PROGRAMS[key] = program
+        if program.final_llrs.size <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
+            _PROGRAMS[key] = program  # now the most recently used
+            if bound:
+                _evict()
+
+
+def _evict():
+    """Drop the least recently used idle programs until the rest hold at
+    most 2 * BATCH_LLR_ENTRIES LLR entries (F * N each)."""
+    sizes = [(key, program.final_llrs.size) for key, program in list(_PROGRAMS.items())]
+    excess = sum(size for _, size in sizes) - 2 * BATCH_LLR_ENTRIES
+    for key, size in sizes:
+        if excess <= 0:
+            break
+        _PROGRAMS.pop(key, None)  # another call may hold it meanwhile
+        excess -= size
 
 
 def decode(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
@@ -409,7 +432,7 @@ def decode(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
     ----------
     code : CodeSpec
     channel_llrs : array_like
-        N LLRs, positive favoring bit 0, each at most 1e300 in magnitude.
+        N real LLRs, positive favoring bit 0, each at most 1e300 in magnitude.
     mode : str
         "exact" marginalizes with log-sum-exp, "minsum" with max.
 
@@ -418,5 +441,5 @@ def decode(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
     DecodeResult with the N hard decisions, the decision LLR observed
     for every bit, and the update counters.
     """
-    result = decode_batch(code, np.asarray(channel_llrs, dtype=np.float64)[None], mode)
+    result = decode_batch(code, np.asarray(channel_llrs)[None], mode)
     return DecodeResult(u_hat=result.u_hat[0], final_llrs=result.final_llrs[0], stats=result.stats)

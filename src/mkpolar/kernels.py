@@ -153,6 +153,15 @@ def check_mode(mode):
         raise ValueError(f"unknown mode {mode!r}")
 
 
+def as_llrs(llrs, what):
+    """llrs as a float64 array; ValueError if complex, whose imaginary part
+    the cast would drop."""
+    llrs = np.asarray(llrs)
+    if llrs.dtype.kind == "c":
+        raise ValueError(f"{what} must be real, got {llrs.dtype}")
+    return llrs.astype(np.float64, copy=False)
+
+
 def check_llrs(llrs, what):
     """Raise NonFiniteInput unless every |LLR| is at most LLR_LIMIT (so NaN fails)."""
     if not (np.abs(llrs) <= LLR_LIMIT).all():
@@ -267,13 +276,13 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     Raises IndexOutOfRange unless i is a whole number in [0, p) (1.0
     counts as 1), LengthMismatch for other shapes, NonFiniteInput for
     LLRs that are NaN or above 1e300 in magnitude and ValueError for
-    known bits other than 0 and 1.
+    complex LLRs and for known bits other than 0 and 1.
     """
     check_mode(mode)
     if not (_is_whole(i) and 0 <= i < kernel.p):
         raise IndexOutOfRange(f"bit index {i!r} is not an integer in [0, {kernel.p})")
     i = int(i)
-    llr_rows = np.asarray(llr_rows, dtype=np.float64)
+    llr_rows = as_llrs(llr_rows, "kernel output LLRs")
     if llr_rows.shape[-1:] != (kernel.p,):
         raise LengthMismatch(f"expected {kernel.p} output LLRs per block, got shape {llr_rows.shape}")
     check_llrs(llr_rows, "kernel output LLRs")

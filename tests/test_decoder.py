@@ -13,11 +13,14 @@ from mkpolar import (
     KernelMatrix,
     LengthMismatch,
     NonFiniteInput,
+    SimConfig,
     allocate,
     channel_permutation,
+    construct_frozen_mc,
     decode,
     decode_batch,
     encode,
+    simulate,
 )
 import mkpolar.decoder
 from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _Program, schedule_of
@@ -290,8 +293,9 @@ def test_both_tail_bindings_match_reference_executor(binding, mode):
         assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, (binding, bases))
         for f in range(len(llrs)):
             assert_same_as_reference(decode(code, llrs[f], mode), code, llrs[f], mode, (binding, bases, f))
-        program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code)]
-        assert program.lookahead == (binding == "look-ahead" and len(bases) > 1), bases
+        for frames in (len(llrs), 1):
+            program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+            assert program.lookahead == (binding == "look-ahead" and len(bases) > 1), (bases, frames)
     for bases in ((2, 2, 3), (2, 2, 2, 2, 3, 3)):
         n = int(np.prod(bases))
         code = CodeSpec(bases, rng.choice(n, n // 2, replace=False))
@@ -330,7 +334,7 @@ def test_bound_program_matches_reference_executor_at_972(mode):
     z = np.random.default_rng(1).standard_normal(code.N)
     llrs = np.clip(2.0 * (1.0 + 0.8 * z) / 0.64, -LLR_MAX, LLR_MAX)
     assert_same_as_reference(decode(code, llrs, mode), code, llrs, mode, mode)
-    assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code)].lookahead
+    assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), 1].lookahead
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -437,8 +441,8 @@ def test_warm_decode_allocates_little():
 def test_decode_results_are_fresh_arrays():
     code = CodeSpec((2, 2, 3), (0, 1, 2))
     rng = np.random.default_rng(41)
-    for run in (decode, decode_batch):
-        shape = (12,) if run is decode else (3, 12)
+    for run, frames in ((decode, 1), (decode_batch, 3)):
+        shape = (12,) if run is decode else (frames, 12)
         first = run(code, rng.uniform(-3, 3, shape))
         kept = (first.u_hat.copy(), first.final_llrs.copy(), first.stats.copy())
         second = run(code, rng.uniform(-3, 3, shape))
@@ -446,7 +450,7 @@ def test_decode_results_are_fresh_arrays():
         assert np.array_equal(first.u_hat, kept[0])
         assert np.array_equal(first.final_llrs, kept[1])
         assert first.stats.llr_updates.tolist() == kept[2].llr_updates.tolist()
-        mem = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code)].mem
+        mem = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames].mem
         arrays = lambda r: [r.u_hat, r.final_llrs, r.stats.llr_updates, r.stats.ps_propagations,
                             *r.stats.ps_reads, *r.stats.ps_writes]
         for x in arrays(first):
@@ -457,16 +461,19 @@ def test_decode_results_are_fresh_arrays():
 def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
     # A program skips rebuilding its thresholds only while it decodes the
     # same read-only frozen mask: code A, then B with the same kernels,
-    # then A again must each decode with their own frozen set.
+    # then A again must each decode with their own frozen set, also when
+    # calls at another F, on a program with its own mask, come between.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     a, b = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6)), CodeSpec((2, 2, 3), (0, 1, 2, 5, 8, 9))
     llrs = np.random.default_rng(61).uniform(-3, 3, (3, 12))
-    for run, frames in ((decode_batch, llrs), (decode, llrs[0])):
-        programs = set()
-        for code in (a, b, a, a):
-            assert_same_as_reference(run(code, frames), code, frames, "exact", (run, code.frozen))
-            programs.add(id(mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code)]))
-        assert len(programs) == 1  # one program decoded all four
+    calls = ((decode_batch, llrs, 3), (decode, llrs[0], 1))
+    for order in (calls, calls[::-1]):
+        programs = {1: set(), 3: set()}
+        for code in (a, b, a, a, b):
+            for run, frames, f in order:
+                assert_same_as_reference(run(code, frames), code, frames, "exact", (run, code.frozen))
+                programs[f].add(id(mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), f]))
+        assert len(programs[1]) == len(programs[3]) == 1  # one program per F decoded all five
 
 
 def test_frame_count_changes_rebind_the_program(monkeypatch):
@@ -487,10 +494,74 @@ def test_only_batches_up_to_the_entry_cap_stay_bound(monkeypatch):
     cap = mkpolar.decoder.BATCH_LLR_ENTRIES // CODE_223.N
     key = mkpolar.decoder._kernel_key(CODE_223)
     decode_batch(CODE_223, np.ones((cap, 12)))
-    assert mkpolar.decoder._PROGRAMS[key].frames == cap
+    assert mkpolar.decoder._PROGRAMS[key, cap].frames == cap
     # a larger batch runs on memory of its own, freed when it returns
     decode_batch(CODE_223, np.ones((cap + 1, 12)))
-    assert key not in mkpolar.decoder._PROGRAMS
+    assert (key, cap + 1) not in mkpolar.decoder._PROGRAMS
+    assert list(mkpolar.decoder._PROGRAMS) == [(key, cap)]
+
+
+def counting_binds(monkeypatch):
+    """The (kernel key, F) of every program bound from here on."""
+    binds = []
+    real_init = _Program.__init__
+
+    def init(self, code, frames):
+        binds.append((mkpolar.decoder._kernel_key(code), frames))
+        real_init(self, code, frames)
+
+    monkeypatch.setattr(_Program, "__init__", init)
+    return binds
+
+
+def test_alternating_frame_counts_bind_each_once(monkeypatch):
+    # single-frame decodes between 40-frame construction batches of the
+    # same kernels, as one benchmark round makes them
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    binds = counting_binds(monkeypatch)
+    code = CodeSpec((2, 2, 2, 2, 3, 3), range(0, 144, 2))
+    rng = np.random.default_rng(71)
+    for frames in (1, 40, 1, 40, 1):
+        llrs = rng.normal(1.0, 2.0, (frames, code.N))
+        assert_same_as_reference(decode_batch(code, llrs), code, llrs, "exact", frames)
+    assert binds == [(mkpolar.decoder._kernel_key(code), 1), (mkpolar.decoder._kernel_key(code), 40)]
+
+
+def test_repeated_runs_bind_nothing(monkeypatch):
+    # A run binds once per distinct batch size; the same run again finds
+    # every program it needs in the cache.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    config = SimConfig(CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6)), (0.0, 4.0), max_frames=300,
+                       target_frame_errors=10, seed=3)
+    construct = ((2, 2, 2, 2, 3, 3), 72, 1.0, 40, 0)
+    first = simulate(config).to_csv(), construct_frozen_mc(*construct)
+    binds = counting_binds(monkeypatch)
+    assert (simulate(config).to_csv(), construct_frozen_mc(*construct)) == first
+    assert binds == []
+
+
+def test_cache_evicts_least_recently_used_within_its_entry_budget(monkeypatch):
+    # Idle programs stay per (kernel key, F). After each binding the least
+    # recently used go until the rest hold at most 2 * BATCH_LLR_ENTRIES
+    # LLR entries (F * N each); a hit makes a program the most recent.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    cache = mkpolar.decoder._PROGRAMS
+    cap = mkpolar.decoder.BATCH_LLR_ENTRIES // 12
+    codes = {"A": CODE_223, "B": CodeSpec((3, 2, 2))}
+    calls = [("A", cap, ["A cap"]),
+             ("A", 2000, ["A cap", "A 2000"]),
+             ("B", 2000, ["A cap", "A 2000", "B 2000"]),
+             ("A", cap, ["A 2000", "B 2000", "A cap"]),  # a hit
+             ("A", 1500, ["B 2000", "A cap", "A 1500"]),
+             ("A", cap + 1, ["B 2000", "A cap", "A 1500"]),  # never kept
+             ("B", 3000, ["A cap", "A 1500", "B 3000"])]
+    names = {(mkpolar.decoder._kernel_key(code), f): f"{name} {'cap' if f == cap else f}"
+             for name, code in codes.items() for f in (cap, 1500, 2000, 3000)}
+    for name, frames, kept in calls:
+        decode_batch(codes[name], np.ones((frames, 12)))
+        assert [names[key] for key in cache] == kept, (name, frames)
+        assert sum(key[1] * 12 for key in cache) <= 2 * mkpolar.decoder.BATCH_LLR_ENTRIES
+        assert all(program.frames == key[1] for key, program in cache.items())
 
 
 def test_a_call_made_during_a_decode_gets_its_own_program(monkeypatch):
@@ -525,6 +596,13 @@ def test_bad_arguments_fail_before_any_binding(monkeypatch):
         decode(CODE_223, np.zeros(11))
     with pytest.raises(NonFiniteInput):
         decode_batch(CODE_223, bad[None])
+    # complex LLRs would decode their real part, after a ComplexWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run, llrs in ((decode, np.ones(12) + 0.5j), (decode, [1j] * 12),
+                          (decode_batch, np.ones((2, 12), np.complex64))):
+            with pytest.raises(ValueError, match="real"):
+                run(CODE_223, llrs)
 
 
 def test_decode_batch_validation():

@@ -267,6 +267,10 @@ def test_update_argument_validation():
         llr_kernel_batch(k3, 1, [[1.0, 2.0, 3.0]], [[2]])
     with pytest.raises(ValueError, match="0 or 1"):
         llr_kernel_batch(k3, 1, [[1.0, 2.0, 3.0]], [[-1]], "minsum")
+    # the real part alone would pass as a plausible update
+    for rows in ([1.0 + 2j, 1.0], np.ones((3, 2), np.complex128)):
+        with pytest.raises(ValueError, match="real"):
+            llr_kernel_batch(k2, 0, rows, np.zeros(np.shape(rows)[:-1] + (0,)))
 
 
 def test_batch_matches_scalar():
