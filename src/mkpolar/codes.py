@@ -23,7 +23,7 @@ from .errors import (
     LengthMismatch,
     UnsupportedKernelSize,
 )
-from .kernels import KernelMatrix, _is_whole, builtin_kernel
+from .kernels import KernelMatrix, _is_whole, builtin_kernel, product_steps
 
 
 def _kernel_size(k):
@@ -152,26 +152,27 @@ def encode(code: CodeSpec, u):
     """Encode input vectors: return x = u * G_N over GF(2).
 
     ``u`` is one length-N input vector, or an (F, N) batch of them, one
-    per row. The Kronecker structure is applied one kernel at a time; the
-    full generator matrix is never materialized. Frozen positions of u
-    must be zero (FrozenViolation otherwise). Output is in natural order,
-    with the shape of u.
+    per row. Each kernel in turn is applied by kernels.product_steps on an
+    (F * A, B, p) view; the generator matrix is never materialized. Frozen
+    positions of u must be zero (FrozenViolation otherwise). Output is a
+    fresh C-contiguous uint8 array in natural order, with the shape of u.
     """
     u = np.asarray(u)
     if u.ndim not in (1, 2) or u.shape[-1] != code.N:
         raise LengthMismatch(f"expected {code.N} input bits per row, got shape {u.shape}")
     if not np.isin(u, (0, 1)).all():
         raise ValueError("input bits must be 0 or 1")
-    u = u.astype(np.uint8)
+    u = u.astype(np.uint8, order="C")  # a copy, also of uint8 input
     if u[..., code.frozen_mask].any():
         bad = int(np.flatnonzero(u & code.frozen_mask)[0]) % code.N
         raise FrozenViolation(f"nonzero bit on frozen position {bad}")
-    lead = u.ndim - 1
-    t = u.reshape(u.shape[:lead] + code.bases)
-    for axis, kern in enumerate(code.kernels, start=lead):
-        t = np.tensordot(t, kern.rows, axes=([axis], [0]))
-        t = np.moveaxis(t, -1, axis) % 2
-    return np.ascontiguousarray(t.reshape(u.shape), dtype=np.uint8)
+    x, y, inner = u, np.empty_like(u), code.N
+    for kern in code.kernels:  # stage views (F * A, B, p), A * p * B = N
+        inner //= kern.p
+        for fn, args in product_steps(kern, *(t.reshape(-1, kern.p, inner).swapaxes(1, 2) for t in (x, y))):
+            fn(*args)
+        x, y = y, x
+    return x
 
 
 # A genie-aided decision LLR within this distance of 0 is a tie.
@@ -193,7 +194,7 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     how frames are batched, and no two seeds share a frame's noise.
     """
     from .decoder import BATCH_LLR_ENTRIES, decode_batch
-    from .simulation import _frame_generators, awgn_llrs
+    from .simulation import _frame_generators, _noise_variance, awgn_llrs
 
     kerns = _as_kernels(kernels)
     n = prod(kern.p for kern in kerns)
@@ -207,12 +208,13 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
         raise ValueError("frames must be at least 1")
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    rate = k / n if k else 1.0
+    _noise_variance(design_snr_db, rate)  # NonFiniteInput before any frame
     if k == n:
         return ()
     if k == 0:
         return tuple(range(n))
     genie = CodeSpec(kerns, range(n))
-    rate = k / n
     scores = np.zeros(n, dtype=np.int64)
     batch = max(1, BATCH_LLR_ENTRIES // n)
     for start in range(0, frames, batch):

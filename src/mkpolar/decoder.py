@@ -18,11 +18,11 @@ holds F frames:
   decides 0). Unless i is the last bit, store the decision in column
   c = b_s of the stage-s matrix.
 - PROPAGATE (j, c): push the completed stage-j matrix through its
-  kernel. Row k of stage j maps to rows k*p_j .. k*p_j + p_j - 1 of
-  stage j-1, landing in column c = b_{j-1}. After bit i this happens
-  for each stage j of the trailing run of digits b_j = p_j - 1, from
-  stage s outwards. Nothing propagates after the last bit, which is why
-  the stage-1 matrix never needs its final column.
+  kernel (kernels.product_steps). Row k of stage j maps to rows k*p_j ..
+  k*p_j + p_j - 1 of stage j-1, in column c = b_{j-1}. After bit i this
+  happens for each stage j of the trailing run of digits b_j = p_j - 1,
+  from stage s outwards. Nothing propagates after the last bit, which is
+  why the stage-1 matrix never needs its final column.
 
 decode_batch runs the schedule on the stage memory that memory.allocate
 builds for F frames, and decode is its F = 1 case. The schedule is bound
@@ -55,8 +55,8 @@ costs more than the calls it saves, and for s = 1, the one history is
 the stage-(s-1) vector itself. Each bit is then a matmul of the block's
 decisions so far into an index, an add of frame offsets when F > 1, a
 take into its final-LLR row and a less into mem.decisions. After the
-block's last bit, unless it ends the code, one product with T_s fills
-their columns of stage s-1's partial-sum matrix. So no tail stage's
+block's last bit, unless it ends the code, one kernel product with T_s
+fills their columns of stage s-1's partial-sum matrix. So no tail stage's
 vector is written, nor stage s's partial-sum matrix.
 
 Results are bit for bit those of the block-major update rule, one
@@ -71,8 +71,8 @@ A call takes its program out of the cache while it runs and returns
 copies. The cache keeps one idle program per kernel sequence and F, for
 batches of at most BATCH_LLR_ENTRIES LLR entries (F * N), so callers that
 alternate batch sizes bind each size once. After each binding it drops the
-least recently used programs until the rest hold at most twice that many
-entries.
+least recently used programs until the rest charge at most three times that
+many: F * N plus 5 per bound step each, as steps hold most bytes at small F.
 """
 
 from dataclasses import dataclass
@@ -83,13 +83,11 @@ import numpy as np
 
 from .codes import CodeSpec
 from .errors import LengthMismatch
-from .kernels import as_llrs, check_llrs, check_mode, gather_steps, llr_candidate_steps, llr_gather_steps
+from .kernels import (as_llrs, check_llrs, check_mode, gather_steps, llr_candidate_steps, llr_gather_steps,
+                      product_steps)
 from .memory import allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
-# parity mask for PROPAGATE: a uint8 array operand costs less per call
-# than the Python int 1
-_ONE = np.ones(1, dtype=np.uint8)
 
 # Most LLR entries (frames x N) that construction and simulation put into
 # one decode_batch call.
@@ -321,7 +319,7 @@ class _Program:
             return llr_gather_steps(b, self.tables[a - 1], self.known[a - 1], llr[a].reshape(-1), self.index, self.offsets)
         source, target = ps[a - 1], ps[a - 2]
         target = target.reshape(source.shape + target.shape[-1:])[..., b]
-        return [(np.matmul, (source, kernel.rows, target)), (np.bitwise_and, (target, _ONE, target))]
+        return product_steps(kernel, source, target)
 
     def _bind_tail(self, a, b):
         """DECIDE bit a, bit r of its tail block, from its candidate in
@@ -336,9 +334,8 @@ class _Program:
         if r == size - 1 and b >= 0:  # the block's last bit, not the code's
             p = self.leaf.p
             leaves, c = size // p, (a - r) // p % self.bases[-2]
-            words = decisions[:, a - r : a + 1].reshape(self.frames, leaves, p).transpose(0, 2, 1)
-            target = self.mem.ps[-2][..., c : c + leaves]
-            steps += [(np.matmul, (self.leaf.rows.T, words, target)), (np.bitwise_and, (target, _ONE, target))]
+            words = decisions[:, a - r : a + 1].reshape(self.frames, leaves, p)
+            steps += product_steps(self.leaf, words, self.mem.ps[-2][..., c : c + leaves].swapaxes(1, 2))
         return steps
 
     def steps(self, mode):
@@ -414,10 +411,12 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
 
 
 def _evict():
-    """Drop the least recently used idle programs until the rest hold at
-    most 2 * BATCH_LLR_ENTRIES LLR entries (F * N each)."""
-    sizes = [(key, program.final_llrs.size) for key, program in list(_PROGRAMS.items())]
-    excess = sum(size for _, size in sizes) - 2 * BATCH_LLR_ENTRIES
+    """Drop the least recently used idle programs until the rest charge at most
+    3 * BATCH_LLR_ENTRIES, each its F * N LLR entries (about 100 B each) and 5
+    per bound step (440-720 B each): room for two capped programs of any code."""
+    sizes = [(key, program.final_llrs.size + 5 * sum(map(len, program._bound.values())))
+             for key, program in list(_PROGRAMS.items())]
+    excess = sum(size for _, size in sizes) - 3 * BATCH_LLR_ENTRIES
     for key, size in sizes:
         if excess <= 0:
             break

@@ -1,11 +1,11 @@
 """Polarization kernels and their LLR update rules.
 
 A kernel of size p is a nonsingular binary p x p matrix T. A kernel block
-maps an input bit row-vector u to the output x = u * T over GF(2). During
-successive-cancellation decoding the block is consumed one input bit at a
-time: with the first i input bits known and LLRs attached to the p outputs,
-the LLR of input bit i is obtained by exact marginalization over the
-remaining p - 1 - i input bits,
+maps an input bit row-vector u to the output x = u * T over GF(2), which
+product_steps forms for encoding and partial sums alike. During SC
+decoding the block is consumed one input bit at a time: with the first i
+input bits known and LLRs attached to the p outputs, the LLR of input bit
+i is obtained by exact marginalization over the remaining p - 1 - i bits,
 
     l_i = ln sum_{u_i = 0} exp(m(x)) - ln sum_{u_i = 1} exp(m(x)),
 
@@ -41,6 +41,7 @@ LLR_MAX = 40.0
 # kernel the package can build it stays finite.
 LLR_LIMIT = 1e300
 
+_ONE = np.ones(1, dtype=np.uint8)  # parity mask: cheaper per call than the int 1
 _T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 _T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
 
@@ -142,6 +143,11 @@ def builtin_kernel(p: int) -> KernelMatrix:
     if p not in _BUILTIN:
         _BUILTIN[p] = KernelMatrix(_T2 if p == 2 else _T3)
     return _BUILTIN[p]
+
+
+def product_steps(kernel: KernelMatrix, words, out):
+    """Steps writing uint8 ``words @ kernel.rows`` mod 2 into ``out`` (maybe strided), kernel axis last."""
+    return [(np.matmul, (words, kernel.rows, out)), (np.bitwise_and, (out, _ONE, out))]
 
 
 MODES = ("exact", "minsum")
@@ -251,8 +257,6 @@ def llr_gather_steps(i, table, known, out, index, offsets):
     gather_steps. The steps copy into ``out[r]`` the candidate of block r
     under its prefix v: flat entry 2 R v + r of the table rows of bit i.
     """
-    if not i:
-        return [(np.copyto, (out, table[0]))]
     choices = table[2 * ((1 << i) - 1) : 2 * ((2 << i) - 1)].reshape(-1)
     weights = (2 * len(out)) << np.arange(i - 1, -1, -1, dtype=np.int64)
     return gather_steps(choices, known[:, :i], weights, out, index, offsets)

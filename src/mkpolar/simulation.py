@@ -74,6 +74,17 @@ def _frame_generators(key, first: int, count: int) -> list:
     return [np.random.Generator(np.random.PCG64(_Seeded(s))) for s in _pcg64_seeds(words)]
 
 
+def _noise_variance(ebn0_db, rate):
+    """sigma^2 at ebn0_db dB and rate; NonFiniteInput unless it and 2 / sigma^2 are finite and positive."""
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
+    except (OverflowError, ZeroDivisionError):  # 10 ** (Eb/N0 / 10) overflows or is 0
+        sigma2 = 0.0
+    if not (0.0 < sigma2 < np.inf and 2.0 / sigma2 < np.inf):
+        raise NonFiniteInput(f"Eb/N0 of {ebn0_db} dB gives no finite noise variance and LLR scale")
+    return sigma2
+
+
 def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool = False):
     """Transmit codewords over BPSK/AWGN and return channel LLRs.
 
@@ -82,19 +93,18 @@ def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool =
     then draws its noise from ``rng[f]`` alone, exactly as the single
     codeword would. With ``noiseless`` the channel is bypassed and each
     bit maps straight to +-LLR_MAX with the sign of its BPSK symbol.
-    Bits other than 0 and 1 raise ValueError.
+    Bits other than 0 and 1 raise ValueError, and an Eb/N0 with no finite
+    positive sigma^2 and 2 / sigma^2 (such as NaN or 4000 dB) NonFiniteInput.
     """
     bits = np.asarray(codeword_bits)
     if not np.isin(bits, (0, 1)).all():
         raise ValueError("codeword bits must be 0 or 1")
     if not 0.0 < rate <= 1.0:
         raise InvalidRate(f"rate {rate} outside (0, 1]")
-    if not np.isfinite(ebn0_db):
-        raise NonFiniteInput(f"Eb/N0 of {ebn0_db} dB is not finite")
+    sigma2 = _noise_variance(ebn0_db, rate)
     symbols = 1.0 - 2.0 * bits
     if noiseless:
         return symbols * LLR_MAX
-    sigma2 = 1.0 / (2.0 * rate * 10.0 ** (ebn0_db / 10.0))
     scale = np.sqrt(sigma2)
     if isinstance(rng, np.random.Generator):
         noise = rng.normal(0.0, scale, size=bits.shape)
@@ -126,8 +136,8 @@ class SimConfig:
         self.snr_points_db = tuple(float(x) for x in self.snr_points_db)
         if not self.snr_points_db:
             raise ValueError("at least one SNR point is required")
-        if not np.isfinite(self.snr_points_db).all():
-            raise NonFiniteInput(f"SNR points {self.snr_points_db} are not all finite")
+        for ebn0_db in self.snr_points_db:
+            _noise_variance(ebn0_db, self.code.K / self.code.N if self.code.K else 1.0)
         for name in ("max_frames", "target_frame_errors", "seed"):
             value = getattr(self, name)
             if not _is_whole(value):

@@ -252,6 +252,18 @@ def test_non_finite_snr_exits_one(capsys, tmp_path):
         assert status == 1 and out == ""
 
 
+def test_extreme_finite_snr_exits_two(capsys, tmp_path):
+    # finite, but with no finite noise variance: this used to exit 3 with
+    # "internal error:"
+    path = make_code_file(capsys, tmp_path)
+    for snr in ("4000", "-4000", "-3230"):
+        status, out, err = invoke(capsys, "construct", "--kernels", "2,2,3", "--k", "6",
+                                  f"--snr={snr}", "--frames", "10")
+        assert status == 2 and out == "" and err.startswith("error:") and "finite" in err
+        status, out, err = invoke(capsys, "simulate", "--code", str(path), f"--snr=0,{snr}")
+        assert status == 2 and out == "" and err.startswith("error:") and "finite" in err
+
+
 def test_snr_sweep_is_capped(capsys, tmp_path):
     assert MAX_SNR_POINTS == 1000
     points = _snr_arg("0:1:999")

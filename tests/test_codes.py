@@ -166,6 +166,46 @@ def test_encode_batch_equals_rows():
             assert np.array_equal(x[r], encode(code, u[r]))
 
 
+LOWER3 = KernelMatrix(np.tril(np.ones((3, 3), dtype=np.uint8)))
+K4 = KernelMatrix([[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
+
+
+@pytest.mark.parametrize("kernels", [(LOWER3, 2), (2, LOWER3), (2, LOWER3, 3), (K4, 3), (3, K4),
+                                     (2, K4, LOWER3), (K4,)])
+def test_encode_custom_kernels_match_naive_generator(kernels):
+    # custom kernels at the outer, middle and inner positions
+    code = CodeSpec(kernels)
+    g = naive_generator(kernels)
+    rng = np.random.default_rng(13)
+    for frames in (0, 1, 7):
+        u = rng.integers(0, 2, (frames, code.N), dtype=np.uint8)
+        x = encode(code, u)
+        assert x.shape == u.shape and x.dtype == np.uint8
+        assert np.array_equal(x, u @ g % 2)
+    eye = np.eye(code.N, dtype=np.uint8)
+    assert np.array_equal(encode(code, eye), g)
+    assert np.array_equal(encode(code, eye[3]), g[3])
+
+
+@pytest.mark.parametrize("bases", [BASES_223, (3, 2)])
+def test_encode_returns_a_fresh_contiguous_uint8_array(bases):
+    # an odd and an even number of kernels: the stages alternate between
+    # two arrays, so either one can hold the result
+    code = CodeSpec(bases)
+    g = naive_generator(bases)
+    n = code.N
+    batch = np.random.default_rng(17).integers(0, 2, (6, 2 * n), dtype=np.uint8)
+    inputs = [batch[0, :n], batch[:3, :n], batch[:, ::2], np.asfortranarray(batch[:, n:]),
+              batch[0, :n].astype(np.int64), batch[:2, :n].astype(bool), batch[1, :n].tolist()]
+    for u in inputs:
+        before = np.array(u, dtype=np.uint8)
+        x = encode(code, u)
+        assert x.dtype == np.uint8 and x.flags.c_contiguous and x.shape == before.shape
+        assert np.array_equal(x, before @ g % 2)
+        assert not np.shares_memory(x, batch) and not np.shares_memory(x, np.asarray(u))
+        assert np.array_equal(np.array(u, dtype=np.uint8), before)  # u is left as it was
+
+
 def test_encode_validation():
     code = CodeSpec(BASES_223, (0,))
     with pytest.raises(LengthMismatch):

@@ -540,28 +540,45 @@ def test_repeated_runs_bind_nothing(monkeypatch):
     assert binds == []
 
 
+def charge(program):
+    """A program's share of the cache budget: F * N and 5 per bound step."""
+    return program.final_llrs.size + 5 * sum(map(len, program._bound.values()))
+
+
 def test_cache_evicts_least_recently_used_within_its_entry_budget(monkeypatch):
     # Idle programs stay per (kernel key, F). After each binding the least
-    # recently used go until the rest hold at most 2 * BATCH_LLR_ENTRIES
-    # LLR entries (F * N each); a hit makes a program the most recent.
+    # recently used go until the rest charge at most 3 * BATCH_LLR_ENTRIES,
+    # each its F * N LLR entries and 5 per bound step; a hit makes a
+    # program the most recent.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     cache = mkpolar.decoder._PROGRAMS
+    budget = 3 * mkpolar.decoder.BATCH_LLR_ENTRIES
     cap = mkpolar.decoder.BATCH_LLR_ENTRIES // 12
     codes = {"A": CODE_223, "B": CodeSpec((3, 2, 2))}
     calls = [("A", cap, ["A cap"]),
-             ("A", 2000, ["A cap", "A 2000"]),
-             ("B", 2000, ["A cap", "A 2000", "B 2000"]),
-             ("A", cap, ["A 2000", "B 2000", "A cap"]),  # a hit
-             ("A", 1500, ["B 2000", "A cap", "A 1500"]),
-             ("A", cap + 1, ["B 2000", "A cap", "A 1500"]),  # never kept
-             ("B", 3000, ["A cap", "A 1500", "B 3000"])]
+             ("A", 4000, ["A cap", "A 4000"]),
+             ("B", 4000, ["A cap", "A 4000", "B 4000"]),
+             ("A", cap, ["A 4000", "B 4000", "A cap"]),  # a hit
+             ("A", 3200, ["B 4000", "A cap", "A 3200"]),
+             ("A", cap + 1, ["B 4000", "A cap", "A 3200"]),  # never kept
+             ("B", 4500, ["A cap", "A 3200", "B 4500"])]
     names = {(mkpolar.decoder._kernel_key(code), f): f"{name} {'cap' if f == cap else f}"
-             for name, code in codes.items() for f in (cap, 1500, 2000, 3000)}
+             for name, code in codes.items() for f in (cap, 3200, 4000, 4500)}
     for name, frames, kept in calls:
         decode_batch(codes[name], np.ones((frames, 12)))
         assert [names[key] for key in cache] == kept, (name, frames)
-        assert sum(key[1] * 12 for key in cache) <= 2 * mkpolar.decoder.BATCH_LLR_ENTRIES
+        assert sum(charge(program) for program in cache.values()) <= budget
         assert all(program.frames == key[1] for key, program in cache.items())
+    # Programs of few frames hold most of their bytes in their steps: an
+    # F = 1 .. 12 sweep of one N = 972 code charges 5 per bound step past
+    # the budget, while its 78 * 972 LLR entries alone would all fit.
+    cache.clear()
+    code = CodeSpec((2, 2, 3, 3, 3, 3, 3))
+    for frames in range(1, 13):
+        decode_batch(code, np.ones((frames, code.N)))
+        assert sum(charge(program) for program in cache.values()) <= budget
+    kept = [key[1] for key in cache]
+    assert kept == list(range(13 - len(kept), 13)) and len(kept) < 12, kept
 
 
 def test_a_call_made_during_a_decode_gets_its_own_program(monkeypatch):

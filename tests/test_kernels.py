@@ -19,7 +19,7 @@ from mkpolar import (
     encode,
     llr_kernel_batch,
 )
-from mkpolar.kernels import _fresh, llr_candidate_steps
+from mkpolar.kernels import _fresh, llr_candidate_steps, product_steps
 from oracles import row_major_kernel_update
 from reference_sc import kernel_marginal_llr
 
@@ -88,6 +88,21 @@ def test_kernel_rows_are_read_only():
     k = builtin_kernel(2)
     with pytest.raises(ValueError):
         k.rows[0, 0] = 0
+
+
+@pytest.mark.parametrize("rows", [T2, T3, LOWER3, np.tril(np.ones((4, 4), dtype=np.uint8))])
+def test_product_steps_write_into_a_strided_target(rows):
+    # As PROPAGATE binds it: words (F, R, p), and the target a column of
+    # an (F, R, p, width) array, so every word's p outputs lie width apart.
+    k = KernelMatrix(rows)
+    words = np.random.default_rng(9).integers(0, 2, (5, 7, k.p), dtype=np.uint8)
+    column = np.full((5, 7, k.p, 4), 7, dtype=np.uint8)
+    target = column[..., 2]
+    for fn, args in product_steps(k, words, target):
+        fn(*args)
+    assert not target.flags.contiguous
+    assert np.array_equal(target, words @ k.rows % 2)
+    assert (np.delete(column, 2, axis=-1) == 7).all()  # no other column written
 
 
 def test_ps_map_examples():

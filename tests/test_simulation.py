@@ -66,6 +66,9 @@ def test_awgn_saturates_at_high_snr():
     llrs = awgn_llrs(bits, 60.0, 0.5, np.random.default_rng(1))
     assert np.array_equal(np.abs(llrs), np.full(16, LLR_MAX))
     assert np.array_equal(llrs < 0, bits.astype(bool))
+    # the extremes whose noise variance and LLR scale are still finite
+    for snr in (3000.0, -3000.0):
+        assert np.isfinite(awgn_llrs(bits, snr, 0.5, np.random.default_rng(1))).all()
 
 
 def test_awgn_batch_rows_draw_from_their_own_generators():
@@ -80,7 +83,10 @@ def test_awgn_batch_rows_draw_from_their_own_generators():
     assert awgn_llrs(bits[:0], 1.0, 0.5, []).shape == (0, 12)
 
 
-@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+# Finite values past about +-3080 dB have no finite positive sigma^2 or
+# LLR scale 2 / sigma^2: they used to raise a bare OverflowError (3083 dB
+# and up) or ZeroDivisionError (-3300 dB), or return NaN LLRs (-3230 dB).
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, 4000.0, -4000.0, -3230.0, 3083.0, -3300.0])
 def test_non_finite_snr_is_rejected(snr):
     rng = np.random.default_rng(0)
     for noiseless in (False, True):
@@ -89,6 +95,9 @@ def test_non_finite_snr_is_rejected(snr):
     code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
     with pytest.raises(NonFiniteInput):
         simulate(SimConfig(code, (0.0, snr), max_frames=10))
+    for k in (6, 0, 12):  # also where no frame is needed
+        with pytest.raises(NonFiniteInput):
+            construct_frozen_mc((2, 2, 3), k, snr, 10, 0)
 
 
 def per_frame_counts(config):
@@ -214,7 +223,7 @@ def test_sim_config_rejects_fractional_counts(field, value):
     assert getattr(SimConfig(code, (1.0,), **{field: 3.0}), field) == 3
 
 
-@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, 4000.0, -4000.0, -3230.0])
 def test_sim_config_rejects_non_finite_snr_up_front(snr):
     # simulate used to run every earlier point in full before raising
     code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
