@@ -23,7 +23,7 @@ from .errors import (
     LengthMismatch,
     UnsupportedKernelSize,
 )
-from .kernels import KernelMatrix, _is_whole, builtin_kernel, product_steps
+from .kernels import KernelMatrix, _fresh, _is_whole, builtin_kernel, llr_candidate_steps, product_steps
 
 
 def _kernel_size(k):
@@ -179,25 +179,41 @@ def encode(code: CodeSpec, u):
 GENIE_TIE_TOL = 1e-12
 
 
+def _genie_llrs(code: CodeSpec, channel_llrs):
+    """(F, N) genie-aided decision LLRs. Level j is stage j's vector at every
+    digit prefix, (b_j, ..., b_1, F, entry); row 2 (2^t - 1) of a pass is bit t after prefix 0."""
+    level = np.empty(channel_llrs.shape)
+    level[:, code.permutation] = channel_llrs
+    for kern in code.kernels:
+        groups = level.reshape(-1, kern.p)
+        table = np.empty((2 * ((1 << kern.p) - 1), len(groups)))
+        for fn, args in llr_candidate_steps(kern, "exact", groups, table, _fresh):
+            fn(*args)
+        level = table[2 * ((1 << np.arange(kern.p)) - 1)]
+    return level.reshape(code.bases[::-1] + (-1,)).T.reshape(-1, code.N)
+
+
 def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed: int):
     """Pick the frozen set by genie-aided Monte-Carlo at a design SNR.
 
     The all-zero codeword is sent over AWGN `frames` times; a genie-aided
-    SC pass, which is the decode of the all-frozen code, scores per bit
-    position how often the decision LLR argues for the wrong bit while
-    all previous decisions are forced correct. A negative decision LLR
-    scores a whole error, one within GENIE_TIE_TOL of 0 half an error:
-    such a bit carries no information, whatever sign rounding gives it.
-    The N - k positions with the highest scores are frozen, ties broken
-    toward the lower index. Frame f draws from its own generator, exactly
-    np.random.default_rng([seed, f]), so the result does not depend on
-    how frames are batched, and no two seeds share a frame's noise.
+    SC pass scores per bit position how often the decision LLR argues for
+    the wrong bit while all previous decisions are forced correct. Known
+    bits are then 0, so one kernels.llr_candidate_steps pass per stage forms
+    stage j's vector at every digit prefix from stage j-1's: bit for bit the
+    decode of the all-frozen code for kernels of size 2 and 3, else to rounding.
+    A negative decision LLR scores a whole error, one within GENIE_TIE_TOL
+    of 0 half an error: such a bit carries no information, whatever sign
+    rounding gives it. The N - k positions with the highest scores are
+    frozen, ties broken toward the lower index. Frame f draws from its own
+    generator, exactly np.random.default_rng([seed, f]), so the result does
+    not depend on how frames are batched, and no two seeds share a frame's noise.
     """
-    from .decoder import BATCH_LLR_ENTRIES, decode_batch
+    from .decoder import BATCH_LLR_ENTRIES
     from .simulation import _frame_generators, _noise_variance, awgn_llrs
 
-    kerns = _as_kernels(kernels)
-    n = prod(kern.p for kern in kerns)
+    code = CodeSpec(kernels)
+    n = code.N
     for name, value in (("k", k), ("frames", frames), ("seed", seed)):
         if not _is_whole(value):
             raise ValueError(f"{name} = {value!r} is not an integer")
@@ -214,13 +230,12 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
         return ()
     if k == 0:
         return tuple(range(n))
-    genie = CodeSpec(kerns, range(n))
     scores = np.zeros(n, dtype=np.int64)
     batch = max(1, BATCH_LLR_ENTRIES // n)
     for start in range(0, frames, batch):
         rngs = _frame_generators((seed,), start, min(frames - start, batch))
         llrs = awgn_llrs(np.zeros((len(rngs), n), dtype=np.uint8), design_snr_db, rate, rngs)
-        final = decode_batch(genie, llrs, "exact").final_llrs
+        final = _genie_llrs(code, llrs)
         scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=0)
         scores += (np.abs(final) <= GENIE_TIE_TOL).sum(axis=0)
     order = np.argsort(-scores, kind="stable")

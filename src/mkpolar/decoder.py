@@ -71,8 +71,8 @@ A call takes its program out of the cache while it runs and returns
 copies. The cache keeps one idle program per kernel sequence and F, for
 batches of at most BATCH_LLR_ENTRIES LLR entries (F * N), so callers that
 alternate batch sizes bind each size once. After each binding it drops the
-least recently used programs until the rest charge at most three times that
-many: F * N plus 5 per bound step each, as steps hold most bytes at small F.
+least recently used programs until the rest charge at most CACHE_BYTES, each
+its nbytes plus STEP_BYTES per bound step, which hold most bytes at small F.
 """
 
 from dataclasses import dataclass
@@ -98,6 +98,8 @@ BATCH_LLR_ENTRIES = 1 << 16
 # look-ahead stopped paying between 2500 and 3600 on (2,3), (3,2) and
 # (3,3) tails; its leaf work grows with the candidates, not the vectors.
 LOOKAHEAD_CANDIDATES = 2560
+STEP_BYTES = 400  # the Python objects of one bound step: measured 285-430 B
+CACHE_BYTES = 16 << 20  # two capped programs of any paper code charge at most 16.3 MB
 
 
 @dataclass
@@ -353,7 +355,22 @@ class _Program:
                 if op not in self._bound:
                     self._bound[op] = self._bind_tail(a, b) if kind == DECIDE else self._bind(*op)
                 steps += self._bound[op]
+            self.nbytes = self._held_bytes()
         return steps
+
+    def _held_bytes(self):
+        """Bytes of the distinct base arrays held, not the shared schedule's: memory, tables,
+        work arrays. Steps add views of them and few-byte weights, which STEP_BYTES covers."""
+        todo = [vars(self.mem)] + [v for k, v in vars(self).items() if k not in ("schedule", "_bound", "_steps")]
+        arrays = {}
+        while todo:
+            x = todo.pop()
+            if isinstance(x, np.ndarray):
+                x = x if x.base is None else x.base  # numpy points views at the owner
+                arrays[id(x)] = x
+            elif isinstance(x, (list, tuple, dict)):
+                todo += x.values() if isinstance(x, dict) else x
+        return sum(x.nbytes for x in arrays.values())
 
     def run(self, code: CodeSpec, channel_llrs, mode):
         """Decode (F, N) channel LLRs into mem.decisions and final_llrs."""
@@ -396,9 +413,9 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     # checked out, so that no other call runs on this memory meanwhile
     key = (_kernel_key(code), len(llrs))
     program = _PROGRAMS.pop(key, None)
-    bound = program is None
-    if bound:
+    if program is None:
         program = _Program(code, len(llrs))
+    bound = mode not in program._steps  # this run binds steps and may add work arrays
     try:
         program.run(code, llrs, mode)
         mem, stats = program.mem, program.schedule.stats
@@ -411,12 +428,10 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
 
 
 def _evict():
-    """Drop the least recently used idle programs until the rest charge at most
-    3 * BATCH_LLR_ENTRIES, each its F * N LLR entries (about 100 B each) and 5
-    per bound step (440-720 B each): room for two capped programs of any code."""
-    sizes = [(key, program.final_llrs.size + 5 * sum(map(len, program._bound.values())))
+    """Drop the least recently used idle programs until the rest charge at most CACHE_BYTES."""
+    sizes = [(key, program.nbytes + STEP_BYTES * sum(map(len, program._bound.values())))
              for key, program in list(_PROGRAMS.items())]
-    excess = sum(size for _, size in sizes) - 3 * BATCH_LLR_ENTRIES
+    excess = sum(size for _, size in sizes) - CACHE_BYTES
     for key, size in sizes:
         if excess <= 0:
             break

@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from functools import partial
 
 import numpy as np
 import pytest
@@ -23,8 +22,8 @@ from mkpolar import (
     simulate,
 )
 import mkpolar.decoder
+from mkpolar.codes import _genie_llrs
 from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _Program, schedule_of
-from mkpolar.memory import DecoderMemory
 from oracles import exact_sc_oracle_llr, row_major_kernel_update, start_stage, trailing_max_run
 from reference_sc import all_kernel_sequences, textbook_sc_decode
 
@@ -32,6 +31,7 @@ CODE_223 = CodeSpec((2, 2, 3))
 # a custom 3x3 kernel and a kernel of size 4, for the last stage
 OTHER = KernelMatrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
 K4 = KernelMatrix([[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
+PAPER_CODES = [(2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3), (2, 2, 2, 2, 2, 2, 2, 3), (2, 2, 3, 3, 3, 3, 3)]
 
 
 def noiseless_llrs(x):
@@ -357,8 +357,7 @@ def test_size_four_kernels_agree_to_rounding(mode):
             assert np.abs(single.final_llrs - batch.final_llrs[f]).max() <= 1e-12, (bases, f)
 
 
-@pytest.mark.parametrize("bases", [(2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3),
-                                   (2, 2, 2, 2, 2, 2, 2, 3), (2, 2, 3, 3, 3, 3, 3)])
+@pytest.mark.parametrize("bases", PAPER_CODES)
 def test_numpy_calls_per_bit_on_the_paper_codes(bases):
     # Every stage above the tail runs one candidate pass per kernel block
     # and then at most three calls per refresh; the look-ahead tail runs
@@ -375,35 +374,7 @@ def test_numpy_calls_per_bit_on_the_paper_codes(bases):
     assert len(program.steps("minsum")) <= 7.5 * code.N
 
 
-def program_bytes(program):
-    """Bytes of the distinct numpy base arrays that a bound program holds:
-    its memory, tables, work arrays and the operands of its steps. The
-    schedule, which all programs of a kernel sequence share, is left out."""
-    bases = {}
-
-    def walk(x):
-        if isinstance(x, np.ndarray):
-            while x.base is not None:
-                x = x.base
-            bases[id(x)] = x
-        elif isinstance(x, (list, tuple)):
-            for y in x:
-                walk(y)
-        elif isinstance(x, dict):
-            walk(list(x.values()))
-        elif isinstance(x, partial):
-            walk((x.args, x.keywords))
-        elif isinstance(x, DecoderMemory):
-            walk(vars(x))
-        elif isinstance(getattr(x, "__self__", None), np.ndarray):  # a bound method such as take
-            walk(x.__self__)
-
-    walk({name: value for name, value in vars(program).items() if name != "schedule"})
-    return sum(x.nbytes for x in bases.values())
-
-
-@pytest.mark.parametrize("bases", [(2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3),
-                                   (2, 2, 2, 2, 2, 2, 2, 3), (2, 2, 3, 3, 3, 3, 3)])
+@pytest.mark.parametrize("bases", PAPER_CODES)
 def test_program_memory_against_the_paper_layout(bases):
     # A program bound in both modes holds its candidate tables, work
     # arrays, final-LLR rows and index arrays next to the paper's stage
@@ -418,7 +389,7 @@ def test_program_memory_against_the_paper_layout(bases):
         program.steps("exact"), program.steps("minsum")
         mem = allocate(code, frames)
         paper = sum(x.nbytes for x in mem.llr + mem.ps + [mem.decisions])
-        assert program_bytes(program) <= bound * paper, (bases, frames, program_bytes(program) / paper)
+        assert program.nbytes <= bound * paper, (bases, frames, program.nbytes / paper)
 
 
 def test_warm_decode_allocates_little():
@@ -515,8 +486,7 @@ def counting_binds(monkeypatch):
 
 
 def test_alternating_frame_counts_bind_each_once(monkeypatch):
-    # single-frame decodes between 40-frame construction batches of the
-    # same kernels, as one benchmark round makes them
+    # single-frame decodes between 40-frame batches of the same kernels
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     binds = counting_binds(monkeypatch)
     code = CodeSpec((2, 2, 2, 2, 3, 3), range(0, 144, 2))
@@ -540,45 +510,101 @@ def test_repeated_runs_bind_nothing(monkeypatch):
     assert binds == []
 
 
+def test_construction_binds_no_program(monkeypatch):
+    # The genie-aided pass runs the kernel rule once per stage, with no SC
+    # schedule and no partial sums to bind.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    binds = counting_binds(monkeypatch)
+    for args in (((2, 2, 2, 2, 3, 3), 72, 1.0, 40, 0), ((2, 2, 3), 6, 1.0, 6000, 1), ((3, K4), 6, 1.0, 7, 2)):
+        construct_frozen_mc(*args)
+    assert binds == [] and mkpolar.decoder._PROGRAMS == {}
+
+
 def charge(program):
-    """A program's share of the cache budget: F * N and 5 per bound step."""
-    return program.final_llrs.size + 5 * sum(map(len, program._bound.values()))
+    """A program's share of the cache budget: its array bytes and
+    STEP_BYTES per bound step."""
+    return program.nbytes + mkpolar.decoder.STEP_BYTES * sum(map(len, program._bound.values()))
 
 
-def test_cache_evicts_least_recently_used_within_its_entry_budget(monkeypatch):
+def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
     # Idle programs stay per (kernel key, F). After each binding the least
-    # recently used go until the rest charge at most 3 * BATCH_LLR_ENTRIES,
-    # each its F * N LLR entries and 5 per bound step; a hit makes a
-    # program the most recent.
+    # recently used go until the rest charge at most CACHE_BYTES, each its
+    # array bytes and STEP_BYTES per bound step; a hit makes a program the
+    # most recent.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     cache = mkpolar.decoder._PROGRAMS
-    budget = 3 * mkpolar.decoder.BATCH_LLR_ENTRIES
+    budget = mkpolar.decoder.CACHE_BYTES
     cap = mkpolar.decoder.BATCH_LLR_ENTRIES // 12
     codes = {"A": CODE_223, "B": CodeSpec((3, 2, 2))}
     calls = [("A", cap, ["A cap"]),
-             ("A", 4000, ["A cap", "A 4000"]),
-             ("B", 4000, ["A cap", "A 4000", "B 4000"]),
-             ("A", cap, ["A 4000", "B 4000", "A cap"]),  # a hit
-             ("A", 3200, ["B 4000", "A cap", "A 3200"]),
-             ("A", cap + 1, ["B 4000", "A cap", "A 3200"]),  # never kept
-             ("B", 4500, ["A cap", "A 3200", "B 4500"])]
+             ("A", 3000, ["A cap", "A 3000"]),
+             ("B", 3000, ["A cap", "A 3000", "B 3000"]),
+             ("A", cap, ["A 3000", "B 3000", "A cap"]),  # a hit
+             ("A", 2500, ["B 3000", "A cap", "A 2500"]),
+             ("A", cap + 1, ["B 3000", "A cap", "A 2500"]),  # never kept
+             ("B", 3500, ["A cap", "A 2500", "B 3500"])]
     names = {(mkpolar.decoder._kernel_key(code), f): f"{name} {'cap' if f == cap else f}"
-             for name, code in codes.items() for f in (cap, 3200, 4000, 4500)}
+             for name, code in codes.items() for f in (cap, 2500, 3000, 3500)}
     for name, frames, kept in calls:
         decode_batch(codes[name], np.ones((frames, 12)))
         assert [names[key] for key in cache] == kept, (name, frames)
         assert sum(charge(program) for program in cache.values()) <= budget
         assert all(program.frames == key[1] for key, program in cache.items())
     # Programs of few frames hold most of their bytes in their steps: an
-    # F = 1 .. 12 sweep of one N = 972 code charges 5 per bound step past
-    # the budget, while its 78 * 972 LLR entries alone would all fit.
+    # F = 1 .. 12 sweep of one N = 972 code charges STEP_BYTES per bound
+    # step past the budget, while the array bytes of all 12 would fit.
     cache.clear()
     code = CodeSpec((2, 2, 3, 3, 3, 3, 3))
+    arrays = 0
     for frames in range(1, 13):
         decode_batch(code, np.ones((frames, code.N)))
+        arrays += cache[mkpolar.decoder._kernel_key(code), frames].nbytes
         assert sum(charge(program) for program in cache.values()) <= budget
     kept = [key[1] for key in cache]
-    assert kept == list(range(13 - len(kept), 13)) and len(kept) < 12, kept
+    assert kept == list(range(13 - len(kept), 13)) and len(kept) < 12 and arrays <= budget, kept
+
+
+def test_a_mode_bound_later_is_charged_at_once(monkeypatch):
+    # A program run in minsum mode only holds no exact-mode work arrays. Its
+    # first exact run binds them, megabytes at the cap, and evicts at once.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    cache = mkpolar.decoder._PROGRAMS
+    codes = [CodeSpec(bases) for bases in ((3, 2, 2), (3, 3), (2, 3, 2))]
+    llrs = [np.ones((mkpolar.decoder.BATCH_LLR_ENTRIES // code.N, code.N)) for code in codes]
+    for code, frames in zip(codes, llrs):
+        decode_batch(code, frames, "minsum")
+    assert len(cache) == 3
+    decode_batch(codes[0], llrs[0], "exact")
+    assert [key[0] for key in cache] == [mkpolar.decoder._kernel_key(codes[i]) for i in (2, 0)]
+    assert sum(charge(program) for program in cache.values()) <= mkpolar.decoder.CACHE_BYTES
+
+
+def test_two_capped_programs_of_any_paper_code_fit_the_budget():
+    charges = []
+    for bases in PAPER_CODES:
+        code = CodeSpec(bases)
+        program = _Program(code, mkpolar.decoder.BATCH_LLR_ENTRIES // code.N)
+        program.steps("exact"), program.steps("minsum")
+        charges.append(charge(program))
+    assert sum(sorted(charges)[-2:]) <= mkpolar.decoder.CACHE_BYTES, charges
+
+
+@pytest.mark.parametrize("bases,most", [((2, 2, 3), 200), ((2, 2, 3, 3, 3, 3, 3), 20)])
+def test_frame_count_sweep_keeps_little_memory(monkeypatch, bases, most):
+    # Decoding F = 1, 2, 3, ... on one code binds a program per F. Charged
+    # F * N plus 5 per step, the (2,2,3) sweep kept 20.9 MiB in 83 programs,
+    # as the look-ahead's leaf tables and work arrays went uncounted.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    code = CodeSpec(bases)
+    kept = 0
+    tracemalloc.start()
+    try:
+        for frames in range(1, most + 1):
+            decode_batch(code, np.ones((frames, code.N)))
+            kept = max(kept, tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert kept < 18 * 2**20, kept / 2**20
 
 
 def test_a_call_made_during_a_decode_gets_its_own_program(monkeypatch):
@@ -705,6 +731,27 @@ def test_all_frozen_decode_is_the_genie_pass():
         for i in range(code.N):
             want = exact_sc_oracle_llr(code, llrs, i, zeros[:i]) < 0
             assert errors[i] == want
+
+
+def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
+    # Construction's level pass, one candidate pass per stage, gives the
+    # all-frozen decode's LLRs bit for bit with kernels of size 2 and 3, on
+    # tie-prone LLRs. A size-4 kernel sums longer runs, which BLAS may order
+    # by batch size, so there they agree to rounding (up to 7.1e-15 seen).
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    rng = np.random.default_rng(29)
+    values = np.array([0.0, 0.7, -0.7, 1.3, -1.3, 2.9, -2.9, 40.0, -40.0])
+    cases = [(bases, 0.0) for bases in [*all_kernel_sequences(72), (2, 2, 2, 2, 3, 3)]]
+    cases += [((K4, K4), 1e-12), ((3, K4), 1e-12), ((K4, 3, 2), 1e-12)]
+    for bases, tol in cases:
+        code = CodeSpec(bases, range(CodeSpec(bases).N))
+        for frames in (1, 7, mkpolar.decoder.BATCH_LLR_ENTRIES // code.N):
+            llrs = rng.choice(values, (frames, code.N))
+            got, want = _genie_llrs(code, llrs), decode_batch(code, llrs, "exact").final_llrs
+            if tol:
+                assert np.abs(got - want).max() <= tol, (bases, frames)
+            else:
+                assert got.tobytes() == want.tobytes(), (bases, frames)
 
 
 def test_all_frozen_noiseless_decode_is_error_free():
