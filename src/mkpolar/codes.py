@@ -94,11 +94,7 @@ class CodeSpec:
     @cached_property
     def digit_table(self):
         """(N, s) array, row i holds the mixed-radix digits of i."""
-        table = np.empty((self.N, self.s), dtype=np.int64)
-        rem = np.arange(self.N, dtype=np.int64)
-        for j in range(self.s - 1, -1, -1):
-            rem, table[:, j] = np.divmod(rem, self.bases[j])
-        return table
+        return np.stack(np.unravel_index(np.arange(self.N), self.bases), axis=1)
 
     @cached_property
     def start_stages(self):
@@ -126,7 +122,8 @@ def channel_permutation(kernels):
     """Digit-reversal ingestion order for channel LLRs.
 
     Codeword position j with digits (c_1, ..., c_s) maps to slot
-    pi(j) = sum_k c_k * (p_1 * ... * p_{k-1}). This is exactly the
+    pi(j) = sum_k c_k * (p_1 * ... * p_{k-1}), the index of the reversed
+    digits (c_s, ..., c_1) under the reversed bases. This is exactly the
     ordering under which every stage's kernel blocks read contiguous
     groups of the previous stage vector. Any whole size of at least 2 works.
     """
@@ -135,17 +132,7 @@ def channel_permutation(kernels):
         raise ValueError("kernel sequence must be non-empty")
     if min(bases) < 2:
         raise UnsupportedKernelSize("kernel size must be at least 2")
-    n = prod(bases)
-    perm = np.zeros(n, dtype=np.int64)
-    rem = np.arange(n, dtype=np.int64)
-    in_weight = n
-    out_weight = 1
-    for p in bases:
-        in_weight //= p
-        digit, rem = np.divmod(rem, in_weight)
-        perm += digit * out_weight
-        out_weight *= p
-    return perm
+    return np.arange(prod(bases)).reshape(bases[::-1]).T.reshape(-1)
 
 
 def encode(code: CodeSpec, u):

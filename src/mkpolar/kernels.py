@@ -60,26 +60,6 @@ def _enumerate(n):
     return ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
 
 
-def _gf2_rank(matrix):
-    a = matrix.astype(np.uint8).copy()
-    n_rows, n_cols = a.shape
-    rank = 0
-    for c in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if a[r, c]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        mask = a[:, c].astype(bool)
-        mask[rank] = False
-        a[mask] ^= a[rank]
-        rank += 1
-    return rank
-
-
 class KernelMatrix:
     """A validated polarization kernel.
 
@@ -88,7 +68,9 @@ class KernelMatrix:
     rows : array_like
         Square binary matrix with entries in {0, 1}, nonsingular over
         GF(2), size at least 2. Stored row-major; ``rows[j]`` is the
-        codeword contributed by input bit j.
+        codeword contributed by input bit j. T is nonsingular exactly
+        when u -> u T is one-to-one, so it is checked as 2^p distinct
+        codewords (SingularKernel otherwise).
 
     Attributes
     ----------
@@ -111,12 +93,13 @@ class KernelMatrix:
         if not np.isin(rows, (0, 1)).all():
             raise SingularKernel("kernel entries must be 0 or 1")
         rows = rows.astype(np.uint8)
-        if _gf2_rank(rows) != p:
+        codewords = _enumerate(p) @ rows % 2
+        if len({word.tobytes() for word in codewords}) != 1 << p:
             raise SingularKernel(f"kernel of size {p} is singular over GF(2)")
         self.p = p
         self.rows = rows
         self.rows.flags.writeable = False
-        self.codewords = _enumerate(p) @ rows % 2
+        self.codewords = codewords
         self.codewords.flags.writeable = False
         # row u: the metric terms (1 - 2 x_m) / 2 of the codeword x of u
         self._word_metrics = (1.0 - 2.0 * self.codewords) / 2.0
@@ -274,6 +257,8 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     known input bits 0 .. i-1. Returns the LLRs of input bit i, shape
     (...), saturated to +-LLR_MAX, with input bits i+1 .. p-1
     marginalized out, by the candidate pass and gather the decoder runs.
+    The pass forms all 2^p - 1 candidates of each block to return one
+    bit, so one call costs as much as the candidates of every bit.
     Blocks are independent: each one gets exactly the update of a
     one-block call, whatever the number of blocks in the call.
 

@@ -7,6 +7,8 @@ stage, width p_j and depth p_{j+1} * ... * p_s, except stage 1 whose
 matrix is one column narrower (p_1 - 1): its final column would only be
 needed after the last bit, which terminates the decode instead. A naive
 layout keeps s + 1 full-length LLR vectors and s full-length bit vectors.
+_layout states these sizes once: allocate's arrays and memory_report's
+counts both read it.
 
 allocate builds this memory for F frames at once, each array with a
 leading frame axis (the inter-frame layout): ``ps[j-1][f, k, c]`` is the
@@ -28,36 +30,28 @@ from .codes import CodeSpec, _as_kernels
 from .kernels import _is_whole
 
 
-def _sizes(kernels):
-    return tuple(k.p for k in _as_kernels(kernels))
+def _layout(sizes):
+    """One frame's layout for kernel sizes (p_1, ..., p_s): the LLR entries
+    of stages 0 .. s, then the (depth, width) of each partial-sum matrix."""
+    entries = [prod(sizes[j:]) for j in range(len(sizes) + 1)]
+    matrices = [(entries[j], p - 1 if j == 1 else p) for j, p in enumerate(sizes, start=1)]
+    return entries, matrices
 
 
 def llr_element_count(kernels) -> int:
     """Total LLR entries of the shrinking layout: N + N/p_1 + ... + 1."""
-    sizes = _sizes(kernels)
-    total = sizes[0] + 1
-    for p in sizes[1:]:
-        total = total * p + 1
-    return total
+    return memory_report(kernels).llr_elements
 
 
 def ps_element_count(kernels) -> int:
     """Total partial-sum bits: (N/p_1)(p_1 - 1) + sum_{j>=2} N/(p_1..p_{j-1})."""
-    sizes = _sizes(kernels)
-    if len(sizes) == 1:
-        return sizes[0] - 1
-    total = sizes[0] * sizes[1]
-    for p in sizes[2:]:
-        total = (total + 1) * p
-    return total
+    return memory_report(kernels).ps_elements
 
 
 def naive_counts(kernels) -> tuple:
     """(llr, ps) element counts of the naive full-length layout."""
-    sizes = _sizes(kernels)
-    n = prod(sizes)
-    s = len(sizes)
-    return n * (s + 1), n * s
+    r = memory_report(kernels)
+    return r.llr_elements_naive, r.ps_elements_naive
 
 
 @dataclass
@@ -81,22 +75,22 @@ class MemoryReport:
 
 def memory_report(kernels, q_bits: int = 6) -> MemoryReport:
     """Build the element-count report for a kernel sequence."""
-    sizes = _sizes(kernels)
+    sizes = tuple(k.p for k in _as_kernels(kernels))
     if not (_is_whole(q_bits) and q_bits >= 1):
         raise ValueError(f"q_bits = {q_bits!r} is not an integer of at least 1")
     q_bits = int(q_bits)
-    n = prod(sizes)
-    llr = llr_element_count(sizes)
-    ps = ps_element_count(sizes)
-    llr_naive, ps_naive = naive_counts(sizes)
+    entries, matrices = _layout(sizes)
+    n, s = entries[0], len(sizes)
+    llr = sum(entries)
+    ps = sum(depth * width for depth, width in matrices)
     return MemoryReport(
         kernel_sizes=sizes,
         N=n,
-        s=len(sizes),
+        s=s,
         llr_elements=llr,
         ps_elements=ps,
-        llr_elements_naive=llr_naive,
-        ps_elements_naive=ps_naive,
+        llr_elements_naive=n * (s + 1),
+        ps_elements_naive=n * s,
         q_bits=q_bits,
         total_bits=q_bits * llr + ps + n,
     )
@@ -118,15 +112,9 @@ class DecoderMemory:
     """
 
     def __init__(self, code: CodeSpec, frames: int = 1):
-        bases = code.bases
-        self.llr = [
-            np.zeros((frames, prod(bases[j:])), dtype=np.float64)
-            for j in range(code.s + 1)
-        ]
-        self.ps = [
-            np.zeros((frames, prod(bases[j:]), p - 1 if j == 1 else p), dtype=np.uint8)
-            for j, p in enumerate(bases, start=1)
-        ]
+        entries, matrices = _layout(code.bases)
+        self.llr = [np.zeros((frames, n), dtype=np.float64) for n in entries]
+        self.ps = [np.zeros((frames,) + shape, dtype=np.uint8) for shape in matrices]
         self.decisions = np.zeros((frames, code.N), dtype=np.uint8)
 
 

@@ -257,8 +257,14 @@ def test_sizes_and_q_bits_must_be_whole(call, args, error):
 
 
 def test_channel_permutation_definition():
-    for bases in [(2, 2, 3), (3, 2), (2, 3, 2), (3, 3, 2, 2)]:
+    # sizes without a built-in kernel take a KernelMatrix in the code
+    custom = {p: KernelMatrix(np.tril(np.ones((p, p), dtype=np.uint8))) for p in (4, 5, 7)}
+    for bases in [(2, 2, 3), (3, 2), (2, 3, 2), (3, 3, 2, 2), (4, 5, 7), (7, 2, 4), (5,), (3,)]:
         perm = channel_permutation(bases)
+        assert perm.dtype == np.int64
+        assert not np.shares_memory(perm, channel_permutation(bases))
+        table = CodeSpec([custom.get(p, p) for p in bases]).digit_table
+        assert table.dtype == np.int64
         n = int(np.prod(bases))
         assert sorted(perm) == list(range(n))
         weights = []
@@ -268,6 +274,7 @@ def test_channel_permutation_definition():
             w *= p
         for j in range(n):
             digits = mixed_radix_digits(j, bases)
+            assert tuple(table[j]) == digits
             assert perm[j] == sum(d * wt for d, wt in zip(digits, weights))
 
 

@@ -54,10 +54,28 @@ def test_builtin_kernel_unsupported_sizes(p):
         builtin_kernel(p)
 
 
+def binary_matrices_by_det_parity(parity):
+    """Every 2x2 and 3x3 binary matrix, then 2000 seeded random ones each of
+    sizes 4, 5 and 6, whose integer determinant has the given parity: an
+    oracle independent of GF(2) arithmetic, since det T mod 2 is the GF(2)
+    determinant."""
+    batches = []
+    for p in (2, 3):
+        bits = np.arange(1 << (p * p))[:, None] >> np.arange(p * p) & 1
+        batches.append(bits.astype(np.uint8).reshape(-1, p, p))
+    rng = np.random.default_rng(11)
+    batches += [rng.integers(0, 2, (2000, p, p), dtype=np.uint8) for p in (4, 5, 6)]
+    return [m for batch in batches for m in batch[np.round(np.linalg.det(batch)) % 2 == parity]]
+
+
 def test_validate_kernel_accepts_nonsingular():
     k = KernelMatrix(np.eye(5, dtype=np.uint8))
     assert k.p == 5
     assert np.array_equal(k.rows, np.eye(5, dtype=np.uint8))
+    matrices = binary_matrices_by_det_parity(1)
+    assert sum(len(m) == 3 for m in matrices) == 168  # the order of GL(3, 2)
+    for m in matrices:
+        assert np.array_equal(KernelMatrix(m).rows, m)
 
 
 def test_validate_kernel_rejects_non_square():
@@ -68,10 +86,17 @@ def test_validate_kernel_rejects_non_square():
 
 
 def test_validate_kernel_rejects_singular():
-    with pytest.raises(SingularKernel):
-        KernelMatrix(np.array([[1, 1], [1, 1]], dtype=np.uint8))
-    with pytest.raises(SingularKernel):
-        KernelMatrix(np.zeros((3, 3), dtype=np.uint8))
+    named = [
+        [[1, 1], [1, 1]],
+        np.zeros((3, 3), dtype=np.uint8),
+        # distinct nonzero rows, yet dependent over GF(2)
+        [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]],  # integer determinant 2
+        [[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]],  # last row: XOR of the others
+    ]
+    for m in named + binary_matrices_by_det_parity(0):
+        with pytest.raises(SingularKernel, match="singular over GF"):
+            KernelMatrix(np.array(m, dtype=np.uint8))
 
 
 def test_validate_kernel_rejects_non_binary_entries():

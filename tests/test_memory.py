@@ -121,6 +121,19 @@ def test_counts_match_allocation_random_sequences():
         assert n + 1 <= llr_sum < 2 * n
 
 
+def test_memory_report_counts_kernel_matrices():
+    # the report counts the given kernels, also sizes with no built-in kernel
+    k4 = KernelMatrix(np.tril(np.ones((4, 4), dtype=np.uint8)))
+    k5 = KernelMatrix(np.eye(5, dtype=np.uint8))
+    for kernels, sizes in (([k5, 2], (5, 2)), ([2, k4, 3], (2, 4, 3))):
+        r = memory_report(kernels)
+        mem = allocate(CodeSpec(kernels))
+        assert r.kernel_sizes == sizes
+        assert r.llr_elements == llr_element_count(kernels) == sum(v.size for v in mem.llr)
+        assert r.ps_elements == ps_element_count(kernels) == sum(m.size for m in mem.ps)
+        assert (r.llr_elements_naive, r.ps_elements_naive) == naive_counts(kernels)
+
+
 def test_memory_report_fields():
     r = memory_report((2, 2, 3), q_bits=6)
     assert r.N == 12 and r.s == 3
