@@ -139,17 +139,14 @@ def _parse_bits(text, code):
 
 
 def _load_llr_file(path, n):
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().replace(",", " ").split()
     try:
-        values = np.array([float(tok) for tok in tokens], dtype=np.float64)
-    except ValueError as exc:
+        with open(path, "r", encoding="ascii") as fh:
+            values = np.array([float(tok) for tok in fh.read().replace(",", " ").split()], dtype=np.float64)
+    except ValueError as exc:  # also a byte that is not ASCII (UnicodeDecodeError)
         raise CodingError(f"LLR file {path}: {exc}") from None
     if values.size != n:
         raise CodingError(f"LLR file {path}: expected {n} values, got {values.size}")
-    if np.isnan(values).any():
-        raise CodingError(f"LLR file {path}: NaN entry")
-    return np.clip(values, -LLR_MAX, LLR_MAX)
+    return np.clip(values, -LLR_MAX, LLR_MAX)  # NaN stays, for decode to reject
 
 
 def _cmd_meminfo(args):

@@ -23,14 +23,12 @@ from .errors import (
     LengthMismatch,
     UnsupportedKernelSize,
 )
-from .kernels import KernelMatrix, _fresh, _is_whole, builtin_kernel, llr_candidate_steps, product_steps
+from .kernels import KernelMatrix, _fresh, _whole, builtin_kernel, llr_candidate_steps, product_steps
 
 
 def _kernel_size(k):
-    """The size of a KernelMatrix, or k itself if it is a whole number."""
-    if not (isinstance(k, KernelMatrix) or _is_whole(k)):
-        raise UnsupportedKernelSize(f"kernel size {k!r} is not an integer")
-    return k.p if isinstance(k, KernelMatrix) else int(k)
+    """The size of a KernelMatrix, or k itself if it is a whole number of at least 2."""
+    return k.p if isinstance(k, KernelMatrix) else _whole(k, "kernel size", 2, UnsupportedKernelSize)
 
 
 def _as_kernels(kernels):
@@ -72,9 +70,7 @@ class CodeSpec:
         self.N = prod(self.bases)
         frozen = list(frozen)
         for f in frozen:
-            if not _is_whole(f):
-                raise ValueError(f"frozen index {f!r} is not an integer")
-            if not 0 <= f < self.N:
+            if not 0 <= _whole(f, "frozen index") < self.N:
                 raise IndexOutOfRange(f"frozen index {f} outside [0, {self.N})")
         frozen = [int(f) for f in frozen]
         if len(set(frozen)) != len(frozen):
@@ -130,8 +126,6 @@ def channel_permutation(kernels):
     bases = tuple(_kernel_size(k) for k in kernels)
     if not bases:
         raise ValueError("kernel sequence must be non-empty")
-    if min(bases) < 2:
-        raise UnsupportedKernelSize("kernel size must be at least 2")
     return np.arange(prod(bases)).reshape(bases[::-1]).T.reshape(-1)
 
 
@@ -201,16 +195,9 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
 
     code = CodeSpec(kernels)
     n = code.N
-    for name, value in (("k", k), ("frames", frames), ("seed", seed)):
-        if not _is_whole(value):
-            raise ValueError(f"{name} = {value!r} is not an integer")
-    k, frames, seed = int(k), int(frames), int(seed)
+    k, frames, seed = _whole(k, "k"), _whole(frames, "frames", 1), _whole(seed, "seed", 0)
     if not 0 <= k <= n:
         raise InvalidK(f"K = {k} outside [0, {n}]")
-    if frames < 1:
-        raise ValueError("frames must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
     rate = k / n if k else 1.0
     _noise_variance(design_snr_db, rate)  # NonFiniteInput before any frame
     if k == n:
@@ -300,5 +287,9 @@ def save_code(code: CodeSpec, path):
 
 
 def load_code(path) -> CodeSpec:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_code_file(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise CodeFileError(f"code file {path}: {exc}") from None
+    return parse_code_file(text)

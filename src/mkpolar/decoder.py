@@ -65,12 +65,14 @@ codeword, for kernels of size 2 and 3, which covers every built-in
 code: the look-ahead reads only values that the tail of the last stage
 alone computes, by the same pass. A kernel of size 4 or more sums longer
 runs, which numpy and BLAS may add in another order in another layout
-or at another F, so its results agree up to rounding.
+or at another F, so its LLRs agree only up to rounding, and a decision
+whose LLR lies within rounding of 0 can differ too.
 
 A call takes its program out of the cache while it runs and returns
-copies. The cache keeps one idle program per kernel sequence and F, for
-batches of at most BATCH_LLR_ENTRIES LLR entries (F * N), so callers that
-alternate batch sizes bind each size once. After each binding it drops the
+copies; a call with no frames binds none. The cache keeps one idle
+program per kernel sequence and F, for batches of at most
+BATCH_LLR_ENTRIES LLR entries (F * N), so callers that alternate batch
+sizes bind each size once. After each binding it drops the
 least recently used programs until the rest charge at most CACHE_BYTES, each
 its nbytes plus STEP_BYTES per bound step, which hold most bytes at small F.
 """
@@ -83,8 +85,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .errors import LengthMismatch
-from .kernels import (as_llrs, check_llrs, check_mode, gather_steps, llr_candidate_steps, llr_gather_steps,
-                      product_steps)
+from .kernels import as_llrs, check_mode, gather_steps, llr_candidate_steps, llr_gather_steps, product_steps
 from .memory import allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
@@ -392,8 +393,8 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     channel_llrs : array_like
         (F, N) LLRs, one frame per row in natural codeword order,
         positive favoring bit 0, each at most 1e300 in magnitude:
-        larger ones, NaN and inf raise NonFiniteInput, and complex ones
-        ValueError.
+        larger ones, NaN and inf raise NonFiniteInput (before any shape
+        check), and complex ones ValueError.
     mode : str
         "exact" marginalizes with log-sum-exp, "minsum" with max.
 
@@ -402,14 +403,16 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     DecodeResult whose u_hat and final_llrs are (F, N): row f holds
     exactly what decode(code, channel_llrs[f], mode) returns when every
     kernel has size 2 or 3; with a kernel of size 4 or more the LLRs
-    agree up to rounding. stats are the counters of each frame's decode.
+    agree only up to rounding, and decisions on LLRs within rounding of 0
+    can differ. stats are the counters of each frame's decode.
     All are fresh arrays.
     """
     check_mode(mode)
     llrs = as_llrs(channel_llrs, "channel LLRs")
     if llrs.ndim != 2 or llrs.shape[1] != code.N:
         raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
-    check_llrs(llrs, "channel LLRs")
+    if not len(llrs):  # nothing to decode, so bind no program
+        return DecodeResult(np.zeros(llrs.shape, np.uint8), llrs.copy(), schedule_of(code).stats.copy())
     # checked out, so that no other call runs on this memory meanwhile
     key = (_kernel_key(code), len(llrs))
     program = _PROGRAMS.pop(key, None)

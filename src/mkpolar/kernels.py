@@ -46,12 +46,15 @@ _T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 _T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
 
 
-def _is_whole(value) -> bool:
-    """True if value equals an integer; False for 2.5, inf, nan and "1"."""
+def _whole(value, what, least=None, error=ValueError) -> int:
+    """int(value) if value is a whole number of at least least (1.0, np.int8(3)
+    and True count; 2.5, inf, nan, "3", None and 1j do not), else raise error."""
     try:
-        return int(value) == value
+        if int(value) == value and (least is None or value >= least):
+            return int(value)
     except (OverflowError, TypeError, ValueError):
-        return False
+        pass
+    raise error(f"{what} = {value!r} is not an integer" + ("" if least is None else f" of at least {least}"))
 
 
 def _enumerate(n):
@@ -143,18 +146,16 @@ def check_mode(mode):
 
 
 def as_llrs(llrs, what):
-    """llrs as a float64 array; ValueError if complex, whose imaginary part
-    the cast would drop."""
+    """llrs as a float64 array. Raises ValueError if complex, whose imaginary
+    part the cast would drop, and NonFiniteInput unless every |LLR| is at
+    most LLR_LIMIT (so NaN fails)."""
     llrs = np.asarray(llrs)
     if llrs.dtype.kind == "c":
         raise ValueError(f"{what} must be real, got {llrs.dtype}")
-    return llrs.astype(np.float64, copy=False)
-
-
-def check_llrs(llrs, what):
-    """Raise NonFiniteInput unless every |LLR| is at most LLR_LIMIT (so NaN fails)."""
+    llrs = llrs.astype(np.float64, copy=False)
     if not (np.abs(llrs) <= LLR_LIMIT).all():
         raise NonFiniteInput(f"{what} must be finite and at most {LLR_LIMIT:g} in magnitude")
+    return llrs
 
 
 def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
@@ -172,7 +173,8 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
     (v, h) are a run of 2^(p-1-t) rows. For p <= 3 every metric sums at
     most 3 exact terms and every run at most 4, which numpy adds in
     sequence in any layout, so each update has the bits of the
-    block-major rule; for p >= 4 they agree to rounding.
+    block-major rule; for p >= 4 they agree only to rounding, which can
+    flip the sign of an update near 0.
     """
     p, rows = kernel.p, len(groups)
     # table[2c + h]: the best metric of hypothesis h of candidate c; bit t
@@ -263,18 +265,17 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     one-block call, whatever the number of blocks in the call.
 
     Raises IndexOutOfRange unless i is a whole number in [0, p) (1.0
-    counts as 1), LengthMismatch for other shapes, NonFiniteInput for
-    LLRs that are NaN or above 1e300 in magnitude and ValueError for
+    counts as 1), NonFiniteInput for LLRs that are NaN or above 1e300 in
+    magnitude, LengthMismatch for other shapes and ValueError for
     complex LLRs and for known bits other than 0 and 1.
     """
     check_mode(mode)
-    if not (_is_whole(i) and 0 <= i < kernel.p):
-        raise IndexOutOfRange(f"bit index {i!r} is not an integer in [0, {kernel.p})")
-    i = int(i)
+    i = _whole(i, "bit index", 0, IndexOutOfRange)
+    if i >= kernel.p:
+        raise IndexOutOfRange(f"bit index {i} outside [0, {kernel.p})")
     llr_rows = as_llrs(llr_rows, "kernel output LLRs")
     if llr_rows.shape[-1:] != (kernel.p,):
         raise LengthMismatch(f"expected {kernel.p} output LLRs per block, got shape {llr_rows.shape}")
-    check_llrs(llr_rows, "kernel output LLRs")
     known = np.asarray(ps_rows)
     if known.shape != llr_rows.shape[:-1] + (i,):
         raise LengthMismatch(f"expected {i} known input bits per block, got shape {known.shape}")

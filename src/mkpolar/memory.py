@@ -27,7 +27,7 @@ from math import prod
 import numpy as np
 
 from .codes import CodeSpec, _as_kernels
-from .kernels import _is_whole
+from .kernels import _whole
 
 
 def _layout(sizes):
@@ -76,9 +76,7 @@ class MemoryReport:
 def memory_report(kernels, q_bits: int = 6) -> MemoryReport:
     """Build the element-count report for a kernel sequence."""
     sizes = tuple(k.p for k in _as_kernels(kernels))
-    if not (_is_whole(q_bits) and q_bits >= 1):
-        raise ValueError(f"q_bits = {q_bits!r} is not an integer of at least 1")
-    q_bits = int(q_bits)
+    q_bits = _whole(q_bits, "q_bits", 1)
     entries, matrices = _layout(sizes)
     n, s = entries[0], len(sizes)
     llr = sum(entries)

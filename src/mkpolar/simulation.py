@@ -4,9 +4,11 @@ BPSK mapping is symbol = 1 - 2*bit; with Eb/N0 given in dB and code rate
 R = K/N the noise variance is sigma^2 = 1 / (2 * R * 10^(Eb/N0 / 10)) and
 the channel LLR of an observation y is 2*y / sigma^2, saturated to
 +-LLR_MAX. Frame f of SNR point n draws from exactly
-np.random.default_rng([seed, n, f]), so results do not depend on how the
-frames are batched; the generators of a batch come from one vectorized
-pass of numpy's SeedSequence hash (O'Neill's seed_seq_fe).
+np.random.default_rng([seed, n, f]), so with kernels of size 2 and 3,
+those of every code file, results do not depend on how the frames are
+batched (decode_batch has the caveat for larger kernels); the generators
+of a batch come from one vectorized pass of numpy's SeedSequence hash
+(O'Neill's seed_seq_fe).
 """
 
 import time
@@ -18,7 +20,7 @@ import numpy as np
 from .codes import CodeSpec, encode
 from .decoder import BATCH_LLR_ENTRIES, decode_batch
 from .errors import InvalidRate, LengthMismatch, NonFiniteInput
-from .kernels import LLR_MAX, _is_whole, check_mode
+from .kernels import LLR_MAX, _whole, check_mode
 
 # numpy's SeedSequence: pool words, word mask and mix multipliers.
 _POOL, _M32, _MIX_L, _MIX_R = 4, 0xFFFFFFFF, np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
@@ -138,17 +140,8 @@ class SimConfig:
             raise ValueError("at least one SNR point is required")
         for ebn0_db in self.snr_points_db:
             _noise_variance(ebn0_db, self.code.K / self.code.N if self.code.K else 1.0)
-        for name in ("max_frames", "target_frame_errors", "seed"):
-            value = getattr(self, name)
-            if not _is_whole(value):
-                raise ValueError(f"{name} = {value!r} is not an integer")
-            setattr(self, name, int(value))
-        if self.max_frames < 1:
-            raise ValueError("max_frames must be at least 1")
-        if self.target_frame_errors < 1:
-            raise ValueError("target_frame_errors must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, least in (("max_frames", 1), ("target_frame_errors", 1), ("seed", 0)):
+            setattr(self, name, _whole(getattr(self, name), name, least))
         check_mode(self.mode)
 
 

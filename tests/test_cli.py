@@ -154,6 +154,16 @@ def test_decode_file_errors(capsys, tmp_path):
     bad = tmp_path / "nan.txt"
     bad.write_text(" ".join(["nan"] + ["1.0"] * 11) + "\n")
     assert invoke(capsys, "decode", "--code", str(path), "--llrs", str(bad))[0] == 2
+    # a byte that is not ASCII is a file error, not an internal one
+    llrs = tmp_path / "latin1_llrs.txt"
+    llrs.write_bytes(b"1.0 " * 11 + b"\xe9\n")
+    code = tmp_path / "latin1_code.txt"
+    code.write_bytes(path.read_bytes() + b"\xe9\n")
+    for argv in (("decode", "--code", str(path), "--llrs", str(llrs)),
+                 ("decode", "--code", str(code), "--llrs", str(short)),
+                 ("encode", "--code", str(code), "--in", "101010")):
+        status, _, err = invoke(capsys, *argv)
+        assert status == 2 and err.startswith("error:")
 
 
 def test_decode_saturates_infinite_llrs(capsys, tmp_path):

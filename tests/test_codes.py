@@ -241,6 +241,17 @@ def test_channel_permutation_examples():
     assert np.array_equal(channel_permutation((2.0, 3)), channel_permutation((2, 3)))
 
 
+def _q_bits(value):
+    return memory_report((2, 2, 3), value).q_bits
+
+
+def _frozen_index(value):
+    return CodeSpec((2, 2, 3), (value,)).frozen[0]
+
+
+NOT_WHOLE = {"nan": np.nan, "inf": np.inf, "str": "3", "None": None}
+
+
 @pytest.mark.parametrize("call, args, error", [
     (CodeSpec, ((2.5, 3),), UnsupportedKernelSize),
     (memory_report, ((2.9, 3),), UnsupportedKernelSize),
@@ -249,9 +260,24 @@ def test_channel_permutation_examples():
     (channel_permutation, ((0,),), UnsupportedKernelSize),
     (channel_permutation, ((2, 1),), UnsupportedKernelSize),
     (memory_report, ((2, 2, 3), 2.5), ValueError),
-], ids=["code", "memory", "permutation", "empty", "zero", "one", "q_bits"])
+    *[(_q_bits, (value,), ValueError) for value in NOT_WHOLE.values()],
+    *[(_frozen_index, (value,), ValueError) for value in NOT_WHOLE.values()],
+    (_q_bits, (0.0,), ValueError),
+    (_frozen_index, (12.0,), IndexOutOfRange),
+    (_frozen_index, (np.int8(-1),), IndexOutOfRange),
+    (_q_bits, (3.0,), None),
+    (_q_bits, (np.int8(3),), None),
+    (_frozen_index, (3.0,), None),
+    (_frozen_index, (np.int8(3),), None),
+], ids=["code", "memory", "permutation", "empty", "zero", "one", "q_bits",
+        *[f"q_bits-{name}" for name in NOT_WHOLE], *[f"frozen-{name}" for name in NOT_WHOLE],
+        "q_bits-zero", "frozen-N", "frozen-negative", "q_bits-float", "q_bits-int8", "frozen-float", "frozen-int8"])
 def test_sizes_and_q_bits_must_be_whole(call, args, error):
     # int() would truncate 2.5 to 2 and build the (2, 3) code
+    if error is None:  # a whole number in range counts as the int it equals
+        value = call(*args)
+        assert value == 3 and type(value) is int
+        return
     with pytest.raises(error):
         call(*args)
 
@@ -342,7 +368,16 @@ def test_construct_rejects_fractional_arguments():
         construct_frozen_mc(BASES_223, 6.5, 1.0, 10, 0)
     with pytest.raises(ValueError):
         construct_frozen_mc(BASES_223, 6, 1.0, 2.5, 0)
+    for bad in NOT_WHOLE.values():
+        for k, frames, seed in ((bad, 10, 0), (6, bad, 0), (6, 10, bad)):
+            with pytest.raises(ValueError):
+                construct_frozen_mc(BASES_223, k, 1.0, frames, seed)
+    with pytest.raises(ValueError):
+        construct_frozen_mc(BASES_223, 6, 1.0, 10, -1.0)
     assert construct_frozen_mc(BASES_223, 6.0, 1.0, 10.0, 0) == construct_frozen_mc(BASES_223, 6, 1.0, 10, 0)
+    whole = construct_frozen_mc(BASES_223, 3, 1.0, 3, 3)
+    for value in (3.0, np.int8(3)):
+        assert construct_frozen_mc(BASES_223, value, 1.0, value, value) == whole
 
 
 def test_code_file_round_trip(tmp_path):

@@ -648,7 +648,7 @@ def test_bad_arguments_fail_before_any_binding(monkeypatch):
                 run(CODE_223, llrs)
 
 
-def test_decode_batch_validation():
+def test_decode_batch_validation(monkeypatch):
     with pytest.raises(LengthMismatch):
         decode_batch(CODE_223, np.zeros(12))
     with pytest.raises(LengthMismatch):
@@ -658,10 +658,19 @@ def test_decode_batch_validation():
         bad[1, 3] = value
         with pytest.raises(NonFiniteInput):
             decode_batch(CODE_223, bad)
+    # LLRs that are both non-finite and of the wrong shape fail as non-finite
+    with pytest.raises(NonFiniteInput):
+        decode_batch(CODE_223, np.full((2, 11), np.nan))
     with pytest.raises(ValueError):
         decode_batch(CODE_223, np.zeros((2, 12)), "fast")
+    # no frames: nothing to decode, so no program is bound or cached
+    cached = list(mkpolar.decoder._PROGRAMS.items())
+    monkeypatch.setattr(mkpolar.decoder, "_Program", None)
     empty = decode_batch(CODE_223, np.zeros((0, 12)))
+    assert list(mkpolar.decoder._PROGRAMS.items()) == cached
     assert empty.u_hat.shape == empty.final_llrs.shape == (0, 12)
+    assert (empty.u_hat.dtype, empty.final_llrs.dtype) == (np.uint8, np.float64)
+    assert np.array_equal(empty.stats.llr_updates, schedule_of(CODE_223).stats.llr_updates)
 
 
 def test_schedule_is_shared_by_kernel_contents():

@@ -292,6 +292,12 @@ def test_update_argument_validation():
             llr_kernel_batch(k3, i, [1.0, 2.0, 3.0], [0])
     for i in (1.0, np.float64(1.0), True, np.int8(1)):
         assert llr_kernel_batch(k3, i, [1.0, 2.0, 3.0], [0]) == llr_kernel_batch(k3, 1, [1.0, 2.0, 3.0], [0])
+    for i in (3.0, np.int8(3), -1.0):  # whole, but no bit of a size-3 kernel
+        with pytest.raises(IndexOutOfRange):
+            llr_kernel_batch(k3, i, [1.0, 2.0, 3.0], [0, 0, 0])
+    # LLRs that are both non-finite and of the wrong shape fail as non-finite
+    with pytest.raises(NonFiniteInput):
+        llr_kernel_batch(k2, 0, [np.nan, 1.0, 1.0], [])
     with pytest.raises(LengthMismatch):
         llr_kernel_batch(k2, 0, [1.0, 1.0, 1.0], [])
     with pytest.raises(LengthMismatch):

@@ -214,13 +214,17 @@ def test_sim_config_validation():
         SimConfig(code, (1.0,), mode="fast")
 
 
-@pytest.mark.parametrize("field,value", [("max_frames", 2.5), ("target_frame_errors", 1.5)])
+@pytest.mark.parametrize("field,value", [("max_frames", 2.5), ("target_frame_errors", 1.5)] + [
+    (field, value) for field in ("max_frames", "target_frame_errors", "seed")
+    for value in (np.nan, np.inf, "3", None)])
 def test_sim_config_rejects_fractional_counts(field, value):
     # these used to pass and then raise TypeError from range in simulate
     code = CodeSpec((2, 2), (0,))
     with pytest.raises(ValueError):
         SimConfig(code, (1.0,), **{field: value})
-    assert getattr(SimConfig(code, (1.0,), **{field: 3.0}), field) == 3
+    for whole in (3.0, np.int8(3)):
+        count = getattr(SimConfig(code, (1.0,), **{field: whole}), field)
+        assert count == 3 and type(count) is int
 
 
 @pytest.mark.parametrize("snr", [np.nan, np.inf, -np.inf, 4000.0, -4000.0, -3230.0])
