@@ -191,14 +191,14 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     not depend on how frames are batched, and no two seeds share a frame's noise.
     """
     from .decoder import BATCH_LLR_ENTRIES
-    from .simulation import _frame_generators, _noise_variance, awgn_llrs
+    from .simulation import _frame_generators, _noise_variance, _rate, awgn_llrs
 
     code = CodeSpec(kernels)
     n = code.N
     k, frames, seed = _whole(k, "k"), _whole(frames, "frames", 1), _whole(seed, "seed", 0)
     if not 0 <= k <= n:
         raise InvalidK(f"K = {k} outside [0, {n}]")
-    rate = k / n if k else 1.0
+    rate = _rate(k, n)
     _noise_variance(design_snr_db, rate)  # NonFiniteInput before any frame
     if k == n:
         return ()

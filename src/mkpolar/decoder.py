@@ -52,12 +52,17 @@ every history of leaf words (V = 5, 9, 21 or 73 per frame for a (2,2),
 (2,3), (3,2) or (3,3) tail), and stage s's pass runs over all of them,
 2^P - 1 candidates per frame. In wider batches, where that leaf work
 costs more than the calls it saves, and for s = 1, the one history is
-the stage-(s-1) vector itself. Each bit is then a matmul of the block's
-decisions so far into an index, an add of frame offsets when F > 1, a
-take into its final-LLR row and a less into mem.decisions. After the
-block's last bit, unless it ends the code, one kernel product with T_s
-fills their columns of stage s-1's partial-sum matrix. So no tail stage's
-vector is written, nor stage s's partial-sum matrix.
+the stage-(s-1) vector itself. Right after that pass the whole block is
+bound at once. One less per leaf of the block decides every candidate
+against the threshold of its bit; three calls, four with three leaves
+or more, write each candidate's successor, the candidate the next bit reads once
+it is decided, over the table's spent odd rows; P - 1 takes walk each
+frame from bit 0's candidate down its decided branch; one take copies
+the P candidates walked into their final-LLR rows and one less decides
+them into mem.decisions. After the block, unless it ends the code, one
+kernel product with T_s fills their columns of stage s-1's partial-sum
+matrix. So no tail stage's vector is written, nor stage s's partial-sum
+matrix.
 
 Results are bit for bit those of the block-major update rule, one
 update per bit on output LLRs flipped by the sign of the known
@@ -85,7 +90,7 @@ import numpy as np
 
 from .codes import CodeSpec
 from .errors import LengthMismatch
-from .kernels import as_llrs, check_mode, gather_steps, llr_candidate_steps, llr_gather_steps, product_steps
+from .kernels import as_llrs, check_mode, llr_candidate_steps, llr_gather_steps, product_steps
 from .memory import allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
@@ -240,9 +245,10 @@ class _Program:
     """The schedule of one kernel sequence bound to the memory of F frames.
 
     Each op becomes a few (function, args) on views and work arrays fixed
-    here, which an op that recurs in the schedule reuses. The tail decides
-    from stage s's table, tables[-1]. A frozen bit decides 0 because its
-    threshold is -inf: a run sets the thresholds from the frozen mask of
+    here, which an op that recurs in the schedule reuses. A tail block
+    decides from stage s's table, tables[-1]. A frozen bit decides 0
+    because its threshold is -inf: a run sets the thresholds, and their
+    copies for the candidate rows of each leaf, from the frozen mask of
     the code it decodes, unless the last run had that same read-only mask.
     """
 
@@ -260,36 +266,46 @@ class _Program:
         # the tail: stages top .. s, whose vectors the program never writes
         self.top = code.s - self.lookahead
         self.leaf = code.kernels[-1]
-        upper, leaf = code.bases[-2] if self.lookahead else 1, self.leaf.p
+        upper, p = code.bases[-2] if self.lookahead else 1, self.leaf.p
         # before[d]: stage-(s-1) vectors per frame at digits below d
-        before = [sum(1 << b * leaf for b in range(d)) for d in range(upper + 1)]
-        vectors = before[-1]
+        self.before = before = [sum(1 << b * p for b in range(d)) for d in range(upper + 1)]
+        width = before[-1] * frames
         # stage j: row 2 (2^t - 1 + v) holds bit t of each block after
         # prefix v; stage s's blocks are the leaf input vectors, frame f's
         # vector h in column h F + f
-        widths = [v.size for v in self.mem.llr[1:-1]] + [vectors * frames]
+        widths = [v.size for v in self.mem.llr[1:-1]] + [width]
         self.tables = [np.empty((2 * (2**k.p - 1), w)) for k, w in zip(code.kernels, widths)]
         self.known = [m.reshape(-1, m.shape[-1]) for m in self.mem.ps[:-1]]  # stage j: (blocks, width)
-        self.offsets = np.arange(self.mem.llr[1].size)
-        self.index = np.empty(self.offsets.size, np.intp)
+        self.offsets = np.arange(max(self.mem.llr[1].size, width))
+        self.index = np.empty(self.mem.llr[1].size, np.intp)
         self._work, self._bound, self._steps = {}, {}, {}
         if self.lookahead:
             # stage s-1's table row of entry k of vector h F + f
             rows = _tail_rows(upper, self.leaf)
-            self.vectors = np.empty((vectors * frames, leaf))
-            columns = np.arange(frames * leaf).reshape(frames, leaf)
+            self.vectors = np.empty((width, p))
+            columns = np.arange(frames * p).reshape(frames, p)
             self.history = (rows[:, None] * columns.size + columns).reshape(-1)
-        # bit r = d p_s + t of a tail block reads stage s's table from
-        # flat entry 2 (2^t - 1) V F + (vectors before digit d) F on,
-        # weighting the d leaf words before it by vector and the t bits
-        # of its own leaf by prefix
-        self.tail_reads, choices = [], self.tables[-1].reshape(-1)
-        for r in range(upper * leaf):
-            d, t = divmod(r, leaf)
-            start = (2 * ((1 << t) - 1) * vectors + before[d]) * frames
-            weights = np.concatenate([frames << np.arange(d * leaf - 1, -1, -1),
-                                      (2 * vectors * frames) << np.arange(t - 1, -1, -1)])
-            self.tail_reads.append((choices[start:], weights))
+        # The walk down a tail block. Candidate c of vector h in frame f
+        # sits at flat entry 2 c W + h F + f of stage s's table, W = V F,
+        # and row 2 c + 1, spent after the pass, takes the entry of its
+        # successor, the candidate the next bit reads once c decides u:
+        # inside a leaf, candidate 2 c + 1 + u of the same vector; after a
+        # leaf's last bit, with input word w, candidate 0 of vector
+        # 2^p h + 1 + w. Candidates of a block's last bit have none, so
+        # with one leaf per block only the rows of bits 0 .. p-2 do.
+        inner = (1 << p - 1) - 1  # the rows of bits 0 .. p-2
+        linked = (1 << p) - 1 if upper > 1 else inner  # the rows with a successor
+        # successor entries, less h F + f, of each row deciding 0 and 1
+        zero = [2 * (2 * c + 1) * width if c < inner else (2 * (c - inner) + 1) * frames for c in range(linked)]
+        one = [e + (2 * width if c < inner else frames) for c, e in enumerate(zero)]
+        self.successors = np.array([zero, one])[..., None]
+        self.decided = np.zeros((linked, width), np.bool_)
+        # the bit of each row, and row l: the threshold of each row in leaf l
+        self.row_bits = np.array([c.bit_length() - 1 for c in range(1, linked + 1)], np.intp)
+        self.leaf_thresholds = np.empty((code.N // p, linked))
+        # row r: the entry that bit r of the block reads in each frame
+        self.walk = np.empty((upper * p, frames), np.intp)
+        self.walk[0] = self.offsets[:frames]
 
     def _scratch(self, role, shape, dtype):
         # one work array per role serves every stage: ops run one at a time
@@ -324,20 +340,49 @@ class _Program:
         target = target.reshape(source.shape + target.shape[-1:])[..., b]
         return product_steps(kernel, source, target)
 
-    def _bind_tail(self, a, b):
-        """DECIDE bit a, bit r of its tail block, from its candidate in
-        stage s's table under the block's r decisions before it. After
-        the block's last bit, unless it ends the code, its leaf words
-        fill their columns of stage s-1's matrix, which propagates on."""
-        size, decisions = len(self.tail_reads), self.mem.decisions
-        r = a % size
-        choices, weights = self.tail_reads[r]
-        steps = gather_steps(choices, decisions[:, a - r : a], weights, self.final_llrs[a], self.index, self.offsets)
-        steps.append((np.less, (self.final_llrs[a], self.thresholds[a : a + 1], decisions.view(np.bool_)[:, a])))
-        if r == size - 1 and b >= 0:  # the block's last bit, not the code's
-            p = self.leaf.p
-            leaves, c = size // p, (a - r) // p % self.bases[-2]
-            words = decisions[:, a - r : a + 1].reshape(self.frames, leaves, p)
+    def _bind_tail(self, a):
+        """DECIDE the P bits a .. a + P - 1 of a tail block, right after
+        stage s's pass has filled its candidates.
+
+        One less per leaf of the block decides the candidates of its
+        vectors against the thresholds of their bits. Two copies and an
+        add write each candidate's successor entry, and with three leaves
+        or more an add moves those of the inner leaves' last bits to
+        vector 2^p h + 1 + w. Then P - 1 takes walk each frame down from
+        bit 0's candidate, one take fills the block's final-LLR rows and
+        one less its decisions: the candidates and the rule of one bit at
+        a time. Unless the block ends the code, its leaf words then fill
+        their columns of stage s-1's matrix, which propagates on."""
+        (size, frames), p = self.walk.shape, self.leaf.p
+        table, decided = self.tables[-1], self.decided
+        width, rows = table.shape[1], len(decided)
+        llrs, successors = table[: 2 * rows : 2], table[1 : 2 * rows : 2].view(np.intp)
+        steps = []
+        for d in range(size // p):
+            columns = slice(self.before[d] * frames, self.before[d + 1] * frames)
+            steps.append((np.less, (llrs[:, columns], self.leaf_thresholds[a // p + d, :, None], decided[:, columns])))
+        steps += [
+            (np.copyto, (successors, self.successors[0])),
+            (np.copyto, (successors, self.successors[1], "no", decided)),
+            (np.add, (successors, self.offsets[:width], successors)),
+        ]
+        middle = self.before[-2]  # vectors whose leaf is not the block's last
+        if middle > 1:
+            # 2^p h F + f is h F + f plus h (2^p - 1) F
+            last, gap = successors[(1 << p - 1) - 1 :, : middle * frames], ((1 << p) - 1) * frames
+            last = last.reshape(-1, middle, frames)
+            steps.append((np.add, (last, self.offsets[: gap * middle : gap, None], last)))
+        flat = table.reshape(-1)
+        following = flat.view(np.intp)[width:]  # entry e + W holds the successor of entry e
+        steps += [(following.take, (self.walk[r - 1], None, self.walk[r], "clip")) for r in range(1, size)]
+        final, decisions = self.final_llrs[a : a + size], self.mem.decisions
+        steps += [
+            (flat.take, (self.walk, None, final, "clip")),
+            (np.less, (final, self.thresholds[a : a + size, None], decisions.view(np.bool_)[:, a : a + size].T)),
+        ]
+        if a + size < len(self.final_llrs):  # not the code's last block
+            leaves, c = size // p, a // p % self.bases[-2]
+            words = decisions[:, a : a + size].reshape(frames, leaves, p)
             steps += product_steps(self.leaf, words, self.mem.ps[-2][..., c : c + leaves].swapaxes(1, 2))
         return steps
 
@@ -345,16 +390,18 @@ class _Program:
         steps = self._steps.get(mode)
         if steps is None:
             steps = self._steps[mode] = []
+            size = len(self.walk)
             for op in self.schedule.ops:
                 kind, a, b, kernel = op
                 if kind == REFRESH and not b and a <= self.top:
                     steps += self._candidates(a, kernel, mode)
-                # the tail binds its refreshes and stage s's propagations
-                # with its decisions
-                if kind == REFRESH and a >= self.top or kind == PROPAGATE and a == len(self.tables):
+                # the tail binds its refreshes, its decisions and stage s's
+                # propagations once per block, at the block's first bit
+                if kind == REFRESH and a >= self.top or kind == PROPAGATE and a == len(self.tables) \
+                        or kind == DECIDE and a % size:
                     continue
                 if op not in self._bound:
-                    self._bound[op] = self._bind_tail(a, b) if kind == DECIDE else self._bind(*op)
+                    self._bound[op] = self._bind_tail(a) if kind == DECIDE else self._bind(*op)
                 steps += self._bound[op]
             self.nbytes = self._held_bytes()
         return steps
@@ -379,6 +426,7 @@ class _Program:
         self.mem.llr[0][:, self.permutation] = channel_llrs
         if mask is not self._frozen or mask.flags.writeable:
             np.copyto(self.thresholds, np.where(mask, -np.inf, 0.0))
+            self.thresholds.reshape(-1, self.leaf.p).take(self.row_bits, 1, self.leaf_thresholds)
             self._frozen = mask
         for fn, args in self.steps(mode):
             fn(*args)

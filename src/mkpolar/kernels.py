@@ -16,13 +16,11 @@ variant. For the size-2 kernel these reduce to the classic f and g updates.
 Every update reads one table per kernel, the metric terms of each whole
 input word. From it llr_candidate_steps forms the update of every bit of
 R blocks under every known prefix, llr_gather_steps picks each block's
-own through gather_steps, and llr_kernel_batch runs both.
+own, and llr_kernel_batch runs both.
 
 LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
 """
-
-from functools import partial
 
 import numpy as np
 
@@ -42,6 +40,9 @@ LLR_MAX = 40.0
 LLR_LIMIT = 1e300
 
 _ONE = np.ones(1, dtype=np.uint8)  # parity mask: cheaper per call than the int 1
+# The clip ufunc saturates in one call, where np.clip's Python wrapper costs
+# more than the work at these sizes; its path is private, which a test pins.
+_clip = np._core.umath.clip
 _T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 _T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
 
@@ -204,33 +205,9 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
             (np.add, (table[:done], total, table[:done])),
         ]
     # The difference goes in place into the even rows, since numpy
-    # buffers small operands whose strides differ from the output's;
-    # minimum and maximum take `out` only by keyword.
+    # buffers small operands whose strides differ from the output's.
     llrs = table[0::2]
-    return steps + [
-        (np.subtract, (llrs, table[1::2], llrs)),
-        (partial(np.minimum, out=table), (table, LLR_MAX)),
-        (partial(np.maximum, out=table), (table, -LLR_MAX)),
-    ]
-
-
-def gather_steps(choices, known, weights, out, index, offsets):
-    """Steps that copy ``choices[known[r] @ weights + r]`` into ``out[r]``.
-
-    ``choices`` is a 1-d float64 view, ``out`` an (R,) float64 array and
-    ``known`` an (R, len(weights)) integer array. ``index`` is an intp
-    work array and ``offsets`` holds 0, 1, 2, ..., both at least R long.
-    With no known bits the steps are one copy.
-    """
-    rows = len(out)
-    if not len(weights):
-        return [(np.copyto, (out, choices[:rows]))]
-    index = index[:rows]
-    steps = [(np.matmul, (known, weights, index))]
-    if rows > 1:  # a single block has offset 0
-        steps.append((np.add, (index, offsets[:rows], index)))
-    # "clip" spares numpy the copy of `out` that "raise" makes
-    return steps + [(choices.take, (index, None, out, "clip"))]
+    return steps + [(np.subtract, (llrs, table[1::2], llrs)), (_clip, (table, -LLR_MAX, LLR_MAX, table))]
 
 
 def llr_gather_steps(i, table, known, out, index, offsets):
@@ -238,13 +215,24 @@ def llr_gather_steps(i, table, known, out, index, offsets):
 
     ``table`` is what llr_candidate_steps fills, ``out`` an (R,) float64
     array and ``known`` an integer array whose first i columns hold the
-    known input bits of the R blocks; ``index`` and ``offsets`` are as in
-    gather_steps. The steps copy into ``out[r]`` the candidate of block r
-    under its prefix v: flat entry 2 R v + r of the table rows of bit i.
+    known input bits of the R blocks. ``index`` is an intp work array and
+    ``offsets`` holds 0, 1, 2, ..., both at least R long. The steps copy
+    into ``out[r]`` the candidate of block r under its prefix v: flat
+    entry 2 R v + r of the table rows of bit i. With no known bits they
+    are one copy, else a matmul into the index, an add of the block
+    offsets when R > 1 and a take.
     """
+    rows = len(out)
     choices = table[2 * ((1 << i) - 1) : 2 * ((2 << i) - 1)].reshape(-1)
-    weights = (2 * len(out)) << np.arange(i - 1, -1, -1, dtype=np.int64)
-    return gather_steps(choices, known[:, :i], weights, out, index, offsets)
+    if not i:
+        return [(np.copyto, (out, choices[:rows]))]
+    index = index[:rows]
+    weights = (2 * rows) << np.arange(i - 1, -1, -1, dtype=np.int64)
+    steps = [(np.matmul, (known[:, :i], weights, index))]
+    if rows > 1:  # a single block has offset 0
+        steps.append((np.add, (index, offsets[:rows], index)))
+    # "clip" spares numpy the copy of `out` that "raise" makes
+    return steps + [(choices.take, (index, None, out, "clip"))]
 
 
 def _fresh(role, shape, dtype):

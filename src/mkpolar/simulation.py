@@ -87,6 +87,11 @@ def _noise_variance(ebn0_db, rate):
     return sigma2
 
 
+def _rate(k, n):
+    """The code rate K / N, and 1.0 for K = 0, whose Eb/N0 has no information bit to refer to."""
+    return k / n if k else 1.0
+
+
 def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool = False):
     """Transmit codewords over BPSK/AWGN and return channel LLRs.
 
@@ -139,7 +144,7 @@ class SimConfig:
         if not self.snr_points_db:
             raise ValueError("at least one SNR point is required")
         for ebn0_db in self.snr_points_db:
-            _noise_variance(ebn0_db, self.code.K / self.code.N if self.code.K else 1.0)
+            _noise_variance(ebn0_db, _rate(self.code.K, self.code.N))
         for name, least in (("max_frames", 1), ("target_frame_errors", 1), ("seed", 0)):
             setattr(self, name, _whole(getattr(self, name), name, least))
         check_mode(self.mode)
@@ -198,7 +203,7 @@ def simulate(config: SimConfig) -> SimResult:
     code = config.code
     info = np.asarray(code.info, dtype=np.int64)
     k = code.K
-    rate = k / code.N if k else 1.0
+    rate = _rate(k, code.N)
     cap = max(1, BATCH_LLR_ENTRIES // code.N)
     target = config.target_frame_errors
     result = SimResult()

@@ -19,6 +19,7 @@ from mkpolar import (
     encode,
     llr_kernel_batch,
 )
+import mkpolar.kernels
 from mkpolar.kernels import _fresh, llr_candidate_steps, product_steps
 from oracles import row_major_kernel_update
 from reference_sc import kernel_marginal_llr
@@ -246,6 +247,20 @@ def test_updates_saturate():
     k2 = builtin_kernel(2)
     assert update(k2, 1, [LLR_MAX, LLR_MAX], [0]) == LLR_MAX
     assert update(k2, 1, [-LLR_MAX, -LLR_MAX], [0], mode="minsum") == -LLR_MAX
+
+
+def test_saturation_is_the_clip_ufunc_at_its_private_path():
+    # Every candidate pass saturates in one call of numpy's clip ufunc,
+    # which numpy keeps at a private path: a numpy that moves it or
+    # changes it must fail here, not in a decode.
+    clip = np._core.umath.clip
+    assert isinstance(clip, np.ufunc) and clip.nin == 3
+    assert mkpolar.kernels._clip is clip
+    values = np.array([0.0, -0.0, 40.0, -40.0, 1e300, -1e300, np.inf, -np.inf, np.nan])
+    want = np.maximum(np.minimum(values, LLR_MAX), -LLR_MAX)
+    got = np.empty_like(values)
+    clip(values, -LLR_MAX, LLR_MAX, got)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_minsum_tie_returns_exact_zero():
