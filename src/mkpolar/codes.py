@@ -110,6 +110,12 @@ class CodeSpec:
         """Slot of each codeword position in the stage-0 LLR vector."""
         return channel_permutation(self.bases)
 
+    @cached_property
+    def channel_order(self):
+        """Codeword position of each slot of the stage-0 LLR vector, the
+        inverse of permutation: ingesting is one take through it."""
+        return np.argsort(self.permutation)
+
     def __repr__(self):
         return f"CodeSpec(bases={self.bases}, N={self.N}, K={self.K})"
 
@@ -163,8 +169,7 @@ GENIE_TIE_TOL = 1e-12
 def _genie_llrs(code: CodeSpec, channel_llrs):
     """(F, N) genie-aided decision LLRs. Level j is stage j's vector at every
     digit prefix, (b_j, ..., b_1, F, entry); row 2 (2^t - 1) of a pass is bit t after prefix 0."""
-    level = np.empty(channel_llrs.shape)
-    level[:, code.permutation] = channel_llrs
+    level = channel_llrs.take(code.channel_order, 1)
     for kern in code.kernels:
         groups = level.reshape(-1, kern.p)
         table = np.empty((2 * ((1 << kern.p) - 1), len(groups)))

@@ -27,8 +27,11 @@ holds F frames:
 decode_batch runs the schedule on the stage memory that memory.allocate
 builds for F frames, and decode is its F = 1 case. The schedule is bound
 to that memory once per kernel sequence and F: each op becomes a few
-in-place numpy calls on fixed views, so a run creates no views and
-allocates nothing.
+in-place numpy calls on fixed views, so a run creates no views. It
+still allocates: numpy buffers the operands of a call whose inputs are
+broadcast or strided unlike its output, up to 16.4 KB for a broadcast
+subtract of an exact-mode pass. A warm decode at N = 972 peaks at about
+16.5 KiB under tracemalloc, its results included.
 
 One rule binds every REFRESH above the tail. Stage j-1 does not change
 while stage j runs through its digits b = 0 .. p_j - 1, so at b = 0 one
@@ -36,9 +39,9 @@ pass of kernels.llr_candidate_steps fills the stage's candidate table
 with the update of every bit t of each of its R = F * p_{j+1} * ... *
 p_s blocks under every known prefix v, the blocks innermost. Then
 kernels.llr_gather_steps refreshes the vector: a copy at b = 0, and at
-b > 0 a matmul that reads each block's prefix from columns 0 .. b-1 of
-the partial-sum matrix, an add that offsets the blocks when R > 1 and a
-take.
+b > 0 a matmul (a multiply at b = 1) that reads each block's prefix
+from columns 0 .. b-1 of the partial-sum matrix, an add that offsets
+the blocks when R > 1 and a take.
 
 The tail, the last stage alone or the last two, is decided block by
 block from stage s's candidate table into mem.decisions; a tail block is
@@ -255,7 +258,6 @@ class _Program:
     def __init__(self, code: CodeSpec, frames: int):
         self.frames = frames
         self.schedule = schedule_of(code)
-        self.permutation = code.permutation
         self.mem = allocate(code, frames)
         # row i holds bit i's decision LLR in every frame
         self.final_llrs = np.empty((code.N, frames))
@@ -423,7 +425,7 @@ class _Program:
     def run(self, code: CodeSpec, channel_llrs, mode):
         """Decode (F, N) channel LLRs into mem.decisions and final_llrs."""
         mask = code.frozen_mask
-        self.mem.llr[0][:, self.permutation] = channel_llrs
+        channel_llrs.take(code.channel_order, 1, self.mem.llr[0], "clip")
         if mask is not self._frozen or mask.flags.writeable:
             np.copyto(self.thresholds, np.where(mask, -np.inf, 0.0))
             self.thresholds.reshape(-1, self.leaf.p).take(self.row_bits, 1, self.leaf_thresholds)

@@ -43,6 +43,8 @@ _ONE = np.ones(1, dtype=np.uint8)  # parity mask: cheaper per call than the int 
 # The clip ufunc saturates in one call, where np.clip's Python wrapper costs
 # more than the work at these sizes; its path is private, which a test pins.
 _clip = np._core.umath.clip
+# 0-d rails: a Python float costs a conversion per call
+_LO, _HI = np.array(-LLR_MAX), np.array(LLR_MAX)
 _T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 _T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
 
@@ -85,6 +87,8 @@ class KernelMatrix:
     codewords : ndarray
         Read-only uint8 (2^p, p): row u is the codeword u T of the input
         word u, read as a binary number with the first bit most significant.
+    key : tuple
+        Hashable identity of the kernel contents, (p, bytes of rows).
     """
 
     def __init__(self, rows):
@@ -105,13 +109,9 @@ class KernelMatrix:
         self.rows.flags.writeable = False
         self.codewords = codewords
         self.codewords.flags.writeable = False
+        self.key = (p, rows.tobytes())
         # row u: the metric terms (1 - 2 x_m) / 2 of the codeword x of u
         self._word_metrics = (1.0 - 2.0 * self.codewords) / 2.0
-
-    @property
-    def key(self):
-        """Hashable identity of the kernel contents."""
-        return (self.p, self.rows.tobytes())
 
     def __repr__(self):
         return f"KernelMatrix(p={self.p})"
@@ -169,13 +169,15 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
     significant); odd rows are work space, and other work arrays come
     from ``scratch(role, shape, dtype)``.
 
-    One product with the word table forms the metric of each word
-    u = (v, h, c), hypothesis h and completion c, once; the words of one
-    (v, h) are a run of 2^(p-1-t) rows. For p <= 3 every metric sums at
-    most 3 exact terms and every run at most 4, which numpy adds in
-    sequence in any layout, so each update has the bits of the
-    block-major rule; for p >= 4 they agree only to rounding, which can
-    flip the sign of an update near 0.
+    One product with the word table (np.dot, BLAS) forms the metric of
+    each word u = (v, h, c), hypothesis h and completion c, once; the
+    words of one (v, h) are a run of 2^(p-1-t) rows. A run of 2 takes
+    its best metric by one fmax and its log-sum-exp by one add of its two
+    halves, the first plus the second; a longer run reduces along its
+    axis, which numpy adds in sequence. For p <= 3 every metric sums at
+    most 3 exact terms and every run at most 4, so each update has the
+    bits of the block-major rule in any layout; for p >= 4 they agree
+    only to rounding, which can flip the sign of an update near 0.
     """
     p, rows = kernel.p, len(groups)
     # table[2c + h]: the best metric of hypothesis h of candidate c; bit t
@@ -185,12 +187,14 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
     bit = [slice(2 * ((1 << t) - 1), 2 * ((2 << t) - 1)) for t in range(p)]
     done = bit[-1].start  # the hypotheses of bits 0 .. p-2
     words = table[bit[-1]]
-    steps = [(np.matmul, (kernel._word_metrics, groups.T, words))]
+    steps = [(np.dot, (kernel._word_metrics, groups.T, words))]
     for t in range(p - 2, -1, -1):
-        steps.append((np.maximum.reduce, (table[bit[t + 1]].reshape(2 << t, 2, rows), 1, None, table[bit[t]])))
+        pairs = table[bit[t + 1]].reshape(2 << t, 2, rows)
+        # fmax, not maximum: NaN never reaches a pass (as_llrs), and
+        # maximum warns about a positional out
+        steps.append((np.fmax, (pairs[:, 0], pairs[:, 1], table[bit[t]])))
     if mode == "exact":
-        # log-sum-exp over each run, shifted by its best metric; numpy
-        # adds along the middle axis in sequence
+        # log-sum-exp over each run, shifted by its best metric
         shifted = scratch("metrics", (p - 1, 1 << p, rows), np.float64)
         total = scratch("total", (done, rows), np.float64)
         sums = []
@@ -198,7 +202,10 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
             runs = words.reshape(2 << t, 1 << (p - 1 - t), rows)
             part = shifted[t].reshape(runs.shape)
             steps.append((np.subtract, (runs, table[bit[t], None], part)))
-            sums.append((np.add.reduce, (part, 1, None, total[bit[t]])))
+            if t == p - 2:  # runs of 2
+                sums.append((np.add, (part[:, 0], part[:, 1], total[bit[t]])))
+            else:
+                sums.append((np.add.reduce, (part, 1, None, total[bit[t]])))
         steps.append((np.exp, (shifted, shifted)))
         steps += sums + [
             (np.log, (total, total)),
@@ -207,7 +214,7 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
     # The difference goes in place into the even rows, since numpy
     # buffers small operands whose strides differ from the output's.
     llrs = table[0::2]
-    return steps + [(np.subtract, (llrs, table[1::2], llrs)), (_clip, (table, -LLR_MAX, LLR_MAX, table))]
+    return steps + [(np.subtract, (llrs, table[1::2], llrs)), (_clip, (table, _LO, _HI, table))]
 
 
 def llr_gather_steps(i, table, known, out, index, offsets):
@@ -219,8 +226,8 @@ def llr_gather_steps(i, table, known, out, index, offsets):
     ``offsets`` holds 0, 1, 2, ..., both at least R long. The steps copy
     into ``out[r]`` the candidate of block r under its prefix v: flat
     entry 2 R v + r of the table rows of bit i. With no known bits they
-    are one copy, else a matmul into the index, an add of the block
-    offsets when R > 1 and a take.
+    are one copy, else a matmul into the index (a multiply with one known
+    bit), an add of the block offsets when R > 1 and a take.
     """
     rows = len(out)
     choices = table[2 * ((1 << i) - 1) : 2 * ((2 << i) - 1)].reshape(-1)
@@ -228,7 +235,10 @@ def llr_gather_steps(i, table, known, out, index, offsets):
         return [(np.copyto, (out, choices[:rows]))]
     index = index[:rows]
     weights = (2 * rows) << np.arange(i - 1, -1, -1, dtype=np.int64)
-    steps = [(np.matmul, (known[:, :i], weights, index))]
+    if i == 1:  # a multiply by a 0-d weight costs half a one-term matmul
+        steps = [(np.multiply, (known[:, 0], weights.reshape(()), index))]
+    else:
+        steps = [(np.matmul, (known[:, :i], weights, index))]
     if rows > 1:  # a single block has offset 0
         steps.append((np.add, (index, offsets[:rows], index)))
     # "clip" spares numpy the copy of `out` that "raise" makes

@@ -112,14 +112,17 @@ def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool =
     symbols = 1.0 - 2.0 * bits
     if noiseless:
         return symbols * LLR_MAX
-    scale = np.sqrt(sigma2)
+    # normal(0, s) draws 0 + s z from standard_normal's z; the 0 + is
+    # lost once the noise is added to +-1
     if isinstance(rng, np.random.Generator):
-        noise = rng.normal(0.0, scale, size=bits.shape)
+        noise = rng.standard_normal(bits.shape)
     else:
         if bits.ndim != 2 or len(rng) != bits.shape[0]:
             raise LengthMismatch(f"{len(rng)} generators for codewords of shape {bits.shape}")
-        noise = np.reshape([r.normal(0.0, scale, size=bits.shape[1]) for r in rng], bits.shape)
-    y = symbols + noise
+        noise = np.empty(bits.shape)
+        for r, row in zip(rng, noise):
+            r.standard_normal(out=row)
+    y = symbols + noise * np.sqrt(sigma2)
     return np.clip(2.0 * y / sigma2, -LLR_MAX, LLR_MAX)
 
 
@@ -203,6 +206,7 @@ def simulate(config: SimConfig) -> SimResult:
     code = config.code
     info = np.asarray(code.info, dtype=np.int64)
     k = code.K
+    words = -(-k // 8)  # raw words per frame: one information bit per byte
     rate = _rate(k, code.N)
     cap = max(1, BATCH_LLR_ENTRIES // code.N)
     target = config.target_frame_errors
@@ -217,7 +221,7 @@ def simulate(config: SimConfig) -> SimResult:
             u = np.zeros((batch, code.N), dtype=np.uint8)
             if k:
                 # as integers(0, 2, k, uint8): the top bits of the first k raw bytes
-                raw = np.array([rng.bit_generator.random_raw(-(-k // 8)) for rng in rngs])
+                raw = np.fromiter((rng.bit_generator.random_raw(words) for rng in rngs), (np.uint64, words), batch)
                 u[:, info] = raw.astype("<u8", copy=False).view(np.uint8)[:, :k] >> 7
             llrs = awgn_llrs(encode(code, u), ebn0_db, rate, rngs, noiseless=config.noiseless)
             u_hat = decode_batch(code, llrs, config.mode).u_hat

@@ -289,8 +289,11 @@ def test_channel_permutation_definition():
         perm = channel_permutation(bases)
         assert perm.dtype == np.int64
         assert not np.shares_memory(perm, channel_permutation(bases))
-        table = CodeSpec([custom.get(p, p) for p in bases]).digit_table
+        code = CodeSpec([custom.get(p, p) for p in bases])
+        table = code.digit_table
         assert table.dtype == np.int64
+        # slot perm[j] ingests codeword position j
+        assert np.array_equal(code.channel_order[perm], np.arange(code.N))
         n = int(np.prod(bases))
         assert sorted(perm) == list(range(n))
         weights = []

@@ -382,6 +382,19 @@ def test_bound_program_matches_reference_executor_at_972(mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_single_frame_decodes_match_reference_executor_at_144_and_384(mode):
+    # The benchmark times single-frame decodes of every paper code; the
+    # tests above reach N = 72 at every F and N = 972 by one frame.
+    rng = np.random.default_rng(83)
+    for bases in ((2, 2, 2, 2, 3, 3), (2, 2, 2, 2, 2, 2, 2, 3)):
+        n = int(np.prod(bases))
+        code = CodeSpec(bases, rng.choice(n, n // 2, replace=False))
+        for f, llrs in enumerate(mixed_frames(code, rng)):
+            assert_same_as_reference(decode(code, llrs, mode), code, llrs, mode, (bases, f))
+        assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), 1].lookahead
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
 def test_size_four_kernels_agree_to_rounding(mode):
     # A kernel of size 4 sums 4 terms per metric and up to 8 per
     # reduction, which numpy and BLAS may add in another order in
@@ -401,6 +414,11 @@ def test_size_four_kernels_agree_to_rounding(mode):
             assert np.abs(single.final_llrs - batch.final_llrs[f]).max() <= 1e-12, (bases, f)
 
 
+# (exact, minsum) steps of each paper code's single-frame program
+PAPER_STEPS = {(2, 2, 3): (85, 56), (2, 2, 2, 3, 3): (463, 316), (2, 2, 2, 2, 3, 3): (949, 650),
+               (2, 2, 2, 2, 2, 2, 2, 3): (3361, 2278), (2, 2, 3, 3, 3, 3, 3): (6091, 4200)}
+
+
 @pytest.mark.parametrize("bases", PAPER_CODES)
 def test_numpy_calls_per_bit_on_the_paper_codes(bases):
     # Every stage above the tail runs one candidate pass per kernel block
@@ -411,12 +429,14 @@ def test_numpy_calls_per_bit_on_the_paper_codes(bases):
     # matmul, a take and a less per bit spent 7.55-10.08 and 5.60-7.26,
     # one pass per leaf block 11.1-12.9 and 7.5-8.9, the per-op program
     # 16.8-18.9 and 12.2-13.9, and a per-bit update rule above the last
-    # stage 11.8-13.9 and 8.3-9.9.
+    # stage 11.8-13.9 and 8.3-9.9. The counts are pinned: a change that
+    # makes calls cheaper must not make more of them.
     code = CodeSpec(bases)
     program = _Program(code, 1)
     assert program.lookahead
-    assert len(program.steps("exact")) <= 8.8 * code.N
-    assert len(program.steps("minsum")) <= 6.0 * code.N
+    steps = len(program.steps("exact")), len(program.steps("minsum"))
+    assert steps == PAPER_STEPS[bases]
+    assert steps[0] <= 8.8 * code.N and steps[1] <= 6.0 * code.N
 
 
 @pytest.mark.parametrize("bases", PAPER_CODES)
@@ -427,8 +447,9 @@ def test_program_memory_against_the_paper_layout(bases):
     # floats, for P bits per tail block), vectors, gather index and the
     # larger work arrays of its leaf pass, and the walk its decided
     # candidates, thresholds per leaf row and walked entries: measured
-    # 7.9-26.3x, against 7.1-8.9x before the look-ahead. Capped batches
-    # decide the last stage alone: 5.8-6.2x.
+    # 7.4-25.9x, against 7.1-8.9x before the look-ahead. Capped batches
+    # decide the last stage alone: 5.8-6.2x. A run ingests through the
+    # code's channel order, so the program holds none.
     code = CodeSpec(bases)
     for frames, bound in ((1, 26.5), (mkpolar.decoder.BATCH_LLR_ENTRIES // code.N, 6.3)):
         program = _Program(code, frames)
@@ -436,13 +457,16 @@ def test_program_memory_against_the_paper_layout(bases):
         mem = allocate(code, frames)
         paper = sum(x.nbytes for x in mem.llr + mem.ps + [mem.decisions])
         assert program.nbytes <= bound * paper, (bases, frames, program.nbytes / paper)
+        orders = (code.permutation, code.channel_order)
+        assert not any(x is order for x in vars(program).values() for order in orders)
 
 
 def test_warm_decode_allocates_little():
-    # A warm decode allocates its results and little else: about 17 KiB
-    # at N = 972. A candidate pass that wrote its differences from
-    # strided rows into a separate table made numpy buffer the operands,
-    # and the peak read 24.4 KiB.
+    # A warm decode allocates its results and numpy's buffers for calls
+    # whose operands are broadcast or strided unlike their output: about
+    # 16.5 KiB at N = 972, most of it one broadcast subtract's 16.4 KB. A
+    # candidate pass that wrote its differences from strided rows into a
+    # separate table made numpy buffer more, and the peak read 24.4 KiB.
     code = CodeSpec((2, 2, 3, 3, 3, 3, 3), range(0, 972, 2))
     llrs = np.random.default_rng(53).normal(2.0, 2.0, code.N)
     decode(code, llrs)

@@ -261,6 +261,10 @@ def test_saturation_is_the_clip_ufunc_at_its_private_path():
     got = np.empty_like(values)
     clip(values, -LLR_MAX, LLR_MAX, got)
     assert got.tobytes() == want.tobytes()
+    # the passes' 0-d rails
+    got = np.empty_like(values)
+    clip(values, mkpolar.kernels._LO, mkpolar.kernels._HI, got)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_minsum_tie_returns_exact_zero():
