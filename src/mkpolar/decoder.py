@@ -83,6 +83,9 @@ BATCH_LLR_ENTRIES LLR entries (F * N), so callers that alternate batch
 sizes bind each size once. After each binding it drops the
 least recently used programs until the rest charge at most CACHE_BYTES, each
 its nbytes plus STEP_BYTES per bound step, which hold most bytes at small F.
+Construction's genie-aided pass (codes._GeniePass) is bound and cached
+the same way, per kernel sequence and F under a key of its own, and
+shares the budget.
 """
 
 from dataclasses import dataclass

@@ -122,8 +122,12 @@ def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool =
         noise = np.empty(bits.shape)
         for r, row in zip(rng, noise):
             r.standard_normal(out=row)
-    y = symbols + noise * np.sqrt(sigma2)
-    return np.clip(2.0 * y / sigma2, -LLR_MAX, LLR_MAX)
+    # in place, in the order of clip(2 (symbols + noise sigma) / sigma^2)
+    noise *= np.sqrt(sigma2)
+    noise += symbols
+    noise *= 2.0
+    noise /= sigma2
+    return np.clip(noise, -LLR_MAX, LLR_MAX, out=noise)
 
 
 @dataclass

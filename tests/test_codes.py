@@ -1,5 +1,7 @@
 """Mixed-radix indexing, encoding, permutation, construction, code files."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,13 @@ def test_channel_permutation_definition():
             digits = mixed_radix_digits(j, bases)
             assert tuple(table[j]) == digits
             assert perm[j] == sum(d * wt for d, wt in zip(digits, weights))
+    # channel_order, digit reversal under the reversed bases, inverts the
+    # permutation: every sequence of 1 to 5 sizes from 2 to 5, 1364 in all
+    sequences = [bases for length in range(1, 6) for bases in itertools.product((2, 3, 4, 5), repeat=length)]
+    assert len(sequences) == 1364
+    for bases in sequences:
+        code = CodeSpec([custom.get(p, p) for p in bases])
+        assert np.array_equal(code.channel_order, np.argsort(code.permutation)), bases
 
 
 def test_construct_is_deterministic():

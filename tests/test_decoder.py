@@ -22,7 +22,7 @@ from mkpolar import (
     simulate,
 )
 import mkpolar.decoder
-from mkpolar.codes import _genie_llrs
+from mkpolar.codes import _GeniePass, _genie_llrs
 from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _Program, schedule_of
 from oracles import exact_sc_oracle_llr, row_major_kernel_update, start_stage, trailing_max_run
 from reference_sc import all_kernel_sequences, textbook_sc_decode
@@ -567,27 +567,77 @@ def test_alternating_frame_counts_bind_each_once(monkeypatch):
     assert binds == [(mkpolar.decoder._kernel_key(code), 1), (mkpolar.decoder._kernel_key(code), 40)]
 
 
+def counting_genie_binds(monkeypatch):
+    """The (kernel key, F) of every genie pass bound from here on."""
+    binds = []
+    real_init = _GeniePass.__init__
+
+    def init(self, kernels, frames):
+        binds.append((tuple(k.key for k in kernels), frames))
+        real_init(self, kernels, frames)
+
+    monkeypatch.setattr(_GeniePass, "__init__", init)
+    return binds
+
+
 def test_repeated_runs_bind_nothing(monkeypatch):
     # A run binds once per distinct batch size; the same run again finds
-    # every program it needs in the cache.
+    # every program and genie pass it needs in the cache.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     config = SimConfig(CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6)), (0.0, 4.0), max_frames=300,
                        target_frame_errors=10, seed=3)
-    construct = ((2, 2, 2, 2, 3, 3), 72, 1.0, 40, 0)
+    construct = ((2, 2, 2, 2, 3, 3), 72, 1.0, 1000, 0)  # batches of 455, 455 and 90
     first = simulate(config).to_csv(), construct_frozen_mc(*construct)
-    binds = counting_binds(monkeypatch)
+    binds, genie = counting_binds(monkeypatch), counting_genie_binds(monkeypatch)
     assert (simulate(config).to_csv(), construct_frozen_mc(*construct)) == first
-    assert binds == []
+    assert binds == genie == []
 
 
 def test_construction_binds_no_program(monkeypatch):
     # The genie-aided pass runs the kernel rule once per stage, with no SC
-    # schedule and no partial sums to bind.
+    # schedule and no partial sums to bind: the cache holds genie passes only.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     binds = counting_binds(monkeypatch)
     for args in (((2, 2, 2, 2, 3, 3), 72, 1.0, 40, 0), ((2, 2, 3), 6, 1.0, 6000, 1), ((3, K4), 6, 1.0, 7, 2)):
         construct_frozen_mc(*args)
-    assert binds == [] and mkpolar.decoder._PROGRAMS == {}
+    assert binds == []
+    assert not any(isinstance(p, _Program) for p in mkpolar.decoder._PROGRAMS.values())
+
+
+def test_construction_binds_one_genie_pass_per_kernel_sequence_and_batch(monkeypatch):
+    # Construction binds no SC program, with its schedule and partial sums:
+    # it binds the genie pass once per kernel sequence and batch size, and
+    # caches it beside the SC programs under a key no SC program has.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    binds, genie = counting_binds(monkeypatch), counting_genie_binds(monkeypatch)
+    runs = (((2, 2, 2, 2, 3, 3), 72, 1.0, 40, 0), ((2, 2, 3), 6, 1.0, 6000, 1), ((3, K4), 6, 1.0, 7, 2))
+    for args in runs + runs:
+        construct_frozen_mc(*args)
+    keys = [mkpolar.decoder._kernel_key(CodeSpec(args[0])) for args in runs]
+    want = [(keys[0], 40), (keys[1], 5461), (keys[1], 539), (keys[2], 7)]
+    assert binds == [] and genie == want
+    assert list(mkpolar.decoder._PROGRAMS) == [("genie", *key) for key in want]
+    assert all(isinstance(p, _GeniePass) for p in mkpolar.decoder._PROGRAMS.values())
+
+
+def test_interleaved_constructions_match_runs_on_an_empty_cache(monkeypatch):
+    # Genie passes of four kernel sequences, two of them of equal sizes, at
+    # F = 1, 40 and the 455 and 90 of 1000 frames at N = 144, taken from
+    # the cache in turns: each construction gives the frozen set of the
+    # same run on an empty cache.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    cache = mkpolar.decoder._PROGRAMS
+    runs = [(bases, k, 1.0, frames, seed) for frames, seed in ((1, 4), (40, 5), (1000, 6))
+            for bases, k in (((2, 2, 2, 2, 3, 3), 72), ((3, K4), 6), ((2, 2, 3), 5), ((2, 2, OTHER), 5))]
+    want = []
+    for args in runs:
+        cache.clear()
+        want.append(construct_frozen_mc(*args))
+    cache.clear()
+    for _ in range(2):
+        assert [construct_frozen_mc(*args) for args in runs] == want
+    assert want[2::4] != want[3::4]  # so a pass shared by the two would show
+    assert len(cache) == 13  # N = 12 takes 1000 frames in one batch
 
 
 def charge(program):
