@@ -10,7 +10,6 @@ mixed-radix digits (b_1, ..., b_s), b_1 most significant:
 Kernel order is significant: <2,3> and <3,2> are different codes.
 """
 
-from contextlib import contextmanager
 from functools import cached_property
 from math import prod
 
@@ -24,7 +23,7 @@ from .errors import (
     LengthMismatch,
     UnsupportedKernelSize,
 )
-from .kernels import KernelMatrix, _whole, builtin_kernel, product_steps, zero_prefix_steps
+from .kernels import KernelMatrix, WorkArrays, _whole, builtin_kernel, product_steps, zero_prefix_steps
 
 
 def _kernel_size(k):
@@ -175,70 +174,43 @@ class _GeniePass:
     is the update of bit b_j after the all-zero prefix over stage j-1's
     vector at (b_1, ..., b_{j-1}). Level j holds stage j's vector at every
     prefix, (b_j, ..., b_1, F, entry), and one kernels.zero_prefix_steps
-    pass per stage forms it from level j-1 in the same array: the pass
-    reads its level by its first step, the metric product, and writes the
-    next by its last two. The stages share one work array per role. A run
-    ingests F frames of channel LLRs by one take through the channel
-    order into level 0 and runs the steps, bound once here.
+    pass per stage forms it from level j-1 in the same array. The stages
+    share one work array per role. A run ingests F frames of channel LLRs
+    by one take through the channel order into level 0 and runs the
+    steps, bound once here.
     """
 
     def __init__(self, kernels, frames):
+        from .decoder import _charge
+
         bases = tuple(k.p for k in kernels)
         n = prod(bases)
         self.order = channel_permutation(bases[::-1])
         self.level = np.empty(frames * n)
         self.channel = self.level.reshape(frames, n)
-        self._work, self._bound = {}, {}
+        self.work, self._bound = WorkArrays(), {}
         # per block, every work array grows with p: bound largest first,
         # each is allocated once
         for j in sorted(range(len(kernels)), key=lambda j: -bases[j]):
             p = bases[j]
-            self._bound[j] = zero_prefix_steps(kernels[j], self.level.reshape(-1, p), self.level.reshape(p, -1), self._scratch)
-        self.steps = [step for j in sorted(self._bound) for step in self._bound[j]]
+            self._bound[j] = zero_prefix_steps(kernels[j], self.level.reshape(-1, p), self.level.reshape(p, -1), self.work)
+        self._steps = [step for j in sorted(self._bound) for step in self._bound[j]]
         # row r: bit channel_order[r]'s decision LLR in every frame, the
         # digits of r those of the bit reversed
         self.final_llrs = self.level.reshape(n, frames)
-        self.nbytes = sum(a.nbytes for a in (self.order, self.level, *self._work.values()))
-
-    def _scratch(self, role, shape, dtype):
-        size = prod(shape)
-        if role not in self._work or self._work[role].size < size:
-            self._work[role] = np.empty(size, dtype)
-        return self._work[role][:size].reshape(shape)
+        _charge(self)
 
     def run(self, channel_llrs):
         """final_llrs of (F, N) float64 channel LLRs in natural order."""
         channel_llrs.take(self.order, 1, self.channel, "clip")
-        for fn, args in self.steps:
+        for fn, args in self._steps:
             fn(*args)
         return self.final_llrs
 
 
-@contextmanager
-def _genie_pass(kernels, frames):
-    """The genie pass of kernels for F frames, cached with the decoder's
-    programs and held out of that cache while the caller runs it, as
-    decode_batch holds its program."""
-    from .decoder import BATCH_LLR_ENTRIES, _PROGRAMS, _evict
-
-    key = ("genie", tuple(k.key for k in kernels), frames)  # SC programs' keys are pairs
-    genie = _PROGRAMS.pop(key, None)
-    bound = genie is None
-    if bound:
-        genie = _GeniePass(kernels, frames)
-    try:
-        yield genie
-    finally:
-        if genie.final_llrs.size <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
-            _PROGRAMS[key] = genie  # now the most recently used
-            if bound:
-                _evict()
-
-
 def _genie_llrs(code: CodeSpec, channel_llrs):
-    """(F, N) genie-aided decision LLRs of (F, N) float64 channel LLRs, both in natural order."""
-    with _genie_pass(code.kernels, len(channel_llrs)) as genie:
-        return genie.run(channel_llrs).T.take(code.permutation, 1)
+    """(F, N) genie-aided decision LLRs of (F, N) float64 channel LLRs, both in natural order, by a pass of its own."""
+    return _GeniePass(code.kernels, len(channel_llrs)).run(channel_llrs).T.take(code.permutation, 1)
 
 
 def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed: int):
@@ -246,13 +218,12 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
 
     The all-zero codeword is sent over AWGN `frames` times; a genie-aided
     SC pass scores per bit position how often the decision LLR argues for
-    the wrong bit while all previous decisions are forced correct. Known
-    bits are then 0, so one kernels.zero_prefix_steps pass per stage forms
-    stage j's vector at every digit prefix from stage j-1's: bit for bit the
-    decode of the all-frozen code for kernels of size 2 and 3, else to rounding.
-    The pass is bound once per kernel sequence and batch size and cached
-    with the decoder's programs. Each batch is scored in the pass's level
-    order, and the N scores are put in natural order once at the end.
+    the wrong bit while all previous decisions are forced correct: the
+    decode of the all-frozen code, bit for bit for kernels of size 2 and 3
+    (kernels.llr_candidate_steps has the caveat for larger ones), by a
+    _GeniePass per batch size, checked out as decoder._check_out states.
+    Each batch is scored in the pass's level order, and the N scores are
+    put in natural order once at the end.
     A negative decision LLR scores a whole error, one within GENIE_TIE_TOL
     of 0 half an error: such a bit carries no information, whatever sign
     rounding gives it. The N - k positions with the highest scores are
@@ -260,7 +231,7 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     generator, exactly np.random.default_rng([seed, f]), so the result does
     not depend on how frames are batched, and no two seeds share a frame's noise.
     """
-    from .decoder import BATCH_LLR_ENTRIES
+    from .decoder import BATCH_LLR_ENTRIES, _check_in, _check_out
     from .simulation import _frame_generators, _noise_variance, _rate, awgn_llrs
 
     kernels = _as_kernels(kernels)
@@ -280,10 +251,14 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
         count = min(frames - start, batch)
         rngs = _frame_generators((seed,), start, count)
         llrs = awgn_llrs(np.zeros((count, n), dtype=np.uint8), design_snr_db, rate, rngs)
-        with _genie_pass(kernels, count) as genie:
+        key = ("genie", tuple(kern.key for kern in kernels), count)  # SC programs' keys are pairs
+        genie, charged = _check_out(key, _GeniePass, kernels, count)
+        try:
             final = genie.run(llrs)
             scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=1)
             scores += (np.abs(final) <= GENIE_TIE_TOL).sum(axis=1)
+        finally:
+            _check_in(key, genie, charged)
     order = np.argsort(-scores.take(channel_permutation(kernels)), kind="stable")
     return tuple(sorted(int(i) for i in order[: n - k]))
 

@@ -28,9 +28,8 @@ decode_batch runs the schedule on the stage memory that memory.allocate
 builds for F frames, and decode is its F = 1 case. The schedule is bound
 to that memory once per kernel sequence and F: each op becomes a few
 in-place numpy calls on fixed views, so a run creates no views. It
-still allocates: numpy buffers the operands of a call whose inputs are
-broadcast or strided unlike its output, up to 16.4 KB for a broadcast
-subtract of an exact-mode pass. A warm decode at N = 972 peaks at about
+still allocates numpy's buffers for calls whose inputs are broadcast or
+strided unlike their output: a warm decode at N = 972 peaks at about
 16.5 KiB under tracemalloc, its results included.
 
 One rule binds every REFRESH above the tail. Stage j-1 does not change
@@ -38,54 +37,24 @@ while stage j runs through its digits b = 0 .. p_j - 1, so at b = 0 one
 pass of kernels.llr_candidate_steps fills the stage's candidate table
 with the update of every bit t of each of its R = F * p_{j+1} * ... *
 p_s blocks under every known prefix v, the blocks innermost. Then
-kernels.llr_gather_steps refreshes the vector: a copy at b = 0, and at
-b > 0 a matmul (a multiply at b = 1) that reads each block's prefix
-from columns 0 .. b-1 of the partial-sum matrix, an add that offsets
-the blocks when R > 1 and a take.
+kernels.llr_gather_steps refreshes the vector at each digit b, reading
+each block's prefix from columns 0 .. b-1 of the partial-sum matrix.
 
-The tail, the last stage alone or the last two, is decided block by
-block from stage s's candidate table into mem.decisions; a tail block is
-the p_s or P = p_{s-1} * p_s bits that share all digits above the tail.
-While F * (2^P - 1) < LOOKAHEAD_CANDIDATES the tail is the last two
-stages, by pre-computation look-ahead (Zhang & Parhi, IEEE TSP 2013)
-with multi-bit decisions (Yuan & Parhi, IEEE TCAS-I 2014): stage s-1's
-vector at digit b depends only on the b leaf blocks decided before it,
-so at the block's bit 0 one take after stage s-1's pass builds it under
-every history of leaf words (V = 5, 9, 21 or 73 per frame for a (2,2),
-(2,3), (3,2) or (3,3) tail), and stage s's pass runs over all of them,
-2^P - 1 candidates per frame. In wider batches, where that leaf work
-costs more than the calls it saves, and for s = 1, the one history is
-the stage-(s-1) vector itself. Right after that pass the whole block is
-bound at once. One less per leaf of the block decides every candidate
-against the threshold of its bit; three calls, four with three leaves
-or more, write each candidate's successor, the candidate the next bit reads once
-it is decided, over the table's spent odd rows; P - 1 takes walk each
-frame from bit 0's candidate down its decided branch; one take copies
-the P candidates walked into their final-LLR rows and one less decides
-them into mem.decisions. After the block, unless it ends the code, one
-kernel product with T_s fills their columns of stage s-1's partial-sum
-matrix. So no tail stage's vector is written, nor stage s's partial-sum
-matrix.
+The tail, the last stage alone or, under the look-ahead, the last two,
+is decided a block of bits at a time by a walk down the candidates of
+stage s's table into mem.decisions, which writes no tail stage's vector
+nor stage s's partial-sum matrix: _Program._bind_tail states how.
 
 Results are bit for bit those of the block-major update rule, one
 update per bit on output LLRs flipped by the sign of the known
-codeword, for kernels of size 2 and 3, which covers every built-in
-code: the look-ahead reads only values that the tail of the last stage
-alone computes, by the same pass. A kernel of size 4 or more sums longer
-runs, which numpy and BLAS may add in another order in another layout
-or at another F, so its LLRs agree only up to rounding, and a decision
-whose LLR lies within rounding of 0 can differ too.
+codeword: the look-ahead reads only values that the tail of the last
+stage alone computes, by the same pass. That holds for kernels of size
+2 and 3, which covers every built-in code; kernels.llr_candidate_steps
+states what differs for larger ones.
 
-A call takes its program out of the cache while it runs and returns
-copies; a call with no frames binds none. The cache keeps one idle
-program per kernel sequence and F, for batches of at most
-BATCH_LLR_ENTRIES LLR entries (F * N), so callers that alternate batch
-sizes bind each size once. After each binding it drops the
-least recently used programs until the rest charge at most CACHE_BYTES, each
-its nbytes plus STEP_BYTES per bound step, which hold most bytes at small F.
-Construction's genie-aided pass (codes._GeniePass) is bound and cached
-the same way, per kernel sequence and F under a key of its own, and
-shares the budget.
+A call runs on a program checked out of one cache, which construction's
+genie-aided passes share (_check_out), and returns copies; a call with
+no frames binds none.
 """
 
 from dataclasses import dataclass
@@ -96,19 +65,17 @@ import numpy as np
 
 from .codes import CodeSpec
 from .errors import LengthMismatch
-from .kernels import as_llrs, check_mode, llr_candidate_steps, llr_gather_steps, product_steps
-from .memory import allocate
+from .kernels import WorkArrays, as_llrs, check_mode, llr_candidate_steps, llr_gather_steps, product_steps
+from .memory import DecoderMemory, allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
 
 # Most LLR entries (frames x N) that construction and simulation put into
 # one decode_batch call.
 BATCH_LLR_ENTRIES = 1 << 16
-# The last two stages are bound as one look-ahead tail while F times its
-# 2^P - 1 candidates per frame stays under this many, and the last stage
-# alone is the tail otherwise. In exact mode the
-# look-ahead stopped paying between 2500 and 3600 on (2,3), (3,2) and
-# (3,3) tails; its leaf work grows with the candidates, not the vectors.
+# The tail is the last two stages while F (2^P - 1) < this (_bind_tail). In
+# exact mode the look-ahead stopped paying between 2500 and 3600 on (2,3),
+# (3,2) and (3,3) tails; its leaf work grows with the candidates, not the vectors.
 LOOKAHEAD_CANDIDATES = 2560
 STEP_BYTES = 400  # the Python objects of one bound step: measured 285-430 B
 CACHE_BYTES = 16 << 20  # two capped programs of any paper code charge at most 16.3 MB
@@ -123,10 +90,7 @@ class DecodeStats:
     into stage j-1. ps_reads / ps_writes tally column accesses of each
     partial-sum matrix (stage 1 keeps a slot for the absent last column).
     They count the paper's schedule, op by op, not the bound program's
-    memory traffic: the program's tail decides into mem.decisions and
-    never writes the stage-s vector and partial sums that ps_writes[s-1],
-    ps_reads[s-1] and llr_updates[s-1] count, nor, under the look-ahead,
-    the stage-(s-1) vector that llr_updates[s-2] counts.
+    memory traffic, whose tail skips some of them (_Program._bind_tail).
 
     After a full decode the counters follow closed forms that depend only
     on the kernel sizes p_1, ..., p_s:
@@ -212,7 +176,7 @@ class Schedule:
 
 
 _SCHEDULES = {}
-# idle programs by (kernel key, F), least recently used first
+# idle bound programs by key (_check_out), least recently used first
 _PROGRAMS = {}
 
 
@@ -251,11 +215,11 @@ class _Program:
     """The schedule of one kernel sequence bound to the memory of F frames.
 
     Each op becomes a few (function, args) on views and work arrays fixed
-    here, which an op that recurs in the schedule reuses. A tail block
-    decides from stage s's table, tables[-1]. A frozen bit decides 0
-    because its threshold is -inf: a run sets the thresholds, and their
-    copies for the candidate rows of each leaf, from the frozen mask of
-    the code it decodes, unless the last run had that same read-only mask.
+    here, which an op that recurs in the schedule reuses. A frozen bit
+    decides 0 because its threshold is -inf: a run sets the thresholds,
+    and their copies for the candidate rows of each leaf, from the frozen
+    mask of the code it decodes, unless the last run had that same
+    read-only mask.
     """
 
     def __init__(self, code: CodeSpec, frames: int):
@@ -275,29 +239,21 @@ class _Program:
         # before[d]: stage-(s-1) vectors per frame at digits below d
         self.before = before = [sum(1 << b * p for b in range(d)) for d in range(upper + 1)]
         width = before[-1] * frames
-        # stage j: row 2 (2^t - 1 + v) holds bit t of each block after
-        # prefix v; stage s's blocks are the leaf input vectors, frame f's
-        # vector h in column h F + f
+        # stage j's candidates (llr_candidate_steps); stage s's blocks are
+        # the leaf vectors, frame f's vector h in column h F + f
         widths = [v.size for v in self.mem.llr[1:-1]] + [width]
         self.tables = [np.empty((2 * (2**k.p - 1), w)) for k, w in zip(code.kernels, widths)]
         self.known = [m.reshape(-1, m.shape[-1]) for m in self.mem.ps[:-1]]  # stage j: (blocks, width)
         self.offsets = np.arange(max(self.mem.llr[1].size, width))
         self.index = np.empty(self.mem.llr[1].size, np.intp)
-        self._work, self._bound, self._steps = {}, {}, {}
+        self.work, self._bound, self._steps = WorkArrays(), {}, {}
         if self.lookahead:
             # stage s-1's table row of entry k of vector h F + f
             rows = _tail_rows(upper, self.leaf)
             self.vectors = np.empty((width, p))
             columns = np.arange(frames * p).reshape(frames, p)
             self.history = (rows[:, None] * columns.size + columns).reshape(-1)
-        # The walk down a tail block. Candidate c of vector h in frame f
-        # sits at flat entry 2 c W + h F + f of stage s's table, W = V F,
-        # and row 2 c + 1, spent after the pass, takes the entry of its
-        # successor, the candidate the next bit reads once c decides u:
-        # inside a leaf, candidate 2 c + 1 + u of the same vector; after a
-        # leaf's last bit, with input word w, candidate 0 of vector
-        # 2^p h + 1 + w. Candidates of a block's last bit have none, so
-        # with one leaf per block only the rows of bits 0 .. p-2 do.
+        # the walk down a tail block (_bind_tail)
         inner = (1 << p - 1) - 1  # the rows of bits 0 .. p-2
         linked = (1 << p) - 1 if upper > 1 else inner  # the rows with a successor
         # successor entries, less h F + f, of each row deciding 0 and 1
@@ -311,28 +267,19 @@ class _Program:
         # row r: the entry that bit r of the block reads in each frame
         self.walk = np.empty((upper * p, frames), np.intp)
         self.walk[0] = self.offsets[:frames]
-
-    def _scratch(self, role, shape, dtype):
-        # one work array per role serves every stage: ops run one at a time
-        size = prod(shape)
-        if role not in self._work or self._work[role].size < size:
-            self._work[role] = np.empty(size, dtype)
-        return self._work[role][:size].reshape(shape)
+        _charge(self)
 
     def _candidates(self, a, kernel, mode):
-        """Stage a's candidate pass: the one step that reads the mode.
-
-        Under the look-ahead, stage s-1's pass goes on to fill stage s's
-        table: one take builds the vector of every history, and one leaf
-        pass runs over them all."""
+        """Stage a's candidate pass, the one step that reads the mode, and
+        under the look-ahead the leaf pass over every history (_bind_tail)."""
         key = (a, mode)
         if key not in self._bound:
             table = self.tables[a - 1]
             groups = self.mem.llr[a - 1].reshape(-1, kernel.p)
-            steps = llr_candidate_steps(kernel, mode, groups, table, self._scratch)
+            steps = llr_candidate_steps(kernel, mode, groups, table, self.work)
             if self.lookahead and a == self.top:
                 steps.append((table.reshape(-1).take, (self.history, None, self.vectors.reshape(-1), "clip")))
-                steps += llr_candidate_steps(self.leaf, mode, self.vectors, self.tables[-1], self._scratch)
+                steps += llr_candidate_steps(self.leaf, mode, self.vectors, self.tables[-1], self.work)
             self._bound[key] = steps
         return self._bound[key]
 
@@ -349,15 +296,39 @@ class _Program:
         """DECIDE the P bits a .. a + P - 1 of a tail block, right after
         stage s's pass has filled its candidates.
 
-        One less per leaf of the block decides the candidates of its
-        vectors against the thresholds of their bits. Two copies and an
-        add write each candidate's successor entry, and with three leaves
-        or more an add moves those of the inner leaves' last bits to
-        vector 2^p h + 1 + w. Then P - 1 takes walk each frame down from
-        bit 0's candidate, one take fills the block's final-LLR rows and
-        one less its decisions: the candidates and the rule of one bit at
-        a time. Unless the block ends the code, its leaf words then fill
-        their columns of stage s-1's matrix, which propagates on."""
+        The tail is the last stage alone, P = p_s, or while F * (2^P - 1) <
+        LOOKAHEAD_CANDIDATES and s > 1 the last two, P = p_{s-1} * p_s, by
+        pre-computation look-ahead (Zhang & Parhi, IEEE TSP 2013) with
+        multi-bit decisions (Yuan & Parhi, IEEE TCAS-I 2014); a block is
+        the P bits that share all digits above the tail. Under the
+        look-ahead stage s-1's vector at digit b depends only on the b leaf
+        blocks decided before it, so at the block's bit 0 one take after
+        stage s-1's pass builds it under every history of leaf words (V =
+        5, 9, 21 or 73 per frame for a (2,2), (2,3), (3,2) or (3,3) tail)
+        and stage s's pass runs over all of them, 2^P - 1 candidates per
+        frame. In wider batches, where that leaf work costs more than the
+        calls it saves, and for s = 1, the one history (V = 1) is the
+        stage-(s-1) vector itself.
+
+        Candidate c of vector h in frame f sits at flat entry 2 c W + h F
+        + f of stage s's table, W = V F, and row 2 c + 1, spent after the
+        pass, takes the entry of its successor, the candidate the next bit
+        reads once c decides u: inside a leaf, candidate 2 c + 1 + u of
+        the same vector; after a leaf's last bit, with input word w,
+        candidate 0 of vector 2^p h + 1 + w. Candidates of a block's last
+        bit have none, so with one leaf per block only the rows of bits
+        0 .. p-2 do.
+
+        One less per leaf decides the candidates of its vectors against
+        the thresholds of their bits. Two copies and an add write each
+        candidate's successor entry, and with three leaves or more an add
+        moves those of the inner leaves' last bits to vector 2^p h + 1 + w.
+        Then P - 1 takes walk each frame down from bit 0's candidate, one
+        take fills the block's final-LLR rows and one less its decisions:
+        the candidates and the rule of one bit at a time. Unless the block
+        ends the code, one product with T_s then fills its columns of stage
+        s-1's partial-sum matrix. So no tail stage's vector is written, nor
+        stage s's partial-sum matrix."""
         (size, frames), p = self.walk.shape, self.leaf.p
         table, decided = self.tables[-1], self.decided
         width, rows = table.shape[1], len(decided)
@@ -408,22 +379,8 @@ class _Program:
                 if op not in self._bound:
                     self._bound[op] = self._bind_tail(a) if kind == DECIDE else self._bind(*op)
                 steps += self._bound[op]
-            self.nbytes = self._held_bytes()
+            _charge(self)
         return steps
-
-    def _held_bytes(self):
-        """Bytes of the distinct base arrays held, not the shared schedule's: memory, tables,
-        work arrays. Steps add views of them and few-byte weights, which STEP_BYTES covers."""
-        todo = [vars(self.mem)] + [v for k, v in vars(self).items() if k not in ("schedule", "_bound", "_steps")]
-        arrays = {}
-        while todo:
-            x = todo.pop()
-            if isinstance(x, np.ndarray):
-                x = x if x.base is None else x.base  # numpy points views at the owner
-                arrays[id(x)] = x
-            elif isinstance(x, (list, tuple, dict)):
-                todo += x.values() if isinstance(x, dict) else x
-        return sum(x.nbytes for x in arrays.values())
 
     def run(self, code: CodeSpec, channel_llrs, mode):
         """Decode (F, N) channel LLRs into mem.decisions and final_llrs."""
@@ -455,10 +412,9 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     -------
     DecodeResult whose u_hat and final_llrs are (F, N): row f holds
     exactly what decode(code, channel_llrs[f], mode) returns when every
-    kernel has size 2 or 3; with a kernel of size 4 or more the LLRs
-    agree only up to rounding, and decisions on LLRs within rounding of 0
-    can differ. stats are the counters of each frame's decode.
-    All are fresh arrays.
+    kernel has size 2 or 3 (kernels.llr_candidate_steps gives the
+    caveat for larger ones). stats are the counters of each frame's
+    decode. All are fresh arrays.
     """
     check_mode(mode)
     llrs = as_llrs(channel_llrs, "channel LLRs")
@@ -466,33 +422,71 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
         raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
     if not len(llrs):  # nothing to decode, so bind no program
         return DecodeResult(np.zeros(llrs.shape, np.uint8), llrs.copy(), schedule_of(code).stats.copy())
-    # checked out, so that no other call runs on this memory meanwhile
     key = (_kernel_key(code), len(llrs))
-    program = _PROGRAMS.pop(key, None)
-    if program is None:
-        program = _Program(code, len(llrs))
-    bound = mode not in program._steps  # this run binds steps and may add work arrays
+    program, charged = _check_out(key, _Program, code, len(llrs))
     try:
         program.run(code, llrs, mode)
         mem, stats = program.mem, program.schedule.stats
         return DecodeResult(mem.decisions.copy(), program.final_llrs.T.copy(), stats.copy())
     finally:
-        if program.final_llrs.size <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
-            _PROGRAMS[key] = program  # now the most recently used
-            if bound:
-                _evict()
+        _check_in(key, program, charged)
+
+
+def _check_out(key, bind, *args):
+    """Take the idle program under key out of the cache, or bind one by
+    bind(*args), for one run; return it and its charge, 0 if new.
+
+    The one cache holds bound programs: SC programs (_Program) under
+    (kernel key, F) and construction's genie-aided passes
+    (codes._GeniePass) under ("genie", kernel key, F), one idle program
+    per key for batches of at most BATCH_LLR_ENTRIES LLR entries (F * N).
+    So callers that alternate batch sizes bind each size once, and no two
+    calls run on one program's memory at once. _check_in, in a finally
+    clause, puts it back. A program stores its charge when it is bound
+    and whenever it binds steps (_charge); after a run that changed it,
+    the least recently used programs go until the rest charge at most
+    CACHE_BYTES.
+    """
+    program = _PROGRAMS.pop(key, None)
+    return (bind(*args), 0) if program is None else (program, program.charge)
+
+
+def _check_in(key, program, charged):
+    """Put a checked-out program back as the most recently used."""
+    if program.final_llrs.size <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
+        _PROGRAMS[key] = program
+        if program.charge != charged:  # the run bound it or more of its steps
+            _evict()
+
+
+def _charge(program):
+    """Store a program's nbytes, the distinct base arrays it holds but not
+    the shared schedule's, and its charge: nbytes plus STEP_BYTES per bound
+    step, for the step's Python objects, views and few-byte weights."""
+    todo = [v for k, v in vars(program).items() if k not in ("schedule", "_bound", "_steps")]
+    arrays = {}
+    while todo:
+        x = todo.pop()
+        if isinstance(x, np.ndarray):
+            x = x if x.base is None else x.base  # numpy points views at the owner
+            arrays[id(x)] = x
+        elif isinstance(x, DecoderMemory):
+            todo.append(vars(x))
+        elif isinstance(x, (list, tuple, dict)):
+            todo += x.values() if isinstance(x, dict) else x
+    program.nbytes = sum(x.nbytes for x in arrays.values())
+    program.charge = program.nbytes + STEP_BYTES * sum(map(len, program._bound.values()))
 
 
 def _evict():
     """Drop the least recently used idle programs until the rest charge at most CACHE_BYTES."""
-    sizes = [(key, program.nbytes + STEP_BYTES * sum(map(len, program._bound.values())))
-             for key, program in list(_PROGRAMS.items())]
-    excess = sum(size for _, size in sizes) - CACHE_BYTES
-    for key, size in sizes:
+    charges = [(key, program.charge) for key, program in list(_PROGRAMS.items())]
+    excess = sum(charge for _, charge in charges) - CACHE_BYTES
+    for key, charge in charges:
         if excess <= 0:
             break
         _PROGRAMS.pop(key, None)  # another call may hold it meanwhile
-        excess -= size
+        excess -= charge
 
 
 def decode(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:

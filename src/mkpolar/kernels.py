@@ -23,6 +23,8 @@ LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
 """
 
+from math import prod
+
 import numpy as np
 
 from .errors import (
@@ -160,7 +162,19 @@ def as_llrs(llrs, what):
     return llrs
 
 
-def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
+class WorkArrays(dict):
+    """One grow-only work array per role for every pass bound with it, as
+    bound steps run one at a time: work(role, shape, dtype) is a view of
+    the role's array, first replaced by a larger one if it is too small."""
+
+    def __call__(self, role, shape, dtype):
+        size = prod(shape)
+        if role not in self or self[role].size < size:
+            self[role] = np.empty(size, dtype)
+        return self[role][:size].reshape(shape)
+
+
+def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, work):
     """The update of every input bit under every known prefix, as steps.
 
     ``groups`` is a C-contiguous (R, p) float64 array of output LLRs per
@@ -168,7 +182,7 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
     The steps write into row 2 (2^t - 1 + v) of ``table`` the update of
     bit t of each block after the known prefix v (first bit most
     significant); odd rows are work space, and other work arrays come
-    from ``scratch(role, shape, dtype)``.
+    from the WorkArrays ``work``.
 
     One product with the word table (np.dot, BLAS) forms the metric of
     each word u = (v, h, c), hypothesis h and completion c, once; the
@@ -177,8 +191,14 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
     halves, the first plus the second; a longer run reduces along its
     axis, which numpy adds in sequence. For p <= 3 every metric sums at
     most 3 exact terms and every run at most 4, so each update has the
-    bits of the block-major rule in any layout; for p >= 4 they agree
-    only to rounding, which can flip the sign of an update near 0.
+    bits of the block-major rule in any layout and for any R.
+
+    For p >= 4 BLAS may sum a word's metric, and numpy a run of 8 or
+    more, in an order that depends on R and the layout: in 20,000-block
+    calls at p = 4 and 5, 327 to 404 of 1200 to 1500 sampled updates
+    differed from their one-block calls. So a batch row and a single
+    decode, or a decode and the genie-aided pass, agree only to rounding,
+    which can flip a decision on an LLR near 0 and so a simulation result.
     """
     p, rows = kernel.p, len(groups)
     # table[2c + h]: the best metric of hypothesis h of candidate c; bit t
@@ -190,8 +210,8 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, scratch):
     steps = _metric_steps(kernel, groups, [table[b] for b in bit])
     if mode == "exact":
         # log-sum-exp over each run, shifted by its best metric
-        shifted = scratch("metrics", (p - 1, 1 << p, rows), np.float64)
-        total = scratch("total", (done, rows), np.float64)
+        shifted = work("metrics", (p - 1, 1 << p, rows), np.float64)
+        total = work("total", (done, rows), np.float64)
         sums = []
         for t in range(p - 1):
             runs = words.reshape(2 << t, 1 << (p - 1 - t), rows)
@@ -228,7 +248,7 @@ def _metric_steps(kernel: KernelMatrix, groups, best):
     return steps
 
 
-def zero_prefix_steps(kernel: KernelMatrix, groups, out, scratch):
+def zero_prefix_steps(kernel: KernelMatrix, groups, out, work):
     """The exact update of every input bit after the all-zero prefix, as steps.
 
     ``groups`` is a C-contiguous (R, p) float64 array of output LLRs per
@@ -237,8 +257,8 @@ def zero_prefix_steps(kernel: KernelMatrix, groups, out, scratch):
     write out. The steps write into out[t] the update of bit t of each
     block whose bits 0 .. t-1 are all known to be 0: row 2 (2^t - 1) of what llr_candidate_steps leaves in
     its table in exact mode, formed by the same arithmetic in the same
-    order, so for p <= 3 bit for bit. Work arrays come from
-    ``scratch(role, shape, dtype)``.
+    order, so bit for bit for p <= 3 (llr_candidate_steps states the
+    rest). Work arrays come from the WorkArrays ``work``.
 
     After the same metric product and pair maxima, bit t reads only the
     two runs of prefix 0, words 0 .. 2^(p-t) - 1, in place of all 2^(t+1)
@@ -247,12 +267,12 @@ def zero_prefix_steps(kernel: KernelMatrix, groups, out, scratch):
     p, rows = kernel.p, len(groups)
     # rows 2t and 2t + 1: the log-sum-exp of bit t's hypotheses 0 and 1,
     # then the words, whose first two are the hypotheses of the last bit
-    candidates = scratch("candidates", (2 * (p - 1) + (1 << p), rows), np.float64)
+    candidates = work("candidates", (2 * (p - 1) + (1 << p), rows), np.float64)
     words = candidates[2 * (p - 1) :]
-    maxima = scratch("maxima", ((1 << p) - 2, rows), np.float64)
+    maxima = work("maxima", ((1 << p) - 2, rows), np.float64)
     best = [maxima[2 * ((1 << t) - 1) : 2 * ((2 << t) - 1)] for t in range(p - 1)] + [words]
     steps = _metric_steps(kernel, groups, best)
-    shifted = scratch("shifted", ((2 << p) - 4, rows), np.float64)
+    shifted = work("shifted", ((2 << p) - 4, rows), np.float64)
     sums, adds, start = [], [], 0
     for t in range(p - 1):
         run = 1 << (p - 1 - t)
@@ -297,10 +317,6 @@ def llr_gather_steps(i, table, known, out, index, offsets):
     return steps + [(choices.take, (index, None, out, "clip"))]
 
 
-def _fresh(role, shape, dtype):
-    return np.empty(shape, dtype)
-
-
 def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exact"):
     """Vectorized kernel LLR update for many blocks at once.
 
@@ -312,11 +328,8 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     The pass forms all 2^p - 1 candidates of each block to return one
     bit, so one call costs as much as the candidates of every bit.
     Blocks are independent. For p <= 3 each one gets exactly the update
-    of a one-block call, whatever the number of blocks in the call. For
-    p >= 4, BLAS may sum a word's metric in an order that depends on the
-    number of blocks, so an update agrees with its one-block call only to
-    rounding: in 20,000-block calls at p = 4 and 5, 327 to 404 of 1200 to
-    1500 sampled updates differed.
+    of a one-block call, whatever the number of blocks in the call
+    (llr_candidate_steps states what differs for larger kernels).
 
     Raises IndexOutOfRange unless i is a whole number in [0, p) (1.0
     counts as 1), NonFiniteInput for LLRs that are NaN or above 1e300 in
@@ -339,7 +352,7 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     rows = len(groups)
     table = np.empty((2 * ((1 << kernel.p) - 1), rows))
     out = np.empty(rows)
-    steps = llr_candidate_steps(kernel, mode, groups, table, _fresh)
+    steps = llr_candidate_steps(kernel, mode, groups, table, WorkArrays())
     steps += llr_gather_steps(i, table, known.astype(np.uint8).reshape(rows, i), out,
                               np.empty(rows, np.intp), np.arange(rows))
     for fn, args in steps:

@@ -14,11 +14,10 @@ allocate builds this memory for F frames at once, each array with a
 leading frame axis (the inter-frame layout): ``ps[j-1][f, k, c]`` is the
 partial sum of sub-block c at block position k of stage j in frame f.
 The decoder runs on these arrays plus, per stage j, a work table of the
-2^p_j - 1 candidate updates of each kernel block (decoder._Program). It
-never writes the stage-s vector or partial-sum matrix: decision LLRs go
-to their own rows, decisions to ``decisions``. Under its look-ahead,
-stage s's table holds the 2^P - 1 candidates per frame of each block of
-the last P = p_{s-1} * p_s bits, and stage s-1's vector stays unwritten.
+2^p_j - 1 candidate updates of each kernel block (decoder._Program). Its
+tail decides into ``decisions`` and writes neither the stage-s vector
+and partial-sum matrix nor, under the look-ahead, the stage-(s-1) vector
+(decoder._Program._bind_tail).
 """
 
 from dataclasses import dataclass

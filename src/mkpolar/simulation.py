@@ -6,9 +6,9 @@ the channel LLR of an observation y is 2*y / sigma^2, saturated to
 +-LLR_MAX. Frame f of SNR point n draws from exactly
 np.random.default_rng([seed, n, f]), so with kernels of size 2 and 3,
 those of every code file, results do not depend on how the frames are
-batched (decode_batch has the caveat for larger kernels); the generators
-of a batch come from one vectorized pass of numpy's SeedSequence hash
-(O'Neill's seed_seq_fe).
+batched (kernels.llr_candidate_steps has the caveat for larger
+kernels); the generators of a batch come from one vectorized pass of
+numpy's SeedSequence hash (O'Neill's seed_seq_fe).
 """
 
 import time

@@ -647,10 +647,11 @@ def charge(program):
 
 
 def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
-    # Idle programs stay per (kernel key, F). After each binding the least
-    # recently used go until the rest charge at most CACHE_BYTES, each its
-    # array bytes and STEP_BYTES per bound step; a hit makes a program the
-    # most recent.
+    # Idle programs and genie passes stay per (kernel key, F). After each
+    # binding the least recently used go until the rest charge at most
+    # CACHE_BYTES, each its array bytes and STEP_BYTES per bound step; a
+    # hit makes a program the most recent. gA and gB are the genie passes
+    # of A's and B's kernels, bound by constructions.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     cache = mkpolar.decoder._PROGRAMS
     budget = mkpolar.decoder.CACHE_BYTES
@@ -662,14 +663,28 @@ def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
              ("A", cap, ["A 3000", "B 3000", "A cap"]),  # a hit
              ("A", 2500, ["B 3000", "A cap", "A 2500"]),
              ("A", cap + 1, ["B 3000", "A cap", "A 2500"]),  # never kept
-             ("B", 3500, ["A cap", "A 2500", "B 3500"])]
-    names = {(mkpolar.decoder._kernel_key(code), f): f"{name} {'cap' if f == cap else f}"
-             for name, code in codes.items() for f in (cap, 2500, 3000, 3500)}
+             ("B", 3500, ["A cap", "A 2500", "B 3500"]),
+             ("gA", 3000, ["A 2500", "B 3500", "gA 3000"]),  # a genie pass evicts a program
+             ("A", 2500, ["B 3500", "gA 3000", "A 2500"]),
+             ("gA", 3000, ["B 3500", "A 2500", "gA 3000"]),  # a hit on a genie pass
+             ("A", cap, ["A 2500", "gA 3000", "A cap"]),
+             ("gB", cap, ["gA 3000", "A cap", "gB cap"]),
+             ("B", 2000, ["A cap", "gB cap", "B 2000"])]  # a program evicts a genie pass
+    names = {}
+    for name, code in codes.items():
+        key = mkpolar.decoder._kernel_key(code)
+        for f in (cap, 2000, 2500, 3000, 3500):
+            names[key, f] = f"{name} {'cap' if f == cap else f}"
+            names["genie", key, f] = "g" + names[key, f]
     for name, frames, kept in calls:
-        decode_batch(codes[name], np.ones((frames, 12)))
+        if name.startswith("g"):
+            construct_frozen_mc(codes[name[1]].bases, 6, 1.0, frames, 0)
+        else:
+            decode_batch(codes[name], np.ones((frames, 12)))
         assert [names[key] for key in cache] == kept, (name, frames)
         assert sum(charge(program) for program in cache.values()) <= budget
-        assert all(program.frames == key[1] for key, program in cache.items())
+        assert all(program.charge == charge(program) for program in cache.values())
+        assert all(program.final_llrs.shape == (12, key[-1]) for key, program in cache.items())
     # Programs of few frames hold most of their bytes in their steps: an
     # F = 1 .. 12 sweep of one N = 972 code charges STEP_BYTES per bound
     # step past the budget, while the array bytes of all 12 would fit.
@@ -742,6 +757,107 @@ def test_a_call_made_during_a_decode_gets_its_own_program(monkeypatch):
 
     monkeypatch.setattr(_Program, "run", run_then_decode_again)
     assert_same_as_reference(decode(code, outer), code, outer, "exact", "outer")
+
+
+def test_a_construction_made_during_a_construction_gets_its_own_pass(monkeypatch):
+    # As another thread could: a construction of the same kernels and batch
+    # size, with other noise, that runs before the first one has scored its
+    # batch from the decision LLRs its pass holds.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    outer, inner = ((2, 2, 3), 6, 1.0, 40, 0), ((2, 2, 3), 6, 1.0, 40, 1)
+    want = construct_frozen_mc(*inner), construct_frozen_mc(*outer)  # leaves an idle pass
+    assert want[0] != want[1]  # so a pass shared by the two would show
+    genie = counting_genie_binds(monkeypatch)
+    real_run, got = _GeniePass.run, []
+
+    def run_then_construct_again(self, *args):
+        final = real_run(self, *args)
+        monkeypatch.setattr(_GeniePass, "run", real_run)
+        got.append(construct_frozen_mc(*inner))
+        return final
+
+    monkeypatch.setattr(_GeniePass, "run", run_then_construct_again)
+    got.append(construct_frozen_mc(*outer))
+    assert got == list(want)
+    assert genie == [(mkpolar.decoder._kernel_key(CODE_223), 40)]
+
+
+class Stopped(Exception):
+    """Raised partway through a run's steps, as an interrupt could be."""
+
+
+def stop_once_halfway(steps):
+    """Make the middle step of a bound step list raise Stopped once, and
+    run as bound from then on."""
+    k = len(steps) // 2
+    step = steps[k]
+
+    def stop(*args):
+        steps[k] = step
+        raise Stopped
+
+    steps[k] = stop, step[1]
+
+
+def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
+    # A run that raises before its steps or partway through them, on a
+    # program or genie pass just bound, on a program binding its minsum
+    # steps, or on one taken from the cache, puts it back once as the most
+    # recently used, charged for what it bound, and the next call matches
+    # a run on an empty cache.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    cache = mkpolar.decoder._PROGRAMS
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    llrs = np.random.default_rng(89).normal(1.0, 2.0, (7, 12))
+    key = mkpolar.decoder._kernel_key(code)
+
+    def decoded(mode):
+        result = decode_batch(code, llrs, mode)
+        return result.u_hat.tobytes(), result.final_llrs.tobytes()
+
+    runs = [(lambda: decoded("exact"), (key, 7)), (lambda: decoded("minsum"), (key, 7)),
+            (lambda: construct_frozen_mc(code.bases, 6, 1.0, 7, 0), ("genie", key, 7))]
+    want = []
+    for run, _ in runs:
+        cache.clear()
+        want.append(run())
+    cache.clear()
+    check_ins = []
+    real_check_in, real_steps, real_run = mkpolar.decoder._check_in, _Program.steps, _GeniePass.run
+
+    def check_in(*args):
+        check_ins.append(args[0])
+        real_check_in(*args)
+
+    def steps(self, mode):  # the steps an SC run runs
+        monkeypatch.setattr(_Program, "steps", real_steps)
+        if early:
+            raise Stopped
+        bound = real_steps(self, mode)
+        stop_once_halfway(bound)
+        return bound
+
+    def run(self, *args):
+        monkeypatch.setattr(_GeniePass, "run", real_run)
+        if early:
+            raise Stopped
+        stop_once_halfway(self._steps)
+        return real_run(self, *args)
+
+    monkeypatch.setattr(mkpolar.decoder, "_check_in", check_in)
+    for (call, where), expected in zip(runs, want):
+        for stopped, early in enumerate((True, False, False)):
+            monkeypatch.setattr(_Program, "steps", steps)
+            monkeypatch.setattr(_GeniePass, "run", run)
+            with pytest.raises(Stopped):
+                call()
+            assert check_ins == [where] and list(cache)[-1] == where, (where, stopped)
+            assert cache[where].charge == charge(cache[where]), (where, stopped)
+            monkeypatch.setattr(_Program, "steps", real_steps)
+            monkeypatch.setattr(_GeniePass, "run", real_run)
+            check_ins.clear()
+            assert call() == expected, (where, stopped)
+            check_ins.clear()
 
 
 def test_bad_arguments_fail_before_any_binding(monkeypatch):

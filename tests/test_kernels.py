@@ -20,7 +20,7 @@ from mkpolar import (
     llr_kernel_batch,
 )
 import mkpolar.kernels
-from mkpolar.kernels import _fresh, llr_candidate_steps, product_steps
+from mkpolar.kernels import WorkArrays, llr_candidate_steps, product_steps
 from oracles import row_major_kernel_update
 from reference_sc import kernel_marginal_llr
 
@@ -423,7 +423,7 @@ def test_candidates_are_the_updates_of_every_prefix(p, rows):
         llr_rows, _ = update_inputs(rng, count, p, 0)
         for mode in ("exact", "minsum"):
             table = np.empty((2 * ((1 << p) - 1), count))
-            for fn, args in llr_candidate_steps(k, mode, llr_rows, table, _fresh):
+            for fn, args in llr_candidate_steps(k, mode, llr_rows, table, WorkArrays()):
                 fn(*args)
             for t in range(p):
                 for v in range(1 << t):
