@@ -23,7 +23,7 @@ from .errors import (
     LengthMismatch,
     UnsupportedKernelSize,
 )
-from .kernels import KernelMatrix, WorkArrays, _whole, builtin_kernel, product_steps, zero_prefix_steps
+from .kernels import KernelMatrix, WorkArrays, _whole, builtin_kernel, product_steps, zero_prefix_stages
 
 
 def _kernel_size(k):
@@ -174,10 +174,10 @@ class _GeniePass:
     is the update of bit b_j after the all-zero prefix over stage j-1's
     vector at (b_1, ..., b_{j-1}). Level j holds stage j's vector at every
     prefix, (b_j, ..., b_1, F, entry), and one kernels.zero_prefix_steps
-    pass per stage forms it from level j-1 in the same array. The stages
-    share one work array per role. A run ingests F frames of channel LLRs
-    by one take through the channel order into level 0 and runs the
-    steps, bound once here.
+    pass per stage forms it from level j-1 in the same array
+    (kernels.zero_prefix_stages). The stages share one work array per
+    role. A run ingests F frames of channel LLRs by one take through the
+    channel order into level 0 and runs the steps, bound once here.
     """
 
     def __init__(self, kernels, frames):
@@ -188,13 +188,9 @@ class _GeniePass:
         self.order = channel_permutation(bases[::-1])
         self.level = np.empty(frames * n)
         self.channel = self.level.reshape(frames, n)
-        self.work, self._bound = WorkArrays(), {}
-        # per block, every work array grows with p: bound largest first,
-        # each is allocated once
-        for j in sorted(range(len(kernels)), key=lambda j: -bases[j]):
-            p = bases[j]
-            self._bound[j] = zero_prefix_steps(kernels[j], self.level.reshape(-1, p), self.level.reshape(p, -1), self.work)
-        self._steps = [step for j in sorted(self._bound) for step in self._bound[j]]
+        self.work = WorkArrays()
+        self._steps = zero_prefix_stages(kernels, "exact", self.level, self.work)
+        self._bound = {"exact": self._steps}
         # row r: bit channel_order[r]'s decision LLR in every frame, the
         # digits of r those of the bit reversed
         self.final_llrs = self.level.reshape(n, frames)

@@ -45,6 +45,22 @@ is decided a block of bits at a time by a walk down the candidates of
 stage s's table into mem.decisions, which writes no tail stage's vector
 nor stage s's partial-sum matrix: _Program._bind_tail states how.
 
+All-frozen sub-codes fold. The bits that share digits b_1 .. b_j are a
+sub-code decoded from stage j's vector at that prefix alone. If all are
+frozen, each decides 0, so its LLR is the update after the all-zero
+prefix: what construction's genie-aided passes form, one
+kernels.zero_prefix_steps pass per stage over every prefix at once. For
+each largest such sub-code whose root stage is 1 <= j < top, so whole
+tail blocks, the program binds in place of its refreshes, tail walks and
+inner pushes those passes of stages j+1 .. s over stage j's vector (the
+frames one more prefix axis), in place, one take of the digit-reversed
+result into its final-LLR rows (_Program._fold) and, for the push into
+stage j, a zero fill of that column. No step writes its decisions, so
+they stay 0. The pass forms the candidate row of prefix 0 by the same
+arithmetic, the row the gathers and walks would read, so outputs do not
+change. It works in the tables of stages j+1 .. s and the work arrays,
+idle meanwhile; stage j's vector is refreshed before it is read again.
+
 Results are bit for bit those of the block-major update rule, one
 update per bit on output LLRs flipped by the sign of the known
 codeword: the look-ahead reads only values that the tail of the last
@@ -63,9 +79,11 @@ from math import prod
 
 import numpy as np
 
-from .codes import CodeSpec
+from .codes import CodeSpec, channel_permutation
 from .errors import LengthMismatch
-from .kernels import WorkArrays, as_llrs, check_mode, llr_candidate_steps, llr_gather_steps, product_steps
+from .kernels import (
+    WorkArrays, as_llrs, check_mode, llr_candidate_steps, llr_gather_steps, product_steps, zero_prefix_stages,
+)
 from .memory import DecoderMemory, allocate
 
 REFRESH, DECIDE, PROPAGATE = range(3)
@@ -90,7 +108,9 @@ class DecodeStats:
     into stage j-1. ps_reads / ps_writes tally column accesses of each
     partial-sum matrix (stage 1 keeps a slot for the absent last column).
     They count the paper's schedule, op by op, not the bound program's
-    memory traffic, whose tail skips some of them (_Program._bind_tail).
+    memory traffic, whose tail skips some of them (_Program._bind_tail)
+    and which runs none of the ops inside an all-frozen sub-code it folds
+    (decoder module docstring): the counts do not depend on the frozen set.
 
     After a full decode the counters follow closed forms that depend only
     on the kernel sizes p_1, ..., p_s:
@@ -216,10 +236,11 @@ class _Program:
 
     Each op becomes a few (function, args) on views and work arrays fixed
     here, which an op that recurs in the schedule reuses. A frozen bit
-    decides 0 because its threshold is -inf: a run sets the thresholds,
-    and their copies for the candidate rows of each leaf, from the frozen
-    mask of the code it decodes, unless the last run had that same
-    read-only mask.
+    decides 0 because its threshold is -inf, or because it lies in a fold
+    (_folds), whose decisions no step writes: a run sets the thresholds,
+    their copies for the candidate rows of each leaf and the folds from
+    the frozen mask of the code it decodes, unless the last run had that
+    same read-only mask.
     """
 
     def __init__(self, code: CodeSpec, frames: int):
@@ -242,11 +263,17 @@ class _Program:
         # stage j's candidates (llr_candidate_steps); stage s's blocks are
         # the leaf vectors, frame f's vector h in column h F + f
         widths = [v.size for v in self.mem.llr[1:-1]] + [width]
-        self.tables = [np.empty((2 * (2**k.p - 1), w)) for k, w in zip(code.kernels, widths)]
+        shapes = [(2 * (2**k.p - 1), w) for k, w in zip(code.kernels, widths)]
+        # one buffer, stage after stage: a fold at stage j works in those of stages j+1 .. s
+        self.table_memory = np.empty(sum(map(prod, shapes)))
+        parts = np.split(self.table_memory, np.cumsum([prod(shape) for shape in shapes])[:-1])
+        self.tables = [t.reshape(shape) for t, shape in zip(parts, shapes)]
         self.known = [m.reshape(-1, m.shape[-1]) for m in self.mem.ps[:-1]]  # stage j: (blocks, width)
         self.offsets = np.arange(max(self.mem.llr[1].size, width))
         self.index = np.empty(self.mem.llr[1].size, np.intp)
         self.work, self._bound, self._steps = WorkArrays(), {}, {}
+        # the last run's folds, their digit orders and what they allocated
+        self.kernels, self.folds, self.orders, self.fold_work = code.kernels, {}, {}, {}
         if self.lookahead:
             # stage s-1's table row of entry k of vector h F + f
             rows = _tail_rows(upper, self.leaf)
@@ -362,13 +389,49 @@ class _Program:
             steps += product_steps(self.leaf, words, self.mem.ps[-2][..., c : c + leaves].swapaxes(1, 2))
         return steps
 
+    def _folds(self, mask):
+        """{first bit: root stage j} of each fold: the bits that share b_1
+        .. b_j, 1 <= j < top, if all are frozen but not all that share b_1
+        .. b_{j-1}."""
+        folds, above = {}, np.zeros(1, np.bool_)
+        for j in range(1, self.top):
+            size = self.mem.llr[j].shape[1]
+            frozen = mask.reshape(-1, size).all(1)
+            folds.update((int(k) * size, j) for k in np.flatnonzero(frozen & ~above.repeat(self.bases[j - 1])))
+            above = frozen
+        return folds
+
+    def _fold(self, j, a, mode):
+        """The passes and the take of the fold at stage j from bit a (decoder module docstring)."""
+        key, size = ("fold", j, mode), self.mem.llr[j].shape[1]
+        if key not in self._bound:
+            lent = WorkArrays(self.work, candidates=self.table_memory[sum(t.size for t in self.tables[:j]) :])
+            work = WorkArrays(lent)
+            self._bound[key] = zero_prefix_stages(self.kernels[j:], mode, self.mem.llr[j].reshape(-1), work)
+            # what neither could lend, for kernels of size 4 and more
+            self.fold_work.update(((j, mode, role), x) for role, x in work.items() if x is not lent.get(role))
+        order = self.orders.setdefault(j, channel_permutation(self.bases[j:]))
+        take = (self.mem.llr[j].reshape(size, -1).take, (order, 0, self.final_llrs[a : a + size], "clip"))
+        return self._bound[key] + self._bound.setdefault(("take", j, a), [take])
+
     def steps(self, mode):
-        steps = self._steps.get(mode)
-        if steps is None:
-            steps = self._steps[mode] = []
-            size = len(self.walk)
+        """The steps of a run in mode under the folds of the last run's
+        mask, kept per mode and rebuilt from bound steps under new folds."""
+        folds, steps = self._steps.get(mode, (None, None))
+        if folds is not self.folds:
+            folds, steps = self.folds, []
+            size, decided, stop, root = len(self.walk), 0, 0, 0
             for op in self.schedule.ops:
                 kind, a, b, kernel = op
+                bit = decided - (kind == PROPAGATE)  # the bit the op is part of
+                decided += kind == DECIDE
+                if kind == REFRESH and folds.get(bit) == a - 1:  # the first stage below a fold's root
+                    root, stop = a - 1, bit + self.mem.llr[a - 1].shape[1]
+                    steps += self._fold(root, bit, mode)
+                if bit < stop and (kind == DECIDE or a > root):  # inside the fold
+                    if kind == PROPAGATE and a == root + 1:  # its all-zero codeword
+                        steps += self._bound.setdefault(("fill", a, b), [(self.mem.ps[a - 2][..., b].fill, (0,))])
+                    continue
                 if kind == REFRESH and not b and a <= self.top:
                     steps += self._candidates(a, kernel, mode)
                 # the tail binds its refreshes, its decisions and stage s's
@@ -379,6 +442,7 @@ class _Program:
                 if op not in self._bound:
                     self._bound[op] = self._bind_tail(a) if kind == DECIDE else self._bind(*op)
                 steps += self._bound[op]
+            self._steps[mode] = folds, steps  # only once whole
             _charge(self)
         return steps
 
@@ -390,6 +454,10 @@ class _Program:
             np.copyto(self.thresholds, np.where(mask, -np.inf, 0.0))
             self.thresholds.reshape(-1, self.leaf.p).take(self.row_bits, 1, self.leaf_thresholds)
             self._frozen = mask
+            folds = self._folds(mask)
+            if folds != self.folds:  # no step writes the decisions of a fold
+                self.folds = folds
+                self.mem.decisions.fill(0)
         for fn, args in self.steps(mode):
             fn(*args)
 

@@ -17,7 +17,8 @@ Every update reads one table per kernel, the metric terms of each whole
 input word. From it llr_candidate_steps forms the update of every bit of
 R blocks under every known prefix, llr_gather_steps picks each block's
 own, and llr_kernel_batch runs both. zero_prefix_steps forms only the
-updates after the all-zero prefix, which genie-aided construction reads.
+updates after the all-zero prefix, which genie-aided construction and
+the decoder's all-frozen sub-codes read (zero_prefix_stages).
 
 LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
@@ -248,45 +249,67 @@ def _metric_steps(kernel: KernelMatrix, groups, best):
     return steps
 
 
-def zero_prefix_steps(kernel: KernelMatrix, groups, out, work):
-    """The exact update of every input bit after the all-zero prefix, as steps.
+def zero_prefix_steps(kernel: KernelMatrix, mode, groups, out, work):
+    """The update of every input bit after the all-zero prefix, as steps.
 
     ``groups`` is a C-contiguous (R, p) float64 array of output LLRs per
     block and ``out`` a C-contiguous (p, R) one, which may be the same
-    memory: only the first step reads groups, and only the last two
+    memory: only the first step reads groups, and only the last steps
     write out. The steps write into out[t] the update of bit t of each
-    block whose bits 0 .. t-1 are all known to be 0: row 2 (2^t - 1) of what llr_candidate_steps leaves in
-    its table in exact mode, formed by the same arithmetic in the same
-    order, so bit for bit for p <= 3 (llr_candidate_steps states the
-    rest). Work arrays come from the WorkArrays ``work``.
+    block whose bits 0 .. t-1 are all known to be 0: row 2 (2^t - 1) of
+    what llr_candidate_steps leaves in its table in the same mode, formed
+    by the same arithmetic in the same order, so bit for bit for p <= 3
+    (llr_candidate_steps states the rest). Work arrays come from the
+    WorkArrays ``work`` under llr_candidate_steps' roles: "candidates", a
+    table of its layout, and in exact mode "metrics" and "total".
 
     After the same metric product and pair maxima, bit t reads only the
     two runs of prefix 0, words 0 .. 2^(p-t) - 1, in place of all 2^(t+1)
     runs: p candidates per block in place of 2^p - 1.
     """
     p, rows = kernel.p, len(groups)
-    # rows 2t and 2t + 1: the log-sum-exp of bit t's hypotheses 0 and 1,
-    # then the words, whose first two are the hypotheses of the last bit
-    candidates = work("candidates", (2 * (p - 1) + (1 << p), rows), np.float64)
-    words = candidates[2 * (p - 1) :]
-    maxima = work("maxima", ((1 << p) - 2, rows), np.float64)
-    best = [maxima[2 * ((1 << t) - 1) : 2 * ((2 << t) - 1)] for t in range(p - 1)] + [words]
+    table = work("candidates", (2 * ((1 << p) - 1), rows), np.float64)
+    best = [table[2 * ((1 << t) - 1) : 2 * ((2 << t) - 1)] for t in range(p)]
     steps = _metric_steps(kernel, groups, best)
-    shifted = work("shifted", ((2 << p) - 4, rows), np.float64)
-    sums, adds, start = [], [], 0
-    for t in range(p - 1):
-        run = 1 << (p - 1 - t)
-        part = shifted[start : start + 2 * run].reshape(2, run, rows)
-        start += 2 * run
-        steps.append((np.subtract, (words[: 2 * run].reshape(2, run, rows), best[t][:2, None], part)))
-        total = candidates[2 * t : 2 * t + 2]
-        # in index order, as llr_candidate_steps sums its runs
-        sums.append((np.add, (part[:, 0], part[:, 1], total)) if run == 2 else (np.add.reduce, (part, 1, None, total)))
-        adds.append((np.add, (total, best[t][:2], total)))
-    head = candidates[: 2 * (p - 1)]
-    steps += [(np.exp, (shifted, shifted))] + sums + [(np.log, (head, head))] + adds
-    hypotheses = candidates[: 2 * p].reshape(p, 2, rows)
-    return steps + [(np.subtract, (hypotheses[:, 0], hypotheses[:, 1], out)), (_clip, (out, _LO, _HI, out))]
+    if mode == "exact":
+        # log-sum-exp over the two runs of prefix 0 of each bit but the
+        # last, whose runs are words 0 and 1 themselves
+        shifted = work("metrics", ((2 << p) - 4, rows), np.float64)
+        totals = work("total", (2 * (p - 1), rows), np.float64)
+        sums, start = [], 0
+        for t in range(p - 1):
+            run = 1 << (p - 1 - t)
+            part = shifted[start : start + 2 * run].reshape(2, run, rows)
+            start += 2 * run
+            steps.append((np.subtract, (best[-1][: 2 * run].reshape(2, run, rows), best[t][:2, None], part)))
+            total = totals[2 * t : 2 * t + 2]
+            # in index order, as llr_candidate_steps sums its runs
+            sums.append((np.add, (part[:, 0], part[:, 1], total)) if run == 2 else (np.add.reduce, (part, 1, None, total)))
+        steps += [(np.exp, (shifted, shifted))] + sums + [(np.log, (totals, totals))]
+        k = min(p - 1, 2)  # bits 0 and 1 own table rows 0 .. 3
+        heads = [(table[: 2 * k], totals[: 2 * k])]
+        heads += [(best[t][:2], totals[2 * t : 2 * t + 2]) for t in range(2, p - 1)]
+        steps += [(np.add, (head, total, head)) for head, total in heads]
+    # bit t's two hypotheses are rows 2 (2^t - 1) and 2 (2^t - 1) + 1
+    k = min(p, 2)
+    pairs = table[: 2 * k].reshape(k, 2, rows)
+    steps.append((np.subtract, (pairs[:, 0], pairs[:, 1], out[:k])))
+    steps += [(np.subtract, (best[t][0], best[t][1], out[t])) for t in range(2, p)]
+    return steps + [(_clip, (out, _LO, _HI, out))]
+
+
+def zero_prefix_stages(kernels, mode, level, work):
+    """The zero-prefix pass of each kernel in turn over one C-contiguous
+    level array, in place, as steps: F vectors of M entries, (F, M), become
+    (b_1, F, M / p_1), then (b_2, b_1, F, M / (p_1 p_2)) and so on, each
+    entry the update of bit b_j after the all-zero prefix. Work arrays
+    come from ``work``, the largest passes bound first, so that each role
+    is allocated once."""
+    bound = {}
+    for k in sorted(range(len(kernels)), key=lambda k: -kernels[k].p):
+        p = kernels[k].p
+        bound[k] = zero_prefix_steps(kernels[k], mode, level.reshape(-1, p), level.reshape(p, -1), work)
+    return [step for k in sorted(bound) for step in bound[k]]
 
 
 def llr_gather_steps(i, table, known, out, index, offsets):

@@ -1,7 +1,9 @@
 """SC decoder: scheduling, partial-sum propagation, counters, oracles."""
 
+import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ CODE_223 = CodeSpec((2, 2, 3))
 OTHER = KernelMatrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
 K4 = KernelMatrix([[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
 PAPER_CODES = [(2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3), (2, 2, 2, 2, 2, 2, 2, 3), (2, 2, 3, 3, 3, 3, 3)]
+# the frozen sets of the benchmark's decode-paper workload, K = N / 2
+PAPER_FROZEN = {tuple(map(int, key.split(","))): frozen for key, frozen in
+                json.loads((Path(__file__).parents[1] / "bench" / "frozen_sets.json").read_text()).items()}
 
 
 def noiseless_llrs(x):
@@ -394,6 +399,53 @@ def test_single_frame_decodes_match_reference_executor_at_144_and_384(mode):
         assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), 1].lookahead
 
 
+def sub_code(bases, j):
+    """The bits whose first j digits are (0, ..., 0, 1): a sub-code with
+    root stage j, disjoint from that of every other j."""
+    size = CodeSpec(bases[j:]).N
+    return range(size, 2 * size)
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_folded_programs_match_reference_executor(mode, monkeypatch):
+    # All-frozen sub-codes with their root at every stage 1 .. top - 1,
+    # the last of them exactly one tail block, the rest of the frozen set
+    # at random with bit 0 free, so that no fold holds another; then the
+    # all-frozen code, whose folds are the p_1 sub-codes of stage 1. At
+    # F = 1 and 7 the look-ahead tail is the last two stages, at the cap
+    # the last stage alone. Each run folds exactly the largest all-frozen
+    # sub-codes whose root stage is above the tail, and decodes as the
+    # reference executor does.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    rng = np.random.default_rng(97)
+    for bases in ((2, 2, 3), (3, 2, 3), (2, 2, 2, 3, 3), (3, 2, 2, OTHER), (2, 2, 2, 2, 3, 3)):
+        n = CodeSpec(bases).N
+        for frames in (1, 7, mkpolar.decoder.BATCH_LLR_ENTRIES // n):
+            top = _Program(CodeSpec(bases), frames).top
+            roots = {sub_code(bases, j).start: j for j in range(1, top)}
+            rest = rng.choice(np.arange(1, n), n // 3, replace=False)
+            folded = {int(i) for j in roots.values() for i in sub_code(bases, j)} | set(rest.tolist())
+            for frozen in (folded, range(n)):
+                code = CodeSpec(bases, frozen)
+                llrs = np.vstack([mixed_frames(code, rng) for _ in range(-(-frames // 7))])[:frames]
+                assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, (bases, frames))
+                program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+                mask = code.frozen_mask
+                want = {}
+                for j in range(1, top):
+                    size = CodeSpec(bases[j:]).N
+                    above = size * CodeSpec(bases[j - 1 : j]).N  # the sub-code of root stage j - 1
+                    for a in range(0, n, size):
+                        parent = mask[a - a % above : a - a % above + above]
+                        if mask[a : a + size].all() and (j == 1 or not parent.all()):
+                            want[a] = j
+                assert program.folds == want, (bases, frames)
+                if frozen is folded:
+                    assert roots.items() <= want.items(), (bases, frames)
+                else:
+                    assert want == {a: 1 for a in range(0, n, n // bases[0])}, (bases, frames)
+
+
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
 def test_size_four_kernels_agree_to_rounding(mode):
     # A kernel of size 4 sums 4 terms per metric and up to 8 per
@@ -417,6 +469,9 @@ def test_size_four_kernels_agree_to_rounding(mode):
 # (exact, minsum) steps of each paper code's single-frame program
 PAPER_STEPS = {(2, 2, 3): (85, 56), (2, 2, 2, 3, 3): (463, 316), (2, 2, 2, 2, 3, 3): (949, 650),
                (2, 2, 2, 2, 2, 2, 2, 3): (3361, 2278), (2, 2, 3, 3, 3, 3, 3): (6091, 4200)}
+# the same with the frozen sets of decode-paper
+FOLDED_STEPS = {(2, 2, 3): (85, 56), (2, 2, 2, 3, 3): (393, 260), (2, 2, 2, 2, 3, 3): (825, 540),
+                (2, 2, 2, 2, 2, 2, 2, 3): (2590, 1688), (2, 2, 3, 3, 3, 3, 3): (4787, 3162)}
 
 
 @pytest.mark.parametrize("bases", PAPER_CODES)
@@ -437,6 +492,13 @@ def test_numpy_calls_per_bit_on_the_paper_codes(bases):
     steps = len(program.steps("exact")), len(program.steps("minsum"))
     assert steps == PAPER_STEPS[bases]
     assert steps[0] <= 8.8 * code.N and steps[1] <= 6.0 * code.N
+    # The frozen sets of decode-paper fold their all-frozen sub-codes
+    # above the tail: 4.9-6.7 calls per bit (exact) and 3.3-4.4 (minsum)
+    # at N >= 72, 13-26% fewer steps; (2,2,3) has no fold.
+    code = CodeSpec(bases, PAPER_FROZEN[bases])
+    for mode in ("exact", "minsum"):
+        program.run(code, np.zeros((1, code.N)), mode)
+    assert (len(program.steps("exact")), len(program.steps("minsum"))) == FOLDED_STEPS[bases]
 
 
 @pytest.mark.parametrize("bases", PAPER_CODES)
@@ -447,18 +509,21 @@ def test_program_memory_against_the_paper_layout(bases):
     # floats, for P bits per tail block), vectors, gather index and the
     # larger work arrays of its leaf pass, and the walk its decided
     # candidates, thresholds per leaf row and walked entries: measured
-    # 7.4-25.9x, against 7.1-8.9x before the look-ahead. Capped batches
+    # 7.4-26.1x, against 7.1-8.9x before the look-ahead. Capped batches
     # decide the last stage alone: 5.8-6.2x. A run ingests through the
-    # code's channel order, so the program holds none.
-    code = CodeSpec(bases)
-    for frames, bound in ((1, 26.5), (mkpolar.decoder.BATCH_LLR_ENTRIES // code.N, 6.3)):
-        program = _Program(code, frames)
-        program.steps("exact"), program.steps("minsum")
-        mem = allocate(code, frames)
-        paper = sum(x.nbytes for x in mem.llr + mem.ps + [mem.decisions])
-        assert program.nbytes <= bound * paper, (bases, frames, program.nbytes / paper)
-        orders = (code.permutation, code.channel_order)
-        assert not any(x is order for x in vars(program).values() for order in orders)
+    # code's channel order, so the program holds none. Under the frozen
+    # sets of decode-paper the folds work in the tables and work arrays
+    # the program holds, and add the digit order of each root stage.
+    for code in (CodeSpec(bases), CodeSpec(bases, PAPER_FROZEN[bases])):
+        for frames, bound in ((1, 26.5), (mkpolar.decoder.BATCH_LLR_ENTRIES // code.N, 6.3)):
+            program = _Program(code, frames)
+            for mode in ("exact", "minsum"):
+                program.run(code, np.zeros((frames, code.N)), mode)
+            mem = allocate(code, frames)
+            paper = sum(x.nbytes for x in mem.llr + mem.ps + [mem.decisions])
+            assert program.nbytes <= bound * paper, (bases, code.K, frames, program.nbytes / paper)
+            orders = (code.permutation, code.channel_order)
+            assert not any(x is order for x in vars(program).values() for order in orders)
 
 
 def test_warm_decode_allocates_little():
@@ -515,6 +580,15 @@ def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
                 assert_same_as_reference(run(code, frames), code, frames, "exact", (run, code.frozen))
                 programs[f].add(id(mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), f]))
         assert len(programs[1]) == len(programs[3]) == 1  # one program per F decoded all five
+    # Masks A, B, A on one program, where only A has all-frozen sub-codes
+    # above the tail: B's run decides bits inside A's folds, and the
+    # second run of A must set them back to 0, as no step of A writes them.
+    a, b = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 5, 9, 10, 11)), CodeSpec((2, 2, 3), (0, 1, 5, 8, 9, 10))
+    for frames, folds in ((1, {0: 1}), (41, {0: 1, 9: 2})):  # the look-ahead tail, then the last stage alone
+        llrs = np.random.default_rng(62).uniform(-3, 3, (frames, 12))
+        for code, want in ((a, folds), (b, {}), (a, folds)):
+            assert_same_as_reference(decode_batch(code, llrs), code, llrs, "exact", (frames, code.frozen))
+            assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames].folds == want
 
 
 def test_frame_count_changes_rebind_the_program(monkeypatch):
@@ -860,6 +934,26 @@ def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
             check_ins.clear()
 
 
+def test_a_binding_stopped_partway_keeps_no_steps(monkeypatch):
+    # A program stopped while it binds its steps keeps no partial step
+    # list: the next call binds the rest and decodes every bit.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    llrs = np.random.default_rng(91).normal(1.0, 2.0, (7, 12))
+    real_bind_tail, blocks = _Program._bind_tail, []
+
+    def bind_tail(self, a):
+        blocks.append(a)
+        if len(blocks) == 2:
+            raise Stopped
+        return real_bind_tail(self, a)
+
+    monkeypatch.setattr(_Program, "_bind_tail", bind_tail)
+    with pytest.raises(Stopped):
+        decode_batch(code, llrs)
+    assert_same_as_reference(decode_batch(code, llrs), code, llrs, "exact", blocks)
+
+
 def test_bad_arguments_fail_before_any_binding(monkeypatch):
     def no_allocate(code, frames=1):
         raise AssertionError("memory allocated for a call that must fail")
@@ -979,9 +1073,11 @@ def test_all_frozen_decode_is_the_genie_pass():
 
 
 def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
-    # Construction's level pass, one candidate pass per stage, gives the
+    # Construction's level pass, one zero-prefix pass per stage, gives the
     # all-frozen decode's LLRs bit for bit with kernels of size 2 and 3, on
-    # tie-prone LLRs. A size-4 kernel sums longer runs, which BLAS may order
+    # tie-prone LLRs, and so do the reference executor and, as the decoder
+    # folds the all-frozen sub-codes of stage 1 by the same passes, the
+    # decoder. A size-4 kernel sums longer runs, which BLAS may order
     # by batch size, so there they agree to rounding (up to 7.1e-15 seen).
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     rng = np.random.default_rng(29)
@@ -996,7 +1092,7 @@ def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
             if tol:
                 assert np.abs(got - want).max() <= tol, (bases, frames)
             else:
-                assert got.tobytes() == want.tobytes(), (bases, frames)
+                assert got.tobytes() == want.tobytes() == reference_decode(code, llrs)[1].tobytes(), (bases, frames)
 
 
 def test_all_frozen_noiseless_decode_is_error_free():

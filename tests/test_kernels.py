@@ -20,7 +20,7 @@ from mkpolar import (
     llr_kernel_batch,
 )
 import mkpolar.kernels
-from mkpolar.kernels import WorkArrays, llr_candidate_steps, product_steps
+from mkpolar.kernels import WorkArrays, llr_candidate_steps, product_steps, zero_prefix_steps
 from oracles import row_major_kernel_update
 from reference_sc import kernel_marginal_llr
 
@@ -435,3 +435,26 @@ def test_candidates_are_the_updates_of_every_prefix(p, rows):
                         assert got.tobytes() == want.tobytes(), (t, v, count, mode)
                     else:
                         assert np.abs(got - want).max() <= 1e-12, (t, v, count, mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+@pytest.mark.parametrize("rows", [T2, T3, LOWER3], ids=["T2", "T3", "lower3"])
+def test_zero_prefix_updates_are_the_candidates_after_prefix_zero(rows, mode):
+    # out[t] is row 2 (2^t - 1) of the candidate table byte for byte, on
+    # tie-prone LLRs, whether out is an array of its own or the memory of
+    # groups, as in the level passes of construction and of all-frozen
+    # sub-codes.
+    k = KernelMatrix(rows)
+    rng = np.random.default_rng(50)
+    values = np.array([0.0, 0.7, -0.7, 1.3, -1.3, 2.9, -2.9, 40.0, -40.0])
+    for count in (1, 7, 2000):
+        groups = rng.choice(values, (count, k.p))
+        table = np.empty((2 * ((1 << k.p) - 1), count))
+        for fn, args in llr_candidate_steps(k, mode, groups, table, WorkArrays()):
+            fn(*args)
+        want = table[[2 * ((1 << t) - 1) for t in range(k.p)]]
+        shared = groups.copy()
+        for source, out in ((groups, np.empty((k.p, count))), (shared, shared.reshape(k.p, count))):
+            for fn, args in zero_prefix_steps(k, mode, source, out, WorkArrays()):
+                fn(*args)
+            assert out.tobytes() == want.tobytes(), (count, np.shares_memory(source, out))
