@@ -23,7 +23,7 @@ from .errors import (
     LengthMismatch,
     UnsupportedKernelSize,
 )
-from .kernels import KernelMatrix, WorkArrays, _whole, builtin_kernel, product_steps, zero_prefix_stages
+from .kernels import KernelMatrix, WorkArrays, _all_bits, _whole, builtin_kernel, product_steps, zero_prefix_stages
 
 
 def _kernel_size(k):
@@ -148,7 +148,7 @@ def encode(code: CodeSpec, u):
     u = np.asarray(u)
     if u.ndim not in (1, 2) or u.shape[-1] != code.N:
         raise LengthMismatch(f"expected {code.N} input bits per row, got shape {u.shape}")
-    if not np.isin(u, (0, 1)).all():
+    if not _all_bits(u):
         raise ValueError("input bits must be 0 or 1")
     u = u.astype(np.uint8, order="C")  # a copy, also of uint8 input
     if u[..., code.frozen_mask].any():

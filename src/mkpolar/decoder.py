@@ -296,19 +296,15 @@ class _Program:
         self.walk[0] = self.offsets[:frames]
         _charge(self)
 
-    def _candidates(self, a, kernel, mode):
+    def _passes(self, a, mode):
         """Stage a's candidate pass, the one step that reads the mode, and
         under the look-ahead the leaf pass over every history (_bind_tail)."""
-        key = (a, mode)
-        if key not in self._bound:
-            table = self.tables[a - 1]
-            groups = self.mem.llr[a - 1].reshape(-1, kernel.p)
-            steps = llr_candidate_steps(kernel, mode, groups, table, self.work)
-            if self.lookahead and a == self.top:
-                steps.append((table.reshape(-1).take, (self.history, None, self.vectors.reshape(-1), "clip")))
-                steps += llr_candidate_steps(self.leaf, mode, self.vectors, self.tables[-1], self.work)
-            self._bound[key] = steps
-        return self._bound[key]
+        table, kernel = self.tables[a - 1], self.kernels[a - 1]
+        steps = llr_candidate_steps(kernel, mode, self.mem.llr[a - 1].reshape(-1, kernel.p), table, self.work)
+        if self.lookahead and a == self.top:
+            steps.append((table.reshape(-1).take, (self.history, None, self.vectors.reshape(-1), "clip")))
+            steps += llr_candidate_steps(self.leaf, mode, self.vectors, self.tables[-1], self.work)
+        return steps
 
     def _bind(self, kind, a, b, kernel):
         """A REFRESH or PROPAGATE above the tail."""
@@ -419,6 +415,9 @@ class _Program:
         mask, kept per mode and rebuilt from bound steps under new folds."""
         folds, steps = self._steps.get(mode, (None, None))
         if folds is not self.folds:
+            if mode not in self._steps:  # size the work pool first, or steps would keep arrays it outgrew
+                for a in range(1, self.top + 1):
+                    self._passes(a, mode)
             folds, steps = self.folds, []
             size, decided, stop, root = len(self.walk), 0, 0, 0
             for op in self.schedule.ops:
@@ -433,7 +432,9 @@ class _Program:
                         steps += self._bound.setdefault(("fill", a, b), [(self.mem.ps[a - 2][..., b].fill, (0,))])
                     continue
                 if kind == REFRESH and not b and a <= self.top:
-                    steps += self._candidates(a, kernel, mode)
+                    if (a, mode) not in self._bound:
+                        self._bound[a, mode] = self._passes(a, mode)
+                    steps += self._bound[a, mode]
                 # the tail binds its refreshes, its decisions and stage s's
                 # propagations once per block, at the block's first bit
                 if kind == REFRESH and a >= self.top or kind == PROPAGATE and a == len(self.tables) \

@@ -64,6 +64,11 @@ def _whole(value, what, least=None, error=ValueError) -> int:
     raise error(f"{what} = {value!r} is not an integer" + ("" if least is None else f" of at least {least}"))
 
 
+def _all_bits(x):
+    """Whether every entry of x is 0 or 1: np.isin(x, (0, 1)).all() by the == tests it makes."""
+    return ((x == 0) | (x == 1)).all()
+
+
 def _enumerate(n):
     """All 2^n bit rows of length n, the first bit most significant."""
     idx = np.arange(1 << n, dtype=np.int64)
@@ -102,7 +107,7 @@ class KernelMatrix:
         p = rows.shape[0]
         if p < 2:
             raise UnsupportedKernelSize("kernel size must be at least 2")
-        if not np.isin(rows, (0, 1)).all():
+        if not _all_bits(rows):
             raise SingularKernel("kernel entries must be 0 or 1")
         rows = rows.astype(np.uint8)
         codewords = _enumerate(p) @ rows % 2
@@ -164,9 +169,9 @@ def as_llrs(llrs, what):
 
 
 class WorkArrays(dict):
-    """One grow-only work array per role for every pass bound with it, as
-    bound steps run one at a time: work(role, shape, dtype) is a view of
-    the role's array, first replaced by a larger one if it is too small."""
+    """One grow-only work array per role for every pass bound with it, as bound
+    steps run one at a time: work(role, shape, dtype) is a view of the role's array,
+    first replaced by a larger one if too small, which steps bound before keep alive."""
 
     def __call__(self, role, shape, dtype):
         size = prod(shape)
@@ -369,7 +374,7 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     known = np.asarray(ps_rows)
     if known.shape != llr_rows.shape[:-1] + (i,):
         raise LengthMismatch(f"expected {i} known input bits per block, got shape {known.shape}")
-    if not np.isin(known, (0, 1)).all():
+    if not _all_bits(known):
         raise ValueError("known input bits must be 0 or 1")
     groups = np.ascontiguousarray(llr_rows.reshape(-1, kernel.p))
     rows = len(groups)

@@ -6,51 +6,67 @@ the channel LLR of an observation y is 2*y / sigma^2, saturated to
 +-LLR_MAX. Frame f of SNR point n draws from exactly
 np.random.default_rng([seed, n, f]), so with kernels of size 2 and 3,
 those of every code file, results do not depend on how the frames are
-batched (kernels.llr_candidate_steps has the caveat for larger
-kernels); the generators of a batch come from one vectorized pass of
-numpy's SeedSequence hash (O'Neill's seed_seq_fe).
+batched (kernels.llr_candidate_steps has the caveat for larger kernels).
+A batch's generators come from one pass of numpy's SeedSequence hash
+(O'Neill's seed_seq_fe) over (pool word, frame) arrays, and its size
+from the errors counted so far (_batch_frames).
 """
 
 import time
 from dataclasses import dataclass, field
-from math import ceil
+from functools import lru_cache
+from math import ceil, sqrt
 
 import numpy as np
 
 from .codes import CodeSpec, encode
 from .decoder import BATCH_LLR_ENTRIES, decode_batch
 from .errors import InvalidRate, LengthMismatch, NonFiniteInput
-from .kernels import LLR_MAX, _whole, check_mode
+from .kernels import LLR_MAX, _all_bits, _whole, check_mode
 
 # numpy's SeedSequence: pool words, word mask and mix multipliers.
 _POOL, _M32, _MIX_L, _MIX_R = 4, 0xFFFFFFFF, np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 
 
-def _hash(x, const, mult=0x931E8875):
-    """One SeedSequence hash step on uint32 words; returns the next constant too."""
-    nxt = const * mult & _M32
-    x = (x ^ np.uint32(const)) * np.uint32(nxt)
-    return x ^ x >> np.uint32(16), nxt
+@lru_cache
+def _hash_table(n):
+    """(2, n + 3, 4, 1) uint32 xors, then multipliers: row 0 hashes the 4 pool words, row 1 + s
+    source word s into each pool word (a dummy for its own), rows n + 1 and n + 2 the 8 outputs."""
+    def run(const, mult):  # the constants of successive hash steps
+        while True:
+            yield const, (const := const * mult & _M32)
+    mix, out = run(0x43B0D7E5, 0x931E8875), run(0x8B51F9DD, 0x58F38DED)
+    rows = [[next(mix) for _ in range(_POOL)]]
+    rows += [[(0, 0) if src == dst else next(mix) for dst in range(_POOL)] for src in range(n)]
+    rows += [[next(out) for _ in range(_POOL)] for _ in range(2)]
+    return np.array(rows, np.uint32).transpose(2, 0, 1)[..., None]
+
+
+def _hash(x, xor, mult, out=None):
+    """One SeedSequence hash step of uint32 words, each row of x by its own constants."""
+    x = x ^ xor
+    x *= mult
+    return np.bitwise_xor(x, x >> np.uint32(16), out=out)
 
 
 def _pcg64_seeds(words):
-    """SeedSequence(entropy).generate_state(4, np.uint64) of many entropies
-    at once, one row each; words[i] holds word i of every entropy."""
-    words = words + [np.zeros_like(words[0])] * (_POOL - len(words))
-    pool, c = [], 0x43B0D7E5
-    for w in words[:_POOL]:
-        h, c = _hash(w, c)
-        pool.append(h)
+    """SeedSequence(entropy).generate_state(4, np.uint64) of many entropies at
+    once, one row each: column f of the (n >= 4, F) uint32 words is entropy f,
+    zero-padded to 4 words as SeedSequence pads. Steps work on (pool word, entropy) arrays."""
+    xor, mult = _hash_table(len(words))
+    pool = _hash(words[:_POOL], xor[0], mult[0])
     for src in range(len(words)):
-        for dst in range(_POOL):
-            if src != dst:
-                h, c = _hash(pool[src] if src < _POOL else words[src], c)
-                r = _MIX_L * pool[dst] - _MIX_R * h
-                pool[dst] = r ^ r >> np.uint32(16)
-    state, c = np.empty((len(words[0]), 2 * _POOL), "<u4"), 0x8B51F9DD
-    for i in range(2 * _POOL):
-        state[:, i], c = _hash(pool[i % _POOL], c, 0x58F38DED)
-    return state.view("<u8").astype(np.uint64, copy=False)
+        # source word src mixed into every pool word but its own
+        word = pool[src].copy() if src < _POOL else words[src]
+        pool *= _MIX_L
+        pool -= _hash(word, xor[1 + src], mult[1 + src]) * _MIX_R
+        pool ^= pool >> np.uint32(16)
+        if src < _POOL:
+            pool[src] = word
+    state = np.empty((words.shape[1], 2, _POOL), "<u4")
+    for i in (-2, -1):  # as (2, 4, F) at once, its temporaries would cost more at the cap
+        _hash(pool, xor[i], mult[i], state[:, i].T)
+    return state.reshape(len(state), -1).view("<u8").astype(np.uint64, copy=False)
 
 
 @dataclass
@@ -71,8 +87,10 @@ def _frame_generators(key, first: int, count: int) -> list:
         return _frame_generators(key, first, split) + _frame_generators(key, 1 << 32, count - split)
     head = [k >> b & _M32 for k in map(int, key) for b in range(0, max(k.bit_length(), 1), 32)]
     frames = np.arange(first, first + count, dtype=np.uint64)
-    words = [np.full(count, w, np.uint32) for w in head] + [frames.astype(np.uint32)]
-    words += [(frames >> np.uint64(32)).astype(np.uint32)] if first >> 32 else []
+    rows = head + [frames & _M32] + ([frames >> 32] if first >> 32 else [])
+    words = np.zeros((max(len(rows), _POOL), count), np.uint32)
+    for i, row in enumerate(rows):
+        words[i] = row
     return [np.random.Generator(np.random.PCG64(_Seeded(s))) for s in _pcg64_seeds(words)]
 
 
@@ -104,7 +122,7 @@ def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool =
     positive sigma^2 and 2 / sigma^2 (such as NaN or 4000 dB) NonFiniteInput.
     """
     bits = np.asarray(codeword_bits)
-    if not np.isin(bits, (0, 1)).all():
+    if not _all_bits(bits):
         raise ValueError("codeword bits must be 0 or 1")
     if not 0.0 < rate <= 1.0:
         raise InvalidRate(f"rate {rate} outside (0, 1]")
@@ -166,6 +184,8 @@ class SnrPointResult:
     fer: float
     ber: float
     elapsed_s: float
+    batches: int  # decode_batch calls
+    decoded_frames: int  # frames decoded, those past the stop included
 
 
 CSV_HEADER = "ebn0_db,frames,frame_errors,bit_errors,fer,ber"
@@ -189,15 +209,16 @@ def _batch_frames(frames: int, frame_errors: int, target: int) -> int:
     """How many frames an SNR point decodes next.
 
     No frame adds more than one error, so the point needs at least
-    target - frame_errors more frames. Beyond that, it takes half of what
-    the frame error rate counted so far predicts, so the frames past the
-    target that a batch decodes and does not count stay few. While no
-    error has been counted, the batches double.
+    target - frame_errors more frames. Beyond that, it takes the frames
+    that the count so far predicts for the rest, counting the errors one
+    Poisson standard deviation high, so a batch seldom decodes many frames
+    past the target, which are not counted; a batch costs about 75 N = 12
+    frames however few it holds. While no error is counted, batches double.
     """
     floor = target - frame_errors
     if not frame_errors:
         return max(floor, frames)
-    return max(floor, ceil(floor * frames / frame_errors / 2))
+    return max(floor, ceil(floor * frames / (frame_errors + sqrt(frame_errors))))
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -217,10 +238,11 @@ def simulate(config: SimConfig) -> SimResult:
     result = SimResult()
     for point_index, ebn0_db in enumerate(config.snr_points_db):
         start = time.perf_counter()
-        frames = frame_errors = bit_errors = 0
+        frames = frame_errors = bit_errors = batches = decoded = 0
         while frames < config.max_frames and frame_errors < target:
             batch = _batch_frames(frames, frame_errors, target)
             batch = min(batch, config.max_frames - frames, cap)
+            batches, decoded = batches + 1, decoded + batch
             rngs = _frame_generators((config.seed, point_index), frames, batch)
             u = np.zeros((batch, code.N), dtype=np.uint8)
             if k:
@@ -246,6 +268,7 @@ def simulate(config: SimConfig) -> SimResult:
                 fer=frame_errors / frames,
                 ber=bit_errors / (frames * k) if k else 0.0,
                 elapsed_s=time.perf_counter() - start,
+                batches=batches, decoded_frames=decoded,
             )
         )
     return result

@@ -214,8 +214,12 @@ def test_simulate_reports_each_point_on_stderr(capsys, tmp_path):
     assert len(lines) == len(rows) == 2
     for row, line in zip(rows, lines):
         fields = dict(item.split("=") for item in line.split())
-        assert list(fields) == ["ebn0_db", "frames", "elapsed_s", "frames_per_s", "fer_ci95"]
+        assert list(fields) == ["ebn0_db", "frames", "decoded_frames", "batches", "elapsed_s", "frames_per_s",
+                                "fer_ci95"]
         assert fields["ebn0_db"] == row[0] and fields["frames"] == row[1]
+        # frames past the stop are decoded, not counted
+        assert int(row[1]) <= int(fields["decoded_frames"]) <= 2 * int(row[1])
+        assert 1 <= int(fields["batches"]) <= int(fields["decoded_frames"])
         assert float(fields["elapsed_s"]) > 0 and float(fields["frames_per_s"]) > 0
         low, high = map(float, fields["fer_ci95"].split(","))
         assert low < float(row[4]) < high

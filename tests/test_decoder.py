@@ -526,6 +526,50 @@ def test_program_memory_against_the_paper_layout(bases):
             assert not any(x is order for x in vars(program).values() for order in orders)
 
 
+def uncharged_step_arrays(program, code):
+    """The base arrays that the program's bound steps use, as arguments or
+    as the array of a bound method, and that _charge does not count: each
+    one is charged again as if the program held it too, and counts as
+    uncharged if that raises nbytes. Module and kernel constants belong to
+    no program, and the gather weights, at most two int64, are charged
+    with their step (STEP_BYTES)."""
+    shared = [mkpolar.kernels._ONE, mkpolar.kernels._LO, mkpolar.kernels._HI]
+    shared += [x for k in code.kernels for x in (k.rows, k._word_metrics)]
+    shared = {id(x if x.base is None else x.base) for x in shared}
+    used = {}
+    for steps in program._bound.values():
+        for fn, args in steps:
+            for x in (getattr(fn, "__self__", None), *args):
+                if isinstance(x, np.ndarray):
+                    x = x if x.base is None else x.base
+                    if id(x) not in shared and x.nbytes > 16:
+                        used[id(x)] = x
+    held, uncharged = program.nbytes, []
+    for x in used.values():
+        program.probe = x
+        mkpolar.decoder._charge(program)
+        if program.nbytes != held:
+            uncharged.append(x.nbytes)
+    vars(program).pop("probe", None)
+    mkpolar.decoder._charge(program)
+    return uncharged
+
+
+@pytest.mark.parametrize("bases", PAPER_CODES)
+def test_bound_steps_use_only_charged_arrays(bases):
+    # A work array that the pool outgrows after a step is bound on it, or
+    # one lent to a fold, stays alive through that step: with steps bound
+    # before the pool was sized, a single-frame (2,2,2,3,3) program kept
+    # 1728 B that its charge did not count.
+    for code in (CodeSpec(bases), CodeSpec(bases, PAPER_FROZEN[bases])):
+        for frames in (1, mkpolar.decoder.BATCH_LLR_ENTRIES // code.N):
+            for modes in (("exact", "minsum"), ("minsum", "exact")):
+                program = _Program(code, frames)
+                for mode in modes:
+                    program.run(code, np.zeros((frames, code.N)), mode)
+                    assert uncharged_step_arrays(program, code) == [], (code.K, frames, modes, mode)
+
+
 def test_warm_decode_allocates_little():
     # A warm decode allocates its results and numpy's buffers for calls
     # whose operands are broadcast or strided unlike their output: about

@@ -1,6 +1,7 @@
 """Kernel validation, the GF(2) block map and the LLR update rules."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,50 @@ def test_validate_kernel_rejects_singular():
 def test_validate_kernel_rejects_non_binary_entries():
     with pytest.raises(SingularKernel):
         KernelMatrix(np.array([[2, 0], [0, 1]]))
+
+
+def bits_like(base, value, where):
+    """base, an array of 0s and 1s, with entry `where` set to value in
+    value's own dtype; a dtype casts base, and "empty" keeps none of its rows."""
+    if isinstance(value, str):
+        return base[:0].astype(np.float64)
+    if isinstance(value, type):
+        return base.astype(value)
+    x = base.astype(np.asarray(value).dtype)
+    x[where] = value
+    return x
+
+
+def rejects_bits(call, x, error):
+    """Whether call(x) fails the check that its bits are 0 or 1."""
+    try:
+        call(x)
+    except error as exc:
+        if "0 or 1" in str(exc):
+            return True
+        raise
+    return False
+
+
+@pytest.mark.parametrize("value", [2, -1, 0.5, np.nan, True, 1.0, 1 + 0j, np.uint8, np.int64, np.bool_, "empty"])
+def test_bit_checks_take_the_verdict_of_isin(value):
+    # Every entry point that takes bits accepts exactly the arrays that
+    # np.isin(x, (0, 1)).all(), its former check, accepted.
+    word = np.array([[0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0]])
+    known = np.array([[0, 1], [1, 1], [0, 0]])
+    rngs = [np.random.default_rng(0)]
+    entries = [
+        (lambda x: encode(CodeSpec((2, 2, 3)), x), word, ValueError),
+        (lambda x: mkpolar.awgn_llrs(x, 1.0, 0.5, rngs * len(x), noiseless=True), word, ValueError),
+        (lambda x: llr_kernel_batch(builtin_kernel(3), 2, np.ones((len(x), 3)), x), known, ValueError),
+    ]
+    if value != "empty":  # an empty kernel is not square
+        entries.append((KernelMatrix, np.array([[1, 0], [1, 1]]), SingularKernel))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", np.exceptions.ComplexWarning)  # the cast to uint8 of 1 + 0j
+        for call, base, error in entries:
+            x = bits_like(base, value, (-1, 0))
+            assert rejects_bits(call, x, error) == (not np.isin(x, (0, 1)).all()), (call, x)
 
 
 def test_validate_kernel_rejects_size_one():

@@ -158,6 +158,62 @@ def test_frame_generators_equal_default_rng(seed):
                 assert np.array_equal(gen.normal(0.0, 1.5, 13), ref.normal(0.0, 1.5, 13)), where
 
 
+@pytest.mark.parametrize("count", [1, 40, 1000, 5461])
+def test_pcg64_seeds_equal_seed_sequence(count):
+    # One hash over a batch gives each entropy, of 1 to 6 uint32 words
+    # (zero-padded to 4), what SeedSequence gives it alone, checked on the
+    # first, the last and sampled rows; through _frame_generators, for keys
+    # with words of 2**64 and more and for frames from 2**32 on, whose
+    # entropy grows a word.
+    rng = np.random.default_rng(count)
+    rows = sorted({0, count - 1, *rng.integers(0, count, 20).tolist()})
+    for n in range(1, 7):
+        words = np.zeros((max(n, 4), count), np.uint32)
+        words[:n] = rng.integers(0, 2**32, (n, count), dtype=np.uint64)
+        seeds = simulation._pcg64_seeds(words)
+        assert seeds.shape == (count, 4) and seeds.dtype == np.uint64
+        for f in rows:
+            want = np.random.SeedSequence([int(w) for w in words[:n, f]]).generate_state(4, np.uint64)
+            assert np.array_equal(seeds[f], want), (n, f)
+    for key in [(2**64,), (2**64 + 7, 3), (5, 2**96 - 1)]:
+        for first in (2**32 - count // 2, 2**40 + 11):
+            gens = simulation._frame_generators(key, first, count)
+            assert len(gens) == count
+            for f in rows:
+                want = np.random.default_rng([*key, first + f]).bit_generator.state
+                assert gens[f].bit_generator.state == want, (key, first + f)
+
+
+def test_simulate_takes_few_batches_past_few_frames(monkeypatch):
+    # The benchmark's full simulation, (2,2,3) at 0 and 4 dB to 100 frame
+    # errors, on seeds 1 and 2. Batches of half the frames that the count
+    # so far predicts took 39 batches (19 and 20) for 14,910 decoded
+    # frames; counting the errors one standard deviation high takes 16
+    # (8 and 8) for 14,991. 14,875 frames are counted either way.
+    calls = []
+    real_decode_batch = simulation.decode_batch
+
+    def counting_decode_batch(code, llrs, mode):
+        calls.append(len(llrs))
+        return real_decode_batch(code, llrs, mode)
+
+    monkeypatch.setattr(simulation, "decode_batch", counting_decode_batch)
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    points = [p for seed in (1, 2) for p in
+              simulate(SimConfig(code, (0.0, 4.0), max_frames=1_000_000, target_frame_errors=100, seed=seed)).points]
+    # the counts of the parent's batching
+    assert [(p.frames, p.frame_errors, p.bit_errors) for p in points] == [
+        (361, 100, 295), (7430, 100, 279), (406, 100, 282), (6678, 100, 293)]
+    assert len(calls) < 39
+    assert sum(calls) <= 1.03 * sum(p.frames for p in points)
+    assert sum(p.batches for p in points) == len(calls)
+    assert sum(p.decoded_frames for p in points) == sum(calls)
+    # doubling before the first error, then the remaining errors over the
+    # count plus its standard deviation: 96 * 100 / (4 + 2), 1 * 1000 / (99 + 9.95)
+    rule = [simulation._batch_frames(*args) for args in ((0, 0, 100), (300, 0, 100), (100, 4, 100), (1000, 99, 100))]
+    assert rule == [100, 300, 1600, 10]
+
+
 @pytest.mark.parametrize("seed", [0, 3, 2**40 + 1])
 def test_simulate_message_bits_equal_integers(monkeypatch, seed):
     # simulate draws its message bits as raw words; they must be exactly
