@@ -10,7 +10,7 @@ mixed-radix digits (b_1, ..., b_s), b_1 most significant:
 Kernel order is significant: <2,3> and <3,2> are different codes.
 """
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     LengthMismatch,
     UnsupportedKernelSize,
 )
-from .kernels import KernelMatrix, WorkArrays, _all_bits, _whole, builtin_kernel, product_steps, zero_prefix_stages
+from .kernels import KernelMatrix, _all_bits, _whole, builtin_kernel, product_steps
 
 
 def _kernel_size(k):
@@ -167,46 +167,11 @@ def encode(code: CodeSpec, u):
 GENIE_TIE_TOL = 1e-12
 
 
-class _GeniePass:
-    """The genie-aided pass of one kernel sequence bound to F frames.
-
-    Known bits are 0, so stage j's vector at digit prefix (b_1, ..., b_j)
-    is the update of bit b_j after the all-zero prefix over stage j-1's
-    vector at (b_1, ..., b_{j-1}). Level j holds stage j's vector at every
-    prefix, (b_j, ..., b_1, F, entry), and one kernels.zero_prefix_steps
-    pass per stage forms it from level j-1 in the same array
-    (kernels.zero_prefix_stages). The stages share one work array per
-    role. A run ingests F frames of channel LLRs by one take through the
-    channel order into level 0 and runs the steps, bound once here.
-    """
-
-    def __init__(self, kernels, frames):
-        from .decoder import _charge
-
-        bases = tuple(k.p for k in kernels)
-        n = prod(bases)
-        self.order = channel_permutation(bases[::-1])
-        self.level = np.empty(frames * n)
-        self.channel = self.level.reshape(frames, n)
-        self.work = WorkArrays()
-        self._steps = zero_prefix_stages(kernels, "exact", self.level, self.work)
-        self._bound = {"exact": self._steps}
-        # row r: bit channel_order[r]'s decision LLR in every frame, the
-        # digits of r those of the bit reversed
-        self.final_llrs = self.level.reshape(n, frames)
-        _charge(self)
-
-    def run(self, channel_llrs):
-        """final_llrs of (F, N) float64 channel LLRs in natural order."""
-        channel_llrs.take(self.order, 1, self.channel, "clip")
-        for fn, args in self._steps:
-            fn(*args)
-        return self.final_llrs
-
-
-def _genie_llrs(code: CodeSpec, channel_llrs):
-    """(F, N) genie-aided decision LLRs of (F, N) float64 channel LLRs, both in natural order, by a pass of its own."""
-    return _GeniePass(code.kernels, len(channel_llrs)).run(channel_llrs).T.take(code.permutation, 1)
+@lru_cache(maxsize=32)
+def _all_frozen(kernels):
+    """The all-frozen code of a kernel sequence, built once: a program that
+    runs the same read-only mask again keeps its thresholds and folds."""
+    return CodeSpec(kernels, range(prod(k.p for k in kernels)))
 
 
 def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed: int):
@@ -215,11 +180,11 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     The all-zero codeword is sent over AWGN `frames` times; a genie-aided
     SC pass scores per bit position how often the decision LLR argues for
     the wrong bit while all previous decisions are forced correct: the
-    decode of the all-frozen code, bit for bit for kernels of size 2 and 3
-    (kernels.llr_candidate_steps has the caveat for larger ones), by a
-    _GeniePass per batch size, checked out as decoder._check_out states.
-    Each batch is scored in the pass's level order, and the N scores are
-    put in natural order once at the end.
+    exact-mode decode of the all-frozen code, which folds whole (decoder
+    module docstring), so its SC program is one zero-prefix pass per
+    stage and one take. Each batch runs on the program of its size,
+    checked out as decoder._check_out states, and is scored from the
+    program's final-LLR rows in natural bit order.
     A negative decision LLR scores a whole error, one within GENIE_TIE_TOL
     of 0 half an error: such a bit carries no information, whatever sign
     rounding gives it. The N - k positions with the highest scores are
@@ -241,21 +206,21 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
         return ()
     if k == 0:
         return tuple(range(n))
-    scores = np.zeros(n, dtype=np.int64)
+    code, scores = _all_frozen(kernels), np.zeros(n, dtype=np.int64)
     batch = max(1, BATCH_LLR_ENTRIES // n)
     for start in range(0, frames, batch):
         count = min(frames - start, batch)
         rngs = _frame_generators((seed,), start, count)
         llrs = awgn_llrs(np.zeros((count, n), dtype=np.uint8), design_snr_db, rate, rngs)
-        key = ("genie", tuple(kern.key for kern in kernels), count)  # SC programs' keys are pairs
-        genie, charged = _check_out(key, _GeniePass, kernels, count)
+        program, charged = _check_out(code, count)
         try:
-            final = genie.run(llrs)
+            program.run(code, llrs, "exact")
+            final = program.final_llrs
             scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=1)
             scores += (np.abs(final) <= GENIE_TIE_TOL).sum(axis=1)
         finally:
-            _check_in(key, genie, charged)
-    order = np.argsort(-scores.take(channel_permutation(kernels)), kind="stable")
+            _check_in(program, charged)
+    order = np.argsort(-scores, kind="stable")
     return tuple(sorted(int(i) for i in order[: n - k]))
 
 

@@ -48,18 +48,21 @@ nor stage s's partial-sum matrix: _Program._bind_tail states how.
 All-frozen sub-codes fold. The bits that share digits b_1 .. b_j are a
 sub-code decoded from stage j's vector at that prefix alone. If all are
 frozen, each decides 0, so its LLR is the update after the all-zero
-prefix: what construction's genie-aided passes form, one
-kernels.zero_prefix_steps pass per stage over every prefix at once. For
-each largest such sub-code whose root stage is 1 <= j < top, so whole
-tail blocks, the program binds in place of its refreshes, tail walks and
-inner pushes those passes of stages j+1 .. s over stage j's vector (the
-frames one more prefix axis), in place, one take of the digit-reversed
-result into its final-LLR rows (_Program._fold) and, for the push into
-stage j, a zero fill of that column. No step writes its decisions, so
-they stay 0. The pass forms the candidate row of prefix 0 by the same
-arithmetic, the row the gathers and walks would read, so outputs do not
-change. It works in the tables of stages j+1 .. s and the work arrays,
-idle meanwhile; stage j's vector is refreshed before it is read again.
+prefix: one kernels.zero_prefix_steps pass per stage over every prefix
+at once forms them all. For each largest such sub-code whose root stage
+is 0 <= j < top, so whole tail blocks, the program binds in place of its
+refreshes, tail walks and inner pushes those passes of stages j+1 .. s
+over stage j's vector (the frames one more prefix axis), in place, one
+take of the digit-reversed result into its final-LLR rows
+(_Program._fold) and, for the push into stage j >= 1, a zero fill of
+that column. No step writes its decisions, so they stay 0. The pass
+forms the candidate row of prefix 0 by the same arithmetic, the row the
+gathers and walks would read, so outputs do not change. It works in the
+tables of stages j+1 .. s and the work arrays, idle meanwhile; stage j's
+vector is refreshed, or the channel vector ingested, before it is read
+again. The all-frozen code folds whole, at stage 0: its program is the
+s passes and the take, which is genie-aided construction
+(codes.construct_frozen_mc).
 
 Results are bit for bit those of the block-major update rule, one
 update per bit on output LLRs flipped by the sign of the known
@@ -68,9 +71,8 @@ stage alone computes, by the same pass. That holds for kernels of size
 2 and 3, which covers every built-in code; kernels.llr_candidate_steps
 states what differs for larger ones.
 
-A call runs on a program checked out of one cache, which construction's
-genie-aided passes share (_check_out), and returns copies; a call with
-no frames binds none.
+A call runs on a program checked out of one cache (_check_out) and
+returns copies; a call with no frames binds none.
 """
 
 from dataclasses import dataclass
@@ -244,7 +246,7 @@ class _Program:
     """
 
     def __init__(self, code: CodeSpec, frames: int):
-        self.frames = frames
+        self.frames, self.key = frames, (_kernel_key(code), frames)
         self.schedule = schedule_of(code)
         self.mem = allocate(code, frames)
         # row i holds bit i's decision LLR in every frame
@@ -387,14 +389,14 @@ class _Program:
 
     def _folds(self, mask):
         """{first bit: root stage j} of each fold: the bits that share b_1
-        .. b_j, 1 <= j < top, if all are frozen but not all that share b_1
+        .. b_j, 0 <= j < top, if all are frozen but not all that share b_1
         .. b_{j-1}."""
         folds, above = {}, np.zeros(1, np.bool_)
-        for j in range(1, self.top):
+        for j in range(self.top):
             size = self.mem.llr[j].shape[1]
             frozen = mask.reshape(-1, size).all(1)
-            folds.update((int(k) * size, j) for k in np.flatnonzero(frozen & ~above.repeat(self.bases[j - 1])))
-            above = frozen
+            folds.update((int(k) * size, j) for k in np.flatnonzero(frozen & ~above))
+            above = frozen.repeat(self.bases[j])
         return folds
 
     def _fold(self, j, a, mode):
@@ -415,9 +417,6 @@ class _Program:
         mask, kept per mode and rebuilt from bound steps under new folds."""
         folds, steps = self._steps.get(mode, (None, None))
         if folds is not self.folds:
-            if mode not in self._steps:  # size the work pool first, or steps would keep arrays it outgrew
-                for a in range(1, self.top + 1):
-                    self._passes(a, mode)
             folds, steps = self.folds, []
             size, decided, stop, root = len(self.walk), 0, 0, 0
             for op in self.schedule.ops:
@@ -433,6 +432,10 @@ class _Program:
                     continue
                 if kind == REFRESH and not b and a <= self.top:
                     if (a, mode) not in self._bound:
+                        if not any((c, mode) in self._bound for c in range(1, self.top + 1)):
+                            # size the work pool first, or steps would keep arrays it outgrew
+                            for c in range(1, self.top + 1):
+                                self._passes(c, mode)
                         self._bound[a, mode] = self._passes(a, mode)
                     steps += self._bound[a, mode]
                 # the tail binds its refreshes, its decisions and stage s's
@@ -491,39 +494,38 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
         raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
     if not len(llrs):  # nothing to decode, so bind no program
         return DecodeResult(np.zeros(llrs.shape, np.uint8), llrs.copy(), schedule_of(code).stats.copy())
-    key = (_kernel_key(code), len(llrs))
-    program, charged = _check_out(key, _Program, code, len(llrs))
+    program, charged = _check_out(code, len(llrs))
     try:
         program.run(code, llrs, mode)
         mem, stats = program.mem, program.schedule.stats
         return DecodeResult(mem.decisions.copy(), program.final_llrs.T.copy(), stats.copy())
     finally:
-        _check_in(key, program, charged)
+        _check_in(program, charged)
 
 
-def _check_out(key, bind, *args):
-    """Take the idle program under key out of the cache, or bind one by
-    bind(*args), for one run; return it and its charge, 0 if new.
+def _check_out(code, frames):
+    """Take the idle program of the code's kernel sequence and F = frames
+    out of the cache, or bind one, for one run; return it and its charge,
+    0 if new.
 
-    The one cache holds bound programs: SC programs (_Program) under
-    (kernel key, F) and construction's genie-aided passes
-    (codes._GeniePass) under ("genie", kernel key, F), one idle program
-    per key for batches of at most BATCH_LLR_ENTRIES LLR entries (F * N).
-    So callers that alternate batch sizes bind each size once, and no two
-    calls run on one program's memory at once. _check_in, in a finally
-    clause, puts it back. A program stores its charge when it is bound
-    and whenever it binds steps (_charge); after a run that changed it,
-    the least recently used programs go until the rest charge at most
-    CACHE_BYTES.
+    The one cache holds the idle programs of decode_batch and of
+    construction, which runs the all-frozen code, under their key (kernel
+    key, F), one per key for batches of at most BATCH_LLR_ENTRIES LLR
+    entries (F * N). So callers that alternate batch sizes bind each size
+    once, and no two calls run on one program's memory at once. _check_in,
+    in a finally clause, puts it back. A program stores its charge when it
+    is bound and whenever it binds steps (_charge); after a run that
+    changed it, the least recently used programs go until the rest charge
+    at most CACHE_BYTES.
     """
-    program = _PROGRAMS.pop(key, None)
-    return (bind(*args), 0) if program is None else (program, program.charge)
+    program = _PROGRAMS.pop((_kernel_key(code), frames), None)
+    return (_Program(code, frames), 0) if program is None else (program, program.charge)
 
 
-def _check_in(key, program, charged):
+def _check_in(program, charged):
     """Put a checked-out program back as the most recently used."""
     if program.final_llrs.size <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
-        _PROGRAMS[key] = program
+        _PROGRAMS[program.key] = program
         if program.charge != charged:  # the run bound it or more of its steps
             _evict()
 

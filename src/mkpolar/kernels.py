@@ -17,8 +17,9 @@ Every update reads one table per kernel, the metric terms of each whole
 input word. From it llr_candidate_steps forms the update of every bit of
 R blocks under every known prefix, llr_gather_steps picks each block's
 own, and llr_kernel_batch runs both. zero_prefix_steps forms only the
-updates after the all-zero prefix, which genie-aided construction and
-the decoder's all-frozen sub-codes read (zero_prefix_stages).
+updates after the all-zero prefix, which the decoder's all-frozen
+sub-codes read (zero_prefix_stages), and genie-aided construction, the
+decode of the all-frozen code.
 
 LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
@@ -203,8 +204,9 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, work):
     more, in an order that depends on R and the layout: in 20,000-block
     calls at p = 4 and 5, 327 to 404 of 1200 to 1500 sampled updates
     differed from their one-block calls. So a batch row and a single
-    decode, or a decode and the genie-aided pass, agree only to rounding,
-    which can flip a decision on an LLR near 0 and so a simulation result.
+    decode, or an all-frozen sub-code decoded with and without its fold,
+    agree only to rounding, which can flip a decision on an LLR near 0
+    and so a simulation result.
     """
     p, rows = kernel.p, len(groups)
     # table[2c + h]: the best metric of hypothesis h of candidate c; bit t

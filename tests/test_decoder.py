@@ -24,7 +24,6 @@ from mkpolar import (
     simulate,
 )
 import mkpolar.decoder
-from mkpolar.codes import _GeniePass, _genie_llrs
 from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _Program, schedule_of
 from oracles import exact_sc_oracle_llr, row_major_kernel_update, start_stage, trailing_max_run
 from reference_sc import all_kernel_sequences, textbook_sc_decode
@@ -411,11 +410,11 @@ def test_folded_programs_match_reference_executor(mode, monkeypatch):
     # All-frozen sub-codes with their root at every stage 1 .. top - 1,
     # the last of them exactly one tail block, the rest of the frozen set
     # at random with bit 0 free, so that no fold holds another; then the
-    # all-frozen code, whose folds are the p_1 sub-codes of stage 1. At
-    # F = 1 and 7 the look-ahead tail is the last two stages, at the cap
-    # the last stage alone. Each run folds exactly the largest all-frozen
-    # sub-codes whose root stage is above the tail, and decodes as the
-    # reference executor does.
+    # all-frozen code, which folds whole at stage 0. At F = 1 and 7 the
+    # look-ahead tail is the last two stages, at the cap the last stage
+    # alone. Each run folds exactly the largest all-frozen sub-codes whose
+    # root stage is above the tail, and decodes as the reference executor
+    # does.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     rng = np.random.default_rng(97)
     for bases in ((2, 2, 3), (3, 2, 3), (2, 2, 2, 3, 3), (3, 2, 2, OTHER), (2, 2, 2, 2, 3, 3)):
@@ -432,18 +431,18 @@ def test_folded_programs_match_reference_executor(mode, monkeypatch):
                 program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
                 mask = code.frozen_mask
                 want = {}
-                for j in range(1, top):
+                for j in range(top):
                     size = CodeSpec(bases[j:]).N
-                    above = size * CodeSpec(bases[j - 1 : j]).N  # the sub-code of root stage j - 1
+                    above = size * CodeSpec(bases[j - 1 : j]).N if j else n  # the sub-code of root stage j - 1
                     for a in range(0, n, size):
                         parent = mask[a - a % above : a - a % above + above]
-                        if mask[a : a + size].all() and (j == 1 or not parent.all()):
+                        if mask[a : a + size].all() and (j == 0 or not parent.all()):
                             want[a] = j
                 assert program.folds == want, (bases, frames)
                 if frozen is folded:
                     assert roots.items() <= want.items(), (bases, frames)
                 else:
-                    assert want == {a: 1 for a in range(0, n, n // bases[0])}, (bases, frames)
+                    assert want == {0: 0}, (bases, frames)
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -685,61 +684,64 @@ def test_alternating_frame_counts_bind_each_once(monkeypatch):
     assert binds == [(mkpolar.decoder._kernel_key(code), 1), (mkpolar.decoder._kernel_key(code), 40)]
 
 
-def counting_genie_binds(monkeypatch):
-    """The (kernel key, F) of every genie pass bound from here on."""
-    binds = []
-    real_init = _GeniePass.__init__
-
-    def init(self, kernels, frames):
-        binds.append((tuple(k.key for k in kernels), frames))
-        real_init(self, kernels, frames)
-
-    monkeypatch.setattr(_GeniePass, "__init__", init)
-    return binds
-
-
 def test_repeated_runs_bind_nothing(monkeypatch):
     # A run binds once per distinct batch size; the same run again finds
-    # every program and genie pass it needs in the cache.
+    # every program it needs in the cache.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     config = SimConfig(CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6)), (0.0, 4.0), max_frames=300,
                        target_frame_errors=10, seed=3)
     construct = ((2, 2, 2, 2, 3, 3), 72, 1.0, 1000, 0)  # batches of 455, 455 and 90
     first = simulate(config).to_csv(), construct_frozen_mc(*construct)
-    binds, genie = counting_binds(monkeypatch), counting_genie_binds(monkeypatch)
+    binds = counting_binds(monkeypatch)
     assert (simulate(config).to_csv(), construct_frozen_mc(*construct)) == first
-    assert binds == genie == []
+    assert binds == []
 
 
-def test_construction_binds_no_program(monkeypatch):
-    # The genie-aided pass runs the kernel rule once per stage, with no SC
-    # schedule and no partial sums to bind: the cache holds genie passes only.
+def test_construction_binds_one_program_per_kernel_sequence_and_batch(monkeypatch):
+    # Construction decodes the all-frozen code, which folds whole at stage
+    # 0: it binds one program per kernel sequence and batch size, cached
+    # under the key decode_batch uses, and each program binds only the
+    # fold's zero-prefix passes and take, with no candidate pass, tail or
+    # partial-sum push, and holds no work arrays of candidate passes.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     binds = counting_binds(monkeypatch)
-    for args in (((2, 2, 2, 2, 3, 3), 72, 1.0, 40, 0), ((2, 2, 3), 6, 1.0, 6000, 1), ((3, K4), 6, 1.0, 7, 2)):
-        construct_frozen_mc(*args)
-    assert binds == []
-    assert not any(isinstance(p, _Program) for p in mkpolar.decoder._PROGRAMS.values())
-
-
-def test_construction_binds_one_genie_pass_per_kernel_sequence_and_batch(monkeypatch):
-    # Construction binds no SC program, with its schedule and partial sums:
-    # it binds the genie pass once per kernel sequence and batch size, and
-    # caches it beside the SC programs under a key no SC program has.
-    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
-    binds, genie = counting_binds(monkeypatch), counting_genie_binds(monkeypatch)
     runs = (((2, 2, 2, 2, 3, 3), 72, 1.0, 40, 0), ((2, 2, 3), 6, 1.0, 6000, 1), ((3, K4), 6, 1.0, 7, 2))
     for args in runs + runs:
         construct_frozen_mc(*args)
     keys = [mkpolar.decoder._kernel_key(CodeSpec(args[0])) for args in runs]
     want = [(keys[0], 40), (keys[1], 5461), (keys[1], 539), (keys[2], 7)]
-    assert binds == [] and genie == want
-    assert list(mkpolar.decoder._PROGRAMS) == [("genie", *key) for key in want]
-    assert all(isinstance(p, _GeniePass) for p in mkpolar.decoder._PROGRAMS.values())
+    assert binds == want and list(mkpolar.decoder._PROGRAMS) == want
+    for program in mkpolar.decoder._PROGRAMS.values():
+        assert program.folds == {0: 0}
+        assert {key[0] for key in program._bound} == {"fold", "take"}
+        assert not program.work
+
+
+def test_construction_shares_the_program_of_a_decode(monkeypatch):
+    # A construction with the kernel sequence and batch size of an earlier
+    # decode_batch runs on that program, and a decode after it on the
+    # construction's: the runs bind no program and give the results of
+    # runs on an empty cache.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    code = CodeSpec((2, 2, 2, 2, 3, 3), PAPER_FROZEN[2, 2, 2, 2, 3, 3])
+    llrs = np.random.default_rng(37).normal(1.0, 2.0, (40, code.N))
+    construct = (code.bases, 72, 1.0, 40, 0)
+
+    def decoded():
+        result = decode_batch(code, llrs)
+        return result.u_hat.tobytes(), result.final_llrs.tobytes()
+
+    constructed = construct_frozen_mc(*construct)
+    mkpolar.decoder._PROGRAMS.clear()
+    want = decoded()  # leaves its program in the cache
+    binds = counting_binds(monkeypatch)
+    assert construct_frozen_mc(*construct) == constructed
+    assert decoded() == want
+    assert binds == [] and list(mkpolar.decoder._PROGRAMS) == [(mkpolar.decoder._kernel_key(code), 40)]
 
 
 def test_interleaved_constructions_match_runs_on_an_empty_cache(monkeypatch):
-    # Genie passes of four kernel sequences, two of them of equal sizes, at
+    # Programs of four kernel sequences, two of them of equal sizes, at
     # F = 1, 40 and the 455 and 90 of 1000 frames at N = 144, taken from
     # the cache in turns: each construction gives the frozen set of the
     # same run on an empty cache.
@@ -754,7 +756,7 @@ def test_interleaved_constructions_match_runs_on_an_empty_cache(monkeypatch):
     cache.clear()
     for _ in range(2):
         assert [construct_frozen_mc(*args) for args in runs] == want
-    assert want[2::4] != want[3::4]  # so a pass shared by the two would show
+    assert want[2::4] != want[3::4]  # so a program shared by the two would show
     assert len(cache) == 13  # N = 12 takes 1000 frames in one batch
 
 
@@ -765,11 +767,12 @@ def charge(program):
 
 
 def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
-    # Idle programs and genie passes stay per (kernel key, F). After each
-    # binding the least recently used go until the rest charge at most
-    # CACHE_BYTES, each its array bytes and STEP_BYTES per bound step; a
-    # hit makes a program the most recent. gA and gB are the genie passes
-    # of A's and B's kernels, bound by constructions.
+    # Idle programs stay per (kernel key, F), whether a decode or a
+    # construction bound them. After each binding, of a program or of its
+    # steps for the other kind of run, the least recently used go until the
+    # rest charge at most CACHE_BYTES, each its array bytes and STEP_BYTES
+    # per bound step; a hit makes a program the most recent. Calls named
+    # cA and cB are constructions with A's and B's kernels.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     cache = mkpolar.decoder._PROGRAMS
     budget = mkpolar.decoder.CACHE_BYTES
@@ -782,20 +785,22 @@ def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
              ("A", 2500, ["B 3000", "A cap", "A 2500"]),
              ("A", cap + 1, ["B 3000", "A cap", "A 2500"]),  # never kept
              ("B", 3500, ["A cap", "A 2500", "B 3500"]),
-             ("gA", 3000, ["A 2500", "B 3500", "gA 3000"]),  # a genie pass evicts a program
-             ("A", 2500, ["B 3500", "gA 3000", "A 2500"]),
-             ("gA", 3000, ["B 3500", "A 2500", "gA 3000"]),  # a hit on a genie pass
-             ("A", cap, ["A 2500", "gA 3000", "A cap"]),
-             ("gB", cap, ["gA 3000", "A cap", "gB cap"]),
-             ("B", 2000, ["A cap", "gB cap", "B 2000"])]  # a program evicts a genie pass
+             ("cA", 3000, ["A 2500", "B 3500", "A 3000"]),  # a construction evicts a program
+             ("A", 2500, ["B 3500", "A 3000", "A 2500"]),
+             ("cA", 3000, ["B 3500", "A 2500", "A 3000"]),  # a hit on a construction's program
+             ("A", 3000, ["B 3500", "A 2500", "A 3000"]),  # a decode binds its steps there
+             ("cA", 2500, ["B 3500", "A 3000", "A 2500"]),  # and a construction on a decode's
+             ("A", cap, ["A 3000", "A 2500", "A cap"]),
+             ("cB", cap, ["A cap", "B cap"]),
+             ("A", cap, ["B cap", "A cap"]),
+             ("B", 2000, ["A cap", "B 2000"])]  # a decode evicts a construction's program
     names = {}
     for name, code in codes.items():
         key = mkpolar.decoder._kernel_key(code)
         for f in (cap, 2000, 2500, 3000, 3500):
             names[key, f] = f"{name} {'cap' if f == cap else f}"
-            names["genie", key, f] = "g" + names[key, f]
     for name, frames, kept in calls:
-        if name.startswith("g"):
+        if name.startswith("c"):
             construct_frozen_mc(codes[name[1]].bases, 6, 1.0, frames, 0)
         else:
             decode_batch(codes[name], np.ones((frames, 12)))
@@ -877,27 +882,26 @@ def test_a_call_made_during_a_decode_gets_its_own_program(monkeypatch):
     assert_same_as_reference(decode(code, outer), code, outer, "exact", "outer")
 
 
-def test_a_construction_made_during_a_construction_gets_its_own_pass(monkeypatch):
+def test_a_construction_made_during_a_construction_gets_its_own_program(monkeypatch):
     # As another thread could: a construction of the same kernels and batch
     # size, with other noise, that runs before the first one has scored its
-    # batch from the decision LLRs its pass holds.
+    # batch from the decision LLRs its program holds.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     outer, inner = ((2, 2, 3), 6, 1.0, 40, 0), ((2, 2, 3), 6, 1.0, 40, 1)
-    want = construct_frozen_mc(*inner), construct_frozen_mc(*outer)  # leaves an idle pass
-    assert want[0] != want[1]  # so a pass shared by the two would show
-    genie = counting_genie_binds(monkeypatch)
-    real_run, got = _GeniePass.run, []
+    want = construct_frozen_mc(*inner), construct_frozen_mc(*outer)  # leaves an idle program
+    assert want[0] != want[1]  # so a program shared by the two would show
+    binds = counting_binds(monkeypatch)
+    real_run, got = _Program.run, []
 
     def run_then_construct_again(self, *args):
-        final = real_run(self, *args)
-        monkeypatch.setattr(_GeniePass, "run", real_run)
+        real_run(self, *args)
+        monkeypatch.setattr(_Program, "run", real_run)
         got.append(construct_frozen_mc(*inner))
-        return final
 
-    monkeypatch.setattr(_GeniePass, "run", run_then_construct_again)
+    monkeypatch.setattr(_Program, "run", run_then_construct_again)
     got.append(construct_frozen_mc(*outer))
     assert got == list(want)
-    assert genie == [(mkpolar.decoder._kernel_key(CODE_223), 40)]
+    assert binds == [(mkpolar.decoder._kernel_key(CODE_223), 40)]
 
 
 class Stopped(Exception):
@@ -919,10 +923,10 @@ def stop_once_halfway(steps):
 
 def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
     # A run that raises before its steps or partway through them, on a
-    # program or genie pass just bound, on a program binding its minsum
-    # steps, or on one taken from the cache, puts it back once as the most
-    # recently used, charged for what it bound, and the next call matches
-    # a run on an empty cache.
+    # program just bound for a decode or a construction, on a program
+    # binding its minsum steps, or on one taken from the cache, puts it back
+    # once as the most recently used, charged for what it bound, and the
+    # next call matches a run on an empty cache.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     cache = mkpolar.decoder._PROGRAMS
     code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
@@ -934,20 +938,20 @@ def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
         return result.u_hat.tobytes(), result.final_llrs.tobytes()
 
     runs = [(lambda: decoded("exact"), (key, 7)), (lambda: decoded("minsum"), (key, 7)),
-            (lambda: construct_frozen_mc(code.bases, 6, 1.0, 7, 0), ("genie", key, 7))]
+            (lambda: construct_frozen_mc(code.bases, 6, 1.0, 5, 0), (key, 5))]
     want = []
     for run, _ in runs:
         cache.clear()
         want.append(run())
     cache.clear()
     check_ins = []
-    real_check_in, real_steps, real_run = mkpolar.decoder._check_in, _Program.steps, _GeniePass.run
+    real_check_in, real_steps = mkpolar.decoder._check_in, _Program.steps
 
-    def check_in(*args):
-        check_ins.append(args[0])
-        real_check_in(*args)
+    def check_in(program, charged):
+        check_ins.append(program.key)
+        real_check_in(program, charged)
 
-    def steps(self, mode):  # the steps an SC run runs
+    def steps(self, mode):  # the steps a run runs
         monkeypatch.setattr(_Program, "steps", real_steps)
         if early:
             raise Stopped
@@ -955,24 +959,15 @@ def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
         stop_once_halfway(bound)
         return bound
 
-    def run(self, *args):
-        monkeypatch.setattr(_GeniePass, "run", real_run)
-        if early:
-            raise Stopped
-        stop_once_halfway(self._steps)
-        return real_run(self, *args)
-
     monkeypatch.setattr(mkpolar.decoder, "_check_in", check_in)
     for (call, where), expected in zip(runs, want):
         for stopped, early in enumerate((True, False, False)):
             monkeypatch.setattr(_Program, "steps", steps)
-            monkeypatch.setattr(_GeniePass, "run", run)
             with pytest.raises(Stopped):
                 call()
             assert check_ins == [where] and list(cache)[-1] == where, (where, stopped)
             assert cache[where].charge == charge(cache[where]), (where, stopped)
             monkeypatch.setattr(_Program, "steps", real_steps)
-            monkeypatch.setattr(_GeniePass, "run", real_run)
             check_ins.clear()
             assert call() == expected, (where, stopped)
             check_ins.clear()
@@ -1117,12 +1112,12 @@ def test_all_frozen_decode_is_the_genie_pass():
 
 
 def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
-    # Construction's level pass, one zero-prefix pass per stage, gives the
-    # all-frozen decode's LLRs bit for bit with kernels of size 2 and 3, on
-    # tie-prone LLRs, and so do the reference executor and, as the decoder
-    # folds the all-frozen sub-codes of stage 1 by the same passes, the
-    # decoder. A size-4 kernel sums longer runs, which BLAS may order
-    # by batch size, so there they agree to rounding (up to 7.1e-15 seen).
+    # Construction runs the all-frozen code's program, which folds the
+    # whole code at stage 0: one zero-prefix pass per stage and a take. On
+    # tie-prone LLRs it gives the decisions and LLRs of the reference
+    # executor bit for bit with kernels of size 2 and 3, in both modes. A
+    # size-4 kernel sums longer runs, which BLAS may order by batch size,
+    # so there they agree to rounding (up to 7.1e-15 seen).
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     rng = np.random.default_rng(29)
     values = np.array([0.0, 0.7, -0.7, 1.3, -1.3, 2.9, -2.9, 40.0, -40.0])
@@ -1130,13 +1125,17 @@ def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
     cases += [((K4, K4), 1e-12), ((3, K4), 1e-12), ((K4, 3, 2), 1e-12)]
     for bases, tol in cases:
         code = CodeSpec(bases, range(CodeSpec(bases).N))
+        assert _Program(code, 1)._folds(code.frozen_mask) == {0: 0}, bases
         for frames in (1, 7, mkpolar.decoder.BATCH_LLR_ENTRIES // code.N):
             llrs = rng.choice(values, (frames, code.N))
-            got, want = _genie_llrs(code, llrs), decode_batch(code, llrs, "exact").final_llrs
-            if tol:
-                assert np.abs(got - want).max() <= tol, (bases, frames)
-            else:
-                assert got.tobytes() == want.tobytes() == reference_decode(code, llrs)[1].tobytes(), (bases, frames)
+            for mode in ("exact", "minsum"):
+                got, (decisions, want) = decode_batch(code, llrs, mode), reference_decode(code, llrs, mode)
+                where = (bases, frames, mode)
+                assert got.u_hat.tobytes() == decisions.tobytes(), where
+                if tol:
+                    assert np.abs(got.final_llrs - want).max() <= tol, where
+                else:
+                    assert got.final_llrs.tobytes() == want.tobytes(), where
 
 
 def test_all_frozen_noiseless_decode_is_error_free():
