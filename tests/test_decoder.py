@@ -697,24 +697,36 @@ def test_repeated_runs_bind_nothing(monkeypatch):
     assert binds == []
 
 
-def test_construction_binds_one_program_per_kernel_sequence_and_batch(monkeypatch):
-    # Construction decodes the all-frozen code, which folds whole at stage
-    # 0: it binds one program per kernel sequence and batch size, cached
-    # under the key decode_batch uses, and each program binds only the
-    # fold's zero-prefix passes and take, with no candidate pass, tail or
-    # partial-sum push, and holds no work arrays of candidate passes.
+CONSTRUCTIONS = (((2, 2, 2, 2, 3, 3), 72, 1.0, 40, 0), ((2, 2, 3), 6, 1.0, 6000, 1), ((3, K4), 6, 1.0, 7, 2))
+
+
+def test_construction_binds_no_program(monkeypatch):
+    # Construction binds no SC program, with its schedule and partial sums:
+    # the all-frozen code folds whole at stage 0, so the program it checks
+    # out is the genie pass alone. Each binds only the fold's zero-prefix
+    # passes and take, with no candidate pass, tail or partial-sum push,
+    # and holds no work arrays of candidate passes.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
-    binds = counting_binds(monkeypatch)
-    runs = (((2, 2, 2, 2, 3, 3), 72, 1.0, 40, 0), ((2, 2, 3), 6, 1.0, 6000, 1), ((3, K4), 6, 1.0, 7, 2))
-    for args in runs + runs:
+    for args in CONSTRUCTIONS:
         construct_frozen_mc(*args)
-    keys = [mkpolar.decoder._kernel_key(CodeSpec(args[0])) for args in runs]
-    want = [(keys[0], 40), (keys[1], 5461), (keys[1], 539), (keys[2], 7)]
-    assert binds == want and list(mkpolar.decoder._PROGRAMS) == want
+    assert len(mkpolar.decoder._PROGRAMS) == 4
     for program in mkpolar.decoder._PROGRAMS.values():
         assert program.folds == {0: 0}
         assert {key[0] for key in program._bound} == {"fold", "take"}
         assert not program.work
+
+
+def test_construction_binds_one_genie_pass_per_kernel_sequence_and_batch(monkeypatch):
+    # Construction binds the genie pass, the all-frozen code's program, once
+    # per kernel sequence and batch size, and caches it under the key
+    # decode_batch uses.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    binds = counting_binds(monkeypatch)
+    for args in CONSTRUCTIONS + CONSTRUCTIONS:
+        construct_frozen_mc(*args)
+    keys = [mkpolar.decoder._kernel_key(CodeSpec(args[0])) for args in CONSTRUCTIONS]
+    want = [(keys[0], 40), (keys[1], 5461), (keys[1], 539), (keys[2], 7)]
+    assert binds == want and list(mkpolar.decoder._PROGRAMS) == want
 
 
 def test_construction_shares_the_program_of_a_decode(monkeypatch):
