@@ -45,24 +45,26 @@ is decided a block of bits at a time by a walk down the candidates of
 stage s's table into mem.decisions, which writes no tail stage's vector
 nor stage s's partial-sum matrix: _Program._bind_tail states how.
 
-All-frozen sub-codes fold. The bits that share digits b_1 .. b_j are a
-sub-code decoded from stage j's vector at that prefix alone. If all are
-frozen, each decides 0, so its LLR is the update after the all-zero
-prefix: one kernels.zero_prefix_steps pass per stage over every prefix
-at once forms them all. For each largest such sub-code whose root stage
-is 0 <= j < top, so whole tail blocks, the program binds in place of its
-refreshes, tail walks and inner pushes those passes of stages j+1 .. s
-over stage j's vector (the frames one more prefix axis), in place, one
-take of the digit-reversed result into its final-LLR rows
-(_Program._fold) and, for the push into stage j >= 1, a zero fill of
-that column. No step writes its decisions, so they stay 0. The pass
-forms the candidate row of prefix 0 by the same arithmetic, the row the
-gathers and walks would read, so outputs do not change. It works in the
-tables of stages j+1 .. s and the work arrays, idle meanwhile; stage j's
-vector is refreshed, or the channel vector ingested, before it is read
-again. The all-frozen code folds whole, at stage 0: its program is the
-s passes and the take, which is genie-aided construction
-(codes.construct_frozen_mc).
+Rate-0 and REP sub-codes fold. The bits that share digits b_1 .. b_j are
+a sub-code decoded from stage j's vector at that prefix alone. If all
+are frozen (Rate-0) or all but the last (REP; Sarkis et al., IEEE JSAC
+2014), each is decided after the all-zero prefix inside it, so its LLR
+is the update after that prefix: one kernels.zero_prefix_steps pass per
+stage over every prefix at once forms them all. For each largest such
+sub-code whose root stage is 0 <= j < top, so whole tail blocks, the
+program binds in place of its refreshes, tail walks and inner pushes
+those passes of stages j+1 .. s over stage j's vector (the frames one
+more prefix axis), in place, one take of the digit-reversed result into
+its final-LLR rows (_Program._fold), a REP node's less of its last bit
+and, for the push into stage j >= 1, a zero fill of that column or the
+REP decision times the last row of T_{j+1} x ... x T_s. No step writes
+its frozen decisions, so they stay 0. The pass forms the candidate row
+of prefix 0 by the same arithmetic, the row the gathers and walks would
+read, so outputs do not change. It works in the tables of stages j+1 ..
+s and the work arrays, idle meanwhile; stage j's vector is refreshed, or
+the channel vector ingested, before it is read again. The all-frozen
+code folds whole, at stage 0: its program is the s passes and the take,
+which is genie-aided construction (codes.construct_frozen_mc).
 
 Results are bit for bit those of the block-major update rule, one
 update per bit on output LLRs flipped by the sign of the known
@@ -76,6 +78,7 @@ returns copies; a call with no frames binds none.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import prod
 
@@ -111,7 +114,7 @@ class DecodeStats:
     partial-sum matrix (stage 1 keeps a slot for the absent last column).
     They count the paper's schedule, op by op, not the bound program's
     memory traffic, whose tail skips some of them (_Program._bind_tail)
-    and which runs none of the ops inside an all-frozen sub-code it folds
+    and which runs none of the ops inside a Rate-0 or REP sub-code it folds
     (decoder module docstring): the counts do not depend on the frozen set.
 
     After a full decode the counters follow closed forms that depend only
@@ -239,10 +242,11 @@ class _Program:
     Each op becomes a few (function, args) on views and work arrays fixed
     here, which an op that recurs in the schedule reuses. A frozen bit
     decides 0 because its threshold is -inf, or because it lies in a fold
-    (_folds), whose decisions no step writes: a run sets the thresholds,
-    their copies for the candidate rows of each leaf and the folds from
-    the frozen mask of the code it decodes, unless the last run had that
-    same read-only mask.
+    (_folds), a Rate-0 or REP sub-code, whose frozen bits' decisions no
+    step writes: a run sets the thresholds, their copies for the candidate
+    rows of each leaf, the folds and which of them are REP nodes from the
+    frozen mask of the code it decodes, unless the last run had that same
+    read-only mask.
     """
 
     def __init__(self, code: CodeSpec, frames: int):
@@ -274,8 +278,8 @@ class _Program:
         self.offsets = np.arange(max(self.mem.llr[1].size, width))
         self.index = np.empty(self.mem.llr[1].size, np.intp)
         self.work, self._bound, self._steps = WorkArrays(), {}, {}
-        # the last run's folds, their digit orders and what they allocated
-        self.kernels, self.folds, self.orders, self.fold_work = code.kernels, {}, {}, {}
+        # the last run's folds and REP nodes' first bits; per root stage its digit order, pushed row and fold work
+        self.kernels, self.folds, self.reps, self.orders, self.pushed, self.fold_work = code.kernels, {}, set(), {}, {}, {}
         if self.lookahead:
             # stage s-1's table row of entry k of vector h F + f
             rows = _tail_rows(upper, self.leaf)
@@ -388,29 +392,43 @@ class _Program:
         return steps
 
     def _folds(self, mask):
-        """{first bit: root stage j} of each fold: the bits that share b_1
-        .. b_j, 0 <= j < top, if all are frozen but not all that share b_1
-        .. b_{j-1}."""
-        folds, above = {}, np.zeros(1, np.bool_)
+        """{first bit: root stage j} of each fold and the first bits of its REP
+        nodes. A fold is the bits that share b_1 .. b_j, 0 <= j < top, if all are
+        frozen (Rate-0) or all but the last (REP) and no lower root stage folds them."""
+        folds, reps, above = {}, set(), np.zeros(1, np.bool_)
         for j in range(self.top):
-            size = self.mem.llr[j].shape[1]
-            frozen = mask.reshape(-1, size).all(1)
-            folds.update((int(k) * size, j) for k in np.flatnonzero(frozen & ~above))
-            above = frozen.repeat(self.bases[j])
-        return folds
+            blocks = mask.reshape(-1, self.mem.llr[j].shape[1])
+            node = blocks[:, :-1].all(1) & ~above
+            folds.update((int(k) * blocks.shape[1], j) for k in np.flatnonzero(node))
+            reps.update(int(k) * blocks.shape[1] for k in np.flatnonzero(node & ~blocks[:, -1]))
+            above = (above | node).repeat(self.bases[j])
+        return folds, reps
 
     def _fold(self, j, a, mode):
-        """The passes and the take of the fold at stage j from bit a (decoder module docstring)."""
+        """The passes and take of the fold at stage j from bit a, a REP node's less, and its push if one follows."""
         key, size = ("fold", j, mode), self.mem.llr[j].shape[1]
         if key not in self._bound:
             lent = WorkArrays(self.work, candidates=self.table_memory[sum(t.size for t in self.tables[:j]) :])
-            work = WorkArrays(lent)
+            work = WorkArrays(lent, **self.fold_work.get(j, {}))
             self._bound[key] = zero_prefix_stages(self.kernels[j:], mode, self.mem.llr[j].reshape(-1), work)
-            # what neither could lend, for kernels of size 4 and more
-            self.fold_work.update(((j, mode, role), x) for role, x in work.items() if x is not lent.get(role))
+            # what neither could lend, for kernels of size 4 and more, shared by the modes
+            self.fold_work[j] = {role: x for role, x in work.items() if x is not lent.get(role)}
         order = self.orders.setdefault(j, channel_permutation(self.bases[j:]))
         take = (self.mem.llr[j].reshape(size, -1).take, (order, 0, self.final_llrs[a : a + size], "clip"))
-        return self._bound[key] + self._bound.setdefault(("take", j, a), [take])
+        steps = self._bound[key] + self._bound.setdefault(("take", j, a), [take])
+        last, decisions = a + size - 1, self.mem.decisions
+        if a in self.reps:
+            less = (np.less, (self.final_llrs[last], self.thresholds[last : last + 1], decisions.view(np.bool_)[:, last]))
+            steps += self._bound.setdefault(("decide", last), [less])
+        if j and last + 1 < len(self.final_llrs):
+            b = a // size % self.bases[j - 1]
+            column = self.mem.ps[j - 1][..., b]
+            if a not in self.reps:
+                return steps + self._bound.setdefault(("fill", j, b), [(column.fill, (0,))])
+            # the last row of T_{j+1} x ... x T_s in stage j's entry order, digits reversed
+            row = self.pushed.setdefault(j, reduce(np.kron, [k.rows[-1] for k in self.kernels[j:][::-1]]))
+            steps += self._bound.setdefault(("push", j, a), [(np.multiply, (decisions[:, last, None], row, column))])
+        return steps
 
     def steps(self, mode):
         """The steps of a run in mode under the folds of the last run's
@@ -427,8 +445,6 @@ class _Program:
                     root, stop = a - 1, bit + self.mem.llr[a - 1].shape[1]
                     steps += self._fold(root, bit, mode)
                 if bit < stop and (kind == DECIDE or a > root):  # inside the fold
-                    if kind == PROPAGATE and a == root + 1:  # its all-zero codeword
-                        steps += self._bound.setdefault(("fill", a, b), [(self.mem.ps[a - 2][..., b].fill, (0,))])
                     continue
                 if kind == REFRESH and not b and a <= self.top:
                     if (a, mode) not in self._bound:
@@ -458,9 +474,9 @@ class _Program:
             np.copyto(self.thresholds, np.where(mask, -np.inf, 0.0))
             self.thresholds.reshape(-1, self.leaf.p).take(self.row_bits, 1, self.leaf_thresholds)
             self._frozen = mask
-            folds = self._folds(mask)
-            if folds != self.folds:  # no step writes the decisions of a fold
-                self.folds = folds
+            folds, reps = self._folds(mask)  # a comprehension here would make every run allocate closure cells
+            if folds != self.folds or reps != self.reps:  # no step writes a fold's frozen decisions
+                self.folds, self.reps = folds, reps
                 self.mem.decisions.fill(0)
         for fn, args in self.steps(mode):
             fn(*args)

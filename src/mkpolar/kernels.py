@@ -44,7 +44,7 @@ LLR_MAX = 40.0
 # kernel the package can build it stays finite.
 LLR_LIMIT = 1e300
 
-_ONE = np.ones(1, dtype=np.uint8)  # parity mask: cheaper per call than the int 1
+_ONE = np.array(1, dtype=np.uint8)  # 0-d parity mask: cheaper per call than the int 1 or a 1-element array
 # The clip ufunc saturates in one call, where np.clip's Python wrapper costs
 # more than the work at these sizes; its path is private, which a test pins.
 _clip = np._core.umath.clip
@@ -144,7 +144,11 @@ def builtin_kernel(p: int) -> KernelMatrix:
 
 def product_steps(kernel: KernelMatrix, words, out):
     """Steps writing uint8 ``words @ kernel.rows`` mod 2 into ``out`` (maybe strided), kernel axis last."""
-    return [(np.matmul, (words, kernel.rows, out)), (np.bitwise_and, (out, _ONE, out))]
+    try:  # the 0-d parity mask ands a 1-D view of out, where one exists, with no buffers
+        flat = np.reshape(out, -1, copy=False)
+    except (TypeError, ValueError):  # no such view, or numpy < 2.1
+        flat = out
+    return [(np.matmul, (words, kernel.rows, out)), (np.bitwise_and, (flat, _ONE, flat))]
 
 
 MODES = ("exact", "minsum")

@@ -412,9 +412,10 @@ def test_folded_programs_match_reference_executor(mode, monkeypatch):
     # at random with bit 0 free, so that no fold holds another; then the
     # all-frozen code, which folds whole at stage 0. At F = 1 and 7 the
     # look-ahead tail is the last two stages, at the cap the last stage
-    # alone. Each run folds exactly the largest all-frozen sub-codes whose
-    # root stage is above the tail, and decodes as the reference executor
-    # does.
+    # alone. Each run folds exactly the largest sub-codes whose root stage
+    # is above the tail and whose bits are all frozen or, in the REP nodes
+    # that the random rest makes, all but the last, and decodes as the
+    # reference executor does.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     rng = np.random.default_rng(97)
     for bases in ((2, 2, 3), (3, 2, 3), (2, 2, 2, 3, 3), (3, 2, 2, OTHER), (2, 2, 2, 2, 3, 3)):
@@ -430,19 +431,101 @@ def test_folded_programs_match_reference_executor(mode, monkeypatch):
                 assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, (bases, frames))
                 program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
                 mask = code.frozen_mask
-                want = {}
+                want = {}  # {first bit: root stage}, larger sub-codes first
                 for j in range(top):
                     size = CodeSpec(bases[j:]).N
-                    above = size * CodeSpec(bases[j - 1 : j]).N if j else n  # the sub-code of root stage j - 1
                     for a in range(0, n, size):
-                        parent = mask[a - a % above : a - a % above + above]
-                        if mask[a : a + size].all() and (j == 0 or not parent.all()):
+                        # all frozen (Rate-0) or all but the last (REP), and in no larger fold
+                        inside = any(b <= a < b + CodeSpec(bases[i:]).N for b, i in want.items())
+                        if mask[a : a + size - 1].all() and not inside:
                             want[a] = j
                 assert program.folds == want, (bases, frames)
                 if frozen is folded:
                     assert roots.items() <= want.items(), (bases, frames)
                 else:
                     assert want == {0: 0}, (bases, frames)
+
+
+def rep_frozen_sets(bases, rng):
+    """Frozen sets with REP nodes, sub-codes whose bits are all frozen but
+    the last: the code as a whole (root 0); sub_code(bases, j) at every root
+    stage j >= 1 at once, with the rest at random and bit 0 free, so that no
+    node lies in a larger one; and the last sub-code of root 1, which ends
+    the code, so that no push follows it."""
+    n = CodeSpec(bases).N
+    nodes = [sub_code(bases, j) for j in range(1, len(bases))]
+    rest = set(rng.choice(np.arange(1, n), n // 3, replace=False).tolist())
+    sets = [range(n - 1), rest.difference(*nodes).union(*(node[:-1] for node in nodes))]
+    if len(bases) > 1:
+        start = n - CodeSpec(bases[1:]).N
+        rest = set(rng.choice(np.arange(1, start), start // 3, replace=False).tolist())
+        sets.append(rest | set(range(start, n - 1)))
+    return sets
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_rep_folds_match_reference_executor(mode, monkeypatch):
+    # A REP node folds: the zero-prefix passes form its decision LLRs, one
+    # less decides its last bit and, if a push into stage j >= 1 follows,
+    # the decision times the last row of T_{j+1} x ... x T_s fills the
+    # column, in stage j's entry order: digit-reversed, so with a T3 below
+    # the root (last row [0, 1, 1]) the row in natural order decodes wrong.
+    # Every ordering up to N = 72 and the paper codes, the latter also with
+    # the frozen sets of decode-paper, bit for bit: a capped batch whose
+    # rows are Gaussian and tie-prone in turn, checked at its first and
+    # last four rows, then those rows at F = 7 and two of them at F = 1.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    rng = np.random.default_rng(101)
+    values = np.array([0.0, 0.7, -0.7, 1.3, -1.3, 2.9, -2.9, 40.0, -40.0])
+    pushed = set()
+    for bases in [*all_kernel_sequences(72), *PAPER_CODES]:
+        n = CodeSpec(bases).N
+        cap = mkpolar.decoder.BATCH_LLR_ENTRIES // n
+        sets = rep_frozen_sets(bases, rng) + ([PAPER_FROZEN[bases]] if bases in PAPER_FROZEN else [])
+        folded = set()
+        for frozen in sets:
+            code = CodeSpec(bases, frozen)
+            llrs = rng.normal(1.0, 2.0, (cap, n))
+            llrs[1::2] = rng.choice(values, (cap // 2, n))
+            rows = np.r_[0:4, cap - 4 : cap]
+            want_u, want_llrs = reference_decode(code, llrs[rows], mode)
+            capped, batch = decode_batch(code, llrs, mode), decode_batch(code, llrs[rows[:7]], mode)
+            got = [(capped.u_hat[rows], capped.final_llrs[rows], slice(None)), (batch.u_hat, batch.final_llrs, slice(7))]
+            for k in (0, 1):
+                single = decode(code, llrs[rows[k]], mode)
+                got.append((single.u_hat, single.final_llrs, k))
+            for u_hat, final_llrs, k in got:
+                where = (bases, code.K, k)
+                assert np.array_equal(u_hat, want_u[k]) and np.array_equal(final_llrs, want_llrs[k]), where
+            for frames in (1, 7, cap):
+                program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+                folded |= {j for a, j in program.folds.items() if a in program.reps}
+                pushed |= {tuple(row.tolist()) for row in program.pushed.values()}
+        # REP nodes folded at every root stage above the tail of the cap
+        assert set(range(_Program(CodeSpec(bases), cap).top)) <= folded, (bases, folded)
+    # with T3, T3 x T2 and T2 x T3 below the root, in reverse kernel order
+    assert {(0, 1, 1), (0, 1, 1, 0, 1, 1), (0, 0, 1, 1, 1, 1)} <= pushed
+
+
+def test_rep_and_rate0_folds_of_one_node_alternate(monkeypatch):
+    # The same node all frozen (Rate-0), then with its last bit free (REP),
+    # then all frozen again: the folds are the same {first bit: root stage},
+    # so the program must see the node's kind change, decide the REP's last
+    # bit and then leave it 0 again.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    rng = np.random.default_rng(103)
+    for bases in ((2, 2, 3), (2, 3, 2, 3), (3, 2, 2, 2)):
+        n = CodeSpec(bases).N
+        node = sub_code(bases, 1)
+        rate0 = CodeSpec(bases, node)
+        rep = CodeSpec(bases, node[:-1])
+        for frames in (1, 7):
+            llrs = rng.normal(-1.0, 2.0, (frames, n))
+            for code in (rate0, rep, rate0, rep):
+                assert_same_as_reference(decode_batch(code, llrs), code, llrs, "exact", (bases, frames, code.K))
+                program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+                assert program.folds == {node.start: 1}, (bases, frames)
+                assert program.reps == ({node.start} if code is rep else set()), (bases, frames)
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -469,8 +552,8 @@ def test_size_four_kernels_agree_to_rounding(mode):
 PAPER_STEPS = {(2, 2, 3): (85, 56), (2, 2, 2, 3, 3): (463, 316), (2, 2, 2, 2, 3, 3): (949, 650),
                (2, 2, 2, 2, 2, 2, 2, 3): (3361, 2278), (2, 2, 3, 3, 3, 3, 3): (6091, 4200)}
 # the same with the frozen sets of decode-paper
-FOLDED_STEPS = {(2, 2, 3): (85, 56), (2, 2, 2, 3, 3): (393, 260), (2, 2, 2, 2, 3, 3): (825, 540),
-                (2, 2, 2, 2, 2, 2, 2, 3): (2590, 1688), (2, 2, 3, 3, 3, 3, 3): (4787, 3162)}
+FOLDED_STEPS = {(2, 2, 3): (72, 43), (2, 2, 2, 3, 3): (376, 243), (2, 2, 2, 2, 3, 3): (825, 540),
+                (2, 2, 2, 2, 2, 2, 2, 3): (2508, 1635), (2, 2, 3, 3, 3, 3, 3): (4518, 2991)}
 
 
 @pytest.mark.parametrize("bases", PAPER_CODES)
@@ -491,9 +574,10 @@ def test_numpy_calls_per_bit_on_the_paper_codes(bases):
     steps = len(program.steps("exact")), len(program.steps("minsum"))
     assert steps == PAPER_STEPS[bases]
     assert steps[0] <= 8.8 * code.N and steps[1] <= 6.0 * code.N
-    # The frozen sets of decode-paper fold their all-frozen sub-codes
-    # above the tail: 4.9-6.7 calls per bit (exact) and 3.3-4.4 (minsum)
-    # at N >= 72, 13-26% fewer steps; (2,2,3) has no fold.
+    # The frozen sets of decode-paper fold their Rate-0 and REP sub-codes
+    # above the tail: 4.6-6.5 calls per bit (exact) and 3.1-4.3 (minsum),
+    # 13-29% fewer steps, where Rate-0 folds alone made 4.9-6.7 and 3.3-4.4
+    # at N >= 72, 13-26% fewer, and none at (2,2,3).
     code = CodeSpec(bases, PAPER_FROZEN[bases])
     for mode in ("exact", "minsum"):
         program.run(code, np.zeros((1, code.N)), mode)
@@ -569,6 +653,28 @@ def test_bound_steps_use_only_charged_arrays(bases):
                     assert uncharged_step_arrays(program, code) == [], (code.K, frames, modes, mode)
 
 
+@pytest.mark.parametrize("bases", PAPER_CODES)
+def test_parity_masks_run_unbuffered(bases):
+    # With a 0-d mask on a 1-D view of its output, or on an output that is
+    # contiguous in some order, numpy ands without its buffered iterator,
+    # which allocates: at F = 1 no bitwise_and step of a paper code's
+    # program allocates, where a 1-element mask made every one of them do so.
+    for code in (CodeSpec(bases), CodeSpec(bases, PAPER_FROZEN[bases])):
+        program = _Program(code, 1)
+        for mode in ("exact", "minsum"):
+            program.run(code, np.zeros((1, code.N)), mode)
+            ands = [args for fn, args in program.steps(mode) if fn is np.bitwise_and]
+            assert ands or code.K < code.N, mode  # (2,2,3) under its frozen set pushes no product
+            for args in ands:
+                tracemalloc.start()
+                try:
+                    np.bitwise_and(*args)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak == 0, (code.K, mode, [a.shape for a in args], peak)
+
+
 def test_warm_decode_allocates_little():
     # A warm decode allocates its results and numpy's buffers for calls
     # whose operands are broadcast or strided unlike their output: about
@@ -626,10 +732,13 @@ def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
     # Masks A, B, A on one program, where only A has all-frozen sub-codes
     # above the tail: B's run decides bits inside A's folds, and the
     # second run of A must set them back to 0, as no step of A writes them.
+    # Above the last stage alone, B's REP nodes (bits 0 .. 2 and 9 .. 11)
+    # fold, and the less of each decides its last bit.
     a, b = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 5, 9, 10, 11)), CodeSpec((2, 2, 3), (0, 1, 5, 8, 9, 10))
-    for frames, folds in ((1, {0: 1}), (41, {0: 1, 9: 2})):  # the look-ahead tail, then the last stage alone
+    # the look-ahead tail, then the last stage alone
+    for frames, folds, rep in ((1, {0: 1}, {}), (41, {0: 1, 9: 2}, {0: 2, 9: 2})):
         llrs = np.random.default_rng(62).uniform(-3, 3, (frames, 12))
-        for code, want in ((a, folds), (b, {}), (a, folds)):
+        for code, want in ((a, folds), (b, rep), (a, folds)):
             assert_same_as_reference(decode_batch(code, llrs), code, llrs, "exact", (frames, code.frozen))
             assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames].folds == want
 
@@ -859,6 +968,25 @@ def test_two_capped_programs_of_any_paper_code_fit_the_budget():
     assert sum(sorted(charges)[-2:]) <= mkpolar.decoder.CACHE_BYTES, charges
 
 
+def test_fold_work_is_shared_by_the_modes(monkeypatch):
+    # A fold's own work arrays, what the tables and the pool cannot lend
+    # (kernels of size 4 and more), serve both modes: the capped all-frozen
+    # (3, K4) program charged 13.5 MiB after an exact run, and a second
+    # candidates array for its minsum run took it above CACHE_BYTES, so it
+    # was evicted at once and every call bound it again.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    code = CodeSpec((3, K4), range(12))
+    frames = mkpolar.decoder.BATCH_LLR_ENTRIES // code.N
+    llrs = np.random.default_rng(107).normal(1.0, 2.0, (frames, code.N))
+    held = []
+    for mode in ("exact", "minsum", "exact"):
+        decode_batch(code, llrs, mode)
+        program = mkpolar.decoder._PROGRAMS.get((mkpolar.decoder._kernel_key(code), frames))
+        assert program is not None and program.charge <= mkpolar.decoder.CACHE_BYTES, mode
+        held.append(program.nbytes)
+    assert held[0] == held[1] == held[2]
+
+
 @pytest.mark.parametrize("bases,most", [((2, 2, 3), 200), ((2, 2, 3, 3, 3, 3, 3), 20)])
 def test_frame_count_sweep_keeps_little_memory(monkeypatch, bases, most):
     # Decoding F = 1, 2, 3, ... on one code binds a program per F. Charged
@@ -995,7 +1123,7 @@ def test_a_binding_stopped_partway_keeps_no_steps(monkeypatch):
 
     def bind_tail(self, a):
         blocks.append(a)
-        if len(blocks) == 2:
+        if len(blocks) == 1:  # after the fold of bits 0 .. 5, a REP node
             raise Stopped
         return real_bind_tail(self, a)
 
@@ -1137,7 +1265,7 @@ def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
     cases += [((K4, K4), 1e-12), ((3, K4), 1e-12), ((K4, 3, 2), 1e-12)]
     for bases, tol in cases:
         code = CodeSpec(bases, range(CodeSpec(bases).N))
-        assert _Program(code, 1)._folds(code.frozen_mask) == {0: 0}, bases
+        assert _Program(code, 1)._folds(code.frozen_mask) == ({0: 0}, set()), bases
         for frames in (1, 7, mkpolar.decoder.BATCH_LLR_ENTRIES // code.N):
             llrs = rng.choice(values, (frames, code.N))
             for mode in ("exact", "minsum"):
