@@ -1,10 +1,12 @@
 """Successive-cancellation decoding on the stage-indexed memory.
 
-Which stage refreshes with which digit, and which partial-sum matrix
-propagates, depends only on the kernel sequence, never on the data. So
-the SC schedule is built once per kernel sequence, as a flat list of
-three kinds of op, and one executor runs it on arrays whose leading axis
-holds F frames:
+SC decoding is a depth-first walk of the sub-code tree. The bits that
+share digits b_1 .. b_j are a sub-code, the node of root stage j decoded
+from stage j's vector at that prefix alone; its p_{j+1} children share
+one more digit. The walk depends only on the kernel sequence, never on
+the data. Schedule lists it once per kernel sequence as a flat list of
+three kinds of op, which DecodeStats counts and the tests' reference
+executor runs:
 
 - REFRESH (j, b): stage j recomputes its whole vector in place. Entry k
   is the kernel update of input bit b given the contiguous group
@@ -24,13 +26,14 @@ holds F frames:
   from stage s outwards. Nothing propagates after the last bit, which is
   why the stage-1 matrix never needs its final column.
 
-decode_batch runs the schedule on the stage memory that memory.allocate
-builds for F frames, and decode is its F = 1 case. The schedule is bound
-to that memory once per kernel sequence and F: each op becomes a few
-in-place numpy calls on fixed views, so a run creates no views. It
-still allocates numpy's buffers for calls whose inputs are broadcast or
-strided unlike their output: a warm decode at N = 972 peaks at about
-16.5 KiB under tracemalloc, its results included.
+decode_batch runs the walk on the stage memory that memory.allocate
+builds for F frames, and decode is its F = 1 case. _Program binds it to
+that memory once per kernel sequence and F, node by node from the tree
+itself, not from the ops: each node becomes a few in-place numpy calls
+on fixed views, so a run creates no views. It still allocates numpy's
+buffers for calls whose inputs are broadcast or strided unlike their
+output: a warm decode at N = 972 peaks at about 16.5 KiB under
+tracemalloc, its results included.
 
 One rule binds every REFRESH above the tail. Stage j-1 does not change
 while stage j runs through its digits b = 0 .. p_j - 1, so at b = 0 one
@@ -45,25 +48,24 @@ is decided a block of bits at a time by a walk down the candidates of
 stage s's table into mem.decisions, which writes no tail stage's vector
 nor stage s's partial-sum matrix: _Program._bind_tail states how.
 
-Rate-0 and REP sub-codes fold. The bits that share digits b_1 .. b_j are
-a sub-code decoded from stage j's vector at that prefix alone. If all
-are frozen (Rate-0) or all but the last (REP; Sarkis et al., IEEE JSAC
-2014), each is decided after the all-zero prefix inside it, so its LLR
-is the update after that prefix: one kernels.zero_prefix_steps pass per
-stage over every prefix at once forms them all. For each largest such
-sub-code whose root stage is 0 <= j < top, so whole tail blocks, the
-program binds in place of its refreshes, tail walks and inner pushes
-those passes of stages j+1 .. s over stage j's vector (the frames one
-more prefix axis), in place, one take of the digit-reversed result into
-its final-LLR rows (_Program._fold), a REP node's less of its last bit
-and, for the push into stage j >= 1, a zero fill of that column or the
-REP decision times the last row of T_{j+1} x ... x T_s. No step writes
-its frozen decisions, so they stay 0. The pass forms the candidate row
-of prefix 0 by the same arithmetic, the row the gathers and walks would
-read, so outputs do not change. It works in the tables of stages j+1 ..
-s and the work arrays, idle meanwhile; stage j's vector is refreshed, or
-the channel vector ingested, before it is read again. The all-frozen
-code folds whole, at stage 0: its program is the s passes and the take,
+Rate-0 and REP nodes fold. If all bits of a node are frozen (Rate-0)
+or all but the last (REP; Sarkis et al., IEEE JSAC 2014), each is
+decided after the all-zero prefix inside it, so its LLR is the update
+after that prefix: one kernels.zero_prefix_steps pass per stage over
+every prefix at once forms them all. The walk meets the largest such
+node first; if its root stage is 0 <= j < top, so whole tail blocks, it
+binds in place of the node's subtree those passes of stages j+1 .. s
+over stage j's vector (the frames one more prefix axis), in place, one
+take of the digit-reversed result into its final-LLR rows
+(_Program._fold), a REP node's less of its last bit and, for the push
+into stage j >= 1, a zero fill of that column or the REP decision times
+the last row of T_{j+1} x ... x T_s. No step writes its frozen
+decisions, so they stay 0. The pass forms the candidate row of prefix 0
+by the same arithmetic, the row the gathers and walks would read, so
+outputs do not change. It works in the tables of stages j+1 .. s and
+the work arrays, idle meanwhile; stage j's vector is refreshed, or the
+channel vector ingested, before it is read again. The all-frozen code
+folds whole, at stage 0: its program is the s passes and the take,
 which is genie-aided construction (codes.construct_frozen_mc).
 
 Results are bit for bit those of the block-major update rule, one
@@ -112,10 +114,10 @@ class DecodeStats:
     ps_propagations[j-1] counts pushes of the completed stage-j matrix
     into stage j-1. ps_reads / ps_writes tally column accesses of each
     partial-sum matrix (stage 1 keeps a slot for the absent last column).
-    They count the paper's schedule, op by op, not the bound program's
-    memory traffic, whose tail skips some of them (_Program._bind_tail)
-    and which runs none of the ops inside a Rate-0 or REP sub-code it folds
-    (decoder module docstring): the counts do not depend on the frozen set.
+    They count Schedule's ops, the paper's schedule, not the memory traffic
+    of the program, which binds from the sub-code tree, its tail skipping
+    some of them (_Program._bind_tail) and its folds all of theirs: the
+    counts do not depend on the frozen set.
 
     After a full decode the counters follow closed forms that depend only
     on the kernel sizes p_1, ..., p_s:
@@ -237,16 +239,14 @@ def _tail_rows(digits, leaf):
 
 
 class _Program:
-    """The schedule of one kernel sequence bound to the memory of F frames.
+    """The SC walk of one kernel sequence bound to the memory of F frames.
 
-    Each op becomes a few (function, args) on views and work arrays fixed
-    here, which an op that recurs in the schedule reuses. A frozen bit
-    decides 0 because its threshold is -inf, or because it lies in a fold
-    (_folds), a Rate-0 or REP sub-code, whose frozen bits' decisions no
-    step writes: a run sets the thresholds, their copies for the candidate
-    rows of each leaf, the folds and which of them are REP nodes from the
-    frozen mask of the code it decodes, unless the last run had that same
-    read-only mask.
+    Each node of the sub-code tree becomes a few (function, args) on views
+    and work arrays fixed here, bound once and reused wherever it recurs. A
+    frozen bit decides 0 because its threshold is -inf, or because no step
+    writes it, inside a fold. A run sets the thresholds, their copies for
+    the candidate rows of each leaf, and the folds from the frozen mask of
+    the code it decodes, unless the last run had that same read-only mask.
     """
 
     def __init__(self, code: CodeSpec, frames: int):
@@ -256,7 +256,7 @@ class _Program:
         # row i holds bit i's decision LLR in every frame
         self.final_llrs = np.empty((code.N, frames))
         self.thresholds = np.empty(code.N)
-        self._frozen = None
+        self._frozen = np.zeros(code.N, np.bool_)  # no bit frozen until a run brings its mask
         self.bases = code.bases
         self.lookahead = code.s > 1 and frames * ((1 << prod(code.bases[-2:])) - 1) < LOOKAHEAD_CANDIDATES
         # the tail: stages top .. s, whose vectors the program never writes
@@ -278,7 +278,7 @@ class _Program:
         self.offsets = np.arange(max(self.mem.llr[1].size, width))
         self.index = np.empty(self.mem.llr[1].size, np.intp)
         self.work, self._bound, self._steps = WorkArrays(), {}, {}
-        # the last run's folds and REP nodes' first bits; per root stage its digit order, pushed row and fold work
+        # the last walk's folds and REP nodes' first bits; per root stage its digit order, pushed row and fold work
         self.kernels, self.folds, self.reps, self.orders, self.pushed, self.fold_work = code.kernels, {}, set(), {}, {}, {}
         if self.lookahead:
             # stage s-1's table row of entry k of vector h F + f
@@ -311,15 +311,6 @@ class _Program:
             steps.append((table.reshape(-1).take, (self.history, None, self.vectors.reshape(-1), "clip")))
             steps += llr_candidate_steps(self.leaf, mode, self.vectors, self.tables[-1], self.work)
         return steps
-
-    def _bind(self, kind, a, b, kernel):
-        """A REFRESH or PROPAGATE above the tail."""
-        llr, ps = self.mem.llr, self.mem.ps
-        if kind == REFRESH:
-            return llr_gather_steps(b, self.tables[a - 1], self.known[a - 1], llr[a].reshape(-1), self.index, self.offsets)
-        source, target = ps[a - 1], ps[a - 2]
-        target = target.reshape(source.shape + target.shape[-1:])[..., b]
-        return product_steps(kernel, source, target)
 
     def _bind_tail(self, a):
         """DECIDE the P bits a .. a + P - 1 of a tail block, right after
@@ -391,93 +382,100 @@ class _Program:
             steps += product_steps(self.leaf, words, self.mem.ps[-2][..., c : c + leaves].swapaxes(1, 2))
         return steps
 
-    def _folds(self, mask):
-        """{first bit: root stage j} of each fold and the first bits of its REP
-        nodes. A fold is the bits that share b_1 .. b_j, 0 <= j < top, if all are
-        frozen (Rate-0) or all but the last (REP) and no lower root stage folds them."""
-        folds, reps, above = {}, set(), np.zeros(1, np.bool_)
-        for j in range(self.top):
-            blocks = mask.reshape(-1, self.mem.llr[j].shape[1])
-            node = blocks[:, :-1].all(1) & ~above
-            folds.update((int(k) * blocks.shape[1], j) for k in np.flatnonzero(node))
-            reps.update(int(k) * blocks.shape[1] for k in np.flatnonzero(node & ~blocks[:, -1]))
-            above = (above | node).repeat(self.bases[j])
-        return folds, reps
+    def _once(self, key, bind):
+        """The steps bound under key: bind() the first time, so that no step is built twice."""
+        steps = self._bound.get(key)
+        if steps is None:
+            steps = self._bound[key] = bind()
+        return steps
+
+    def _pass(self, a, mode):
+        """Stage a's candidate pass in mode, bound after every pass of the mode
+        has sized the work pool, or steps would keep arrays it outgrew."""
+        if (a, mode) not in self._bound:
+            if not any((c, mode) in self._bound for c in range(1, self.top + 1)):
+                for c in range(1, self.top + 1):
+                    self._passes(c, mode)
+            self._bound[a, mode] = self._passes(a, mode)
+        return self._bound[a, mode]
 
     def _fold(self, j, a, mode):
-        """The passes and take of the fold at stage j from bit a, a REP node's less, and its push if one follows."""
-        key, size = ("fold", j, mode), self.mem.llr[j].shape[1]
-        if key not in self._bound:
+        """The zero-prefix passes in mode of every fold at stage j, and the take
+        of their result into the final-LLR rows of the fold from bit a."""
+        size = self.mem.llr[j].shape[1]
+        if ("fold", j, mode) not in self._bound:
             lent = WorkArrays(self.work, candidates=self.table_memory[sum(t.size for t in self.tables[:j]) :])
             work = WorkArrays(lent, **self.fold_work.get(j, {}))
-            self._bound[key] = zero_prefix_stages(self.kernels[j:], mode, self.mem.llr[j].reshape(-1), work)
+            self._bound["fold", j, mode] = zero_prefix_stages(self.kernels[j:], mode, self.mem.llr[j].reshape(-1), work)
             # what neither could lend, for kernels of size 4 and more, shared by the modes
             self.fold_work[j] = {role: x for role, x in work.items() if x is not lent.get(role)}
-        order = self.orders.setdefault(j, channel_permutation(self.bases[j:]))
-        take = (self.mem.llr[j].reshape(size, -1).take, (order, 0, self.final_llrs[a : a + size], "clip"))
-        steps = self._bound[key] + self._bound.setdefault(("take", j, a), [take])
-        last, decisions = a + size - 1, self.mem.decisions
-        if a in self.reps:
-            less = (np.less, (self.final_llrs[last], self.thresholds[last : last + 1], decisions.view(np.bool_)[:, last]))
-            steps += self._bound.setdefault(("decide", last), [less])
-        if j and last + 1 < len(self.final_llrs):
-            b = a // size % self.bases[j - 1]
-            column = self.mem.ps[j - 1][..., b]
-            if a not in self.reps:
-                return steps + self._bound.setdefault(("fill", j, b), [(column.fill, (0,))])
-            # the last row of T_{j+1} x ... x T_s in stage j's entry order, digits reversed
-            row = self.pushed.setdefault(j, reduce(np.kron, [k.rows[-1] for k in self.kernels[j:][::-1]]))
-            steps += self._bound.setdefault(("push", j, a), [(np.multiply, (decisions[:, last, None], row, column))])
-        return steps
+            self.orders.setdefault(j, channel_permutation(self.bases[j:]))
+        return self._bound["fold", j, mode] + self._once(("take", j, a), lambda: [(
+            self.mem.llr[j].reshape(size, -1).take, (self.orders[j], 0, self.final_llrs[a : a + size], "clip"))])
+
+    def _push(self, kind, j, a, b):
+        """The push of the node at stage j from bit a into column b of stage j's
+        partial sums: a Rate-0 node's zero fill, a REP node's decision times the last
+        row of T_{j+1} x ... x T_s in stage j's (digit-reversed) entry order, or else
+        the product of stage j+1's partial sums with T_{j+1}."""
+        source, target = self.mem.ps[j], self.mem.ps[j - 1]
+        if kind == "product":
+            return product_steps(self.kernels[j], source, target.reshape(source.shape + target.shape[-1:])[..., b])
+        if kind == "fill":
+            return [(target[..., b].fill, (0,))]
+        row = self.pushed.setdefault(j, reduce(np.kron, [k.rows[-1] for k in self.kernels[j:][::-1]]))
+        return [(np.multiply, (self.mem.decisions[:, a + target.shape[1] - 1, None], row, target[..., b]))]
+
+    def _node(self, j, a, mode, steps):
+        """Append the steps of the node at stage j from bit a, then its push unless it
+        ends the code. It folds if its bits are all frozen (Rate-0) or all but the last
+        (REP) and j < top; at top - 1 it is a tail block; else it is stage j+1's pass,
+        then at each digit b the gather and the child node."""
+        size, mask, bases = self.mem.llr[j].shape[1], self._frozen, self.bases
+        last = a + size - 1
+        if j < self.top and mask[a:last].all():
+            self.folds[a], kind = j, "fill" if mask[last] else "push"
+            steps += self._fold(j, a, mode)
+            if kind == "push":
+                self.reps.add(a)
+                steps += self._once(("decide", last), lambda: [(np.less, (
+                    self.final_llrs[last], self.thresholds[last : last + 1], self.mem.decisions.view(np.bool_)[:, last]))])
+        elif j == self.top - 1:
+            steps += self._pass(self.top, mode) + self._once(("tail", a), lambda: self._bind_tail(a))
+            kind = "product" if self.lookahead else None  # the last stage's tail pushes its own block
+        else:
+            steps += self._pass(j + 1, mode)
+            kind = "product"
+            for b in range(bases[j]):
+                steps += self._once(("gather", j + 1, b), lambda: llr_gather_steps(
+                    b, self.tables[j], self.known[j], self.mem.llr[j + 1].reshape(-1), self.index, self.offsets))
+                self._node(j + 1, a + b * size // bases[j], mode, steps)
+        if kind and j and last + 1 < len(self.final_llrs):
+            b = a // size % bases[j - 1]
+            steps += self._once((kind, j, a if kind == "push" else b), lambda: self._push(kind, j, a, b))
 
     def steps(self, mode):
-        """The steps of a run in mode under the folds of the last run's
-        mask, kept per mode and rebuilt from bound steps under new folds."""
-        folds, steps = self._steps.get(mode, (None, None))
-        if folds is not self.folds:
-            folds, steps = self.folds, []
-            size, decided, stop, root = len(self.walk), 0, 0, 0
-            for op in self.schedule.ops:
-                kind, a, b, kernel = op
-                bit = decided - (kind == PROPAGATE)  # the bit the op is part of
-                decided += kind == DECIDE
-                if kind == REFRESH and folds.get(bit) == a - 1:  # the first stage below a fold's root
-                    root, stop = a - 1, bit + self.mem.llr[a - 1].shape[1]
-                    steps += self._fold(root, bit, mode)
-                if bit < stop and (kind == DECIDE or a > root):  # inside the fold
-                    continue
-                if kind == REFRESH and not b and a <= self.top:
-                    if (a, mode) not in self._bound:
-                        if not any((c, mode) in self._bound for c in range(1, self.top + 1)):
-                            # size the work pool first, or steps would keep arrays it outgrew
-                            for c in range(1, self.top + 1):
-                                self._passes(c, mode)
-                        self._bound[a, mode] = self._passes(a, mode)
-                    steps += self._bound[a, mode]
-                # the tail binds its refreshes, its decisions and stage s's
-                # propagations once per block, at the block's first bit
-                if kind == REFRESH and a >= self.top or kind == PROPAGATE and a == len(self.tables) \
-                        or kind == DECIDE and a % size:
-                    continue
-                if op not in self._bound:
-                    self._bound[op] = self._bind_tail(a) if kind == DECIDE else self._bind(*op)
-                steps += self._bound[op]
-            self._steps[mode] = folds, steps  # only once whole
+        """The steps of a run in mode under the last run's mask: the walk of the tree
+        from its root, which records the folds and REP nodes it meets, kept per mode."""
+        if mode not in self._steps:
+            self.folds, self.reps, steps = {}, set(), []
+            self._node(0, 0, mode, steps)
+            self._steps[mode] = steps  # only once whole
             _charge(self)
-        return steps
+        return self._steps[mode]
 
     def run(self, code: CodeSpec, channel_llrs, mode):
-        """Decode (F, N) channel LLRs into mem.decisions and final_llrs."""
+        """Decode (F, N) channel LLRs into mem.decisions and final_llrs. A mask other
+        than the last run's, or a writeable one (which may have changed in place) on
+        every run, sets the thresholds, zeroes the decisions, as no step writes a fold's
+        frozen ones, and drops the kept step lists, so steps walks the tree again."""
         mask = code.frozen_mask
         channel_llrs.take(code.channel_order, 1, self.mem.llr[0], "clip")
         if mask is not self._frozen or mask.flags.writeable:
             np.copyto(self.thresholds, np.where(mask, -np.inf, 0.0))
             self.thresholds.reshape(-1, self.leaf.p).take(self.row_bits, 1, self.leaf_thresholds)
-            self._frozen = mask
-            folds, reps = self._folds(mask)  # a comprehension here would make every run allocate closure cells
-            if folds != self.folds or reps != self.reps:  # no step writes a fold's frozen decisions
-                self.folds, self.reps = folds, reps
-                self.mem.decisions.fill(0)
+            self._frozen, self._steps = mask, {}
+            self.mem.decisions.fill(0)
         for fn, args in self.steps(mode):
             fn(*args)
 

@@ -1,0 +1,85 @@
+"""A digest of the SC programs' bound step lists, call for call.
+
+Runs a fixed sequence of decodes, each on a program of its own, and after
+every run takes the step list of its mode: each step's function, and each
+operand, an array as (its base array, byte offset, shape, strides,
+dtype), with base arrays numbered in order of first use within the
+program. It prints the SHA-256 of those lists, and of each program's
+nbytes and charge after every run. Two source trees that print the same
+digests bind the same calls on the same memory. Run from the repository
+root:
+
+    PYTHONPATH=src python tests/step_digest.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from mkpolar import CodeSpec  # noqa: E402
+from mkpolar.decoder import BATCH_LLR_ENTRIES, _Program  # noqa: E402
+from reference_sc import all_kernel_sequences  # noqa: E402
+from test_decoder import K4, OTHER, PAPER_CODES, PAPER_FROZEN, rep_frozen_sets  # noqa: E402
+
+MODE_ORDERS = (("exact", "minsum"), ("minsum", "exact"))
+
+
+def canonical(x, bases):
+    """x with every array named by its base array's number in bases."""
+    if isinstance(x, np.ndarray):
+        base = x
+        while base.base is not None:
+            base = base.base
+        number = bases.setdefault(id(base), (len(bases), base))[0]  # holding base keeps its id unique
+        offset = x.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+        return "array", number, offset, x.shape, x.strides, x.dtype.str
+    if isinstance(x, (tuple, list)):
+        return tuple(canonical(y, bases) for y in x)
+    if isinstance(x, np.ufunc):
+        return "ufunc", x.__name__
+    owner = getattr(x, "__self__", None)
+    if isinstance(owner, (np.ndarray, np.ufunc)):
+        return "method", x.__name__, canonical(owner, bases)
+    if callable(x):
+        return "function", getattr(x, "__module__", None), x.__name__
+    return "value", repr(x)
+
+
+def scenarios():
+    """(kernels, frame counts, frozen sets in the order they run) of every program sequence."""
+    rng = np.random.default_rng(2027)
+    codes = [*all_kernel_sequences(72), *PAPER_CODES, (2, 2, OTHER), (OTHER,), (3, K4), (K4, K4), (K4, 3, K4)]
+    for bases in codes:
+        n = CodeSpec(bases).N
+        frames = (1, 7, 40, BATCH_LLR_ENTRIES // n) if bases in PAPER_FROZEN else (1, 7, BATCH_LLR_ENTRIES // n)
+        sets = [(), range(n), rng.choice(n, n // 2, replace=False).tolist(), *rep_frozen_sets(bases, rng)]
+        if bases in PAPER_FROZEN:
+            sets.append(PAPER_FROZEN[bases])
+        runs = [CodeSpec(bases, frozen) for frozen in sets]
+        # and back to the random set, the all-information code and the all-frozen one
+        yield bases, frames, runs + [runs[2], runs[0], runs[1]]
+
+
+def main():
+    steps, memory, lists = hashlib.sha256(), hashlib.sha256(), 0
+    for bases, frame_counts, codes in scenarios():
+        for frames in frame_counts:
+            for modes in MODE_ORDERS:
+                program, numbers = _Program(codes[0], frames), {}
+                for code in codes:
+                    llrs = np.zeros((frames, code.N))
+                    for mode in modes:
+                        program.run(code, llrs, mode)
+                        steps.update(repr(canonical(program.steps(mode), numbers)).encode())
+                        memory.update(repr((program.nbytes, program.charge)).encode())
+                        lists += 1
+    print(json.dumps({"step_lists": lists, "steps_sha256": steps.hexdigest(), "memory_sha256": memory.hexdigest()}))
+
+
+if __name__ == "__main__":
+    main()

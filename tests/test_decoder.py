@@ -4,6 +4,7 @@ import json
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -529,6 +530,59 @@ def test_rep_and_rate0_folds_of_one_node_alternate(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_programs_bind_from_the_sub_code_tree(mode, monkeypatch):
+    # A program binds by a walk of the sub-code tree, not from the flat ops
+    # of its Schedule, which only its counters read: with a stand-in
+    # schedule that holds nothing but those, every ordering up to N = 72 and
+    # the paper codes decode as the reference executor does, with random,
+    # REP-rich and decode-paper frozen sets, at F = 7 (the look-ahead tail
+    # of the last two stages) and at the cap (the last stage alone), checked
+    # at the first four and last three rows.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    counters = lambda code: SimpleNamespace(stats=schedule_of(code).stats)
+    monkeypatch.setattr(mkpolar.decoder, "schedule_of", counters)
+    rng = np.random.default_rng(109)
+    for bases in [*all_kernel_sequences(72), *PAPER_CODES]:
+        n = CodeSpec(bases).N
+        sets = [rng.choice(n, n // 2, replace=False), rep_frozen_sets(bases, rng)[1], PAPER_FROZEN.get(bases, ())]
+        for frozen in sets:
+            code = CodeSpec(bases, frozen)
+            for frames in (7, mkpolar.decoder.BATCH_LLR_ENTRIES // n):
+                llrs, rows = rng.normal(1.0, 2.0, (frames, n)), np.r_[0:4, frames - 3 : frames]
+                result = decode_batch(code, llrs, mode)
+                want_u, want_llrs = reference_decode(code, llrs[rows], mode)
+                where = (bases, code.K, frames)
+                assert np.array_equal(result.u_hat[rows], want_u), where
+                assert np.array_equal(result.final_llrs[rows], want_llrs), where
+                assert result.stats.llr_updates.tolist() == schedule_of(code).stats.llr_updates.tolist()
+
+
+def test_a_rebuild_binds_nothing_new(monkeypatch):
+    # A program keeps its step lists per mask and rebuilds them from bound
+    # steps on a switch: after masks A, B and A, the switch back to B, whose
+    # folds and pushes are all bound, computes no digit order of a fold and
+    # no REP row, where every rebuild computed both for each one.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    bases = (2, 2, 3, 3, 3, 3, 3)
+    a = CodeSpec(bases, PAPER_FROZEN[bases])
+    b = CodeSpec(bases, rep_frozen_sets(bases, np.random.default_rng(113))[1])
+    llrs = np.random.default_rng(127).normal(1.0, 2.0, (1, a.N))
+    for code in (a, b, a):
+        decode_batch(code, llrs)
+    program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(a), 1]
+    assert program.reps and program.pushed  # REP nodes fold and push
+    bound = len(program._bound)
+
+    def computed(*args, **kwargs):
+        raise AssertionError("a rebuild computed what its steps already hold")
+
+    monkeypatch.setattr(mkpolar.decoder, "channel_permutation", computed)
+    monkeypatch.setattr(np, "kron", computed)
+    assert_same_as_reference(decode_batch(b, llrs), b, llrs, "exact", "B again")
+    assert len(program._bound) == bound
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
 def test_size_four_kernels_agree_to_rounding(mode):
     # A kernel of size 4 sums 4 terms per metric and up to 8 per
     # reduction, which numpy and BLAS may add in another order in
@@ -734,13 +788,40 @@ def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
     # second run of A must set them back to 0, as no step of A writes them.
     # Above the last stage alone, B's REP nodes (bits 0 .. 2 and 9 .. 11)
     # fold, and the less of each decides its last bit.
+    # Then A's frozen set in a new mask object, with A's folds: its results
+    # are A's, and its rebuilt step list holds the step objects of A's.
     a, b = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 5, 9, 10, 11)), CodeSpec((2, 2, 3), (0, 1, 5, 8, 9, 10))
+    again = CodeSpec(a.bases, a.frozen)
     # the look-ahead tail, then the last stage alone
     for frames, folds, rep in ((1, {0: 1}, {}), (41, {0: 1, 9: 2}, {0: 2, 9: 2})):
         llrs = np.random.default_rng(62).uniform(-3, 3, (frames, 12))
-        for code, want in ((a, folds), (b, rep), (a, folds)):
-            assert_same_as_reference(decode_batch(code, llrs), code, llrs, "exact", (frames, code.frozen))
-            assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames].folds == want
+        for code, want in ((a, folds), (b, rep), (a, folds), (again, folds)):
+            result = decode_batch(code, llrs)
+            assert_same_as_reference(result, code, llrs, "exact", (frames, code.frozen))
+            program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+            assert program.folds == want
+            if code is a:
+                kept = result, list(program.steps("exact"))
+        assert np.array_equal(result.u_hat, kept[0].u_hat) and np.array_equal(result.final_llrs, kept[0].final_llrs)
+        steps = program.steps("exact")
+        assert len(steps) == len(kept[1]) and all(x is y for x, y in zip(steps, kept[1])), frames
+
+
+def test_a_mask_changed_in_place_is_read_on_every_run(monkeypatch):
+    # A writeable mask may change between runs and stay the same object: each
+    # run on it sets the thresholds and walks the tree again, at F = 1 and
+    # at F = 41, where B's REP nodes fold above the last stage alone.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    sets = ((0, 1, 2, 3, 4, 5, 9, 10, 11), (0, 1, 5, 8, 9, 10), (0, 1, 2, 3, 4, 5, 9, 10, 11))
+    code = CodeSpec((2, 2, 3), sets[0])
+    mask = code.frozen_mask
+    mask.flags.writeable = True
+    for frames in (1, 41):
+        llrs = np.random.default_rng(131).uniform(-3, 3, (frames, 12))
+        for frozen in sets:
+            mask[:] = np.isin(np.arange(12), frozen)
+            want = CodeSpec(code.bases, frozen)
+            assert_same_as_reference(decode_batch(code, llrs), want, llrs, "exact", (frames, frozen))
 
 
 def test_frame_count_changes_rebind_the_program(monkeypatch):
@@ -1265,7 +1346,9 @@ def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
     cases += [((K4, K4), 1e-12), ((3, K4), 1e-12), ((K4, 3, 2), 1e-12)]
     for bases, tol in cases:
         code = CodeSpec(bases, range(CodeSpec(bases).N))
-        assert _Program(code, 1)._folds(code.frozen_mask) == ({0: 0}, set()), bases
+        program = _Program(code, 1)
+        program.run(code, np.zeros((1, code.N)), "exact")
+        assert (program.folds, program.reps) == ({0: 0}, set()), bases
         for frames in (1, 7, mkpolar.decoder.BATCH_LLR_ENTRIES // code.N):
             llrs = rng.choice(values, (frames, code.N))
             for mode in ("exact", "minsum"):
