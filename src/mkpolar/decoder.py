@@ -4,38 +4,30 @@ SC decoding is a depth-first walk of the sub-code tree. The bits that
 share digits b_1 .. b_j are a sub-code, the node of root stage j decoded
 from stage j's vector at that prefix alone; its p_{j+1} children share
 one more digit. The walk depends only on the kernel sequence, never on
-the data. Schedule lists it once per kernel sequence as a flat list of
-three kinds of op, which DecodeStats counts and the tests' reference
-executor runs:
-
-- REFRESH (j, b): stage j recomputes its whole vector in place. Entry k
-  is the kernel update of input bit b given the contiguous group
-  k*p_j .. (k+1)*p_j - 1 of the previous stage and the known sub-block
-  bits in columns 0 .. b - 1 of its partial-sum matrix. Bit i with
-  digits (b_1, ..., b_s) refreshes stages z .. s, where z is the
-  position of its rightmost nonzero digit (1 for i = 0); stages below z
-  still hold valid values from earlier bits.
-- DECIDE (i, c): read the decision LLR of bit i, the single stage-s
-  LLR. Frozen bits decide 0, otherwise a negative LLR decides 1 (tie
-  decides 0). Unless i is the last bit, store the decision in column
-  c = b_s of the stage-s matrix.
-- PROPAGATE (j, c): push the completed stage-j matrix through its
-  kernel (kernels.product_steps). Row k of stage j maps to rows k*p_j ..
-  k*p_j + p_j - 1 of stage j-1, in column c = b_{j-1}. After bit i this
-  happens for each stage j of the trailing run of digits b_j = p_j - 1,
-  from stage s outwards. Nothing propagates after the last bit, which is
-  why the stage-1 matrix never needs its final column.
+the data. A node of stage j < s decodes its children in digit order b =
+0 .. p_{j+1} - 1, each after a refresh of stage j+1's vector: entry k is
+the kernel update of input bit b given the contiguous group k*p_{j+1} ..
+(k+1)*p_{j+1} - 1 of stage j's vector and the known sub-block bits in
+columns 0 .. b - 1 of stage j+1's partial-sum matrix. A node of stage s
+is one bit i: frozen, it decides 0, otherwise a negative decision LLR
+decides 1 (tie decides 0), stored in column b_s of stage s's matrix. A
+completed node of stage 1 <= j < s pushes stage j+1's matrix through
+T_{j+1} (kernels.product_steps) into column b_j of stage j's. The node
+that ends the code stores and pushes nothing, which is why the stage-1
+matrix never needs its final column. DecodeStats counts this walk per
+frame by closed forms in the kernel sizes, built once per size tuple
+(_counters): with before_j = p_1 * ... * p_{j-1}, stage j refreshes
+before_j * p_j times and, for j >= 2, pushes before_j - 1 times.
 
 decode_batch runs the walk on the stage memory that memory.allocate
 builds for F frames, and decode is its F = 1 case. _Program binds it to
-that memory once per kernel sequence and F, node by node from the tree
-itself, not from the ops: each node becomes a few in-place numpy calls
-on fixed views, so a run creates no views. It still allocates numpy's
-buffers for calls whose inputs are broadcast or strided unlike their
-output: a warm decode at N = 972 peaks at about 16.5 KiB under
-tracemalloc, its results included.
+that memory once per kernel sequence and F, node by node from the tree:
+each node becomes a few in-place numpy calls on fixed views, so a run
+creates no views. It still allocates numpy's buffers for calls whose
+inputs are broadcast or strided unlike their output: a warm decode at
+N = 972 peaks at about 16.5 KiB under tracemalloc, its results included.
 
-One rule binds every REFRESH above the tail. Stage j-1 does not change
+One rule binds every refresh above the tail. Stage j-1 does not change
 while stage j runs through its digits b = 0 .. p_j - 1, so at b = 0 one
 pass of kernels.llr_candidate_steps fills the stage's candidate table
 with the update of every bit t of each of its R = F * p_{j+1} * ... *
@@ -80,7 +72,7 @@ returns copies; a call with no frames binds none.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from math import prod
 
@@ -92,8 +84,6 @@ from .kernels import (
     WorkArrays, as_llrs, check_mode, llr_candidate_steps, llr_gather_steps, product_steps, zero_prefix_stages,
 )
 from .memory import DecoderMemory, allocate
-
-REFRESH, DECIDE, PROPAGATE = range(3)
 
 # Most LLR entries (frames x N) that construction and simulation put into
 # one decode_batch call.
@@ -114,20 +104,22 @@ class DecodeStats:
     ps_propagations[j-1] counts pushes of the completed stage-j matrix
     into stage j-1. ps_reads / ps_writes tally column accesses of each
     partial-sum matrix (stage 1 keeps a slot for the absent last column).
-    They count Schedule's ops, the paper's schedule, not the memory traffic
-    of the program, which binds from the sub-code tree, its tail skipping
-    some of them (_Program._bind_tail) and its folds all of theirs: the
-    counts do not depend on the frozen set.
+    They count the paper's schedule, the walk of the sub-code tree in the
+    module docstring, not the memory traffic of the program, its tail
+    skipping some of them (_Program._bind_tail) and its folds all of
+    theirs: the counts do not depend on the frozen set.
 
-    After a full decode the counters follow closed forms that depend only
-    on the kernel sizes p_1, ..., p_s:
+    They are closed forms in the kernel sizes p_1, ..., p_s alone
+    (_counters). With before_j = p_1 * ... * p_{j-1}:
 
-    - llr_updates[j-1] == p_1 * ... * p_j, one refresh per distinct digit
-      prefix (b_1, ..., b_j);
-    - llr_updates.sum() == sum over j of p_1 * ... * p_j, which is
-      exactly 2N - 2 for an all-binary code;
-    - ps_propagations[j-1] == p_1 * ... * p_{j-1} - 1 for j >= 2, and
-      ps_propagations[0] == 0.
+    - llr_updates[j-1] == before_j * p_j, one refresh per distinct digit
+      prefix (b_1, ..., b_j); their sum is 2N - 2 for an all-binary code;
+    - ps_propagations[j-1] == before_j - 1 for j >= 2, one push per node
+      of stage j-1 but the last, and ps_propagations[0] == 0;
+    - ps_reads[j-1][c] == before_j * (p_j - 1 - c), as the refresh at
+      digit b reads columns 0 .. b-1;
+    - ps_writes[j-1][c] == before_j, less 1 at c = p_j - 1, as the last
+      bit stores and pushes nothing.
     """
 
     llr_updates: np.ndarray
@@ -157,52 +149,6 @@ class DecodeResult:
     stats: DecodeStats
 
 
-class Schedule:
-    """The SC schedule of one kernel sequence.
-
-    Attributes
-    ----------
-    ops : tuple
-        (kind, a, b, kernel) in execution order: (REFRESH, j, b_j, T_j),
-        (DECIDE, i, column or -1, None) and (PROPAGATE, j, column, T_j).
-    stats : DecodeStats
-        The counters of one frame's decode, counted op by op.
-    """
-
-    def __init__(self, code: CodeSpec):
-        bases, kernels, s, n = code.bases, code.kernels, code.s, code.N
-        starts = code.start_stages.tolist()
-        ops = []
-        for i, d in enumerate(code.digit_table.tolist()):
-            ops.extend((REFRESH, j, d[j - 1], kernels[j - 1]) for j in range(starts[i], s + 1))
-            if i == n - 1:
-                ops.append((DECIDE, i, -1, None))
-            else:
-                ops.append((DECIDE, i, d[s - 1], None))
-                j = s
-                while j >= 2 and d[j - 1] == bases[j - 1] - 1:
-                    ops.append((PROPAGATE, j, d[j - 2], kernels[j - 1]))
-                    j -= 1
-        self.ops = tuple(ops)
-        self.stats = stats = DecodeStats(
-            llr_updates=np.zeros(s, dtype=np.int64),
-            ps_propagations=np.zeros(s, dtype=np.int64),
-            ps_reads=[np.zeros(p, dtype=np.int64) for p in bases],
-            ps_writes=[np.zeros(p, dtype=np.int64) for p in bases],
-        )
-        for kind, a, b, _ in self.ops:
-            if kind == REFRESH:
-                stats.llr_updates[a - 1] += 1
-                stats.ps_reads[a - 1][:b] += 1
-            elif kind == DECIDE:
-                if b >= 0:
-                    stats.ps_writes[s - 1][b] += 1
-            else:
-                stats.ps_writes[a - 2][b] += 1
-                stats.ps_propagations[a - 1] += 1
-
-
-_SCHEDULES = {}
 # idle bound programs by key (_check_out), least recently used first
 _PROGRAMS = {}
 
@@ -211,16 +157,17 @@ def _kernel_key(code: CodeSpec):
     return tuple(k.key for k in code.kernels)
 
 
-def schedule_of(code: CodeSpec) -> Schedule:
-    """The schedule of the code's kernel sequence, built once per process.
-
-    Codes with equal kernel contents share it, whatever their frozen sets.
-    """
-    key = _kernel_key(code)
-    schedule = _SCHEDULES.get(key)
-    if schedule is None:
-        schedule = _SCHEDULES[key] = Schedule(code)
-    return schedule
+@lru_cache
+def _counters(bases) -> DecodeStats:
+    """DecodeStats' closed forms for the kernel sizes bases, built once per
+    tuple and shared: callers return copies."""
+    before = np.cumprod((1,) + bases[:-1], dtype=np.int64)  # before_j
+    return DecodeStats(
+        llr_updates=before * bases,
+        ps_propagations=np.r_[0, before[1:] - 1],
+        ps_reads=[b * np.arange(p - 1, -1, -1) for b, p in zip(before, bases)],
+        ps_writes=[np.r_[np.full(p - 1, b), b - 1] for b, p in zip(before, bases)],
+    )
 
 
 def _tail_rows(digits, leaf):
@@ -251,7 +198,6 @@ class _Program:
 
     def __init__(self, code: CodeSpec, frames: int):
         self.frames, self.key = frames, (_kernel_key(code), frames)
-        self.schedule = schedule_of(code)
         self.mem = allocate(code, frames)
         # row i holds bit i's decision LLR in every frame
         self.final_llrs = np.empty((code.N, frames))
@@ -313,7 +259,7 @@ class _Program:
         return steps
 
     def _bind_tail(self, a):
-        """DECIDE the P bits a .. a + P - 1 of a tail block, right after
+        """Decide the P bits a .. a + P - 1 of a tail block, right after
         stage s's pass has filled its candidates.
 
         The tail is the last stage alone, P = p_s, or while F * (2^P - 1) <
@@ -507,12 +453,11 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     if llrs.ndim != 2 or llrs.shape[1] != code.N:
         raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
     if not len(llrs):  # nothing to decode, so bind no program
-        return DecodeResult(np.zeros(llrs.shape, np.uint8), llrs.copy(), schedule_of(code).stats.copy())
+        return DecodeResult(np.zeros(llrs.shape, np.uint8), llrs.copy(), _counters(code.bases).copy())
     program, charged = _check_out(code, len(llrs))
     try:
         program.run(code, llrs, mode)
-        mem, stats = program.mem, program.schedule.stats
-        return DecodeResult(mem.decisions.copy(), program.final_llrs.T.copy(), stats.copy())
+        return DecodeResult(program.mem.decisions.copy(), program.final_llrs.T.copy(), _counters(code.bases).copy())
     finally:
         _check_in(program, charged)
 
@@ -545,10 +490,10 @@ def _check_in(program, charged):
 
 
 def _charge(program):
-    """Store a program's nbytes, the distinct base arrays it holds but not
-    the shared schedule's, and its charge: nbytes plus STEP_BYTES per bound
-    step, for the step's Python objects, views and few-byte weights."""
-    todo = [v for k, v in vars(program).items() if k not in ("schedule", "_bound", "_steps")]
+    """Store a program's nbytes, the distinct base arrays it holds, and its
+    charge: nbytes plus STEP_BYTES per bound step, for the step's Python
+    objects, views and few-byte weights."""
+    todo = [v for k, v in vars(program).items() if k not in ("_bound", "_steps")]
     arrays = {}
     while todo:
         x = todo.pop()

@@ -5,9 +5,12 @@ small codes: the generator is materialized for N <= 4096, the ML decoder
 enumerates 2^K messages for K <= 16, and the SC oracle enumerates all
 2^N inputs for N <= 16. ``row_major_kernel_update`` is the kernel LLR
 update in its block-major layout, kept to pin the bits of the package's
-hypothesis-major one. The scalar digit rules below define, one index at
-a time, what ``CodeSpec.digit_table``, ``CodeSpec.start_stages`` and the
-SC schedule compute for all indices at once.
+hypothesis-major one. ``schedule_ops`` lists the SC walk as the flat
+op list of the paper's schedule, which the tests' reference executor
+runs and whose op-by-op counts pin ``DecodeStats``. The scalar digit
+rules below define, one index at a time, what ``CodeSpec.digit_table``
+and ``CodeSpec.start_stages`` compute for all indices at once, and so
+which ops each bit of the schedule runs.
 """
 
 from math import prod
@@ -19,6 +22,8 @@ from mkpolar import CodeSpec, IndexOutOfRange, LengthMismatch, NonFiniteInput
 NAIVE_GENERATOR_LIMIT = 4096
 ML_ORACLE_MAX_K = 16
 SC_ORACLE_MAX_N = 16
+
+REFRESH, DECIDE, PROPAGATE = range(3)
 
 
 class TooLarge(Exception):
@@ -61,6 +66,50 @@ def trailing_max_run(i, bases):
             break
         run += 1
     return run
+
+
+def schedule_ops(code: CodeSpec):
+    """The SC schedule of the code's kernel sequence as a flat op list.
+
+    Each op is (kind, a, b, kernel), in execution order: (REFRESH, j, b_j,
+    T_j), (DECIDE, i, column or -1, None) and (PROPAGATE, j, column, T_j).
+
+    - REFRESH (j, b): stage j recomputes its whole vector in place. Entry k
+      is the kernel update of input bit b given the contiguous group
+      k*p_j .. (k+1)*p_j - 1 of the previous stage and the known sub-block
+      bits in columns 0 .. b - 1 of its partial-sum matrix. Bit i with
+      digits (b_1, ..., b_s) refreshes stages z .. s, where z is the
+      position of its rightmost nonzero digit (1 for i = 0); stages below z
+      still hold valid values from earlier bits.
+    - DECIDE (i, c): read the decision LLR of bit i, the single stage-s
+      LLR. Frozen bits decide 0, otherwise a negative LLR decides 1 (tie
+      decides 0). Unless i is the last bit, store the decision in column
+      c = b_s of the stage-s matrix.
+    - PROPAGATE (j, c): push the completed stage-j matrix through its
+      kernel. Row k of stage j maps to rows k*p_j .. k*p_j + p_j - 1 of
+      stage j-1, in column c = b_{j-1}. After bit i this happens for each
+      stage j of the trailing run of digits b_j = p_j - 1, from stage s
+      outwards. Nothing propagates after the last bit, which is why the
+      stage-1 matrix never needs its final column.
+
+    The ops are built from the package's ``digit_table`` and
+    ``start_stages``, so a check of each bit's ops against the scalar
+    rules above checks those tables.
+    """
+    bases, kernels, s, n = code.bases, code.kernels, code.s, code.N
+    starts = code.start_stages.tolist()
+    ops = []
+    for i, d in enumerate(code.digit_table.tolist()):
+        ops.extend((REFRESH, j, d[j - 1], kernels[j - 1]) for j in range(starts[i], s + 1))
+        if i == n - 1:
+            ops.append((DECIDE, i, -1, None))
+        else:
+            ops.append((DECIDE, i, d[s - 1], None))
+            j = s
+            while j >= 2 and d[j - 1] == bases[j - 1] - 1:
+                ops.append((PROPAGATE, j, d[j - 2], kernels[j - 1]))
+                j -= 1
+    return ops
 
 
 def _checked_llrs(code, channel_llrs):

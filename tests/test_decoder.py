@@ -4,7 +4,6 @@ import json
 import tracemalloc
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,8 +24,11 @@ from mkpolar import (
     simulate,
 )
 import mkpolar.decoder
-from mkpolar.decoder import DECIDE, PROPAGATE, REFRESH, _Program, schedule_of
-from oracles import exact_sc_oracle_llr, row_major_kernel_update, start_stage, trailing_max_run
+from mkpolar.decoder import DecodeStats, _Program
+from oracles import (
+    DECIDE, PROPAGATE, REFRESH, exact_sc_oracle_llr, row_major_kernel_update, schedule_ops, start_stage,
+    trailing_max_run,
+)
 from reference_sc import all_kernel_sequences, textbook_sc_decode
 
 CODE_223 = CodeSpec((2, 2, 3))
@@ -51,8 +53,8 @@ def run_on_memory(code, llrs, mode="exact"):
 
 
 def reference_decode(code, llrs, mode="exact"):
-    """The schedule run op by op on a fresh allocate(code, F), each
-    REFRESH one call of the block-major kernel update, which shares no
+    """The ops of schedule_ops run one by one on a fresh allocate(code, F),
+    each REFRESH one call of the block-major kernel update, which shares no
     code with the package. Returns (decisions, decision LLRs)."""
     llrs = np.asarray(llrs, dtype=np.float64)
     mem = allocate(code, len(llrs))
@@ -60,7 +62,7 @@ def reference_decode(code, llrs, mode="exact"):
     llr[0][:, code.permutation] = llrs
     final_llrs = np.empty(decisions.shape, dtype=np.float64)
     decision_llrs = llr[-1][:, 0]
-    for kind, a, b, kernel in schedule_of(code).ops:
+    for kind, a, b, kernel in schedule_ops(code):
         if kind == REFRESH:
             target = llr[a]
             groups = llr[a - 1].reshape(target.shape + (kernel.p,))
@@ -86,6 +88,34 @@ def assert_same_as_reference(result, code, llrs, mode, where):
     assert np.array_equal(result.final_llrs, final_llrs.reshape(shape)), where
 
 
+def counted_stats(code):
+    """DecodeStats counted op by op over schedule_ops(code)."""
+    s = code.s
+    stats = DecodeStats(
+        llr_updates=np.zeros(s, dtype=np.int64),
+        ps_propagations=np.zeros(s, dtype=np.int64),
+        ps_reads=[np.zeros(p, dtype=np.int64) for p in code.bases],
+        ps_writes=[np.zeros(p, dtype=np.int64) for p in code.bases],
+    )
+    for kind, a, b, _ in schedule_ops(code):
+        if kind == REFRESH:
+            stats.llr_updates[a - 1] += 1
+            stats.ps_reads[a - 1][:b] += 1
+        elif kind == DECIDE:
+            if b >= 0:
+                stats.ps_writes[s - 1][b] += 1
+        else:
+            stats.ps_writes[a - 2][b] += 1
+            stats.ps_propagations[a - 1] += 1
+    return stats
+
+
+def stats_lists(stats):
+    """The four counters of a DecodeStats as nested lists, to compare."""
+    return (stats.llr_updates.tolist(), stats.ps_propagations.tolist(),
+            [c.tolist() for c in stats.ps_reads], [c.tolist() for c in stats.ps_writes])
+
+
 def ops_per_bit(ops):
     """(refreshed stages, propagated stages) of each bit of a schedule."""
     bits, refreshed = [], []
@@ -108,7 +138,7 @@ def test_ingest_uses_digit_reversal():
 
 
 def test_llr_phase_refresh_schedule():
-    bits = ops_per_bit(schedule_of(CODE_223).ops)
+    bits = ops_per_bit(schedule_ops(CODE_223))
     # bit 0 refreshes every stage; bits 1 and 2, digits (0, 0, 1) and
     # (0, 0, 2), refresh only from their rightmost nonzero digit, stage 3;
     # bit 3, digits (0, 1, 0), refreshes stages 2 and 3, not stage 1
@@ -118,7 +148,7 @@ def test_llr_phase_refresh_schedule():
 def test_schedule_follows_start_stage_and_trailing_max_run():
     for bases in all_kernel_sequences(72):
         code = CodeSpec(bases)
-        bits = ops_per_bit(schedule_of(code).ops)
+        bits = ops_per_bit(schedule_ops(code))
         assert len(bits) == code.N
         for i, (refreshed, propagated) in enumerate(bits):
             assert refreshed == list(range(start_stage(i, bases), code.s + 1)), (bases, i)
@@ -132,7 +162,7 @@ def test_schedule_follows_start_stage_and_trailing_max_run():
 @pytest.mark.parametrize("u1", [0, 1])
 def test_ps_phase_hand_trace_2x2(u0, u1, monkeypatch):
     code = CodeSpec((2, 2))
-    ops = [(kind, a, b) for kind, a, b, _ in schedule_of(code).ops]
+    ops = [(kind, a, b) for kind, a, b, _ in schedule_ops(code)]
     assert ops == [
         (REFRESH, 1, 0), (REFRESH, 2, 0), (DECIDE, 0, 0),
         (REFRESH, 2, 1), (DECIDE, 1, 1), (PROPAGATE, 2, 0),
@@ -531,16 +561,13 @@ def test_rep_and_rate0_folds_of_one_node_alternate(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
 def test_programs_bind_from_the_sub_code_tree(mode, monkeypatch):
-    # A program binds by a walk of the sub-code tree, not from the flat ops
-    # of its Schedule, which only its counters read: with a stand-in
-    # schedule that holds nothing but those, every ordering up to N = 72 and
-    # the paper codes decode as the reference executor does, with random,
-    # REP-rich and decode-paper frozen sets, at F = 7 (the look-ahead tail
-    # of the last two stages) and at the cap (the last stage alone), checked
-    # at the first four and last three rows.
+    # A program binds by a walk of the sub-code tree: every ordering up to
+    # N = 72 and the paper codes decode as the reference executor runs the
+    # flat ops of schedule_ops, with random, REP-rich and decode-paper
+    # frozen sets, at F = 7 (the look-ahead tail of the last two stages) and
+    # at the cap (the last stage alone), checked at the first four and last
+    # three rows.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
-    counters = lambda code: SimpleNamespace(stats=schedule_of(code).stats)
-    monkeypatch.setattr(mkpolar.decoder, "schedule_of", counters)
     rng = np.random.default_rng(109)
     for bases in [*all_kernel_sequences(72), *PAPER_CODES]:
         n = CodeSpec(bases).N
@@ -554,7 +581,7 @@ def test_programs_bind_from_the_sub_code_tree(mode, monkeypatch):
                 where = (bases, code.K, frames)
                 assert np.array_equal(result.u_hat[rows], want_u), where
                 assert np.array_equal(result.final_llrs[rows], want_llrs), where
-                assert result.stats.llr_updates.tolist() == schedule_of(code).stats.llr_updates.tolist()
+                assert result.stats.llr_updates.tolist() == counted_stats(code).llr_updates.tolist()
 
 
 def test_a_rebuild_binds_nothing_new(monkeypatch):
@@ -1260,16 +1287,24 @@ def test_decode_batch_validation(monkeypatch):
     assert list(mkpolar.decoder._PROGRAMS.items()) == cached
     assert empty.u_hat.shape == empty.final_llrs.shape == (0, 12)
     assert (empty.u_hat.dtype, empty.final_llrs.dtype) == (np.uint8, np.float64)
-    assert np.array_equal(empty.stats.llr_updates, schedule_of(CODE_223).stats.llr_updates)
+    assert empty.stats.llr_updates.tolist() == cumulative_products(CODE_223.bases)
 
 
-def test_schedule_is_shared_by_kernel_contents():
-    # Codes built afresh, with any frozen set, reuse one schedule, while
-    # a different kernel of the same size gets its own.
-    assert schedule_of(CodeSpec((2, 3), (0,))) is schedule_of(CodeSpec((2, 3), (1, 4)))
+def test_schedule_is_shared_by_kernel_contents(monkeypatch):
+    # Codes built afresh, with any frozen set or an equal kernel built anew,
+    # run on one bound program, while a different kernel of the same size
+    # binds its own. The counters rest on the kernel sizes alone.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    programs, llrs = mkpolar.decoder._PROGRAMS, np.ones((1, 6))
+    first = decode_batch(CodeSpec((2, 3), (0,)), llrs).stats
+    (program,) = programs.values()
     t3 = KernelMatrix([[1, 1, 1], [1, 0, 1], [0, 1, 1]])
-    assert schedule_of(CodeSpec((2, t3))) is schedule_of(CodeSpec((2, 3)))
-    assert schedule_of(CodeSpec((2, OTHER))) is not schedule_of(CodeSpec((2, 3)))
+    for code in (CodeSpec((2, 3), (1, 4)), CodeSpec((2, t3))):
+        assert stats_lists(decode_batch(code, llrs).stats) == stats_lists(first)
+        assert list(programs.values()) == [program]
+    other = decode_batch(CodeSpec((2, OTHER)), llrs).stats
+    assert len(programs) == 2 and program in programs.values()
+    assert stats_lists(other) == stats_lists(first)
 
 
 def test_decode_all_zero_llrs_ties_to_zero():
@@ -1375,24 +1410,35 @@ def cumulative_products(bases):
     return out
 
 
-@pytest.mark.parametrize(
-    "bases", [(2, 2, 3), (3, 2), (2,), (3, 3), (2, 3, 2, 3), (2, 2, 2, 2, 2)]
-)
+# every ordering up to N = 72, the paper codes and two custom last kernels
+COUNTER_CODES = [*all_kernel_sequences(72), *PAPER_CODES, (2, 2, OTHER), (2, K4)]
+
+
+# six cases, each taking every sixth code
+@pytest.mark.parametrize("bases", [COUNTER_CODES[i::6] for i in range(6)])
 def test_counter_laws(bases):
-    code = CodeSpec(bases)
+    # At F = 0 (nothing decoded), 1 and 7 frames, stats equal both the closed
+    # forms and an op-by-op count of the flat schedule.
     rng = np.random.default_rng(19)
-    res = decode(code, rng.uniform(-3, 3, code.N))
-    stats = res.stats
-    prods = cumulative_products(bases)
-    assert stats.llr_updates.tolist() == prods
-    want_props = [0] + [prods[j - 2] - 1 for j in range(2, len(bases) + 1)]
-    assert stats.ps_propagations.tolist() == want_props
-    for j, p in enumerate(bases, start=1):
-        before = 1 if j == 1 else prods[j - 2]
-        reads = [(p - 1 - c) * before for c in range(p)]
-        writes = [before - (1 if c == p - 1 else 0) for c in range(p)]
-        assert stats.ps_reads[j - 1].tolist() == reads
-        assert stats.ps_writes[j - 1].tolist() == writes
+    for kernels in bases:
+        code = CodeSpec(kernels)
+        sizes = code.bases
+        prods = cumulative_products(sizes)
+        want_reads, want_writes = [], []
+        for j, p in enumerate(sizes, start=1):
+            before = 1 if j == 1 else prods[j - 2]
+            want_reads.append([(p - 1 - c) * before for c in range(p)])
+            want_writes.append([before - (1 if c == p - 1 else 0) for c in range(p)])
+        want_props = [0] + [prods[j - 2] - 1 for j in range(2, len(sizes) + 1)]
+        laws = (prods, want_props, want_reads, want_writes)
+        counted = stats_lists(counted_stats(code))
+        for frames in (0, 1, 7):
+            stats = decode_batch(code, rng.uniform(-3, 3, (frames, code.N))).stats
+            where = (sizes, frames)
+            assert stats_lists(stats) == laws == counted, where
+            arrays = [stats.llr_updates, stats.ps_propagations, *stats.ps_reads, *stats.ps_writes]
+            assert all(a.dtype == np.int64 for a in arrays), where
+            assert [c.size for c in stats.ps_reads] == [c.size for c in stats.ps_writes] == list(sizes), where
 
 
 def test_stage_one_counters_keep_a_slot_for_the_absent_column():
