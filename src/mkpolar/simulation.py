@@ -7,9 +7,13 @@ the channel LLR of an observation y is 2*y / sigma^2, saturated to
 np.random.default_rng([seed, n, f]), so with kernels of size 2 and 3,
 those of every code file, results do not depend on how the frames are
 batched (kernels.llr_candidate_steps has the caveat for larger kernels).
-A batch's generators come from one pass of numpy's SeedSequence hash
-(O'Neill's seed_seq_fe) over (pool word, frame) arrays, and its size
-from the errors counted so far (_batch_frames).
+Two vectorized passes serve a whole batch: numpy's SeedSequence hash
+(O'Neill's seed_seq_fe) over (pool word, frame) arrays gives every
+frame's PCG64 seed words (_frame_seeds), and a jump-ahead of the PCG64
+LCG over (draw, frame) arrays gives every frame's message words
+(_draw_words). Each frame's generator is then built inside its row of
+the noise draw (_frame_generators). A batch's size comes from the errors
+counted so far (_batch_frames).
 """
 
 import time
@@ -26,6 +30,9 @@ from .kernels import LLR_MAX, _all_bits, _whole, check_mode
 
 # numpy's SeedSequence: pool words, word mask and mix multipliers.
 _POOL, _M32, _MIX_L, _MIX_R = 4, 0xFFFFFFFF, np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# PCG64's 128-bit LCG multiplier M, a word mask, and uint64 operands of the jump-ahead.
+_PCG_MULT, _M64 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) - 1
+_LOW32, _U1, _U32, _U58, _U63, _U64 = (np.uint64(c) for c in (_M32, 1, 32, 58, 63, 64))
 
 
 @lru_cache
@@ -79,19 +86,80 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _frame_generators(key, first: int, count: int) -> list:
-    """Generators equal to np.random.default_rng([*key, f]) for f in
-    first .. first + count - 1, seeded by one hash over the batch."""
+def _frame_seeds(key, first: int, count: int):
+    """The (count, 4) uint64 seed words of np.random.default_rng([*key, f])'s PCG64 for f in
+    first .. first + count - 1, from one hash over the batch."""
     if first < 1 << 32 < first + count:  # frames from 2**32 on take two words
         split = (1 << 32) - first
-        return _frame_generators(key, first, split) + _frame_generators(key, 1 << 32, count - split)
+        return np.concatenate((_frame_seeds(key, first, split), _frame_seeds(key, 1 << 32, count - split)))
     head = [k >> b & _M32 for k in map(int, key) for b in range(0, max(k.bit_length(), 1), 32)]
     frames = np.arange(first, first + count, dtype=np.uint64)
     rows = head + [frames & _M32] + ([frames >> 32] if first >> 32 else [])
     words = np.zeros((max(len(rows), _POOL), count), np.uint32)
     for i, row in enumerate(rows):
         words[i] = row
-    return [np.random.Generator(np.random.PCG64(_Seeded(s))) for s in _pcg64_seeds(words)]
+    return _pcg64_seeds(words)
+
+
+def _frame_generators(seeds):
+    """One Generator per row of seed words, each built only when the iteration reaches it."""
+    return (np.random.Generator(np.random.PCG64(_Seeded(s))) for s in seeds)
+
+
+@lru_cache
+def _jump_table(words):
+    """(2, 4, words + 1, 1) uint64 constants (a, b) of the jumps a s + b inc mod 2**128 that
+    _draw_words takes, each as (high word, low word, low word's low and high halves).
+    The LCG state after seeding and j - 1 draws is S_j = M^j s + (1 + M + ... + M^j) inc:
+    row 0 is S_words - inc, rows 1 .. words are S_2 .. S_(words + 1)."""
+    def geometric(j):  # 1 + M + ... + M^(j-1) mod 2**128, as (M^j - 1) / (M - 1)
+        return (pow(_PCG_MULT, j, _PCG_MULT - 1 << 128) - 1) // (_PCG_MULT - 1)
+    rows = [(pow(_PCG_MULT, words, 1 << 128), geometric(words + 1) - 1)]
+    rows += [(pow(_PCG_MULT, j, 1 << 128), geometric(j + 1)) for j in range(2, words + 2)]
+    limbs = [[(c >> 64 & _M64, c & _M64, c & _M32, c >> 32 & _M32) for c in col] for col in zip(*rows)]
+    return np.array(limbs, np.uint64).transpose(0, 2, 1)[..., None]
+
+
+def _mul128(high, low, const):
+    """(high, low) words of x c mod 2**128, x = (high, low) per frame and c one of _jump_table's per
+    row; the low words' high product by 32-bit halves (Warren, Hacker's Delight, 8-2)."""
+    c_high, c_low, c0, c1 = const
+    x0, x1 = low & _LOW32, low >> _U32
+    t = x1 * c0
+    t += x0 * c0 >> _U32
+    w = t & _LOW32
+    w += x0 * c1
+    w >>= _U32
+    w += x1 * c1
+    w += t >> _U32
+    w += low * c_high
+    w += high * c_low
+    return w, low * c_low
+
+
+def _draw_words(seeds, words: int):
+    """The first `words` raw words of the PCG64 seeded by each row of seed words, as a
+    (count, words) uint64 array, drawn for all rows at once; each row then becomes the
+    seed whose generator starts right after those words.
+
+    numpy seeds PCG64 from words (s_high, s_low, q_high, q_low) as inc = 2 q + 1 and state
+    S_1 = (s + inc) M + inc, and a draw steps the state S to S M + inc and outputs the XSL-RR
+    rotation of its words (O'Neill, HMC-CS-2014-0905). Seeding with S_words - inc lands on
+    S_(words + 1), the state after the words. Every operand is uint64.
+    """
+    s_high, s_low, q_high, q_low = seeds.T.copy()
+    inc_high, inc_low = q_high << _U1 | q_low >> _U63, q_low << _U1 | _U1
+    a, b = _jump_table(words)
+    high, low = _mul128(s_high, s_low, a)
+    b_high, b_low = _mul128(inc_high, inc_low, b)
+    low += b_low
+    high += b_high
+    high += low < b_low
+    seeds[:, 0], seeds[:, 1] = high[0], low[0]
+    high, low = high[1:], low[1:]
+    low ^= high
+    high >>= _U58
+    return np.ascontiguousarray((low >> high | low << (_U64 - high & _U63)).T)
 
 
 def _noise_variance(ebn0_db, rate):
@@ -114,10 +182,12 @@ def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool =
     """Transmit codewords over BPSK/AWGN and return channel LLRs.
 
     ``codeword_bits`` is one codeword, or an (F, N) batch of them. ``rng``
-    is one Generator, or for a batch a sequence of F generators: row f
-    then draws its noise from ``rng[f]`` alone, exactly as the single
-    codeword would. With ``noiseless`` the channel is bypassed and each
-    bit maps straight to +-LLR_MAX with the sign of its BPSK symbol.
+    is one Generator, or for a batch an iterable of exactly F generators
+    (LengthMismatch otherwise), taken one row at a time: row f draws its
+    noise from the f-th generator alone, exactly as the single codeword
+    would. With ``noiseless`` the channel is bypassed, no generator is
+    taken, and each bit maps straight to +-LLR_MAX with the sign of its
+    BPSK symbol.
     Bits other than 0 and 1 raise ValueError, and an Eb/N0 with no finite
     positive sigma^2 and 2 / sigma^2 (such as NaN or 4000 dB) NonFiniteInput.
     """
@@ -135,11 +205,15 @@ def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool =
     if isinstance(rng, np.random.Generator):
         noise = rng.standard_normal(bits.shape)
     else:
-        if bits.ndim != 2 or len(rng) != bits.shape[0]:
-            raise LengthMismatch(f"{len(rng)} generators for codewords of shape {bits.shape}")
-        noise = np.empty(bits.shape)
-        for r, row in zip(rng, noise):
+        if bits.ndim != 2:
+            raise LengthMismatch(f"generators for codewords of shape {bits.shape}")
+        noise, rngs = np.empty(bits.shape), iter(rng)
+        for f, row in enumerate(noise):
+            if (r := next(rngs, None)) is None:
+                raise LengthMismatch(f"{f} generators for {len(noise)} codewords")
             r.standard_normal(out=row)
+        if next(rngs, None) is not None:
+            raise LengthMismatch(f"more than {len(noise)} generators for {len(noise)} codewords")
     # in place, in the order of clip(2 (symbols + noise sigma) / sigma^2)
     noise *= np.sqrt(sigma2)
     noise += symbols
@@ -186,6 +260,9 @@ class SnrPointResult:
     elapsed_s: float
     batches: int  # decode_batch calls
     decoded_frames: int  # frames decoded, those past the stop included
+    draw_s: float  # seeds, message words and channel
+    encode_s: float
+    decode_s: float  # decode_batch
 
 
 CSV_HEADER = "ebn0_db,frames,frame_errors,bit_errors,fer,ber"
@@ -239,18 +316,26 @@ def simulate(config: SimConfig) -> SimResult:
     for point_index, ebn0_db in enumerate(config.snr_points_db):
         start = time.perf_counter()
         frames = frame_errors = bit_errors = batches = decoded = 0
+        draw_s = encode_s = decode_s = 0.0
         while frames < config.max_frames and frame_errors < target:
             batch = _batch_frames(frames, frame_errors, target)
             batch = min(batch, config.max_frames - frames, cap)
             batches, decoded = batches + 1, decoded + batch
-            rngs = _frame_generators((config.seed, point_index), frames, batch)
+            t0 = time.perf_counter()
+            seeds = _frame_seeds((config.seed, point_index), frames, batch)
             u = np.zeros((batch, code.N), dtype=np.uint8)
             if k:
                 # as integers(0, 2, k, uint8): the top bits of the first k raw bytes
-                raw = np.fromiter((rng.bit_generator.random_raw(words) for rng in rngs), (np.uint64, words), batch)
+                raw = _draw_words(seeds, words)
                 u[:, info] = raw.astype("<u8", copy=False).view(np.uint8)[:, :k] >> 7
-            llrs = awgn_llrs(encode(code, u), ebn0_db, rate, rngs, noiseless=config.noiseless)
+            t1 = time.perf_counter()
+            codewords = encode(code, u)
+            t2 = time.perf_counter()
+            llrs = awgn_llrs(codewords, ebn0_db, rate, _frame_generators(seeds), noiseless=config.noiseless)
+            t3 = time.perf_counter()
             u_hat = decode_batch(code, llrs, config.mode).u_hat
+            t4 = time.perf_counter()
+            draw_s, encode_s, decode_s = draw_s + (t1 - t0) + (t3 - t2), encode_s + (t2 - t1), decode_s + (t4 - t3)
             wrong = np.count_nonzero(u_hat[:, info] != u[:, info], axis=1)
             for w in wrong.tolist():
                 frames += 1
@@ -269,6 +354,7 @@ def simulate(config: SimConfig) -> SimResult:
                 ber=bit_errors / (frames * k) if k else 0.0,
                 elapsed_s=time.perf_counter() - start,
                 batches=batches, decoded_frames=decoded,
+                draw_s=draw_s, encode_s=encode_s, decode_s=decode_s,
             )
         )
     return result

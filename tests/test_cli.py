@@ -214,13 +214,16 @@ def test_simulate_reports_each_point_on_stderr(capsys, tmp_path):
     assert len(lines) == len(rows) == 2
     for row, line in zip(rows, lines):
         fields = dict(item.split("=") for item in line.split())
-        assert list(fields) == ["ebn0_db", "frames", "decoded_frames", "batches", "elapsed_s", "frames_per_s",
-                                "fer_ci95"]
+        assert list(fields) == ["ebn0_db", "frames", "decoded_frames", "batches", "elapsed_s", "draw_s",
+                                "encode_s", "decode_s", "frames_per_s", "fer_ci95"]
         assert fields["ebn0_db"] == row[0] and fields["frames"] == row[1]
         # frames past the stop are decoded, not counted
         assert int(row[1]) <= int(fields["decoded_frames"]) <= 2 * int(row[1])
         assert 1 <= int(fields["batches"]) <= int(fields["decoded_frames"])
         assert float(fields["elapsed_s"]) > 0 and float(fields["frames_per_s"]) > 0
+        # the parts of a batch's time: seeds, message words and channel; encode; decode
+        parts = [float(fields[name]) for name in ("draw_s", "encode_s", "decode_s")]
+        assert all(part > 0 for part in parts) and sum(parts) <= float(fields["elapsed_s"]) + 2e-6  # printed to 1e-6
         low, high = map(float, fields["fer_ci95"].split(","))
         assert low < float(row[4]) < high
     # stdout does not depend on the timing that stderr reports

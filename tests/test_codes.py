@@ -349,15 +349,15 @@ def test_construct_counts_genie_ties_as_half_errors():
 def test_construct_seeds_share_no_frame(monkeypatch):
     # Frame f used to draw from seed + f, so seeds 0 and 1 shared the
     # noise of all but one of their frames. Frame f's generator is
-    # default_rng([*key, f]), so the keys it is built from are recorded.
-    real_frame_generators = simulation._frame_generators
+    # default_rng([*key, f]), so the keys its seed words are hashed from are recorded.
+    real_frame_seeds = simulation._frame_seeds
     requested = []
 
-    def recording_frame_generators(key, first, count):
+    def recording_frame_seeds(key, first, count):
         requested[-1].update((*key, f) for f in range(first, first + count))
-        return real_frame_generators(key, first, count)
+        return real_frame_seeds(key, first, count)
 
-    monkeypatch.setattr(simulation, "_frame_generators", recording_frame_generators)
+    monkeypatch.setattr(simulation, "_frame_seeds", recording_frame_seeds)
     for seed in (0, 1):
         requested.append(set())
         construct_frozen_mc(BASES_223, 6, 1.0, 20, seed)

@@ -1,5 +1,7 @@
 """AWGN channel model, Monte-Carlo harness, exhaustive reference decoders."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,7 +151,7 @@ def test_frame_generators_equal_default_rng(seed):
     # straddles 2**32, where a frame's entropy grows from one word to two.
     for key in [(seed,)] + [(seed, point) for point in (0, 1, 1000)]:
         for first, count in ((0, 5), (2**32 - 2, 4)):
-            gens = simulation._frame_generators(key, first, count)
+            gens = list(simulation._frame_generators(simulation._frame_seeds(key, first, count)))
             assert len(gens) == count
             for f, gen in zip(range(first, first + count), gens):
                 ref = np.random.default_rng([*key, f])
@@ -177,11 +179,90 @@ def test_pcg64_seeds_equal_seed_sequence(count):
             assert np.array_equal(seeds[f], want), (n, f)
     for key in [(2**64,), (2**64 + 7, 3), (5, 2**96 - 1)]:
         for first in (2**32 - count // 2, 2**40 + 11):
-            gens = simulation._frame_generators(key, first, count)
+            gens = list(simulation._frame_generators(simulation._frame_seeds(key, first, count)))
             assert len(gens) == count
             for f in rows:
                 want = np.random.default_rng([*key, first + f]).bit_generator.state
                 assert gens[f].bit_generator.state == want, (key, first + f)
+
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@pytest.mark.parametrize("words", [1, 2, 61])
+@pytest.mark.parametrize("count", [1, 40, 5461])
+def test_draw_words_equal_default_rng(words, count):
+    # The batch's first raw words, drawn for every frame at once, are the
+    # frame generator's random_raw(words), and each seed row then starts
+    # its generator right after them: its next raw words and normal draws
+    # are default_rng's. Keys with words of 2**64 and more, and windows
+    # that straddle 2**32, checked on the first, the last and sampled rows.
+    rng = np.random.default_rng(words * count)
+    rows = sorted({0, count - 1, *rng.integers(0, count, 12).tolist()})
+    for key in [(5, 1), (2**64 + 7, 3), (2**96 - 1, 2**64)]:
+        for first in (0, 2**32 - count // 2 - 1):
+            seeds = simulation._frame_seeds(key, first, count)
+            raw = simulation._draw_words(seeds, words)
+            assert raw.shape == (count, words) and raw.dtype == np.uint64
+            gens = list(simulation._frame_generators(seeds))
+            assert len(gens) == count
+            for f in rows:
+                ref = np.random.default_rng([*key, first + f])
+                where = (key, first + f)
+                assert np.array_equal(raw[f], ref.bit_generator.random_raw(words)), where
+                state = ref.bit_generator.state
+                assert np.array_equal(gens[f].bit_generator.random_raw(3), ref.bit_generator.random_raw(3)), where
+                assert np.array_equal(gens[f].normal(0.0, 1.5, 7), ref.normal(0.0, 1.5, 7)), where
+                # a seed one step off, S_(words + 1) - inc, fails the check
+                s_high, s_low, q_high, q_low = map(int, seeds[f])
+                inc = (q_high << 65 | q_low << 1 | 1) % 2**128
+                off = ((s_high << 64 | s_low) + inc) * PCG_MULT % 2**128
+                off_seed = np.array([off >> 64, off % 2**64, q_high, q_low], np.uint64)
+                late = np.random.PCG64(simulation._Seeded(off_seed))
+                ref.bit_generator.state = state
+                assert not np.array_equal(late.random_raw(3), ref.bit_generator.random_raw(3)), where
+
+
+def test_awgn_builds_each_generator_inside_its_row():
+    # A batch's generators are built one per row as the draw reaches it,
+    # so a capped batch holds one, not 5461 of about 750 B each (4 MB).
+    count, n = 5461, 12
+    bits = np.random.default_rng(1).integers(0, 2, (count, n), dtype=np.uint8)
+    seeds = simulation._frame_seeds((3, 0), 0, count)
+    tracemalloc.start()
+    try:
+        llrs = awgn_llrs(bits, 1.0, 0.5, simulation._frame_generators(seeds))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (F, N) symbols and noise arrays, and 64 KiB more
+    assert peak <= 2 * llrs.nbytes + 64 * 1024
+    for f in (0, count - 1):
+        assert np.array_equal(llrs[f], awgn_llrs(bits[f], 1.0, 0.5, np.random.default_rng([3, 0, f])))
+    # a generator per row, counted as the iterable yields them
+    for many in (count - 1, count + 1):
+        with pytest.raises(LengthMismatch):
+            awgn_llrs(bits, 1.0, 0.5, simulation._frame_generators(simulation._frame_seeds((3, 0), 0, many)))
+
+
+def test_noiseless_simulate_builds_no_generator(monkeypatch):
+    # A noiseless run draws its message words without generators; its
+    # CSV is pinned, and a noisy run builds one generator per frame decoded.
+    built = []
+    real_pcg64 = np.random.PCG64
+
+    def counting_pcg64(seed):
+        built.append(seed)
+        return real_pcg64(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+    code = CodeSpec((2, 2, 2, 3, 3), [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+                                      22, 23, 24, 25, 27, 28, 36, 37, 38, 39, 40, 42, 45, 54])
+    csv = simulate(SimConfig(code, (1.0, 3.5), max_frames=2000, seed=2**33 + 1, noiseless=True)).to_csv()
+    assert csv == CSV_HEADER + "\n1.0,2000,0,0,0.0,0.0\n3.5,2000,0,0,0.0,0.0\n"
+    assert not built
+    points = simulate(SimConfig(code, (1.0,), max_frames=300, target_frame_errors=5, seed=2)).points
+    assert len(built) == points[0].decoded_frames
 
 
 def test_simulate_takes_few_batches_past_few_frames(monkeypatch):
