@@ -58,8 +58,6 @@ def _kernels_arg(text):
         sizes = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"kernel list {text!r} is not comma-separated integers")
-    if not sizes:
-        raise argparse.ArgumentTypeError("kernel list is empty")
     for p in sizes:
         try:
             builtin_kernel(p)

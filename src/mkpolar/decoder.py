@@ -53,12 +53,13 @@ take of the digit-reversed result into its final-LLR rows
 into stage j >= 1, a zero fill of that column or the REP decision times
 the last row of T_{j+1} x ... x T_s. No step writes its frozen
 decisions, so they stay 0. The pass forms the candidate row of prefix 0
-by the same arithmetic, the row the gathers and walks would read, so
-outputs do not change. It works in the tables of stages j+1 .. s and
-the work arrays, idle meanwhile; stage j's vector is refreshed, or the
-channel vector ingested, before it is read again. The all-frozen code
-folds whole, at stage 0: its program is the s passes and the take,
-which is genie-aided construction (codes.construct_frozen_mc).
+by the core that binds the candidate pass (kernels._best_steps), the
+row the gathers and walks would read, so outputs do not change. It
+works in the tables of stages j+1 .. s and the work arrays, idle
+meanwhile; stage j's vector is refreshed, or the channel vector
+ingested, before it is read again. The all-frozen code folds whole, at
+stage 0: its program is the s passes and the take, which is
+genie-aided construction (codes.construct_frozen_mc).
 
 Results are bit for bit those of the block-major update rule, one
 update per bit on output LLRs flipped by the sign of the known
@@ -353,7 +354,9 @@ class _Program:
             lent = WorkArrays(self.work, candidates=self.table_memory[sum(t.size for t in self.tables[:j]) :])
             work = WorkArrays(lent, **self.fold_work.get(j, {}))
             self._bound["fold", j, mode] = zero_prefix_stages(self.kernels[j:], mode, self.mem.llr[j].reshape(-1), work)
-            # what neither could lend, for kernels of size 4 and more, shared by the modes
+            # what neither could lend, shared by the modes: a whole-code fold may follow
+            # no candidate pass and its passes span the channel vector; with kernels of
+            # size 4 and more, folds at other root stages can need more too
             self.fold_work[j] = {role: x for role, x in work.items() if x is not lent.get(role)}
             self.orders.setdefault(j, channel_permutation(self.bases[j:]))
         return self._bound["fold", j, mode] + self._once(("take", j, a), lambda: [(

@@ -16,10 +16,12 @@ variant. For the size-2 kernel these reduce to the classic f and g updates.
 Every update reads one table per kernel, the metric terms of each whole
 input word. From it llr_candidate_steps forms the update of every bit of
 R blocks under every known prefix, llr_gather_steps picks each block's
-own, and llr_kernel_batch runs both. zero_prefix_steps forms only the
-updates after the all-zero prefix, which the decoder's all-frozen
-sub-codes read (zero_prefix_stages), and genie-aided construction, the
-decode of the all-frozen code.
+own, and llr_kernel_batch runs both for one bit. zero_prefix_steps
+forms only the updates after the all-zero prefix, which the decoder's
+all-frozen sub-codes read (zero_prefix_stages), and genie-aided
+construction, the decode of the all-frozen code. All of them bind the
+metrics and log-sum-exps by one core, _best_steps, so each candidate
+they share is formed by the same calls.
 
 LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
@@ -193,16 +195,8 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, work):
     The steps write into row 2 (2^t - 1 + v) of ``table`` the update of
     bit t of each block after the known prefix v (first bit most
     significant); odd rows are work space, and other work arrays come
-    from the WorkArrays ``work``.
-
-    One product with the word table (np.dot, BLAS) forms the metric of
-    each word u = (v, h, c), hypothesis h and completion c, once; the
-    words of one (v, h) are a run of 2^(p-1-t) rows. A run of 2 takes
-    its best metric by one fmax and its log-sum-exp by one add of its two
-    halves, the first plus the second; a longer run reduces along its
-    axis, which numpy adds in sequence. For p <= 3 every metric sums at
-    most 3 exact terms and every run at most 4, so each update has the
-    bits of the block-major rule in any layout and for any R.
+    from the WorkArrays ``work``. _best_steps forms the log-sum-exp (or
+    in minsum mode the best metric) of all 2^(t+1) runs of each bit t.
 
     For p >= 4 BLAS may sum a word's metric, and numpy a run of 8 or
     more, in an order that depends on R and the layout: in 20,000-block
@@ -212,52 +206,67 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, work):
     agree only to rounding, which can flip a decision on an LLR near 0
     and so a simulation result.
     """
-    p, rows = kernel.p, len(groups)
-    # table[2c + h]: the best metric of hypothesis h of candidate c; bit t
-    # owns rows bit[t]. The last bit has one completion per hypothesis,
-    # so its rows are the metrics of the 2^p words.
-    bit = [slice(2 * ((1 << t) - 1), 2 * ((2 << t) - 1)) for t in range(p)]
-    done = bit[-1].start  # the hypotheses of bits 0 .. p-2
-    words = table[bit[-1]]
-    steps = _metric_steps(kernel, groups, [table[b] for b in bit])
-    if mode == "exact":
-        # log-sum-exp over each run, shifted by its best metric
-        shifted = work("metrics", (p - 1, 1 << p, rows), np.float64)
-        total = work("total", (done, rows), np.float64)
-        sums = []
-        for t in range(p - 1):
-            runs = words.reshape(2 << t, 1 << (p - 1 - t), rows)
-            part = shifted[t].reshape(runs.shape)
-            steps.append((np.subtract, (runs, table[bit[t], None], part)))
-            if t == p - 2:  # runs of 2
-                sums.append((np.add, (part[:, 0], part[:, 1], total[bit[t]])))
-            else:
-                sums.append((np.add.reduce, (part, 1, None, total[bit[t]])))
-        steps.append((np.exp, (shifted, shifted)))
-        steps += sums + [
-            (np.log, (total, total)),
-            (np.add, (table[:done], total, table[:done])),
-        ]
+    steps = _best_steps(kernel, mode, groups, table, [2 << t for t in range(kernel.p)], work)
     # The difference goes in place into the even rows, since numpy
     # buffers small operands whose strides differ from the output's.
     llrs = table[0::2]
     return steps + [(np.subtract, (llrs, table[1::2], llrs)), (_clip, (table, _LO, _HI, table))]
 
 
-def _metric_steps(kernel: KernelMatrix, groups, best):
-    """Steps writing into best[p-1], a (2^p, R) array, the metric of each
-    input word of the R blocks of ``groups`` by one np.dot, and into each
-    (2^(t+1), R) best[t] the best metric of each run of bit t, the words
-    after one prefix and hypothesis. A run of bit t is two runs of bit
-    t + 1, so each row of best[t] is one fmax of two rows of best[t+1]."""
-    rows = len(groups)
+def _bit(t):
+    """The table rows of bit t, one per run: 2 (2^t - 1 + v) + h for prefix v and hypothesis h."""
+    return slice(2 * ((1 << t) - 1), 2 * ((2 << t) - 1))
+
+
+def _best_steps(kernel: KernelMatrix, mode, groups, table, runs, work):
+    """Steps writing into ``table``, laid out as llr_candidate_steps' (bit t
+    owns rows _bit(t)), the best metric of each run of the R blocks of
+    ``groups``, for every bit from the first with runs[t] > 0; in exact
+    mode the first runs[t] rows of each bit t < p - 1 then hold the
+    log-sum-exp of their runs. Work arrays "metrics" and "total" come from
+    the WorkArrays ``work``.
+
+    One product with the word table (np.dot, BLAS) forms the metric of
+    each word u = (v, h, c), hypothesis h and completion c, once, into the
+    rows of bit p - 1, which has one completion per hypothesis; the words
+    of one (v, h) are a run of 2^(p-1-t) rows. A run of bit t is two runs
+    of bit t + 1, so each of its best metrics is one fmax of two rows of
+    bit t + 1. A run of 2 takes its log-sum-exp by one add of its two
+    halves, the first plus the second; a longer run reduces along its
+    axis, which numpy adds in sequence. For p <= 3 every metric sums at
+    most 3 exact terms and every run at most 4, so each update has the
+    bits of the block-major rule in any layout and for any R.
+    """
+    p, rows = kernel.p, len(groups)
+    best = [table[_bit(t)] for t in range(p)]
     steps = [(np.dot, (kernel._word_metrics, groups.T, best[-1]))]
-    for t in range(kernel.p - 2, -1, -1):
+    low = next(t for t, n in enumerate(runs) if n)
+    for t in range(p - 2, low - 1, -1):
         pairs = best[t + 1].reshape(2 << t, 2, rows)
         # fmax, not maximum: NaN never reaches a pass (as_llrs), and
         # maximum warns about a positional out
         steps.append((np.fmax, (pairs[:, 0], pairs[:, 1], best[t])))
-    return steps
+    lse = [(t, n, 1 << (p - 1 - t)) for t, n in enumerate(runs[:-1]) if n]
+    if mode != "exact" or not lse:
+        return steps
+    # log-sum-exp over each run, shifted by its best metric; the runs of
+    # all bits lie one after another in "metrics" and in "total"
+    metrics = work("metrics", (sum(n * size for _, n, size in lse), rows), np.float64)
+    total = work("total", (sum(n for _, n, _ in lse), rows), np.float64)
+    sums, heads, word, head = [], [], 0, 0
+    for t, n, size in lse:
+        part = metrics[word : word + n * size].reshape(n, size, rows)
+        steps.append((np.subtract, (best[-1][: n * size].reshape(n, size, rows), best[t][:n, None], part)))
+        out = total[head : head + n]
+        sums.append((np.add, (part[:, 0], part[:, 1], out)) if size == 2 else (np.add.reduce, (part, 1, None, out)))
+        start = _bit(t).start
+        if heads and heads[-1][1] == start:  # one add over adjacent rows
+            heads[-1][1] += n
+        else:
+            heads.append([start, start + n, head])
+        word, head = word + n * size, head + n
+    steps += [(np.exp, (metrics, metrics))] + sums + [(np.log, (total, total))]
+    return steps + [(np.add, (table[a:b], total[o : o + b - a], table[a:b])) for a, b, o in heads]
 
 
 def zero_prefix_steps(kernel: KernelMatrix, mode, groups, out, work):
@@ -268,44 +277,23 @@ def zero_prefix_steps(kernel: KernelMatrix, mode, groups, out, work):
     memory: only the first step reads groups, and only the last steps
     write out. The steps write into out[t] the update of bit t of each
     block whose bits 0 .. t-1 are all known to be 0: row 2 (2^t - 1) of
-    what llr_candidate_steps leaves in its table in the same mode, formed
-    by the same arithmetic in the same order, so bit for bit for p <= 3
-    (llr_candidate_steps states the rest). Work arrays come from the
-    WorkArrays ``work`` under llr_candidate_steps' roles: "candidates", a
-    table of its layout, and in exact mode "metrics" and "total".
+    what llr_candidate_steps leaves in its table in the same mode. Work
+    arrays come from the WorkArrays ``work`` under llr_candidate_steps'
+    roles: "candidates", a table of its layout, and in exact mode
+    "metrics" and "total".
 
-    After the same metric product and pair maxima, bit t reads only the
-    two runs of prefix 0, words 0 .. 2^(p-t) - 1, in place of all 2^(t+1)
-    runs: p candidates per block in place of 2^p - 1.
+    _best_steps forms the log-sum-exp of only the two runs of prefix 0 of
+    each bit t, words 0 .. 2^(p-t) - 1, in place of all 2^(t+1) runs: p
+    candidates per block in place of 2^p - 1.
     """
     p, rows = kernel.p, len(groups)
     table = work("candidates", (2 * ((1 << p) - 1), rows), np.float64)
-    best = [table[2 * ((1 << t) - 1) : 2 * ((2 << t) - 1)] for t in range(p)]
-    steps = _metric_steps(kernel, groups, best)
-    if mode == "exact":
-        # log-sum-exp over the two runs of prefix 0 of each bit but the
-        # last, whose runs are words 0 and 1 themselves
-        shifted = work("metrics", ((2 << p) - 4, rows), np.float64)
-        totals = work("total", (2 * (p - 1), rows), np.float64)
-        sums, start = [], 0
-        for t in range(p - 1):
-            run = 1 << (p - 1 - t)
-            part = shifted[start : start + 2 * run].reshape(2, run, rows)
-            start += 2 * run
-            steps.append((np.subtract, (best[-1][: 2 * run].reshape(2, run, rows), best[t][:2, None], part)))
-            total = totals[2 * t : 2 * t + 2]
-            # in index order, as llr_candidate_steps sums its runs
-            sums.append((np.add, (part[:, 0], part[:, 1], total)) if run == 2 else (np.add.reduce, (part, 1, None, total)))
-        steps += [(np.exp, (shifted, shifted))] + sums + [(np.log, (totals, totals))]
-        k = min(p - 1, 2)  # bits 0 and 1 own table rows 0 .. 3
-        heads = [(table[: 2 * k], totals[: 2 * k])]
-        heads += [(best[t][:2], totals[2 * t : 2 * t + 2]) for t in range(2, p - 1)]
-        steps += [(np.add, (head, total, head)) for head, total in heads]
+    steps = _best_steps(kernel, mode, groups, table, [2] * p, work)
     # bit t's two hypotheses are rows 2 (2^t - 1) and 2 (2^t - 1) + 1
     k = min(p, 2)
     pairs = table[: 2 * k].reshape(k, 2, rows)
     steps.append((np.subtract, (pairs[:, 0], pairs[:, 1], out[:k])))
-    steps += [(np.subtract, (best[t][0], best[t][1], out[t])) for t in range(2, p)]
+    steps += [(np.subtract, (table[_bit(t)][0], table[_bit(t)][1], out[t])) for t in range(2, p)]
     return steps + [(_clip, (out, _LO, _HI, out))]
 
 
@@ -336,7 +324,7 @@ def llr_gather_steps(i, table, known, out, index, offsets):
     bit), an add of the block offsets when R > 1 and a take.
     """
     rows = len(out)
-    choices = table[2 * ((1 << i) - 1) : 2 * ((2 << i) - 1)].reshape(-1)
+    choices = table[_bit(i)].reshape(-1)
     if not i:
         return [(np.copyto, (out, choices[:rows]))]
     index = index[:rows]
@@ -358,11 +346,11 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     kernel outputs. ``ps_rows`` has shape (..., i): per block, the already
     known input bits 0 .. i-1. Returns the LLRs of input bit i, shape
     (...), saturated to +-LLR_MAX, with input bits i+1 .. p-1
-    marginalized out, by the candidate pass and gather the decoder runs.
-    The pass forms all 2^p - 1 candidates of each block to return one
-    bit, so one call costs as much as the candidates of every bit.
-    Blocks are independent. For p <= 3 each one gets exactly the update
-    of a one-block call, whatever the number of blocks in the call
+    marginalized out, by the candidate pass and gather the decoder runs,
+    limited to bit i: the best metrics of bits i .. p-1, then the
+    log-sum-exp and difference of bit i's 2^(i+1) runs alone. Blocks are
+    independent. For p <= 3 each one gets exactly the update of a
+    one-block call, whatever the number of blocks in the call
     (llr_candidate_steps states what differs for larger kernels).
 
     Raises IndexOutOfRange unless i is a whole number in [0, p) (1.0
@@ -386,7 +374,9 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     rows = len(groups)
     table = np.empty((2 * ((1 << kernel.p) - 1), rows))
     out = np.empty(rows)
-    steps = llr_candidate_steps(kernel, mode, groups, table, WorkArrays())
+    llrs = table[_bit(i)][0::2]
+    steps = _best_steps(kernel, mode, groups, table, [2 << i if t == i else 0 for t in range(kernel.p)], WorkArrays())
+    steps += [(np.subtract, (llrs, table[_bit(i)][1::2], llrs)), (_clip, (llrs, _LO, _HI, llrs))]
     steps += llr_gather_steps(i, table, known.astype(np.uint8).reshape(rows, i), out,
                               np.empty(rows, np.intp), np.arange(rows))
     for fn, args in steps:

@@ -301,8 +301,8 @@ def _batch_frames(frames: int, frame_errors: int, target: int) -> int:
 def simulate(config: SimConfig) -> SimResult:
     """Run the Monte-Carlo sweep described by `config`.
 
-    Frames are drawn, encoded and decoded in batches, and counted one by
-    one in order, so each point stops at exactly the frame where it
+    Frames are drawn, encoded and decoded in batches, and counted in
+    frame order, so each point stops at exactly the frame where it
     reaches target_frame_errors or max_frames.
     """
     code = config.code
@@ -337,13 +337,12 @@ def simulate(config: SimConfig) -> SimResult:
             t4 = time.perf_counter()
             draw_s, encode_s, decode_s = draw_s + (t1 - t0) + (t3 - t2), encode_s + (t2 - t1), decode_s + (t4 - t3)
             wrong = np.count_nonzero(u_hat[:, info] != u[:, info], axis=1)
-            for w in wrong.tolist():
-                frames += 1
-                if w:
-                    frame_errors += 1
-                    bit_errors += w
-                    if frame_errors == target:
-                        break
+            errors = np.cumsum(wrong > 0)
+            # the frames up to the one that reaches the target, or all
+            used = min(int(np.searchsorted(errors, target - frame_errors)) + 1, batch)
+            frames += used
+            frame_errors += int(errors[used - 1])
+            bit_errors += int(wrong[:used].sum())
         result.points.append(
             SnrPointResult(
                 ebn0_db=ebn0_db,

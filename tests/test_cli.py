@@ -247,6 +247,7 @@ def test_simulate_snr_comma_list_and_noiseless(capsys, tmp_path):
 def test_bad_arguments_exit_one(capsys, tmp_path):
     assert invoke(capsys)[0] == 1
     assert invoke(capsys, "meminfo", "--kernels", "2,4")[0] == 1
+    assert invoke(capsys, "meminfo", "--kernels", "")[0] == 1
     assert invoke(capsys, "construct", "--kernels", "2,2,3", "--k", "13",
                   "--snr", "1.0")[0] == 1
     path = make_code_file(capsys, tmp_path)

@@ -482,13 +482,40 @@ def test_candidates_are_the_updates_of_every_prefix(p, rows):
                         assert np.abs(got - want).max() <= 1e-12, (t, v, count, mode)
 
 
+@pytest.mark.parametrize("p, rows", [(3, T3), (5, None)], ids=["T3", "lower5"])
+def test_one_bit_update_exponentiates_only_its_own_runs(monkeypatch, p, rows):
+    # A one-bit call forms the log-sum-exp of bit i's 2^(i+1) runs alone,
+    # 2^p words per block, and the last bit, whose runs are single words,
+    # none.
+    k = KernelMatrix(np.tril(np.ones((p, p), dtype=np.uint8)) if rows is None else rows)
+    sizes, exp = [], np.exp
+
+    def counted(x, *args):
+        sizes.append(x.size)
+        return exp(x, *args)
+
+    monkeypatch.setattr(np, "exp", counted)
+    rng = np.random.default_rng(51)
+    for count in (1, 20):
+        llr_rows, _ = update_inputs(rng, count, p, 0)
+        for i in range(p):
+            sizes.clear()
+            llr_kernel_batch(k, i, llr_rows, np.zeros((count, i), dtype=np.uint8))
+            assert sizes == ([(1 << p) * count] if i < p - 1 else []), (count, i)
+
+
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
-@pytest.mark.parametrize("rows", [T2, T3, LOWER3], ids=["T2", "T3", "lower3"])
+@pytest.mark.parametrize(
+    "rows",
+    [T2, T3, LOWER3, np.tril(np.ones((4, 4), dtype=np.uint8)), np.tril(np.ones((5, 5), dtype=np.uint8))],
+    ids=["T2", "T3", "lower3", "lower4", "lower5"],
+)
 def test_zero_prefix_updates_are_the_candidates_after_prefix_zero(rows, mode):
     # out[t] is row 2 (2^t - 1) of the candidate table byte for byte, on
     # tie-prone LLRs, whether out is an array of its own or the memory of
     # groups, as in the level passes of construction and of all-frozen
-    # sub-codes.
+    # sub-codes; for kernels of every size, as both passes bind their
+    # metrics and sums by one core.
     k = KernelMatrix(rows)
     rng = np.random.default_rng(50)
     values = np.array([0.0, 0.7, -0.7, 1.3, -1.3, 2.9, -2.9, 40.0, -40.0])

@@ -140,6 +140,7 @@ def test_simulate_counts_do_not_depend_on_batching(monkeypatch, batch):
     for config in configs:
         got = [(p.frames, p.frame_errors, p.bit_errors) for p in simulate(config).points]
         assert got == per_frame_counts(config)
+        assert all(type(count) is int for counts in got for count in counts)
     assert per_frame_counts(configs[0])[0][0] == 36
     assert per_frame_counts(configs[1])[0][0] == 6
     assert per_frame_counts(configs[2])[0][0] == 30
