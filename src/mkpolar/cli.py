@@ -3,8 +3,8 @@
 Subcommands: meminfo, construct, encode, decode, simulate, digits.
 All output is plain text or CSV on stdout; errors go to stderr, as does
 simulate's line per SNR point (frames, decoded_frames, batches, elapsed_s
-and its draw_s, encode_s and decode_s, frames_per_s and the 95% Wilson
-interval on FER). Exit codes: 0 success, 1
+and its draw_s, encode_s and decode_s, generator_frames, frames_per_s and
+the 95% Wilson interval on FER). Exit codes: 0 success, 1
 malformed arguments, 2 file or parse errors, 3 internal invariant violation.
 Every subcommand is deterministic given its arguments, including seeds.
 """
@@ -228,6 +228,7 @@ def _cmd_simulate(args):
         low, high = _wilson_interval(p.frame_errors, p.frames)
         print(f"ebn0_db={p.ebn0_db} frames={p.frames} decoded_frames={p.decoded_frames} batches={p.batches} "
               f"elapsed_s={p.elapsed_s:.6f} draw_s={p.draw_s:.6f} encode_s={p.encode_s:.6f} decode_s={p.decode_s:.6f} "
+              f"generator_frames={p.generator_frames} "
               f"frames_per_s={p.frames / max(p.elapsed_s, 1e-9):.1f} "
               f"fer_ci95={low:.6g},{high:.6g}", file=sys.stderr)
     return 0

@@ -193,7 +193,7 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     not depend on how frames are batched, and no two seeds share a frame's noise.
     """
     from .decoder import BATCH_LLR_ENTRIES, _check_in, _check_out
-    from .simulation import _frame_generators, _frame_seeds, _noise_variance, _rate, awgn_llrs
+    from .simulation import _FrameNoise, _frame_seeds, _noise_variance, _rate, awgn_llrs
 
     kernels = _as_kernels(kernels)
     n = prod(kern.p for kern in kernels)
@@ -210,7 +210,7 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     batch = max(1, BATCH_LLR_ENTRIES // n)
     for start in range(0, frames, batch):
         count = min(frames - start, batch)
-        rngs = _frame_generators(_frame_seeds((seed,), start, count))
+        rngs = _FrameNoise(_frame_seeds((seed,), start, count))
         llrs = awgn_llrs(np.zeros((count, n), dtype=np.uint8), design_snr_db, rate, rngs)
         program, charged = _check_out(code, count)
         try:

@@ -11,9 +11,13 @@ Two vectorized passes serve a whole batch: numpy's SeedSequence hash
 (O'Neill's seed_seq_fe) over (pool word, frame) arrays gives every
 frame's PCG64 seed words (_frame_seeds), and a jump-ahead of the PCG64
 LCG over (draw, frame) arrays gives every frame's message words
-(_draw_words). Each frame's generator is then built inside its row of
-the noise draw (_frame_generators). A batch's size comes from the errors
-counted so far (_batch_frames).
+(_draw_words). Up to _ZIGGURAT_NORMALS normals per frame, the same
+jump-ahead gives every frame's noise words, and the 98.5% of numpy's
+ziggurat draws that take one word are formed from them at once
+(_frame_normals); a frame with another draw, and every frame of a longer
+code, is drawn by its own generator, built inside its row of the noise
+(_frame_generators). A batch's size comes from the errors counted so far
+(_batch_frames).
 """
 
 import time
@@ -33,6 +37,14 @@ _POOL, _M32, _MIX_L, _MIX_R = 4, 0xFFFFFFFF, np.uint32(0xCA01F9DD), np.uint32(0x
 # PCG64's 128-bit LCG multiplier M, a word mask, and uint64 operands of the jump-ahead.
 _PCG_MULT, _M64 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 64) - 1
 _LOW32, _U1, _U32, _U58, _U63, _U64 = (np.uint64(c) for c in (_M32, 1, 32, 58, 63, 64))
+_PCG_INV = pow(_PCG_MULT, -1, 1 << 128)  # M^-1 mod 2**128
+# numpy's ziggurat: the base layer's right edge r, the mask of a draw's 52 value bits, and
+# the shift and mask of its 9 sign and layer bits.
+_ZIGGURAT_R, _M52, _U9, _U511 = 3.6541528853610088, np.uint64(2**52 - 1), np.uint64(9), np.uint64(511)
+# Most normals per frame that _frame_normals draws from a batch's raw words at once. Per
+# frame of a batch at the entry cap that was 2.2-2.5x as fast as the generators at 12
+# normals, 1.4-1.9x at 18, 1.1-1.3x at 24 and 27, even at 30 and slower from 36.
+_ZIGGURAT_NORMALS = 27
 
 
 @lru_cache
@@ -106,6 +118,19 @@ def _frame_generators(seeds):
     return (np.random.Generator(np.random.PCG64(_Seeded(s))) for s in seeds)
 
 
+@dataclass
+class _FrameNoise:
+    """The generators of a batch's frames, one per row of seed words, as the iterable that
+    awgn_llrs takes. awgn_llrs draws their normals for the whole batch at once
+    (_frame_normals) and adds the frames it drew through a generator to generator_frames."""
+
+    seeds: np.ndarray
+    generator_frames: int = 0
+
+    def __iter__(self):
+        return _frame_generators(self.seeds)
+
+
 @lru_cache
 def _jump_table(words):
     """(2, 4, words + 1, 1) uint64 constants (a, b) of the jumps a s + b inc mod 2**128 that
@@ -155,11 +180,85 @@ def _draw_words(seeds, words: int):
     low += b_low
     high += b_high
     high += low < b_low
+    del b_high, b_low  # so the rotation's temporaries do not raise the peak
     seeds[:, 0], seeds[:, 1] = high[0], low[0]
     high, low = high[1:], low[1:]
     low ^= high
     high >>= _U58
     return np.ascontiguousarray((low >> high | low << (_U64 - high & _U63)).T)
+
+
+@lru_cache
+def _ziggurat():
+    """(w, k): numpy's standard_normal takes a raw word r to x = rabs w[r & 0x1FF] at once iff
+    rabs = r >> 9 & (2**52 - 1) < k[r & 0xFF] (Marsaglia and Tsang, J. Stat. Softw. 2000),
+    so w holds each of the 256 layers' widths and then their negatives, for the sign bit 8.
+
+    Both come from numpy itself, through a generator whose next raw word is set: w[i] is the
+    draw of rabs = 1 in layer i, and k[i] = floor(2**52 w[i-1] / w[i]) - 2, or
+    floor(_ZIGGURAT_R / w[0]) - 2, is kept only if a draw of rabs = k[i] - 1 takes one word,
+    and is 0 otherwise, as numpy's own bound is in layer 1. So no bound is above numpy's.
+    One batch is then checked against its generators, and a mismatch raises.
+    """
+    bits = np.random.PCG64(_Seeded(np.zeros(_POOL, np.uint64)))
+    gen = np.random.Generator(bits)
+
+    def draw(r):  # the next raw word is r, from the state (r - 1) / M, with inc = 1
+        bits.state = {"bit_generator": "PCG64", "state": {"state": (r - 1) * _PCG_INV % (1 << 128), "inc": 1},
+                      "has_uint32": 0, "uinteger": 0}
+        return gen.standard_normal()
+
+    def one_word(r):
+        draw(r)
+        return bits.state["state"]["state"] == r
+
+    w = [draw(1 << 9 | i) for i in range(256)]
+    k = [min(int(ratio) - 2, 1 << 52) for ratio in [_ZIGGURAT_R / w[0]] + [2**52 * a / b for a, b in zip(w, w[1:])]]
+    k = np.array([b if b > 0 and one_word(b - 1 << 9 | i) else 0 for i, b in enumerate(k)] * 2, np.uint64)
+    w = np.array(w + [-x for x in w])
+    seeds = _frame_seeds((0,), 0, 64)
+    got, slow = _ziggurat_draws(seeds, 4, w, k)
+    want = _generator_normals(seeds, 4)
+    got[slow] = want[slow]
+    if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
+        raise RuntimeError("numpy's standard_normal no longer draws by the ziggurat this module reads")
+    return w, k
+
+
+def _ziggurat_draws(seeds, n: int, w, k):
+    """The (F, n) normals whose row f the ziggurat's one-word draws (_ziggurat's w and k) give
+    from the first n raw words of the generator of seed words seeds[f], and the rows with a
+    draw that takes more words, whose values are then not numpy's."""
+    r = _draw_words(seeds.copy(), n)
+    layer = r & _U511
+    r >>= _U9
+    r &= _M52
+    return r * w[layer], np.flatnonzero((r >= k[layer]).any(axis=1))
+
+
+def _frame_normals(seeds, n: int):
+    """The (F, n) standard normals that the generator of each row of seed words draws first
+    (_frame_generators), bit for bit, and how many frames were drawn through that generator.
+
+    Up to _ZIGGURAT_NORMALS normals per frame, the ziggurat's one-word draws come from every
+    frame's raw words at once (_ziggurat_draws), and only a frame with another draw is
+    drawn again whole by its generator; at N = 12, about 17% of frames. Beyond that, each
+    frame is drawn by its generator, whose per-word cost in numpy is below that of the
+    batch's emulated words.
+    """
+    if n > _ZIGGURAT_NORMALS:
+        return _generator_normals(seeds, n), len(seeds)
+    noise, slow = _ziggurat_draws(seeds, n, *_ziggurat())
+    noise[slow] = _generator_normals(seeds[slow], n)
+    return noise, len(slow)
+
+
+def _generator_normals(seeds, n: int):
+    """The (F, n) standard normals that the generator of each row of seed words draws first."""
+    noise = np.empty((len(seeds), n))
+    for row, gen in zip(noise, _frame_generators(seeds)):
+        gen.standard_normal(out=row)
+    return noise
 
 
 def _noise_variance(ebn0_db, rate):
@@ -204,6 +303,9 @@ def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool =
     # lost once the noise is added to +-1
     if isinstance(rng, np.random.Generator):
         noise = rng.standard_normal(bits.shape)
+    elif isinstance(rng, _FrameNoise) and bits.ndim == 2 and len(bits) == len(rng.seeds):
+        noise, drawn = _frame_normals(rng.seeds, bits.shape[1])
+        rng.generator_frames += drawn
     else:
         if bits.ndim != 2:
             raise LengthMismatch(f"generators for codewords of shape {bits.shape}")
@@ -263,6 +365,7 @@ class SnrPointResult:
     draw_s: float  # seeds, message words and channel
     encode_s: float
     decode_s: float  # decode_batch
+    generator_frames: int  # decoded frames whose noise a generator drew (_frame_normals)
 
 
 CSV_HEADER = "ebn0_db,frames,frame_errors,bit_errors,fer,ber"
@@ -289,8 +392,8 @@ def _batch_frames(frames: int, frame_errors: int, target: int) -> int:
     target - frame_errors more frames. Beyond that, it takes the frames
     that the count so far predicts for the rest, counting the errors one
     Poisson standard deviation high, so a batch seldom decodes many frames
-    past the target, which are not counted; a batch costs about 75 N = 12
-    frames however few it holds. While no error is counted, batches double.
+    past the target, which are not counted; a batch costs about 145-195
+    N = 12 frames however few it holds. While no error is counted, batches double.
     """
     floor = target - frame_errors
     if not frame_errors:
@@ -317,6 +420,7 @@ def simulate(config: SimConfig) -> SimResult:
         start = time.perf_counter()
         frames = frame_errors = bit_errors = batches = decoded = 0
         draw_s = encode_s = decode_s = 0.0
+        generator_frames = 0
         while frames < config.max_frames and frame_errors < target:
             batch = _batch_frames(frames, frame_errors, target)
             batch = min(batch, config.max_frames - frames, cap)
@@ -331,7 +435,9 @@ def simulate(config: SimConfig) -> SimResult:
             t1 = time.perf_counter()
             codewords = encode(code, u)
             t2 = time.perf_counter()
-            llrs = awgn_llrs(codewords, ebn0_db, rate, _frame_generators(seeds), noiseless=config.noiseless)
+            noise = _FrameNoise(seeds)
+            llrs = awgn_llrs(codewords, ebn0_db, rate, noise, noiseless=config.noiseless)
+            generator_frames += noise.generator_frames
             t3 = time.perf_counter()
             u_hat = decode_batch(code, llrs, config.mode).u_hat
             t4 = time.perf_counter()
@@ -353,7 +459,7 @@ def simulate(config: SimConfig) -> SimResult:
                 ber=bit_errors / (frames * k) if k else 0.0,
                 elapsed_s=time.perf_counter() - start,
                 batches=batches, decoded_frames=decoded,
-                draw_s=draw_s, encode_s=encode_s, decode_s=decode_s,
+                draw_s=draw_s, encode_s=encode_s, decode_s=decode_s, generator_frames=generator_frames,
             )
         )
     return result

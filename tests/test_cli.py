@@ -215,11 +215,13 @@ def test_simulate_reports_each_point_on_stderr(capsys, tmp_path):
     for row, line in zip(rows, lines):
         fields = dict(item.split("=") for item in line.split())
         assert list(fields) == ["ebn0_db", "frames", "decoded_frames", "batches", "elapsed_s", "draw_s",
-                                "encode_s", "decode_s", "frames_per_s", "fer_ci95"]
+                                "encode_s", "decode_s", "generator_frames", "frames_per_s", "fer_ci95"]
         assert fields["ebn0_db"] == row[0] and fields["frames"] == row[1]
         # frames past the stop are decoded, not counted
         assert int(row[1]) <= int(fields["decoded_frames"]) <= 2 * int(row[1])
         assert 1 <= int(fields["batches"]) <= int(fields["decoded_frames"])
+        # at N = 12 most frames' noise comes from the batch's raw words, the rest from their generators
+        assert 0 < int(fields["generator_frames"]) < int(fields["decoded_frames"]) / 2
         assert float(fields["elapsed_s"]) > 0 and float(fields["frames_per_s"]) > 0
         # the parts of a batch's time: seeds, message words and channel; encode; decode
         parts = [float(fields[name]) for name in ("draw_s", "encode_s", "decode_s")]

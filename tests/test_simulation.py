@@ -248,7 +248,10 @@ def test_awgn_builds_each_generator_inside_its_row():
 
 def test_noiseless_simulate_builds_no_generator(monkeypatch):
     # A noiseless run draws its message words without generators; its
-    # CSV is pinned, and a noisy run builds one generator per frame decoded.
+    # CSV is pinned. A noisy run builds one generator per frame decoded
+    # above the ziggurat crossover (N = 72), and at N = 12 one per frame
+    # that it counts in generator_frames.
+    simulation._ziggurat()  # its probes and check build generators once per process
     built = []
     real_pcg64 = np.random.PCG64
 
@@ -263,7 +266,63 @@ def test_noiseless_simulate_builds_no_generator(monkeypatch):
     assert csv == CSV_HEADER + "\n1.0,2000,0,0,0.0,0.0\n3.5,2000,0,0,0.0,0.0\n"
     assert not built
     points = simulate(SimConfig(code, (1.0,), max_frames=300, target_frame_errors=5, seed=2)).points
-    assert len(built) == points[0].decoded_frames
+    assert len(built) == points[0].decoded_frames == points[0].generator_frames
+    built.clear()
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    points = simulate(SimConfig(code, (1.0,), max_frames=2000, target_frame_errors=20, seed=2)).points
+    assert 0 < len(built) == points[0].generator_frames < points[0].decoded_frames / 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, simulation._ZIGGURAT_NORMALS, simulation._ZIGGURAT_NORMALS + 1, 72])
+def test_frame_normals_are_each_frames_own_draws(n):
+    # A batch's normals are bit for bit what each frame's default_rng([*key, f])
+    # draws after its K message bits, for K = 0 and K = n, for keys with words
+    # of 2**64 and more and for a window across frame 2**32. Up to the
+    # crossover, most frames come from the batch's raw words, the others from
+    # their generators; beyond it, every frame comes from its generator.
+    count, frames, generator_frames = 2000 // n + 50, 0, 0
+    for key, first in (((7001, 1), 0), ((2**64 + 3, 2**70), 2**32 - 40)):
+        for k in (0, n):
+            seeds = simulation._frame_seeds(key, first, count)
+            if k:
+                simulation._draw_words(seeds, -(-k // 8))
+            noise, drawn = simulation._frame_normals(seeds, n)
+            for f in range(count):
+                rng = np.random.default_rng([*key, first + f])
+                rng.integers(0, 2, k, dtype=np.uint8)
+                assert noise[f].view(np.uint64).tolist() == rng.standard_normal(n).view(np.uint64).tolist(), (key, k, f)
+            frames, generator_frames = frames + count, generator_frames + drawn
+    if n <= simulation._ZIGGURAT_NORMALS:
+        assert 0 < generator_frames < frames / 2
+    else:
+        assert generator_frames == frames
+
+
+def test_ziggurat_bounds_are_at_most_numpys():
+    # numpy's bound of each layer, the least rabs whose draw takes more than
+    # one raw word, found by bisection over generators seeded so that their
+    # first raw word is set: every bound of the batch draw is at most
+    # numpy's, every layer that numpy draws from one word is drawn so, and
+    # the widths are numpy's draws of rabs = 1.
+    mult, mask = simulation._PCG_MULT, (1 << 128) - 1
+    inverse = pow(mult, -1, 1 << 128)
+
+    def first_draw(r):  # with inc = 1, seeding lands on S_1 = (s + 1) M + 1 and the draw on S_1 M + 1 = r
+        s = ((r - 1) * inverse - 1) * inverse - 1 & mask
+        bits = np.random.PCG64(simulation._Seeded(np.array([s >> 64, s & (1 << 64) - 1, 0, 0], np.uint64)))
+        return np.random.Generator(bits).standard_normal(), bits.state["state"]["state"] == r
+
+    w, k = simulation._ziggurat()
+    assert np.array_equal(k[:256], k[256:]) and np.array_equal(w[:256], -w[256:])
+    for layer in range(256):
+        low, high = 0, 1 << 52  # numpy's bound is in [low, high]
+        while low < high:
+            mid = (low + high) // 2
+            low, high = (mid + 1, high) if first_draw(mid << 9 | layer)[1] else (low, mid)
+        assert k[layer] <= low, layer
+        assert (k[layer] > 0) == (low > 0), layer
+        if k[layer]:
+            assert first_draw(1 << 9 | layer)[0] == w[layer], layer
 
 
 def test_simulate_takes_few_batches_past_few_frames(monkeypatch):
