@@ -182,9 +182,8 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     the wrong bit while all previous decisions are forced correct: the
     exact-mode decode of the all-frozen code, which folds whole (decoder
     module docstring), so its SC program is one zero-prefix pass per
-    stage and one take. Each batch runs on the program of its size,
-    checked out as decoder._check_out states, and is scored from the
-    program's final-LLR rows in natural bit order.
+    stage and one take. Each batch is scored from the (F, N) final LLRs
+    that decode_batch returns for that code.
     A negative decision LLR scores a whole error, one within GENIE_TIE_TOL
     of 0 half an error: such a bit carries no information, whatever sign
     rounding gives it. The N - k positions with the highest scores are
@@ -192,7 +191,7 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     generator, exactly np.random.default_rng([seed, f]), so the result does
     not depend on how frames are batched, and no two seeds share a frame's noise.
     """
-    from .decoder import BATCH_LLR_ENTRIES, _check_in, _check_out
+    from .decoder import BATCH_LLR_ENTRIES, decode_batch
     from .simulation import _FrameNoise, _frame_seeds, _noise_variance, _rate, awgn_llrs
 
     kernels = _as_kernels(kernels)
@@ -212,14 +211,9 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
         count = min(frames - start, batch)
         rngs = _FrameNoise(_frame_seeds((seed,), start, count))
         llrs = awgn_llrs(np.zeros((count, n), dtype=np.uint8), design_snr_db, rate, rngs)
-        program, charged = _check_out(code, count)
-        try:
-            program.run(code, llrs, "exact")
-            final = program.final_llrs
-            scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=1)
-            scores += (np.abs(final) <= GENIE_TIE_TOL).sum(axis=1)
-        finally:
-            _check_in(program, charged)
+        final = decode_batch(code, llrs).final_llrs
+        scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=0)
+        scores += (np.abs(final) <= GENIE_TIE_TOL).sum(axis=0)
     order = np.argsort(-scores, kind="stable")
     return tuple(sorted(int(i) for i in order[: n - k]))
 

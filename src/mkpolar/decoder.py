@@ -68,8 +68,8 @@ stage alone computes, by the same pass. That holds for kernels of size
 2 and 3, which covers every built-in code; kernels.llr_candidate_steps
 states what differs for larger ones.
 
-A call runs on a program checked out of one cache (_check_out) and
-returns copies; a call with no frames binds none.
+decode_batch takes its program out of one cache (_PROGRAMS) for the
+run, puts it back and returns copies; a call with no frames binds none.
 """
 
 from dataclasses import dataclass
@@ -150,7 +150,12 @@ class DecodeResult:
     stats: DecodeStats
 
 
-# idle bound programs by key (_check_out), least recently used first
+# The idle bound programs of decode_batch, least recently used first, one per
+# key (kernel key, F) for batches of at most BATCH_LLR_ENTRIES LLR entries, so
+# callers that alternate batch sizes bind each size once. A running program is
+# out of the cache, so no two calls run on one program's memory at once. A
+# program stores its charge when it is bound and whenever it binds steps
+# (_charge); after a run that changed it, _evict keeps the cache within CACHE_BYTES.
 _PROGRAMS = {}
 
 
@@ -198,7 +203,6 @@ class _Program:
     """
 
     def __init__(self, code: CodeSpec, frames: int):
-        self.frames, self.key = frames, (_kernel_key(code), frames)
         self.mem = allocate(code, frames)
         # row i holds bit i's decision LLR in every frame
         self.final_llrs = np.empty((code.N, frames))
@@ -457,39 +461,17 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
         raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
     if not len(llrs):  # nothing to decode, so bind no program
         return DecodeResult(np.zeros(llrs.shape, np.uint8), llrs.copy(), _counters(code.bases).copy())
-    program, charged = _check_out(code, len(llrs))
+    key = _kernel_key(code), len(llrs)
+    idle = _PROGRAMS.pop(key, None)
+    program, charged = (_Program(code, len(llrs)), 0) if idle is None else (idle, idle.charge)
     try:
         program.run(code, llrs, mode)
         return DecodeResult(program.mem.decisions.copy(), program.final_llrs.T.copy(), _counters(code.bases).copy())
     finally:
-        _check_in(program, charged)
-
-
-def _check_out(code, frames):
-    """Take the idle program of the code's kernel sequence and F = frames
-    out of the cache, or bind one, for one run; return it and its charge,
-    0 if new.
-
-    The one cache holds the idle programs of decode_batch and of
-    construction, which runs the all-frozen code, under their key (kernel
-    key, F), one per key for batches of at most BATCH_LLR_ENTRIES LLR
-    entries (F * N). So callers that alternate batch sizes bind each size
-    once, and no two calls run on one program's memory at once. _check_in,
-    in a finally clause, puts it back. A program stores its charge when it
-    is bound and whenever it binds steps (_charge); after a run that
-    changed it, the least recently used programs go until the rest charge
-    at most CACHE_BYTES.
-    """
-    program = _PROGRAMS.pop((_kernel_key(code), frames), None)
-    return (_Program(code, frames), 0) if program is None else (program, program.charge)
-
-
-def _check_in(program, charged):
-    """Put a checked-out program back as the most recently used."""
-    if program.final_llrs.size <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
-        _PROGRAMS[program.key] = program
-        if program.charge != charged:  # the run bound it or more of its steps
-            _evict()
+        if llrs.size <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
+            _PROGRAMS[key] = program  # the most recently used
+            if program.charge != charged:  # the run bound it or more of its steps
+                _evict()
 
 
 def _charge(program):

@@ -324,6 +324,17 @@ def test_construct_is_deterministic():
     assert all(0 <= f < 12 for f in a)
 
 
+def test_construct_frozen_sets_are_pinned():
+    # Literal results of three constructions, the first the README's
+    # example; (2,2,2,3,3) with 2000 frames runs batches of 910, 910 and 180.
+    assert construct_frozen_mc(BASES_223, 6, 1.0, 1000, 0) == (0, 1, 2, 3, 4, 6)
+    assert construct_frozen_mc((2, 2, 2, 3, 3), 36, 1.0, 2000, 0) == (
+        *range(26), 27, 28, 36, 37, 38, 39, 40, 42, 45, 54)
+    assert construct_frozen_mc((2, 2, 2, 2, 3, 3), 72, 1.0, 1000, 0) == (
+        *range(32), 33, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 51, 54, 55, 56, 57, 60, 63,
+        72, 73, 74, 75, 76, 77, 78, 79, 80, 81, 82, 83, 84, 87, 90, 91, 92, 93, 108)
+
+
 def test_construct_edge_rates():
     assert construct_frozen_mc(BASES_223, 12, 1.0, 10, 0) == ()
     assert construct_frozen_mc(BASES_223, 0, 1.0, 10, 0) == tuple(range(12))

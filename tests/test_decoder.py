@@ -869,7 +869,7 @@ def test_only_batches_up_to_the_entry_cap_stay_bound(monkeypatch):
     cap = mkpolar.decoder.BATCH_LLR_ENTRIES // CODE_223.N
     key = mkpolar.decoder._kernel_key(CODE_223)
     decode_batch(CODE_223, np.ones((cap, 12)))
-    assert mkpolar.decoder._PROGRAMS[key, cap].frames == cap
+    assert mkpolar.decoder._PROGRAMS[key, cap].final_llrs.shape[1] == cap
     # a larger batch runs on memory of its own, freed when it returns
     decode_batch(CODE_223, np.ones((cap + 1, 12)))
     assert (key, cap + 1) not in mkpolar.decoder._PROGRAMS
@@ -1169,14 +1169,26 @@ def stop_once_halfway(steps):
     steps[k] = stop, step[1]
 
 
+class RecordingCache(dict):
+    """A program cache that records the key of every program put into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts = []
+
+    def __setitem__(self, key, program):
+        self.puts.append(key)
+        super().__setitem__(key, program)
+
+
 def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
     # A run that raises before its steps or partway through them, on a
     # program just bound for a decode or a construction, on a program
     # binding its minsum steps, or on one taken from the cache, puts it back
     # once as the most recently used, charged for what it bound, and the
     # next call matches a run on an empty cache.
-    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
-    cache = mkpolar.decoder._PROGRAMS
+    cache = RecordingCache()
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", cache)
     code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
     llrs = np.random.default_rng(89).normal(1.0, 2.0, (7, 12))
     key = mkpolar.decoder._kernel_key(code)
@@ -1192,12 +1204,8 @@ def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
         cache.clear()
         want.append(run())
     cache.clear()
-    check_ins = []
-    real_check_in, real_steps = mkpolar.decoder._check_in, _Program.steps
-
-    def check_in(program, charged):
-        check_ins.append(program.key)
-        real_check_in(program, charged)
+    cache.puts.clear()
+    real_steps = _Program.steps
 
     def steps(self, mode):  # the steps a run runs
         monkeypatch.setattr(_Program, "steps", real_steps)
@@ -1207,18 +1215,17 @@ def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
         stop_once_halfway(bound)
         return bound
 
-    monkeypatch.setattr(mkpolar.decoder, "_check_in", check_in)
     for (call, where), expected in zip(runs, want):
         for stopped, early in enumerate((True, False, False)):
             monkeypatch.setattr(_Program, "steps", steps)
             with pytest.raises(Stopped):
                 call()
-            assert check_ins == [where] and list(cache)[-1] == where, (where, stopped)
+            assert cache.puts == [where] and list(cache)[-1] == where, (where, stopped)
             assert cache[where].charge == charge(cache[where]), (where, stopped)
             monkeypatch.setattr(_Program, "steps", real_steps)
-            check_ins.clear()
+            cache.puts.clear()
             assert call() == expected, (where, stopped)
-            check_ins.clear()
+            cache.puts.clear()
 
 
 def test_a_binding_stopped_partway_keeps_no_steps(monkeypatch):
