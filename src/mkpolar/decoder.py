@@ -55,8 +55,8 @@ the last row of T_{j+1} x ... x T_s. No step writes its frozen
 decisions, so they stay 0. The pass forms the candidate row of prefix 0
 by the core that binds the candidate pass (kernels._best_steps), the
 row the gathers and walks would read, so outputs do not change. It
-works in the tables of stages j+1 .. s and the work arrays, idle
-meanwhile; stage j's vector is refreshed, or the channel vector
+works in the program's one work pool from stage j+1's candidate table
+on, idle meanwhile; stage j's vector is refreshed, or the channel vector
 ingested, before it is read again. The all-frozen code folds whole, at
 stage 0: its program is the s passes and the take, which is
 genie-aided construction (codes.construct_frozen_mc).
@@ -74,7 +74,7 @@ run, puts it back and returns copies; a call with no frames binds none.
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 import numpy as np
@@ -195,7 +195,9 @@ class _Program:
     """The SC walk of one kernel sequence bound to the memory of F frames.
 
     Each node of the sub-code tree becomes a few (function, args) on views
-    and work arrays fixed here, bound once and reused wherever it recurs. A
+    and work arrays fixed here, bound once and reused wherever it recurs.
+    Every scratch array a bound step uses, a candidate table too, is a view
+    of one grow-only pool, self.work; a walk that grew it binds again. A
     frozen bit decides 0 because its threshold is -inf, or because no step
     writes it, inside a fold. A run sets the thresholds, their copies for
     the candidate rows of each leaf, and the folds from the frozen mask of
@@ -217,20 +219,18 @@ class _Program:
         # before[d]: stage-(s-1) vectors per frame at digits below d
         self.before = before = [sum(1 << b * p for b in range(d)) for d in range(upper + 1)]
         width = before[-1] * frames
-        # stage j's candidates (llr_candidate_steps); stage s's blocks are
-        # the leaf vectors, frame f's vector h in column h F + f
+        # stage a's candidates (llr_candidate_steps), in the pool from starts[a-1];
+        # stage s's blocks are the leaf vectors, frame f's vector h in column h F + f
         widths = [v.size for v in self.mem.llr[1:-1]] + [width]
-        shapes = [(2 * (2**k.p - 1), w) for k, w in zip(code.kernels, widths)]
-        # one buffer, stage after stage: a fold at stage j works in those of stages j+1 .. s
-        self.table_memory = np.empty(sum(map(prod, shapes)))
-        parts = np.split(self.table_memory, np.cumsum([prod(shape) for shape in shapes])[:-1])
-        self.tables = [t.reshape(shape) for t, shape in zip(parts, shapes)]
+        self.shapes = [(2 * (2**k.p - 1), w) for k, w in zip(code.kernels, widths)]
+        self.starts = list(accumulate(map(prod, self.shapes), initial=0))
         self.known = [m.reshape(-1, m.shape[-1]) for m in self.mem.ps[:-1]]  # stage j: (blocks, width)
         self.offsets = np.arange(max(self.mem.llr[1].size, width))
         self.index = np.empty(self.mem.llr[1].size, np.intp)
         self.work, self._bound, self._steps = WorkArrays(), {}, {}
-        # the last walk's folds and REP nodes' first bits; per root stage its digit order, pushed row and fold work
-        self.kernels, self.folds, self.reps, self.orders, self.pushed, self.fold_work = code.kernels, {}, set(), {}, {}, {}
+        self.work("candidates", (self.starts[-1],), np.float64)  # every table at once, so no walk grows it table by table
+        # the last walk's folds and REP nodes' first bits; per root stage its digit order and pushed row
+        self.kernels, self.folds, self.reps, self.orders, self.pushed = code.kernels, {}, set(), {}, {}
         if self.lookahead:
             # stage s-1's table row of entry k of vector h F + f
             rows = _tail_rows(upper, self.leaf)
@@ -253,14 +253,18 @@ class _Program:
         self.walk[0] = self.offsets[:frames]
         _charge(self)
 
+    def _table(self, a):
+        """Stage a's candidate table, a view of the pool."""
+        return self.work("candidates", self.shapes[a - 1], np.float64, self.starts[a - 1])
+
     def _passes(self, a, mode):
         """Stage a's candidate pass, the one step that reads the mode, and
         under the look-ahead the leaf pass over every history (_bind_tail)."""
-        table, kernel = self.tables[a - 1], self.kernels[a - 1]
+        table, kernel = self._table(a), self.kernels[a - 1]
         steps = llr_candidate_steps(kernel, mode, self.mem.llr[a - 1].reshape(-1, kernel.p), table, self.work)
         if self.lookahead and a == self.top:
             steps.append((table.reshape(-1).take, (self.history, None, self.vectors.reshape(-1), "clip")))
-            steps += llr_candidate_steps(self.leaf, mode, self.vectors, self.tables[-1], self.work)
+            steps += llr_candidate_steps(self.leaf, mode, self.vectors, self._table(len(self.shapes)), self.work)
         return steps
 
     def _bind_tail(self, a):
@@ -301,7 +305,7 @@ class _Program:
         s-1's partial-sum matrix. So no tail stage's vector is written, nor
         stage s's partial-sum matrix."""
         (size, frames), p = self.walk.shape, self.leaf.p
-        table, decided = self.tables[-1], self.decided
+        table, decided = self._table(len(self.shapes)), self.decided
         width, rows = table.shape[1], len(decided)
         llrs, successors = table[: 2 * rows : 2], table[1 : 2 * rows : 2].view(np.intp)
         steps = []
@@ -340,31 +344,14 @@ class _Program:
             steps = self._bound[key] = bind()
         return steps
 
-    def _pass(self, a, mode):
-        """Stage a's candidate pass in mode, bound after every pass of the mode
-        has sized the work pool, or steps would keep arrays it outgrew."""
-        if (a, mode) not in self._bound:
-            if not any((c, mode) in self._bound for c in range(1, self.top + 1)):
-                for c in range(1, self.top + 1):
-                    self._passes(c, mode)
-            self._bound[a, mode] = self._passes(a, mode)
-        return self._bound[a, mode]
-
     def _fold(self, j, a, mode):
-        """The zero-prefix passes in mode of every fold at stage j, and the take
-        of their result into the final-LLR rows of the fold from bit a."""
+        """The zero-prefix passes in mode of every fold at stage j, from stage j+1's candidates
+        on, and the take of their result into the final-LLR rows of the fold from bit a."""
         size = self.mem.llr[j].shape[1]
-        if ("fold", j, mode) not in self._bound:
-            lent = WorkArrays(self.work, candidates=self.table_memory[sum(t.size for t in self.tables[:j]) :])
-            work = WorkArrays(lent, **self.fold_work.get(j, {}))
-            self._bound["fold", j, mode] = zero_prefix_stages(self.kernels[j:], mode, self.mem.llr[j].reshape(-1), work)
-            # what neither could lend, shared by the modes: a whole-code fold may follow
-            # no candidate pass and its passes span the channel vector; with kernels of
-            # size 4 and more, folds at other root stages can need more too
-            self.fold_work[j] = {role: x for role, x in work.items() if x is not lent.get(role)}
-            self.orders.setdefault(j, channel_permutation(self.bases[j:]))
-        return self._bound["fold", j, mode] + self._once(("take", j, a), lambda: [(
-            self.mem.llr[j].reshape(size, -1).take, (self.orders[j], 0, self.final_llrs[a : a + size], "clip"))])
+        passes = self._once(("fold", j, mode), lambda: zero_prefix_stages(
+            self.kernels[j:], mode, self.mem.llr[j].reshape(-1), self.work, self.starts[j]))
+        return passes + self._once(("take", j, a), lambda: [(self.mem.llr[j].reshape(size, -1).take, (
+            self.orders.setdefault(j, channel_permutation(self.bases[j:])), 0, self.final_llrs[a : a + size], "clip"))])
 
     def _push(self, kind, j, a, b):
         """The push of the node at stage j from bit a into column b of stage j's
@@ -394,14 +381,15 @@ class _Program:
                 steps += self._once(("decide", last), lambda: [(np.less, (
                     self.final_llrs[last], self.thresholds[last : last + 1], self.mem.decisions.view(np.bool_)[:, last]))])
         elif j == self.top - 1:
-            steps += self._pass(self.top, mode) + self._once(("tail", a), lambda: self._bind_tail(a))
+            steps += self._once((self.top, mode), lambda: self._passes(self.top, mode))
+            steps += self._once(("tail", a), lambda: self._bind_tail(a))
             kind = "product" if self.lookahead else None  # the last stage's tail pushes its own block
         else:
-            steps += self._pass(j + 1, mode)
+            steps += self._once((j + 1, mode), lambda: self._passes(j + 1, mode))
             kind = "product"
             for b in range(bases[j]):
                 steps += self._once(("gather", j + 1, b), lambda: llr_gather_steps(
-                    b, self.tables[j], self.known[j], self.mem.llr[j + 1].reshape(-1), self.index, self.offsets))
+                    b, self._table(j + 1), self.known[j], self.mem.llr[j + 1].reshape(-1), self.index, self.offsets))
                 self._node(j + 1, a + b * size // bases[j], mode, steps)
         if kind and j and last + 1 < len(self.final_llrs):
             b = a // size % bases[j - 1]
@@ -409,12 +397,17 @@ class _Program:
 
     def steps(self, mode):
         """The steps of a run in mode under the last run's mask: the walk of the tree
-        from its root, which records the folds and REP nodes it meets, kept per mode."""
-        if mode not in self._steps:
+        from its root, which records the folds and REP nodes it meets, kept per mode.
+        A walk, whole or stopped, that grew the pool drops every bound step, in both
+        modes, and walks again, which grows nothing: the pool only grows."""
+        while mode not in self._steps:
+            if self.work.grown:
+                self._bound, self._steps, self.work.grown = {}, {}, 0
             self.folds, self.reps, steps = {}, set(), []
             self._node(0, 0, mode, steps)
-            self._steps[mode] = steps  # only once whole
-            _charge(self)
+            if not self.work.grown:
+                self._steps[mode] = steps  # only once whole
+                _charge(self)
         return self._steps[mode]
 
     def run(self, code: CodeSpec, channel_llrs, mode):

@@ -177,14 +177,18 @@ def as_llrs(llrs, what):
 
 class WorkArrays(dict):
     """One grow-only work array per role for every pass bound with it, as bound
-    steps run one at a time: work(role, shape, dtype) is a view of the role's array,
-    first replaced by a larger one if too small, which steps bound before keep alive."""
+    steps run one at a time: work(role, shape, dtype, start) is a view of the role's
+    array from entry start, first replaced by a larger one if too small. grown counts
+    the replacements, after which steps bound before keep the arrays replaced alive."""
 
-    def __call__(self, role, shape, dtype):
-        size = prod(shape)
-        if role not in self or self[role].size < size:
-            self[role] = np.empty(size, dtype)
-        return self[role][:size].reshape(shape)
+    grown = 0
+
+    def __call__(self, role, shape, dtype, start=0):
+        end = start + prod(shape)
+        if role not in self or self[role].size < end:
+            self.grown += role in self
+            self[role] = np.empty(end, dtype)
+        return self[role][start:end].reshape(shape)
 
 
 def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, work):
@@ -269,7 +273,7 @@ def _best_steps(kernel: KernelMatrix, mode, groups, table, runs, work):
     return steps + [(np.add, (table[a:b], total[o : o + b - a], table[a:b])) for a, b, o in heads]
 
 
-def zero_prefix_steps(kernel: KernelMatrix, mode, groups, out, work):
+def zero_prefix_steps(kernel: KernelMatrix, mode, groups, out, work, start=0):
     """The update of every input bit after the all-zero prefix, as steps.
 
     ``groups`` is a C-contiguous (R, p) float64 array of output LLRs per
@@ -279,15 +283,15 @@ def zero_prefix_steps(kernel: KernelMatrix, mode, groups, out, work):
     block whose bits 0 .. t-1 are all known to be 0: row 2 (2^t - 1) of
     what llr_candidate_steps leaves in its table in the same mode. Work
     arrays come from the WorkArrays ``work`` under llr_candidate_steps'
-    roles: "candidates", a table of its layout, and in exact mode
-    "metrics" and "total".
+    roles: "candidates", a table of its layout from entry ``start``, and
+    in exact mode "metrics" and "total".
 
     _best_steps forms the log-sum-exp of only the two runs of prefix 0 of
     each bit t, words 0 .. 2^(p-t) - 1, in place of all 2^(t+1) runs: p
     candidates per block in place of 2^p - 1.
     """
     p, rows = kernel.p, len(groups)
-    table = work("candidates", (2 * ((1 << p) - 1), rows), np.float64)
+    table = work("candidates", (2 * ((1 << p) - 1), rows), np.float64, start)
     steps = _best_steps(kernel, mode, groups, table, [2] * p, work)
     # bit t's two hypotheses are rows 2 (2^t - 1) and 2 (2^t - 1) + 1
     k = min(p, 2)
@@ -297,18 +301,14 @@ def zero_prefix_steps(kernel: KernelMatrix, mode, groups, out, work):
     return steps + [(_clip, (out, _LO, _HI, out))]
 
 
-def zero_prefix_stages(kernels, mode, level, work):
+def zero_prefix_stages(kernels, mode, level, work, start):
     """The zero-prefix pass of each kernel in turn over one C-contiguous
     level array, in place, as steps: F vectors of M entries, (F, M), become
     (b_1, F, M / p_1), then (b_2, b_1, F, M / (p_1 p_2)) and so on, each
     entry the update of bit b_j after the all-zero prefix. Work arrays
-    come from ``work``, the largest passes bound first, so that each role
-    is allocated once."""
-    bound = {}
-    for k in sorted(range(len(kernels)), key=lambda k: -kernels[k].p):
-        p = kernels[k].p
-        bound[k] = zero_prefix_steps(kernels[k], mode, level.reshape(-1, p), level.reshape(p, -1), work)
-    return [step for k in sorted(bound) for step in bound[k]]
+    come from ``work``, the candidates from entry ``start``."""
+    return [step for k in kernels for step in
+            zero_prefix_steps(k, mode, level.reshape(-1, k.p), level.reshape(k.p, -1), work, start)]
 
 
 def llr_gather_steps(i, table, known, out, index, offsets):

@@ -6,12 +6,18 @@ operand, an array as (its base array, byte offset, shape, strides,
 dtype), with base arrays numbered in order of first use within the
 program. It prints the SHA-256 of those lists, and of each program's
 nbytes and charge after every run. Two source trees that print the same
-digests bind the same calls on the same memory. Run from the repository
-root:
+digests bind the same calls on the same memory.
 
-    PYTHONPATH=src python tests/step_digest.py
+steps_each_sha256 digests each list on its own, its base arrays numbered
+afresh, so two trees that lay out the same arrays differently across a
+program's lists still print the same one. --lists PATH writes per list
+its scenario, F, mode order, run index, mode, hash, nbytes and charge as
+JSON, to be diffed against another tree's. Run from the repository root:
+
+    PYTHONPATH=src python tests/step_digest.py [--lists PATH]
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -66,19 +72,29 @@ def scenarios():
 
 
 def main():
-    steps, memory, lists = hashlib.sha256(), hashlib.sha256(), 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--lists", type=Path, help="write each step list's hash and memory as JSON here")
+    args = parser.parse_args()
+    steps, each, memory, lists = hashlib.sha256(), hashlib.sha256(), hashlib.sha256(), []
     for bases, frame_counts, codes in scenarios():
         for frames in frame_counts:
             for modes in MODE_ORDERS:
                 program, numbers = _Program(codes[0], frames), {}
-                for code in codes:
+                for run, code in enumerate(codes):
                     llrs = np.zeros((frames, code.N))
                     for mode in modes:
                         program.run(code, llrs, mode)
                         steps.update(repr(canonical(program.steps(mode), numbers)).encode())
+                        digest = hashlib.sha256(repr(canonical(program.steps(mode), {})).encode()).hexdigest()
+                        each.update(digest.encode())
                         memory.update(repr((program.nbytes, program.charge)).encode())
-                        lists += 1
-    print(json.dumps({"step_lists": lists, "steps_sha256": steps.hexdigest(), "memory_sha256": memory.hexdigest()}))
+                        lists.append({"scenario": repr(bases), "frames": frames, "modes": modes, "run": run,
+                                      "mode": mode, "sha256": digest, "nbytes": program.nbytes,
+                                      "charge": program.charge})
+    if args.lists:
+        args.lists.write_text(json.dumps(lists, indent=0))
+    print(json.dumps({"step_lists": len(lists), "steps_sha256": steps.hexdigest(),
+                      "steps_each_sha256": each.hexdigest(), "memory_sha256": memory.hexdigest()}))
 
 
 if __name__ == "__main__":

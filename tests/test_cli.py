@@ -1,8 +1,10 @@
 """Command-line interface: output formats, exit codes, round trips."""
 
 import argparse
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,9 +307,11 @@ def test_help_exits_zero(capsys):
 
 
 def test_console_entry_point():
+    # the subprocess finds the package in this checkout's src, installed or not
+    path = [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "mkpolar.cli", "meminfo", "--paper-table"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert proc.stdout == PAPER_TABLE

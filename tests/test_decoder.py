@@ -721,10 +721,10 @@ def uncharged_step_arrays(program, code):
 
 @pytest.mark.parametrize("bases", PAPER_CODES)
 def test_bound_steps_use_only_charged_arrays(bases):
-    # A work array that the pool outgrows after a step is bound on it, or
-    # one lent to a fold, stays alive through that step: with steps bound
-    # before the pool was sized, a single-frame (2,2,2,3,3) program kept
-    # 1728 B that its charge did not count.
+    # A work array that the pool outgrows after a step is bound on it stays
+    # alive through that step: with steps bound before the pool was sized,
+    # a single-frame (2,2,2,3,3) program kept 1728 B that its charge did
+    # not count.
     for code in (CodeSpec(bases), CodeSpec(bases, PAPER_FROZEN[bases])):
         for frames in (1, mkpolar.decoder.BATCH_LLR_ENTRIES // code.N):
             for modes in (("exact", "minsum"), ("minsum", "exact")):
@@ -732,6 +732,41 @@ def test_bound_steps_use_only_charged_arrays(bases):
                 for mode in modes:
                     program.run(code, np.zeros((frames, code.N)), mode)
                     assert uncharged_step_arrays(program, code) == [], (code.K, frames, modes, mode)
+
+
+@pytest.mark.parametrize("bases", PAPER_CODES)
+def test_shared_program_memory_does_not_depend_on_the_order_of_use(bases):
+    # Decodes and constructions share a program under (kernel key, F). Its
+    # work pool only grows, and a walk that grows it binds again, so the
+    # program ends holding the same bytes in either order: (2,2,3) at F = 1
+    # held 4582 B decode first and 5094 B frozen first when folds kept work
+    # of their own, and at the cap, no more than the larger program of one
+    # use, where (2,2,2,2,3,3) held 9775707 B against 8203227 B.
+    rng, n = np.random.default_rng(113), CodeSpec(bases).N
+    codes = CodeSpec(bases), CodeSpec(bases, range(n))
+    for frames in (1, mkpolar.decoder.BATCH_LLR_ENTRIES // n):
+        llrs = rng.normal(1.0, 2.0, (frames, n))
+        single, fresh = [], {}
+        for code in codes:
+            program = _Program(code, frames)
+            for mode in ("exact", "minsum"):
+                program.run(code, llrs, mode)
+                fresh[code.K, mode] = program.mem.decisions.copy(), program.final_llrs.copy()
+            single.append(program.nbytes)
+        held = []
+        for order in (codes, codes[::-1]):
+            program = _Program(order[0], frames)
+            for code in order:
+                for mode in ("exact", "minsum"):
+                    program.run(code, llrs, mode)
+                    assert uncharged_step_arrays(program, code) == [], (frames, code.K, mode)
+                    decisions, final_llrs = fresh[code.K, mode]
+                    assert np.array_equal(program.mem.decisions, decisions), (frames, code.K, mode)
+                    assert np.array_equal(program.final_llrs, final_llrs), (frames, code.K, mode)
+            held.append(program.nbytes)
+        assert held[0] == held[1], (frames, held)
+        if frames > 1:
+            assert held[0] <= max(single), (frames, held, single)
 
 
 @pytest.mark.parametrize("bases", PAPER_CODES)
@@ -922,7 +957,7 @@ def test_construction_binds_no_program(monkeypatch):
     # the all-frozen code folds whole at stage 0, so the program it checks
     # out is the genie pass alone. Each binds only the fold's zero-prefix
     # passes and take, with no candidate pass, tail or partial-sum push,
-    # and holds no work arrays of candidate passes.
+    # and its work pool holds only what those passes work in.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     for args in CONSTRUCTIONS:
         construct_frozen_mc(*args)
@@ -930,7 +965,10 @@ def test_construction_binds_no_program(monkeypatch):
     for program in mkpolar.decoder._PROGRAMS.values():
         assert program.folds == {0: 0}
         assert {key[0] for key in program._bound} == {"fold", "take"}
-        assert not program.work
+        operands = [x for steps in program._bound.values() for fn, args in steps
+                    for x in (getattr(fn, "__self__", None), *args) if isinstance(x, np.ndarray)]
+        bases = {id(x if x.base is None else x.base) for x in operands}
+        assert program.work and all(id(x) in bases for x in program.work.values())
 
 
 def test_construction_binds_one_genie_pass_per_kernel_sequence_and_batch(monkeypatch):
@@ -1077,11 +1115,11 @@ def test_two_capped_programs_of_any_paper_code_fit_the_budget():
 
 
 def test_fold_work_is_shared_by_the_modes(monkeypatch):
-    # A fold's own work arrays, what the tables and the pool cannot lend
-    # (kernels of size 4 and more), serve both modes: the capped all-frozen
-    # (3, K4) program charged 13.5 MiB after an exact run, and a second
-    # candidates array for its minsum run took it above CACHE_BYTES, so it
-    # was evicted at once and every call bound it again.
+    # A fold's work arrays are the pool's, which serves both modes: the
+    # capped all-frozen (3, K4) program charged 13.5 MiB after an exact run,
+    # and when its fold kept a second candidates array for its minsum run,
+    # that took it above CACHE_BYTES, so it was evicted at once and every
+    # call bound it again.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     code = CodeSpec((3, K4), range(12))
     frames = mkpolar.decoder.BATCH_LLR_ENTRIES // code.N
