@@ -1,31 +1,37 @@
 """Successive-cancellation decoding on the stage-indexed memory.
 
-SC decoding is a depth-first walk of the sub-code tree. The bits that
-share digits b_1 .. b_j are a sub-code, the node of root stage j decoded
-from stage j's vector at that prefix alone; its p_{j+1} children share
-one more digit. The walk depends only on the kernel sequence, never on
-the data. A node of stage j < s decodes its children in digit order b =
-0 .. p_{j+1} - 1, each after a refresh of stage j+1's vector: entry k is
-the kernel update of input bit b given the contiguous group k*p_{j+1} ..
-(k+1)*p_{j+1} - 1 of stage j's vector and the known sub-block bits in
-columns 0 .. b - 1 of stage j+1's partial-sum matrix. A node of stage s
-is one bit i: frozen, it decides 0, otherwise a negative decision LLR
-decides 1 (tie decides 0), stored in column b_s of stage s's matrix. A
-completed node of stage 1 <= j < s pushes stage j+1's matrix through
-T_{j+1} (kernels.product_steps) into column b_j of stage j's. The node
-that ends the code stores and pushes nothing, which is why the stage-1
-matrix never needs its final column. DecodeStats counts this walk per
-frame by closed forms in the kernel sizes, built once per size tuple
-(_counters): with before_j = p_1 * ... * p_{j-1}, stage j refreshes
-before_j * p_j times and, for j >= 2, pushes before_j - 1 times.
+SC decoding is a depth-first walk of the sub-code tree, the tree of
+constituent codes of Sarkis et al. (IEEE JSAC 2014) with mixed radices.
+The bits that share digits b_1 .. b_j are a sub-code, the node of root
+stage j decoded from stage j's vector at that prefix alone; its p_{j+1}
+children share one more digit. The walk depends only on the kernel
+sequence, never on the data. A node of stage j < s decodes its children
+in digit order b = 0 .. p_{j+1} - 1, each after a refresh of stage j+1's
+vector: entry k is the kernel update of input bit b given the contiguous
+group k*p_{j+1} .. (k+1)*p_{j+1} - 1 of stage j's vector and the known
+sub-block bits in columns 0 .. b - 1 of stage j+1's partial-sum matrix.
+A node of stage s is one bit i: frozen, it decides 0, otherwise a
+negative decision LLR decides 1 (tie decides 0), stored in column b_s of
+stage s's matrix. A completed node of stage 1 <= j < s pushes stage
+j+1's matrix through T_{j+1} (kernels.product_steps) into column b_j of
+stage j's. The node that ends the code stores and pushes nothing, which
+is why the stage-1 matrix never needs its final column. DecodeStats
+counts this walk per frame by closed forms in the kernel sizes, built
+once per size tuple (_counters): with before_j = p_1 * ... * p_{j-1},
+stage j refreshes before_j * p_j times and, for j >= 2, pushes
+before_j - 1 times.
 
 decode_batch runs the walk on the stage memory that memory.allocate
-builds for F frames, and decode is its F = 1 case. _Program binds it to
-that memory once per kernel sequence and F, node by node from the tree:
-each node becomes a few in-place numpy calls on fixed views, so a run
-creates no views. It still allocates numpy's buffers for calls whose
-inputs are broadcast or strided unlike their output: a warm decode at
-N = 972 peaks at about 16.5 KiB under tracemalloc, its results included.
+builds for F frames side by side, so a batch costs one numpy call per
+step, not one per frame (inter-frame vectorization, as in Le Gal, Leroux
+and Jego, IEEE TSP 2015), and decode is its F = 1 case. _Program binds
+the walk to that memory once per kernel sequence and F, node by node
+from the tree: each node becomes a few in-place numpy calls on fixed
+views and shared work arrays, each bound once wherever it recurs, so a
+run creates no views. It still allocates numpy's buffers for calls whose
+inputs are broadcast or strided unlike their output, up to 16.4 KB for a
+broadcast subtract of an exact-mode pass: a warm decode at N = 972 peaks
+at about 16.5 KiB under tracemalloc, its results included.
 
 One rule binds every refresh above the tail. Stage j-1 does not change
 while stage j runs through its digits b = 0 .. p_j - 1, so at b = 0 one
@@ -33,33 +39,58 @@ pass of kernels.llr_candidate_steps fills the stage's candidate table
 with the update of every bit t of each of its R = F * p_{j+1} * ... *
 p_s blocks under every known prefix v, the blocks innermost. Then
 kernels.llr_gather_steps refreshes the vector at each digit b, reading
-each block's prefix from columns 0 .. b-1 of the partial-sum matrix.
+each block's prefix from columns 0 .. b-1 of the partial-sum matrix. So
+a kernel block is one unit, as Fast-SSC decoders treat small constituent
+codes (Sarkis et al., IEEE JSAC 2014), without leaving exact SC; and as
+the R blocks of all F frames lie innermost in every work array, each
+call works on whole rows at any F.
 
 The tail, the last stage alone or, under the look-ahead, the last two,
 is decided a block of bits at a time by a walk down the candidates of
 stage s's table into mem.decisions, which writes no tail stage's vector
 nor stage s's partial-sum matrix: _Program._bind_tail states how.
 
-Rate-0 and REP nodes fold. If all bits of a node are frozen (Rate-0)
-or all but the last (REP; Sarkis et al., IEEE JSAC 2014), each is
-decided after the all-zero prefix inside it, so its LLR is the update
-after that prefix: one kernels.zero_prefix_steps pass per stage over
-every prefix at once forms them all. The walk meets the largest such
-node first; if its root stage is 0 <= j < top, so whole tail blocks, it
-binds in place of the node's subtree those passes of stages j+1 .. s
-over stage j's vector (the frames one more prefix axis), in place, one
-take of the digit-reversed result into its final-LLR rows
-(_Program._fold), a REP node's less of its last bit and, for the push
-into stage j >= 1, a zero fill of that column or the REP decision times
-the last row of T_{j+1} x ... x T_s. No step writes its frozen
-decisions, so they stay 0. The pass forms the candidate row of prefix 0
-by the core that binds the candidate pass (kernels._best_steps), the
-row the gathers and walks would read, so outputs do not change. It
-works in the program's one work pool from stage j+1's candidate table
-on, idle meanwhile; stage j's vector is refreshed, or the channel vector
-ingested, before it is read again. The all-frozen code folds whole, at
-stage 0: its program is the s passes and the take, which is
-genie-aided construction (codes.construct_frozen_mc).
+Rate-0 and REP nodes fold. If all bits of a node are frozen (Rate-0) or
+all but the last (REP; Sarkis et al., IEEE JSAC 2014; Hanif and
+Ardakani, IEEE Comm. Lett. 2017), each is decided after the all-zero
+prefix inside it, so its LLR is the update after that prefix: one
+kernels.zero_prefix_steps pass per stage over every prefix at once forms
+them all. The walk meets the largest such node first; if its root stage
+is 0 <= j < top, so whole tail blocks, it binds in place of the node's
+subtree those passes of stages j+1 .. s over stage j's vector (the
+frames one more prefix axis), in place, one take of the digit-reversed
+result into its final-LLR rows (_Program._fold), a REP node's less of
+its last bit and, for the push into stage j >= 1, a zero fill of that
+column or the REP decision times the last row of T_{j+1} x ... x T_s:
+the Kronecker product of the kernels' last rows in reverse kernel order,
+to match the column's digit-reversed entries (all ones for T2, [0, 1, 1]
+for T3). No step writes its frozen decisions, so they stay 0. The pass
+forms the candidate row of prefix 0 by the core that binds the candidate
+pass (kernels._best_steps), the row the gathers and walks would read, so
+outputs do not change. It works in the program's one work pool from
+stage j+1's candidate table on, over the tables of stages j+1 .. s, idle
+meanwhile, and the shared metrics and total; stage j's vector is
+refreshed, or the channel vector ingested, before it is read again.
+Where a fold needs more, the pool grows and the program binds again
+(_Program.steps). With kernels of size 2 and 3 only a whole-code fold
+grows it: each of its passes spans the whole channel vector, so a pass
+of T3 there needs 4 F N metrics floats where the stage-1 candidate pass
+of T2 needs 2 F N. A construction on the capped (2,2,2,2,3,3) decode
+program grows its metrics from 1.0 to 2.0 MiB, its total from 0.5 to
+0.667 MiB and its arrays from 6.66 to 7.82 MiB. With kernels of size 4
+and more, folds at other root stages can grow it too. The all-frozen
+code folds whole, at stage 0: its program is the s passes and the take,
+which is genie-aided construction (codes.construct_frozen_mc).
+
+With the benchmark's decode-paper frozen sets (K = N/2), 31-50% of each
+paper code's bits lie in folds at F = 1 and 44-50% at the batch cap, and
+a single-frame decode makes 4.6-6.5 numpy calls per bit in exact mode
+and 3.1-4.3 in minsum mode, 13-29% fewer than with no frozen bit. On the
+benchmark's decode-paper workload Rate-0 folds raised single-frame
+decoding from 204k to 244k bits/s (1.19x, medians of 10 pairs,
+BENCH_23.json), and REP folds with the unbuffered parity mask
+(kernels.product_steps) from 243k to 267k (1.10x, medians of 10 pairs,
+BENCH_26.json).
 
 Results are bit for bit those of the block-major update rule, one
 update per bit on output LLRs flipped by the sign of the known
@@ -94,7 +125,9 @@ BATCH_LLR_ENTRIES = 1 << 16
 # (3,2) and (3,3) tails; its leaf work grows with the candidates, not the vectors.
 LOOKAHEAD_CANDIDATES = 2560
 STEP_BYTES = 400  # the Python objects of one bound step: measured 285-430 B
-CACHE_BYTES = 16 << 20  # two capped programs of any paper code charge at most 16.3 MB
+# Two capped programs of any paper code, bound in both modes, charge at most
+# 15,899,814 B (15.16 MiB): (2,2,3,3,3,3,3) 7.98 MiB and (2,2,2,2,2,2,2,3) 7.18 MiB.
+CACHE_BYTES = 16 << 20
 
 
 @dataclass
@@ -152,10 +185,17 @@ class DecodeResult:
 
 # The idle bound programs of decode_batch, least recently used first, one per
 # key (kernel key, F) for batches of at most BATCH_LLR_ENTRIES LLR entries, so
-# callers that alternate batch sizes bind each size once. A running program is
-# out of the cache, so no two calls run on one program's memory at once. A
-# program stores its charge when it is bound and whenever it binds steps
-# (_charge); after a run that changed it, _evict keeps the cache within CACHE_BYTES.
+# callers that alternate batch sizes, such as single-frame decodes between the
+# capped batches of a simulate run, bind each size once. Decodes and
+# constructions share it: a construction runs on the program of a decode with
+# its kernels and F, and the other way round. A running program is out of the
+# cache, so no two calls run on one program's memory at once; it goes back when
+# the run returns or raises. A program stores its charge when it is bound and
+# whenever it binds steps (_charge); after a run that changed it, _evict keeps
+# the cache within CACHE_BYTES. On the paper codes a capped construction program
+# charges 7.7-7.9 MiB in exact mode. A sweep over F = 1, 2, 3, ... on one code
+# kept at most 16.9, 16.1 and 16.2 MiB under tracemalloc for N = 12 (F up to
+# 200), 144 (F up to 60) and 972 (F up to 20).
 _PROGRAMS = {}
 
 
@@ -202,6 +242,21 @@ class _Program:
     writes it, inside a fold. A run sets the thresholds, their copies for
     the candidate rows of each leaf, and the folds from the frozen mask of
     the code it decodes, unless the last run had that same read-only mask.
+    So its step lists depend on the frozen set: it keeps one per mode for
+    the mask it last ran, and on another mask walks the tree again, finding
+    the folds as it goes and reusing every step it has bound.
+
+    The tables buy speed with memory beyond the paper's layout. Counted
+    over the distinct arrays it holds bound in both modes (nbytes), a
+    capped program holds 5.8-6.2 times the bytes of allocate(code, F) on the
+    paper codes, and at F = 1 7.4-26.1 times: 33 KiB at N = 72, small in
+    bytes but large against a layout of 1.3 KiB. At F = 1 the look-ahead
+    adds its table of 2 (2^P - 1) floats per frame (8 KiB for P = 9), its
+    vectors and the wider work arrays of its leaf pass, and the walk its
+    decided candidates (one byte each), the thresholds of each leaf's
+    candidate rows and the walked entries. Beyond the pool it holds a
+    digit order per fold root stage and a row per REP root stage.
+    memory.memory_report, and so meminfo, counts only the paper's layout.
     """
 
     def __init__(self, code: CodeSpec, frames: int):
@@ -303,7 +358,17 @@ class _Program:
         the candidates and the rule of one bit at a time. Unless the block
         ends the code, one product with T_s then fills its columns of stage
         s-1's partial-sum matrix. So no tail stage's vector is written, nor
-        stage s's partial-sum matrix."""
+        stage s's partial-sum matrix.
+
+        Single-frame decodes of the paper codes take the look-ahead, and the
+        capped batches of simulate decide the last stage alone. On the five paper codes with no
+        frozen bit a single-frame decode makes 6.3-8.8 numpy calls per bit
+        in exact mode and 4.3-5.9 in minsum mode, where a matmul, a take and
+        a less per tail bit made 7.5-10.1 and 5.6-7.3. On the benchmark's
+        decode-paper workload the look-ahead raised single-frame decoding
+        from 115k to 152k bits/s (medians of 11 pairs, BENCH_11.json), and
+        the walk in place of the per-bit rule from 153k to 174k (1.14x,
+        medians of 10 pairs, BENCH_19.json)."""
         (size, frames), p = self.walk.shape, self.leaf.p
         table, decided = self._table(len(self.shapes)), self.decided
         width, rows = table.shape[1], len(decided)
@@ -468,9 +533,10 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
 
 
 def _charge(program):
-    """Store a program's nbytes, the distinct base arrays it holds, and its
-    charge: nbytes plus STEP_BYTES per bound step, for the step's Python
-    objects, views and few-byte weights."""
+    """Store a program's nbytes, the distinct base arrays it holds (for an SC
+    program its stage memory, work pool, index and final-LLR arrays and the
+    look-ahead's arrays), and its charge: nbytes plus STEP_BYTES per bound
+    step, for the step's Python objects, views and few-byte weights."""
     todo = [v for k, v in vars(program).items() if k not in ("_bound", "_steps")]
     arrays = {}
     while todo:

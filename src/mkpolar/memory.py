@@ -5,10 +5,14 @@ stage j holds p_{j+1} * ... * p_s entries, so the vectors shrink from N
 down to a single decision LLR. Partial sums live in one bit matrix per
 stage, width p_j and depth p_{j+1} * ... * p_s, except stage 1 whose
 matrix is one column narrower (p_1 - 1): its final column would only be
-needed after the last bit, which terminates the decode instead. A naive
-layout keeps s + 1 full-length LLR vectors and s full-length bit vectors.
-_layout states these sizes once: allocate's arrays and memory_report's
-counts both read it.
+needed after the last bit, which terminates the decode instead. So the
+LLR entries, N + N/p_1 + ... + 1, stay below 2N, where a naive layout
+keeps s + 1 full-length LLR vectors, N (s + 1) entries, and s
+full-length bit vectors. _layout states these sizes once: allocate's
+arrays and memory_report's counts both read it, so the counts are the
+sizes of allocate's arrays by construction. memory_report, and the
+meminfo command, count only this layout, not the tables and work arrays
+of the decoder's bound program (decoder._Program).
 
 allocate builds this memory for F frames at once, each array with a
 leading frame axis (the inter-frame layout): ``ps[j-1][f, k, c]`` is the

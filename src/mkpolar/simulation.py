@@ -4,9 +4,11 @@ BPSK mapping is symbol = 1 - 2*bit; with Eb/N0 given in dB and code rate
 R = K/N the noise variance is sigma^2 = 1 / (2 * R * 10^(Eb/N0 / 10)) and
 the channel LLR of an observation y is 2*y / sigma^2, saturated to
 +-LLR_MAX. Frame f of SNR point n draws from exactly
-np.random.default_rng([seed, n, f]), so with kernels of size 2 and 3,
-those of every code file, results do not depend on how the frames are
-batched (kernels.llr_candidate_steps has the caveat for larger kernels).
+np.random.default_rng([seed, n, f]): its message bits, what that
+generator's integers(0, 2, K, np.uint8) returns, then its noise. So
+with kernels of size 2 and 3, those of every code file, results do not
+depend on how the frames are batched (kernels.llr_candidate_steps has
+the caveat for larger kernels).
 Two vectorized passes serve a whole batch: numpy's SeedSequence hash
 (O'Neill's seed_seq_fe) over (pool word, frame) arrays gives every
 frame's PCG64 seed words (_frame_seeds), and a jump-ahead of the PCG64
@@ -16,8 +18,28 @@ jump-ahead gives every frame's noise words, and the 98.5% of numpy's
 ziggurat draws that take one word are formed from them at once
 (_frame_normals); a frame with another draw, and every frame of a longer
 code, is drawn by its own generator, built inside its row of the noise
-(_frame_generators). A batch's size comes from the errors counted so far
-(_batch_frames).
+(_frame_generators), so a batch holds one generator at a time and a
+noiseless run builds none. A batch's size comes from the errors counted
+so far (_batch_frames).
+
+What a frame of a batch at the entry cap costs, in us, measured in exact
+mode on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4) in two runs; in
+brackets, the per-frame calls they replaced: default_rng for the
+generators, each generator's random_raw for the message bits (and
+integers before that), and for encode the tensordot encoder that
+kernels.product_steps replaced (minimum of 7 x 5 calls; the message bits
+are the median of 7 batches). The seed hash is _pcg64_seeds'. The
+generators are PCG64 and Generator construction from the precomputed
+words, inside the channel draw, one row at a time. The N = 12 row was
+measured with the batch noise draw (median of 7 batches, two processes):
+its generators are those of the ~17% of frames drawn again whole, built
+and drawn, its channel the batch's ziggurat draw and the scaling, and in
+brackets a generator and a standard_normal call for every frame.
+
+    N (F)      seed hash  generators           message bits                   encode               channel          decode
+    12 (5461)  0.05       0.49-0.57 (3.1-3.4)  0.06-0.07 (1.2-1.4; 7.5-10.5)  0.15-0.19 (0.4-0.6)  0.86-0.88 (3.0)  0.7-0.8
+    144 (455)  0.22       1.6-2.8 (17-22)      0.51-0.57 (1.0-1.4; 6.7-10.2)  2.9-3.0 (9.6-13)     8.5-10           26-37
+    972 (67)   1.1        1.8-2.3 (13)         3.3-3.4 (1.5-2.2; 7.6-8.4)     24 (74-98)           45-49            550-590
 """
 
 import time
@@ -71,7 +93,14 @@ def _hash(x, xor, mult, out=None):
 def _pcg64_seeds(words):
     """SeedSequence(entropy).generate_state(4, np.uint64) of many entropies at
     once, one row each: column f of the (n >= 4, F) uint32 words is entropy f,
-    zero-padded to 4 words as SeedSequence pads. Steps work on (pool word, entropy) arrays."""
+    zero-padded to 4 words as SeedSequence pads. Steps work on (pool word, entropy) arrays:
+    each source word is hashed against its 3 or 4 destination words in one op, and the 8
+    output words in two, with constants tabulated once per word count (_hash_table), about
+    60 numpy calls per batch. One word row at a time, about 200 calls, the hash took 0.07,
+    0.48-0.51 and 3.0 us per frame at the cap for N = 12, 144 and 972, against the module
+    docstring's 0.05, 0.22 and 1.1, and 198-203 us for a one-frame batch against 65-67 us
+    (minimum of 7 x 20 calls, two runs). It still costs more per frame in the small batches
+    of long codes."""
     xor, mult = _hash_table(len(words))
     pool = _hash(words[:_POOL], xor[0], mult[0])
     for src in range(len(words)):
@@ -170,7 +199,13 @@ def _draw_words(seeds, words: int):
     numpy seeds PCG64 from words (s_high, s_low, q_high, q_low) as inc = 2 q + 1 and state
     S_1 = (s + inc) M + inc, and a draw steps the state S to S M + inc and outputs the XSL-RR
     rotation of its words (O'Neill, HMC-CS-2014-0905). Seeding with S_words - inc lands on
-    S_(words + 1), the state after the words. Every operand is uint64.
+    S_(words + 1), the state after the words. Every operand is uint64. The constants are
+    tabulated once per word count (_jump_table), so the numpy calls do not depend on it.
+
+    At the entry cap the jump-ahead takes about 220-330 us per batch, a fixed number of
+    numpy calls over (words + 1) F words. So it gains most in the wide batches of short
+    codes; at N = 972 it costs about 1-2 us more per frame than random_raw, under 1% of the
+    frame.
     """
     s_high, s_low, q_high, q_low = seeds.T.copy()
     inc_high, inc_low = q_high << _U1 | q_low >> _U63, q_low << _U1 | _U1
@@ -245,6 +280,12 @@ def _frame_normals(seeds, n: int):
     drawn again whole by its generator; at N = 12, about 17% of frames. Beyond that, each
     frame is drawn by its generator, whose per-word cost in numpy is below that of the
     batch's emulated words.
+
+    A criterion-10 run (N = 12, 7331 frames) took 2.3-2.4 us per frame (minimum of 5 runs,
+    two processes), against 3.4-3.6 us with a generator and a standard_normal call for
+    every frame (5.3-6.0 us when that was measured before, 44-45 us with a default_rng per
+    frame). 59% of it is draw_s (72% with a generator per frame); 1240 of its 7390 decoded
+    frames were drawn by their generators.
     """
     if n > _ZIGGURAT_NORMALS:
         return _generator_normals(seeds, n), len(seeds)
@@ -394,6 +435,19 @@ def _batch_frames(frames: int, frame_errors: int, target: int) -> int:
     Poisson standard deviation high, so a batch seldom decodes many frames
     past the target, which are not counted; a batch costs about 145-195
     N = 12 frames however few it holds. While no error is counted, batches double.
+    simulate caps a batch at BATCH_LLR_ENTRIES / N frames. Frames past the
+    stop are decoded but not counted, so the CSV does not depend on the rule.
+
+    The rule trades a few uncounted frames for fewer batches. On the
+    benchmark's full simulation ((2,2,3) at 0 and 4 dB to 100 errors, seeds
+    1-8) it took 66 batches and decoded 54,620 frames for 53,363 counted,
+    where asking for half the predicted frames took 141 batches and 53,555
+    frames. A prediction from very few errors can still overshoot: with the
+    code of `mkpolar construct --kernels 2,2,3 --k 6 --snr 1.0 --frames 1000
+    --seed 0`, the 2 dB point of `mkpolar simulate --snr 0:1:4
+    --target-errors 100` counts 2 errors in its first 100 frames, which size
+    its second batch at 2871 frames (the halved rule asked for 2450), so it
+    decodes 2971 frames to count 1309.
     """
     floor = target - frame_errors
     if not frame_errors:

@@ -1,9 +1,9 @@
 """The size of the package source, by two counts.
 
-Prints the lines of src/mkpolar as `wc -l` counts them, and the lines that
+Prints the lines of src/mkpolar as `wc -l` counts them, the lines that
 hold code: not blank, not only a comment and not part of a docstring (the
-string that opens a module, class or function body). Run from the
-repository root:
+string that opens a module, class or function body), and the lines of
+README.md as `wc -l` counts them. Run from the repository root:
 
     python tests/src_lines.py
 """
@@ -14,7 +14,8 @@ import json
 import tokenize
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "mkpolar"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "mkpolar"
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -41,7 +42,9 @@ def code_lines(text):
 
 def main():
     texts = [path.read_text() for path in sorted(SOURCE.glob("*.py"))]
-    print(json.dumps({"wc_l": sum(text.count("\n") for text in texts), "code": sum(map(code_lines, texts))}))
+    readme = (ROOT / "README.md").read_text().count("\n")
+    print(json.dumps({"wc_l": sum(text.count("\n") for text in texts), "code": sum(map(code_lines, texts)),
+                      "readme": readme}))
 
 
 if __name__ == "__main__":

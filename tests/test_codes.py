@@ -1,6 +1,7 @@
 """Mixed-radix indexing, encoding, permutation, construction, code files."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mkpolar import (
     parse_code_file,
     save_code,
 )
+import mkpolar.decoder
 from mkpolar import simulation
 from oracles import (
     TooLarge,
@@ -355,6 +357,25 @@ def test_construct_counts_genie_ties_as_half_errors():
     for seed in (0, 1, 7):
         frozen = construct_frozen_mc((2, 2, 2, 2, 3, 3), 72, 1.0, 200, seed)
         assert 0 in frozen
+
+
+def test_construct_scores_an_error_twice_a_tie(monkeypatch):
+    # One frame of crafted genie decision LLRs: position 4 argues for the
+    # wrong bit (an error, score 2) and the lower position 1 is a tie
+    # (score 1); every other position argues for the sent 0. With one bit to
+    # freeze it must be position 4: were an error scored 1 like a tie, the
+    # tie break toward the lower index would freeze position 1.
+    final = np.full((1, 6), 5.0)
+    final[0, 4], final[0, 1] = -1.0, 0.0
+    calls = []
+
+    def crafted_decode_batch(code, llrs):
+        calls.append(llrs.shape)
+        return SimpleNamespace(final_llrs=final.copy())
+
+    monkeypatch.setattr(mkpolar.decoder, "decode_batch", crafted_decode_batch)
+    assert construct_frozen_mc((2, 3), 5, 1.0, 1, 0) == (4,)
+    assert calls == [(1, 6)]
 
 
 def test_construct_seeds_share_no_frame(monkeypatch):
