@@ -169,8 +169,10 @@ GENIE_TIE_TOL = 1e-12
 
 @lru_cache(maxsize=32)
 def _all_frozen(kernels):
-    """The all-frozen code of a kernel sequence, built once: a program that
-    runs the same read-only mask again keeps its thresholds and folds."""
+    """The all-frozen code of a kernel sequence, built once. decode_batch
+    finds its program by the frozen tuple, so a fresh code would find it as
+    well; the cache only saves building the code, 45-51 us at N = 144
+    against 0.64-0.74 ms for a 40-frame construction."""
     return CodeSpec(kernels, range(prod(k.p for k in kernels)))
 
 

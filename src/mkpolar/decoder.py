@@ -25,10 +25,10 @@ decode_batch runs the walk on the stage memory that memory.allocate
 builds for F frames side by side, so a batch costs one numpy call per
 step, not one per frame (inter-frame vectorization, as in Le Gal, Leroux
 and Jego, IEEE TSP 2015), and decode is its F = 1 case. _Program binds
-the walk to that memory once per kernel sequence and F, node by node
-from the tree: each node becomes a few in-place numpy calls on fixed
-views and shared work arrays, each bound once wherever it recurs, so a
-run creates no views. It still allocates numpy's buffers for calls whose
+the walk to that memory once per code and F, node by node from the
+tree: each node becomes a few in-place numpy calls on fixed views and
+shared work arrays, each bound once wherever it recurs, so a run
+creates no views. It still allocates numpy's buffers for calls whose
 inputs are broadcast or strided unlike their output, up to 16.4 KB for a
 broadcast subtract of an exact-mode pass: a warm decode at N = 972 peaks
 at about 16.5 KiB under tracemalloc, its results included.
@@ -75,12 +75,12 @@ Where a fold needs more, the pool grows and the program binds again
 (_Program.steps). With kernels of size 2 and 3 only a whole-code fold
 grows it: each of its passes spans the whole channel vector, so a pass
 of T3 there needs 4 F N metrics floats where the stage-1 candidate pass
-of T2 needs 2 F N. A construction on the capped (2,2,2,2,3,3) decode
-program grows its metrics from 1.0 to 2.0 MiB, its total from 0.5 to
-0.667 MiB and its arrays from 6.66 to 7.82 MiB. With kernels of size 4
-and more, folds at other root stages can grow it too. The all-frozen
-code folds whole, at stage 0: its program is the s passes and the take,
-which is genie-aided construction (codes.construct_frozen_mc).
+of T2 needs 2 F N. With kernels of size 4 and more, folds at other root
+stages can grow it too. The all-frozen code folds whole, at stage 0: its
+program is the s passes and the take, which is genie-aided construction
+(codes.construct_frozen_mc). As a program is bound for one frozen set,
+that fold's work lies in the construction's program alone, never in a
+decode's.
 
 With the benchmark's decode-paper frozen sets (K = N/2), 31-50% of each
 paper code's bits lie in folds at F = 1 and 44-50% at the batch cap, and
@@ -184,11 +184,11 @@ class DecodeResult:
 
 
 # The idle bound programs of decode_batch, least recently used first, one per
-# key (kernel key, F) for batches of at most BATCH_LLR_ENTRIES LLR entries, so
-# callers that alternate batch sizes, such as single-frame decodes between the
-# capped batches of a simulate run, bind each size once. Decodes and
-# constructions share it: a construction runs on the program of a decode with
-# its kernels and F, and the other way round. A running program is out of the
+# key (kernel key, frozen set, F) for batches of at most BATCH_LLR_ENTRIES LLR
+# entries (_key), so callers that alternate batch sizes, such as single-frame
+# decodes between the capped batches of a simulate run, bind each size once.
+# Each program serves one code: a construction runs on the all-frozen code's
+# program, never on a decode's. A running program is out of the
 # cache, so no two calls run on one program's memory at once; it goes back when
 # the run returns or raises. A program stores its charge when it is bound and
 # whenever it binds steps (_charge); after a run that changed it, _evict keeps
@@ -199,8 +199,10 @@ class DecodeResult:
 _PROGRAMS = {}
 
 
-def _kernel_key(code: CodeSpec):
-    return tuple(k.key for k in code.kernels)
+def _key(code: CodeSpec, frames):
+    """The cache key of code's program for frames. It holds the frozen tuple,
+    not the mask's bytes, so that a call allocates nothing for it."""
+    return tuple(k.key for k in code.kernels), code.frozen, frames
 
 
 @lru_cache
@@ -232,19 +234,18 @@ def _tail_rows(digits, leaf):
 
 
 class _Program:
-    """The SC walk of one kernel sequence bound to the memory of F frames.
+    """The SC walk of one code bound to the memory of F frames.
 
     Each node of the sub-code tree becomes a few (function, args) on views
     and work arrays fixed here, bound once and reused wherever it recurs.
     Every scratch array a bound step uses, a candidate table too, is a view
     of one grow-only pool, self.work; a walk that grew it binds again. A
     frozen bit decides 0 because its threshold is -inf, or because no step
-    writes it, inside a fold. A run sets the thresholds, their copies for
-    the candidate rows of each leaf, and the folds from the frozen mask of
-    the code it decodes, unless the last run had that same read-only mask.
-    So its step lists depend on the frozen set: it keeps one per mode for
-    the mask it last ran, and on another mask walks the tree again, finding
-    the folds as it goes and reusing every step it has bound.
+    writes it, inside a fold, where it keeps the 0 that allocate gave it.
+    The thresholds, their copies for the candidate rows of each leaf, and
+    the frozen mask that the walk finds the folds by are set here, from the
+    code's read-only mask, and never change: the program keeps one step
+    list per mode, walked once, and again only when a walk grew the pool.
 
     The tables buy speed with memory beyond the paper's layout. Counted
     over the distinct arrays it holds bound in both modes (nbytes), a
@@ -263,8 +264,8 @@ class _Program:
         self.mem = allocate(code, frames)
         # row i holds bit i's decision LLR in every frame
         self.final_llrs = np.empty((code.N, frames))
-        self.thresholds = np.empty(code.N)
-        self._frozen = np.zeros(code.N, np.bool_)  # no bit frozen until a run brings its mask
+        self.frozen = code.frozen_mask
+        self.thresholds = np.where(self.frozen, -np.inf, 0.0)
         self.bases = code.bases
         self.lookahead = code.s > 1 and frames * ((1 << prod(code.bases[-2:])) - 1) < LOOKAHEAD_CANDIDATES
         # the tail: stages top .. s, whose vectors the program never writes
@@ -284,7 +285,7 @@ class _Program:
         self.index = np.empty(self.mem.llr[1].size, np.intp)
         self.work, self._bound, self._steps = WorkArrays(), {}, {}
         self.work("candidates", (self.starts[-1],), np.float64)  # every table at once, so no walk grows it table by table
-        # the last walk's folds and REP nodes' first bits; per root stage its digit order and pushed row
+        # the folds and REP nodes' first bits that the walk meets; per root stage its digit order and pushed row
         self.kernels, self.folds, self.reps, self.orders, self.pushed = code.kernels, {}, set(), {}, {}
         if self.lookahead:
             # stage s-1's table row of entry k of vector h F + f
@@ -302,7 +303,7 @@ class _Program:
         self.decided = np.zeros((linked, width), np.bool_)
         # the bit of each row, and row l: the threshold of each row in leaf l
         self.row_bits = np.array([c.bit_length() - 1 for c in range(1, linked + 1)], np.intp)
-        self.leaf_thresholds = np.empty((code.N // p, linked))
+        self.leaf_thresholds = self.thresholds.reshape(-1, p).take(self.row_bits, 1)
         # row r: the entry that bit r of the block reads in each frame
         self.walk = np.empty((upper * p, frames), np.intp)
         self.walk[0] = self.offsets[:frames]
@@ -436,7 +437,7 @@ class _Program:
         ends the code. It folds if its bits are all frozen (Rate-0) or all but the last
         (REP) and j < top; at top - 1 it is a tail block; else it is stage j+1's pass,
         then at each digit b the gather and the child node."""
-        size, mask, bases = self.mem.llr[j].shape[1], self._frozen, self.bases
+        size, mask, bases = self.mem.llr[j].shape[1], self.frozen, self.bases
         last = a + size - 1
         if j < self.top and mask[a:last].all():
             self.folds[a], kind = j, "fill" if mask[last] else "push"
@@ -461,14 +462,14 @@ class _Program:
             steps += self._once((kind, j, a if kind == "push" else b), lambda: self._push(kind, j, a, b))
 
     def steps(self, mode):
-        """The steps of a run in mode under the last run's mask: the walk of the tree
-        from its root, which records the folds and REP nodes it meets, kept per mode.
-        A walk, whole or stopped, that grew the pool drops every bound step, in both
-        modes, and walks again, which grows nothing: the pool only grows."""
+        """The steps of a run in mode: the walk of the tree from its root, which
+        records the folds and REP nodes it meets, kept per mode. A walk, whole or
+        stopped, that grew the pool drops every bound step, in both modes, and walks
+        again, which grows nothing: the pool only grows."""
         while mode not in self._steps:
             if self.work.grown:
                 self._bound, self._steps, self.work.grown = {}, {}, 0
-            self.folds, self.reps, steps = {}, set(), []
+            steps = []
             self._node(0, 0, mode, steps)
             if not self.work.grown:
                 self._steps[mode] = steps  # only once whole
@@ -476,17 +477,9 @@ class _Program:
         return self._steps[mode]
 
     def run(self, code: CodeSpec, channel_llrs, mode):
-        """Decode (F, N) channel LLRs into mem.decisions and final_llrs. A mask other
-        than the last run's, or a writeable one (which may have changed in place) on
-        every run, sets the thresholds, zeroes the decisions, as no step writes a fold's
-        frozen ones, and drops the kept step lists, so steps walks the tree again."""
-        mask = code.frozen_mask
+        """Decode (F, N) channel LLRs of code, the code the program was bound for,
+        into mem.decisions and final_llrs."""
         channel_llrs.take(code.channel_order, 1, self.mem.llr[0], "clip")
-        if mask is not self._frozen or mask.flags.writeable:
-            np.copyto(self.thresholds, np.where(mask, -np.inf, 0.0))
-            self.thresholds.reshape(-1, self.leaf.p).take(self.row_bits, 1, self.leaf_thresholds)
-            self._frozen, self._steps = mask, {}
-            self.mem.decisions.fill(0)
         for fn, args in self.steps(mode):
             fn(*args)
 
@@ -497,6 +490,7 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     Parameters
     ----------
     code : CodeSpec
+        One whose frozen_mask was made writeable raises ValueError.
     channel_llrs : array_like
         (F, N) LLRs, one frame per row in natural codeword order,
         positive favoring bit 0, each at most 1e300 in magnitude:
@@ -517,9 +511,11 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     llrs = as_llrs(channel_llrs, "channel LLRs")
     if llrs.ndim != 2 or llrs.shape[1] != code.N:
         raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
+    if code.frozen_mask.flags.writeable:  # it could disagree with code.frozen, the cache key
+        raise ValueError("the code's frozen_mask was made writeable")
     if not len(llrs):  # nothing to decode, so bind no program
         return DecodeResult(np.zeros(llrs.shape, np.uint8), llrs.copy(), _counters(code.bases).copy())
-    key = _kernel_key(code), len(llrs)
+    key = _key(code, len(llrs))
     idle = _PROGRAMS.pop(key, None)
     program, charged = (_Program(code, len(llrs)), 0) if idle is None else (idle, idle.charge)
     try:

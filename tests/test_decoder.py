@@ -45,6 +45,11 @@ def noiseless_llrs(x):
     return LLR_MAX * (1.0 - 2.0 * np.asarray(x, dtype=np.float64))
 
 
+def program_of(code, frames):
+    """The idle program that decode_batch of code on frames frames left in the cache."""
+    return mkpolar.decoder._PROGRAMS[mkpolar.decoder._key(code, frames)]
+
+
 def run_on_memory(code, llrs, mode="exact"):
     """Decode one frame with a freshly bound program; return its memory."""
     program = _Program(code, 1)
@@ -329,7 +334,7 @@ def test_both_tail_bindings_match_reference_executor(binding, mode):
         for f in range(len(llrs)):
             assert_same_as_reference(decode(code, llrs[f], mode), code, llrs[f], mode, (binding, bases, f))
         for frames in (len(llrs), 1):
-            program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+            program = program_of(code, frames)
             assert program.lookahead == (binding == "look-ahead" and len(bases) > 1), (bases, frames)
     for bases in ((2, 2, 3), (2, 2, 2, 2, 3, 3)):
         n = int(np.prod(bases))
@@ -367,7 +372,7 @@ def test_tail_walk_matches_reference_executor(binding, mode):
                 assert np.abs(np.atleast_2d(result.final_llrs) - want_llrs).max() <= 1e-12, where
             else:
                 assert_same_as_reference(result, code, rows, mode, where)
-        program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), len(llrs)]
+        program = program_of(code, len(llrs))
         assert program.lookahead == (binding == "look-ahead" and len(bases) > 1), where
 
 
@@ -381,7 +386,7 @@ def test_tail_walk_on_each_side_of_the_lookahead_budget(mode, monkeypatch):
     for frames, lookahead in ((40, True), (41, False)):
         llrs = np.vstack([mixed_frames(code, rng) for _ in range(6)])[:frames]
         assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, frames)
-        assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames].lookahead == lookahead
+        assert program_of(code, frames).lookahead == lookahead
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -413,7 +418,7 @@ def test_bound_program_matches_reference_executor_at_972(mode):
     z = np.random.default_rng(1).standard_normal(code.N)
     llrs = np.clip(2.0 * (1.0 + 0.8 * z) / 0.64, -LLR_MAX, LLR_MAX)
     assert_same_as_reference(decode(code, llrs, mode), code, llrs, mode, mode)
-    assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), 1].lookahead
+    assert program_of(code, 1).lookahead
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -426,7 +431,7 @@ def test_single_frame_decodes_match_reference_executor_at_144_and_384(mode):
         code = CodeSpec(bases, rng.choice(n, n // 2, replace=False))
         for f, llrs in enumerate(mixed_frames(code, rng)):
             assert_same_as_reference(decode(code, llrs, mode), code, llrs, mode, (bases, f))
-        assert mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), 1].lookahead
+        assert program_of(code, 1).lookahead
 
 
 def sub_code(bases, j):
@@ -460,7 +465,7 @@ def test_folded_programs_match_reference_executor(mode, monkeypatch):
                 code = CodeSpec(bases, frozen)
                 llrs = np.vstack([mixed_frames(code, rng) for _ in range(-(-frames // 7))])[:frames]
                 assert_same_as_reference(decode_batch(code, llrs, mode), code, llrs, mode, (bases, frames))
-                program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+                program = program_of(code, frames)
                 mask = code.frozen_mask
                 want = {}  # {first bit: root stage}, larger sub-codes first
                 for j in range(top):
@@ -529,7 +534,7 @@ def test_rep_folds_match_reference_executor(mode, monkeypatch):
                 where = (bases, code.K, k)
                 assert np.array_equal(u_hat, want_u[k]) and np.array_equal(final_llrs, want_llrs[k]), where
             for frames in (1, 7, cap):
-                program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+                program = program_of(code, frames)
                 folded |= {j for a, j in program.folds.items() if a in program.reps}
                 pushed |= {tuple(row.tolist()) for row in program.pushed.values()}
         # REP nodes folded at every root stage above the tail of the cap
@@ -541,8 +546,8 @@ def test_rep_folds_match_reference_executor(mode, monkeypatch):
 def test_rep_and_rate0_folds_of_one_node_alternate(monkeypatch):
     # The same node all frozen (Rate-0), then with its last bit free (REP),
     # then all frozen again: the folds are the same {first bit: root stage},
-    # so the program must see the node's kind change, decide the REP's last
-    # bit and then leave it 0 again.
+    # and each code runs on a program of its own, which decides the REP's
+    # last bit or leaves it 0.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     rng = np.random.default_rng(103)
     for bases in ((2, 2, 3), (2, 3, 2, 3), (3, 2, 2, 2)):
@@ -554,9 +559,10 @@ def test_rep_and_rate0_folds_of_one_node_alternate(monkeypatch):
             llrs = rng.normal(-1.0, 2.0, (frames, n))
             for code in (rate0, rep, rate0, rep):
                 assert_same_as_reference(decode_batch(code, llrs), code, llrs, "exact", (bases, frames, code.K))
-                program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+                program = program_of(code, frames)
                 assert program.folds == {node.start: 1}, (bases, frames)
                 assert program.reps == ({node.start} if code is rep else set()), (bases, frames)
+            assert program_of(rate0, frames) is not program_of(rep, frames), (bases, frames)
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -582,31 +588,6 @@ def test_programs_bind_from_the_sub_code_tree(mode, monkeypatch):
                 assert np.array_equal(result.u_hat[rows], want_u), where
                 assert np.array_equal(result.final_llrs[rows], want_llrs), where
                 assert result.stats.llr_updates.tolist() == counted_stats(code).llr_updates.tolist()
-
-
-def test_a_rebuild_binds_nothing_new(monkeypatch):
-    # A program keeps its step lists per mask and rebuilds them from bound
-    # steps on a switch: after masks A, B and A, the switch back to B, whose
-    # folds and pushes are all bound, computes no digit order of a fold and
-    # no REP row, where every rebuild computed both for each one.
-    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
-    bases = (2, 2, 3, 3, 3, 3, 3)
-    a = CodeSpec(bases, PAPER_FROZEN[bases])
-    b = CodeSpec(bases, rep_frozen_sets(bases, np.random.default_rng(113))[1])
-    llrs = np.random.default_rng(127).normal(1.0, 2.0, (1, a.N))
-    for code in (a, b, a):
-        decode_batch(code, llrs)
-    program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(a), 1]
-    assert program.reps and program.pushed  # REP nodes fold and push
-    bound = len(program._bound)
-
-    def computed(*args, **kwargs):
-        raise AssertionError("a rebuild computed what its steps already hold")
-
-    monkeypatch.setattr(mkpolar.decoder, "channel_permutation", computed)
-    monkeypatch.setattr(np, "kron", computed)
-    assert_same_as_reference(decode_batch(b, llrs), b, llrs, "exact", "B again")
-    assert len(program._bound) == bound
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
@@ -659,9 +640,7 @@ def test_numpy_calls_per_bit_on_the_paper_codes(bases):
     # above the tail: 4.6-6.5 calls per bit (exact) and 3.1-4.3 (minsum),
     # 13-29% fewer steps, where Rate-0 folds alone made 4.9-6.7 and 3.3-4.4
     # at N >= 72, 13-26% fewer, and none at (2,2,3).
-    code = CodeSpec(bases, PAPER_FROZEN[bases])
-    for mode in ("exact", "minsum"):
-        program.run(code, np.zeros((1, code.N)), mode)
+    program = _Program(CodeSpec(bases, PAPER_FROZEN[bases]), 1)
     assert (len(program.steps("exact")), len(program.steps("minsum"))) == FOLDED_STEPS[bases]
 
 
@@ -735,41 +714,6 @@ def test_bound_steps_use_only_charged_arrays(bases):
 
 
 @pytest.mark.parametrize("bases", PAPER_CODES)
-def test_shared_program_memory_does_not_depend_on_the_order_of_use(bases):
-    # Decodes and constructions share a program under (kernel key, F). Its
-    # work pool only grows, and a walk that grows it binds again, so the
-    # program ends holding the same bytes in either order: (2,2,3) at F = 1
-    # held 4582 B decode first and 5094 B frozen first when folds kept work
-    # of their own, and at the cap, no more than the larger program of one
-    # use, where (2,2,2,2,3,3) held 9775707 B against 8203227 B.
-    rng, n = np.random.default_rng(113), CodeSpec(bases).N
-    codes = CodeSpec(bases), CodeSpec(bases, range(n))
-    for frames in (1, mkpolar.decoder.BATCH_LLR_ENTRIES // n):
-        llrs = rng.normal(1.0, 2.0, (frames, n))
-        single, fresh = [], {}
-        for code in codes:
-            program = _Program(code, frames)
-            for mode in ("exact", "minsum"):
-                program.run(code, llrs, mode)
-                fresh[code.K, mode] = program.mem.decisions.copy(), program.final_llrs.copy()
-            single.append(program.nbytes)
-        held = []
-        for order in (codes, codes[::-1]):
-            program = _Program(order[0], frames)
-            for code in order:
-                for mode in ("exact", "minsum"):
-                    program.run(code, llrs, mode)
-                    assert uncharged_step_arrays(program, code) == [], (frames, code.K, mode)
-                    decisions, final_llrs = fresh[code.K, mode]
-                    assert np.array_equal(program.mem.decisions, decisions), (frames, code.K, mode)
-                    assert np.array_equal(program.final_llrs, final_llrs), (frames, code.K, mode)
-            held.append(program.nbytes)
-        assert held[0] == held[1], (frames, held)
-        if frames > 1:
-            assert held[0] <= max(single), (frames, held, single)
-
-
-@pytest.mark.parametrize("bases", PAPER_CODES)
 def test_parity_masks_run_unbuffered(bases):
     # With a 0-d mask on a 1-D view of its output, or on an output that is
     # contiguous in some order, numpy ands without its buffered iterator,
@@ -821,7 +765,7 @@ def test_decode_results_are_fresh_arrays():
         assert np.array_equal(first.u_hat, kept[0])
         assert np.array_equal(first.final_llrs, kept[1])
         assert first.stats.llr_updates.tolist() == kept[2].llr_updates.tolist()
-        mem = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames].mem
+        mem = program_of(code, frames).mem
         arrays = lambda r: [r.u_hat, r.final_llrs, r.stats.llr_updates, r.stats.ps_propagations,
                             *r.stats.ps_reads, *r.stats.ps_writes]
         for x in arrays(first):
@@ -830,10 +774,9 @@ def test_decode_results_are_fresh_arrays():
 
 
 def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
-    # A program skips rebuilding its thresholds only while it decodes the
-    # same read-only frozen mask: code A, then B with the same kernels,
-    # then A again must each decode with their own frozen set, also when
-    # calls at another F, on a program with its own mask, come between.
+    # A program is bound for one frozen set: code A, then B with the same
+    # kernels, then A again must each decode with their own frozen set, on
+    # a program of their own per F, also when calls at another F come between.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     a, b = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6)), CodeSpec((2, 2, 3), (0, 1, 2, 5, 8, 9))
     llrs = np.random.default_rng(61).uniform(-3, 3, (3, 12))
@@ -843,15 +786,14 @@ def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
         for code in (a, b, a, a, b):
             for run, frames, f in order:
                 assert_same_as_reference(run(code, frames), code, frames, "exact", (run, code.frozen))
-                programs[f].add(id(mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), f]))
-        assert len(programs[1]) == len(programs[3]) == 1  # one program per F decoded all five
-    # Masks A, B, A on one program, where only A has all-frozen sub-codes
-    # above the tail: B's run decides bits inside A's folds, and the
-    # second run of A must set them back to 0, as no step of A writes them.
-    # Above the last stage alone, B's REP nodes (bits 0 .. 2 and 9 .. 11)
-    # fold, and the less of each decides its last bit.
-    # Then A's frozen set in a new mask object, with A's folds: its results
-    # are A's, and its rebuilt step list holds the step objects of A's.
+                programs[f].add(id(program_of(code, f)))
+        assert len(programs[1]) == len(programs[3]) == 2  # one program per code and F decoded all five
+    # Codes A, B, A, where only A has all-frozen sub-codes above the tail:
+    # no step of A writes the bits inside its folds, and B's run, on its own
+    # program, leaves them 0. Above the last stage alone, B's REP nodes
+    # (bits 0 .. 2 and 9 .. 11) fold, and the less of each decides its last
+    # bit. Then A's frozen set in a new CodeSpec: it runs on A's program,
+    # so its results are A's and its step list is A's.
     a, b = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 5, 9, 10, 11)), CodeSpec((2, 2, 3), (0, 1, 5, 8, 9, 10))
     again = CodeSpec(a.bases, a.frozen)
     # the look-ahead tail, then the last stage alone
@@ -860,7 +802,7 @@ def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
         for code, want in ((a, folds), (b, rep), (a, folds), (again, folds)):
             result = decode_batch(code, llrs)
             assert_same_as_reference(result, code, llrs, "exact", (frames, code.frozen))
-            program = mkpolar.decoder._PROGRAMS[mkpolar.decoder._kernel_key(code), frames]
+            program = program_of(code, frames)
             assert program.folds == want
             if code is a:
                 kept = result, list(program.steps("exact"))
@@ -869,21 +811,24 @@ def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
         assert len(steps) == len(kept[1]) and all(x is y for x, y in zip(steps, kept[1])), frames
 
 
-def test_a_mask_changed_in_place_is_read_on_every_run(monkeypatch):
-    # A writeable mask may change between runs and stay the same object: each
-    # run on it sets the thresholds and walks the tree again, at F = 1 and
-    # at F = 41, where B's REP nodes fold above the last stage alone.
+def test_a_writeable_frozen_mask_is_refused(monkeypatch):
+    # The cache key holds code.frozen, which a frozen_mask made writeable
+    # could come to disagree with: decode_batch refuses such a code before
+    # it binds a program. A fresh CodeSpec with the same frozen set then
+    # binds one program, and another fresh one runs on it.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
-    sets = ((0, 1, 2, 3, 4, 5, 9, 10, 11), (0, 1, 5, 8, 9, 10), (0, 1, 2, 3, 4, 5, 9, 10, 11))
-    code = CodeSpec((2, 2, 3), sets[0])
-    mask = code.frozen_mask
-    mask.flags.writeable = True
-    for frames in (1, 41):
-        llrs = np.random.default_rng(131).uniform(-3, 3, (frames, 12))
-        for frozen in sets:
-            mask[:] = np.isin(np.arange(12), frozen)
-            want = CodeSpec(code.bases, frozen)
-            assert_same_as_reference(decode_batch(code, llrs), want, llrs, "exact", (frames, frozen))
+    binds = counting_binds(monkeypatch)
+    frozen = (0, 1, 2, 3, 4, 5, 9, 10, 11)
+    code = CodeSpec((2, 2, 3), frozen)
+    code.frozen_mask.flags.writeable = True
+    llrs = np.random.default_rng(131).uniform(-3, 3, (41, 12))
+    for run, rows in ((decode_batch, llrs), (decode, llrs[0])):
+        with pytest.raises(ValueError, match="writeable"):
+            run(code, rows)
+    assert binds == [] and not mkpolar.decoder._PROGRAMS
+    for again in (CodeSpec((2, 2, 3), frozen), CodeSpec((2, 2, 3), frozen)):
+        assert_same_as_reference(decode_batch(again, llrs), again, llrs, "exact", "again")
+    assert binds == list(mkpolar.decoder._PROGRAMS) == [mkpolar.decoder._key(again, 41)]
 
 
 def test_frame_count_changes_rebind_the_program(monkeypatch):
@@ -902,22 +847,20 @@ def test_frame_count_changes_rebind_the_program(monkeypatch):
 def test_only_batches_up_to_the_entry_cap_stay_bound(monkeypatch):
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     cap = mkpolar.decoder.BATCH_LLR_ENTRIES // CODE_223.N
-    key = mkpolar.decoder._kernel_key(CODE_223)
     decode_batch(CODE_223, np.ones((cap, 12)))
-    assert mkpolar.decoder._PROGRAMS[key, cap].final_llrs.shape[1] == cap
+    assert program_of(CODE_223, cap).final_llrs.shape[1] == cap
     # a larger batch runs on memory of its own, freed when it returns
     decode_batch(CODE_223, np.ones((cap + 1, 12)))
-    assert (key, cap + 1) not in mkpolar.decoder._PROGRAMS
-    assert list(mkpolar.decoder._PROGRAMS) == [(key, cap)]
+    assert list(mkpolar.decoder._PROGRAMS) == [mkpolar.decoder._key(CODE_223, cap)]
 
 
 def counting_binds(monkeypatch):
-    """The (kernel key, F) of every program bound from here on."""
+    """The cache key (kernel key, frozen set, F) of every program bound from here on."""
     binds = []
     real_init = _Program.__init__
 
     def init(self, code, frames):
-        binds.append((mkpolar.decoder._kernel_key(code), frames))
+        binds.append(mkpolar.decoder._key(code, frames))
         real_init(self, code, frames)
 
     monkeypatch.setattr(_Program, "__init__", init)
@@ -933,7 +876,7 @@ def test_alternating_frame_counts_bind_each_once(monkeypatch):
     for frames in (1, 40, 1, 40, 1):
         llrs = rng.normal(1.0, 2.0, (frames, code.N))
         assert_same_as_reference(decode_batch(code, llrs), code, llrs, "exact", frames)
-    assert binds == [(mkpolar.decoder._kernel_key(code), 1), (mkpolar.decoder._kernel_key(code), 40)]
+    assert binds == [mkpolar.decoder._key(code, 1), mkpolar.decoder._key(code, 40)]
 
 
 def test_repeated_runs_bind_nothing(monkeypatch):
@@ -971,40 +914,47 @@ def test_construction_binds_no_program(monkeypatch):
         assert program.work and all(id(x) in bases for x in program.work.values())
 
 
+def genie_code(bases):
+    """The all-frozen code of a kernel sequence, whose program construction runs."""
+    return CodeSpec(bases, range(CodeSpec(bases).N))
+
+
 def test_construction_binds_one_genie_pass_per_kernel_sequence_and_batch(monkeypatch):
     # Construction binds the genie pass, the all-frozen code's program, once
     # per kernel sequence and batch size, and caches it under the key
-    # decode_batch uses.
+    # decode_batch gives the all-frozen code.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     binds = counting_binds(monkeypatch)
     for args in CONSTRUCTIONS + CONSTRUCTIONS:
         construct_frozen_mc(*args)
-    keys = [mkpolar.decoder._kernel_key(CodeSpec(args[0])) for args in CONSTRUCTIONS]
-    want = [(keys[0], 40), (keys[1], 5461), (keys[1], 539), (keys[2], 7)]
+    codes = [genie_code(args[0]) for args in CONSTRUCTIONS]
+    want = [mkpolar.decoder._key(code, frames) for code, frames in zip(codes[:2] + codes[1:], (40, 5461, 539, 7))]
     assert binds == want and list(mkpolar.decoder._PROGRAMS) == want
 
 
-def test_construction_shares_the_program_of_a_decode(monkeypatch):
+def test_construction_leaves_the_program_of_a_decode_alone(monkeypatch):
     # A construction with the kernel sequence and batch size of an earlier
-    # decode_batch runs on that program, and a decode after it on the
-    # construction's: the runs bind no program and give the results of
-    # runs on an empty cache.
+    # decode_batch binds a program of its own, for the all-frozen code, so
+    # the decode's program keeps its bytes and charge, and the decode after
+    # it gives the same results. On a program shared by the two, the
+    # construction's whole-code fold grew it from 616,089 to 724,761 B.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     code = CodeSpec((2, 2, 2, 2, 3, 3), PAPER_FROZEN[2, 2, 2, 2, 3, 3])
     llrs = np.random.default_rng(37).normal(1.0, 2.0, (40, code.N))
-    construct = (code.bases, 72, 1.0, 40, 0)
 
     def decoded():
         result = decode_batch(code, llrs)
         return result.u_hat.tobytes(), result.final_llrs.tobytes()
 
-    constructed = construct_frozen_mc(*construct)
-    mkpolar.decoder._PROGRAMS.clear()
     want = decoded()  # leaves its program in the cache
+    program = program_of(code, 40)
+    held = program.nbytes, program.charge
     binds = counting_binds(monkeypatch)
-    assert construct_frozen_mc(*construct) == constructed
-    assert decoded() == want
-    assert binds == [] and list(mkpolar.decoder._PROGRAMS) == [(mkpolar.decoder._kernel_key(code), 40)]
+    construct_frozen_mc(code.bases, 72, 1.0, 40, 0)
+    assert (program.nbytes, program.charge) == held
+    assert decoded() == want and (program.nbytes, program.charge) == held
+    genie = mkpolar.decoder._key(genie_code(code.bases), 40)
+    assert binds == [genie] and list(mkpolar.decoder._PROGRAMS) == [genie, mkpolar.decoder._key(code, 40)]
 
 
 def test_interleaved_constructions_match_runs_on_an_empty_cache(monkeypatch):
@@ -1034,12 +984,12 @@ def charge(program):
 
 
 def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
-    # Idle programs stay per (kernel key, F), whether a decode or a
-    # construction bound them. After each binding, of a program or of its
-    # steps for the other kind of run, the least recently used go until the
-    # rest charge at most CACHE_BYTES, each its array bytes and STEP_BYTES
-    # per bound step; a hit makes a program the most recent. Calls named
-    # cA and cB are constructions with A's and B's kernels.
+    # Idle programs stay per (kernel key, frozen set, F), so a decode and a
+    # construction never share one. After each run that bound a program or
+    # more of its steps, the least recently used go until the rest charge
+    # at most CACHE_BYTES, each its array bytes and STEP_BYTES per bound
+    # step; a hit makes a program the most recent. Calls named cA and cB are
+    # constructions with A's and B's kernels, on the all-frozen code's program.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     cache = mkpolar.decoder._PROGRAMS
     budget = mkpolar.decoder.CACHE_BYTES
@@ -1052,20 +1002,20 @@ def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
              ("A", 2500, ["B 3000", "A cap", "A 2500"]),
              ("A", cap + 1, ["B 3000", "A cap", "A 2500"]),  # never kept
              ("B", 3500, ["A cap", "A 2500", "B 3500"]),
-             ("cA", 3000, ["A 2500", "B 3500", "A 3000"]),  # a construction evicts a program
-             ("A", 2500, ["B 3500", "A 3000", "A 2500"]),
-             ("cA", 3000, ["B 3500", "A 2500", "A 3000"]),  # a hit on a construction's program
-             ("A", 3000, ["B 3500", "A 2500", "A 3000"]),  # a decode binds its steps there
-             ("cA", 2500, ["B 3500", "A 3000", "A 2500"]),  # and a construction on a decode's
-             ("A", cap, ["A 3000", "A 2500", "A cap"]),
-             ("cB", cap, ["A cap", "B cap"]),
-             ("A", cap, ["B cap", "A cap"]),
+             ("cA", 3000, ["A 2500", "B 3500", "cA 3000"]),  # a construction evicts a decode's program
+             ("A", 2500, ["B 3500", "cA 3000", "A 2500"]),
+             ("cA", 3000, ["B 3500", "A 2500", "cA 3000"]),  # a hit on a construction's program
+             ("A", 3000, ["A 2500", "cA 3000", "A 3000"]),  # a decode binds its own next to it
+             ("cA", 2500, ["A 2500", "cA 3000", "A 3000", "cA 2500"]),  # and a construction next to a decode's
+             ("A", cap, ["A 3000", "cA 2500", "A cap"]),
+             ("cB", cap, ["A cap", "cB cap"]),
+             ("A", cap, ["cB cap", "A cap"]),
              ("B", 2000, ["A cap", "B 2000"])]  # a decode evicts a construction's program
     names = {}
     for name, code in codes.items():
-        key = mkpolar.decoder._kernel_key(code)
-        for f in (cap, 2000, 2500, 3000, 3500):
-            names[key, f] = f"{name} {'cap' if f == cap else f}"
+        for kind, run in (("", code), ("c", genie_code(code.bases))):
+            for f in (cap, 2000, 2500, 3000, 3500):
+                names[mkpolar.decoder._key(run, f)] = f"{kind}{name} {'cap' if f == cap else f}"
     for name, frames, kept in calls:
         if name.startswith("c"):
             construct_frozen_mc(codes[name[1]].bases, 6, 1.0, frames, 0)
@@ -1083,9 +1033,9 @@ def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
     arrays = 0
     for frames in range(1, 13):
         decode_batch(code, np.ones((frames, code.N)))
-        arrays += cache[mkpolar.decoder._kernel_key(code), frames].nbytes
+        arrays += program_of(code, frames).nbytes
         assert sum(charge(program) for program in cache.values()) <= budget
-    kept = [key[1] for key in cache]
+    kept = [key[-1] for key in cache]
     assert kept == list(range(13 - len(kept), 13)) and len(kept) < 12 and arrays <= budget, kept
 
 
@@ -1100,7 +1050,7 @@ def test_a_mode_bound_later_is_charged_at_once(monkeypatch):
         decode_batch(code, frames, "minsum")
     assert len(cache) == 3
     decode_batch(codes[0], llrs[0], "exact")
-    assert [key[0] for key in cache] == [mkpolar.decoder._kernel_key(codes[i]) for i in (2, 0)]
+    assert list(cache) == [mkpolar.decoder._key(codes[i], len(llrs[i])) for i in (2, 0)]
     assert sum(charge(program) for program in cache.values()) <= mkpolar.decoder.CACHE_BYTES
 
 
@@ -1127,7 +1077,7 @@ def test_fold_work_is_shared_by_the_modes(monkeypatch):
     held = []
     for mode in ("exact", "minsum", "exact"):
         decode_batch(code, llrs, mode)
-        program = mkpolar.decoder._PROGRAMS.get((mkpolar.decoder._kernel_key(code), frames))
+        program = mkpolar.decoder._PROGRAMS.get(mkpolar.decoder._key(code, frames))
         assert program is not None and program.charge <= mkpolar.decoder.CACHE_BYTES, mode
         held.append(program.nbytes)
     assert held[0] == held[1] == held[2]
@@ -1187,7 +1137,7 @@ def test_a_construction_made_during_a_construction_gets_its_own_program(monkeypa
     monkeypatch.setattr(_Program, "run", run_then_construct_again)
     got.append(construct_frozen_mc(*outer))
     assert got == list(want)
-    assert binds == [(mkpolar.decoder._kernel_key(CODE_223), 40)]
+    assert binds == [mkpolar.decoder._key(genie_code(CODE_223.bases), 40)]
 
 
 class Stopped(Exception):
@@ -1229,14 +1179,14 @@ def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", cache)
     code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
     llrs = np.random.default_rng(89).normal(1.0, 2.0, (7, 12))
-    key = mkpolar.decoder._kernel_key(code)
+    key = mkpolar.decoder._key(code, 7)
 
     def decoded(mode):
         result = decode_batch(code, llrs, mode)
         return result.u_hat.tobytes(), result.final_llrs.tobytes()
 
-    runs = [(lambda: decoded("exact"), (key, 7)), (lambda: decoded("minsum"), (key, 7)),
-            (lambda: construct_frozen_mc(code.bases, 6, 1.0, 5, 0), (key, 5))]
+    runs = [(lambda: decoded("exact"), key), (lambda: decoded("minsum"), key),
+            (lambda: construct_frozen_mc(code.bases, 6, 1.0, 5, 0), mkpolar.decoder._key(genie_code(code.bases), 5))]
     want = []
     for run, _ in runs:
         cache.clear()
@@ -1336,20 +1286,21 @@ def test_decode_batch_validation(monkeypatch):
 
 
 def test_schedule_is_shared_by_kernel_contents(monkeypatch):
-    # Codes built afresh, with any frozen set or an equal kernel built anew,
-    # run on one bound program, while a different kernel of the same size
-    # binds its own. The counters rest on the kernel sizes alone.
+    # Codes built afresh with the same frozen set and an equal kernel built
+    # anew run on one bound program, while another frozen set, or a
+    # different kernel of the same size, binds its own. The counters rest on
+    # the kernel sizes alone.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     programs, llrs = mkpolar.decoder._PROGRAMS, np.ones((1, 6))
     first = decode_batch(CodeSpec((2, 3), (0,)), llrs).stats
     (program,) = programs.values()
     t3 = KernelMatrix([[1, 1, 1], [1, 0, 1], [0, 1, 1]])
-    for code in (CodeSpec((2, 3), (1, 4)), CodeSpec((2, t3))):
+    for code in (CodeSpec((2, 3), (0,)), CodeSpec((2, t3), (0,))):
         assert stats_lists(decode_batch(code, llrs).stats) == stats_lists(first)
         assert list(programs.values()) == [program]
-    other = decode_batch(CodeSpec((2, OTHER)), llrs).stats
-    assert len(programs) == 2 and program in programs.values()
-    assert stats_lists(other) == stats_lists(first)
+    for code in (CodeSpec((2, 3), (1, 4)), CodeSpec((2, OTHER), (0,))):
+        assert stats_lists(decode_batch(code, llrs).stats) == stats_lists(first)
+    assert len(programs) == 3 and program in programs.values()
 
 
 def test_decode_all_zero_llrs_ties_to_zero():
