@@ -171,8 +171,8 @@ GENIE_TIE_TOL = 1e-12
 def _all_frozen(kernels):
     """The all-frozen code of a kernel sequence, built once. decode_batch
     finds its program by the frozen tuple, so a fresh code would find it as
-    well; the cache only saves building the code, 45-51 us at N = 144
-    against 0.64-0.74 ms for a 40-frame construction."""
+    well; the cache only saves building the code, 47-48 us at N = 144
+    against 0.61-0.66 ms for a 40-frame construction."""
     return CodeSpec(kernels, range(prod(k.p for k in kernels)))
 
 
@@ -217,7 +217,7 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
         scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=0)
         scores += (np.abs(final) <= GENIE_TIE_TOL).sum(axis=0)
     order = np.argsort(-scores, kind="stable")
-    return tuple(sorted(int(i) for i in order[: n - k]))
+    return tuple(np.sort(order[: n - k]).tolist())
 
 
 def format_code_file(code: CodeSpec) -> str:

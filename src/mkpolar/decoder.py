@@ -72,15 +72,17 @@ stage j+1's candidate table on, over the tables of stages j+1 .. s, idle
 meanwhile, and the shared metrics and total; stage j's vector is
 refreshed, or the channel vector ingested, before it is read again.
 Where a fold needs more, the pool grows and the program binds again
-(_Program.steps). With kernels of size 2 and 3 only a whole-code fold
-grows it: each of its passes spans the whole channel vector, so a pass
-of T3 there needs 4 F N metrics floats where the stage-1 candidate pass
-of T2 needs 2 F N. With kernels of size 4 and more, folds at other root
-stages can grow it too. The all-frozen code folds whole, at stage 0: its
-program is the s passes and the take, which is genie-aided construction
-(codes.construct_frozen_mc). As a program is bound for one frozen set,
-that fold's work lies in the construction's program alone, never in a
-decode's.
+(_Program.steps). Each pass of a fold spans its root stage's whole
+vector, so a pass of T3 there can need more metrics floats than any
+candidate pass. In a whole-code fold it needs 4 F N where the stage-1
+candidate pass of T2 needs 2 F N, or 10/3 F N against F N in passes of
+more than kernels.WIDE_ROWS blocks, which keep one metrics row per run
+of two; such passes make a fold at root stage 1 grow it too, 5/3 F N
+against F N when T2 is the first kernel and T3 the last. The all-frozen
+code folds whole, at stage 0: its program is the s passes and the take,
+which is genie-aided construction (codes.construct_frozen_mc). As a
+program is bound for one frozen set, that fold's work lies in the
+construction's program alone, never in a decode's.
 
 With the benchmark's decode-paper frozen sets (K = N/2), 31-50% of each
 paper code's bits lie in folds at F = 1 and 44-50% at the batch cap, and
@@ -94,10 +96,9 @@ BENCH_26.json).
 
 Results are bit for bit those of the block-major update rule, one
 update per bit on output LLRs flipped by the sign of the known
-codeword: the look-ahead reads only values that the tail of the last
-stage alone computes, by the same pass. That holds for kernels of size
-2 and 3, which covers every built-in code; kernels.llr_candidate_steps
-states what differs for larger ones.
+codeword, with every sum in the order kernels._best_steps fixes: the
+look-ahead reads only values that the tail of the last stage alone
+computes, by the same pass.
 
 decode_batch takes its program out of one cache (_PROGRAMS) for the
 run, puts it back and returns copies; a call with no frames binds none.
@@ -126,7 +127,7 @@ BATCH_LLR_ENTRIES = 1 << 16
 LOOKAHEAD_CANDIDATES = 2560
 STEP_BYTES = 400  # the Python objects of one bound step: measured 285-430 B
 # Two capped programs of any paper code, bound in both modes, charge at most
-# 15,899,814 B (15.16 MiB): (2,2,3,3,3,3,3) 7.98 MiB and (2,2,2,2,2,2,2,3) 7.18 MiB.
+# 14,860,982 B (14.17 MiB): (2,2,3,3,3,3,3) 7.49 MiB and (2,2,2,2,2,2,2,3) 6.69 MiB.
 CACHE_BYTES = 16 << 20
 
 
@@ -193,7 +194,7 @@ class DecodeResult:
 # the run returns or raises. A program stores its charge when it is bound and
 # whenever it binds steps (_charge); after a run that changed it, _evict keeps
 # the cache within CACHE_BYTES. On the paper codes a capped construction program
-# charges 7.7-7.9 MiB in exact mode. A sweep over F = 1, 2, 3, ... on one code
+# charges 7.38-7.55 MiB in exact mode. A sweep over F = 1, 2, 3, ... on one code
 # kept at most 16.9, 16.1 and 16.2 MiB under tracemalloc for N = 12 (F up to
 # 200), 144 (F up to 60) and 972 (F up to 20).
 _PROGRAMS = {}
@@ -249,7 +250,7 @@ class _Program:
 
     The tables buy speed with memory beyond the paper's layout. Counted
     over the distinct arrays it holds bound in both modes (nbytes), a
-    capped program holds 5.8-6.2 times the bytes of allocate(code, F) on the
+    capped program holds 5.3-6.0 times the bytes of allocate(code, F) on the
     paper codes, and at F = 1 7.4-26.1 times: 33 KiB at N = 72, small in
     bytes but large against a layout of 1.3 KiB. At F = 1 the look-ahead
     adds its table of 2 (2^P - 1) floats per frame (8 KiB for P = 9), its
@@ -502,10 +503,8 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     Returns
     -------
     DecodeResult whose u_hat and final_llrs are (F, N): row f holds
-    exactly what decode(code, channel_llrs[f], mode) returns when every
-    kernel has size 2 or 3 (kernels.llr_candidate_steps gives the
-    caveat for larger ones). stats are the counters of each frame's
-    decode. All are fresh arrays.
+    exactly what decode(code, channel_llrs[f], mode) returns. stats are
+    the counters of each frame's decode. All are fresh arrays.
     """
     check_mode(mode)
     llrs = as_llrs(channel_llrs, "channel LLRs")

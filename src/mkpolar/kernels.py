@@ -21,7 +21,8 @@ forms only the updates after the all-zero prefix, which the decoder's
 all-frozen sub-codes read (zero_prefix_stages), and genie-aided
 construction, the decode of the all-frozen code. All of them bind the
 metrics and log-sum-exps by one core, _best_steps, so each candidate
-they share is formed by the same calls.
+they share is formed by the same calls, each sum in one order whatever
+the number of blocks.
 
 LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
@@ -45,6 +46,8 @@ LLR_MAX = 40.0
 # Largest input LLR magnitude: a metric sums p of them halved, so with any
 # kernel the package can build it stays finite.
 LLR_LIMIT = 1e300
+# Passes of more blocks than this exponentiate each run of two once (_best_steps).
+WIDE_ROWS = 512
 
 _ONE = np.array(1, dtype=np.uint8)  # 0-d parity mask: cheaper per call than the int 1 or a 1-element array
 # The clip ufunc saturates in one call, where np.clip's Python wrapper costs
@@ -52,6 +55,7 @@ _ONE = np.array(1, dtype=np.uint8)  # 0-d parity mask: cheaper per call than the
 _clip = np._core.umath.clip
 # 0-d rails: a Python float costs a conversion per call
 _LO, _HI = np.array(-LLR_MAX), np.array(LLR_MAX)
+_UNIT = np.array(1.0)  # the exp(0) term of a run of two (_best_steps)
 _T2 = np.array([[1, 0], [1, 1]], dtype=np.uint8)
 _T3 = np.array([[1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=np.uint8)
 
@@ -206,20 +210,6 @@ def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, work):
     significant); odd rows are work space, and other work arrays come
     from the WorkArrays ``work``. _best_steps forms the log-sum-exp (or
     in minsum mode the best metric) of all 2^(t+1) runs of each bit t.
-
-    For p >= 4 BLAS may sum a word's metric, and numpy a run of 8 or
-    more, in an order that depends on R and the layout: in 20,000-block
-    calls at p = 4 and 5, 327 to 404 of 1200 to 1500 sampled updates
-    differed from their one-block calls. So a batch row and a single
-    decode, or an all-frozen sub-code decoded with and without its fold,
-    agree only to rounding, which can flip a decision on an LLR near 0
-    and so a simulation result. Decoding 400 sampled rows of a capped
-    decode_batch again by decode (numpy 2.4, x86-64), with no frozen bit
-    and channel LLRs drawn from {0, +-0.7, +-1.3, +-2.9, +-40} by
-    default_rng(0), decisions differed in 15 frames on (K4, K4) and 17 on
-    (3, K4), and LLRs in 259 and 231, by at most 1.4e-14 where the
-    decisions agreed (K4 the size-4 kernel of tests/test_decoder.py); on
-    (2, 3) and (3, 3, 2) none differed.
     """
     steps = _best_steps(kernel, mode, groups, table, [2 << t for t in range(kernel.p)], work)
     # The difference goes in place into the even rows, since numpy
@@ -238,19 +228,37 @@ def _best_steps(kernel: KernelMatrix, mode, groups, table, runs, work):
     owns rows _bit(t)), the best metric of each run of the R blocks of
     ``groups``, for every bit from the first with runs[t] > 0; in exact
     mode the first runs[t] rows of each bit t < p - 1 then hold the
-    log-sum-exp of their runs. Work arrays "metrics" and "total" come from
-    the WorkArrays ``work``.
+    log-sum-exp of their runs. Work arrays "metrics" and "total", and for
+    p >= 4 "terms", come from the WorkArrays ``work``.
 
-    One product with the word table (np.dot, BLAS) forms the metric of
-    each word u = (v, h, c), hypothesis h and completion c, once, into the
-    rows of bit p - 1, which has one completion per hypothesis; the words
-    of one (v, h) are a run of 2^(p-1-t) rows. A run of bit t is two runs
-    of bit t + 1, so each of its best metrics is one fmax of two rows of
-    bit t + 1. A run of 2 takes its log-sum-exp by one add of its two
-    halves, the first plus the second; a longer run reduces along its
-    axis, which numpy adds in sequence. For p <= 3 every metric sums at
-    most 3 exact terms and every run at most 4, so each update has the
-    bits of the block-major rule in any layout and for any R.
+    Products with the word table (np.dot, BLAS) of at most 3 columns each,
+    added left to right, form the metric of each word u = (v, h, c),
+    hypothesis h and completion c, once, into the rows of bit p - 1, which
+    has one completion per hypothesis; the words of one (v, h) are a run
+    of 2^(p-1-t) rows. A run of bit t is two runs of bit t + 1, so each of
+    its best metrics is one fmax of two rows of bit t + 1. A run of 2 takes
+    its log-sum-exp by one add of its two halves, the first plus the
+    second, a run of 4 by a reduction along its axis, which numpy adds in
+    sequence, and a longer run by adds of its second half into its first
+    until one pair is left. So no sum depends on R or the layout, and each
+    update has the same bits for any number of blocks: for p <= 3, the
+    bits of the block-major rule.
+
+    In a pass of more than WIDE_ROWS blocks a run of 2 is exponentiated
+    once, not twice: with b = fmax(m0, m1) one of exp(m0 - b), exp(m1 - b)
+    is exp(0) = 1.0 exactly and the other is exp(fmin(m0, m1) - b), from
+    the same operands, and a sum of two terms is the same in either order,
+    so exp(fmin - b) + 1.0 has the bits of the pair add. One fmin and a
+    subtract of n rows then replace a broadcast subtract of 2n, and the
+    exp and the room in "metrics" halve for bit p - 2. Timed alone, with
+    the two forms interleaved, a candidate or zero-prefix pass of T2 or T3
+    ran 1.03-1.06x faster this way at 16 blocks and 1.02-1.35x faster from
+    512 on, so there is no crossover in time. The threshold keeps the
+    one call more off every single-frame pass of the paper codes (at most
+    486 blocks), whose call counts tests/test_decoder.py pins (PAPER_STEPS:
+    8.75 calls per bit at N = 384 against a bound of 8.8). On the
+    benchmark's construct-mc workload this form raised construction from
+    59.4k to 66.6k frames/s (1.12x, medians of 10 pairs, BENCH_36.json).
 
     These calls (np.dot for the word metrics, fmax and add for runs of
     two, 0-d saturation rails), with one take to ingest the channel LLRs,
@@ -259,7 +267,12 @@ def _best_steps(kernel: KernelMatrix, mode, groups, table, runs, work):
     """
     p, rows = kernel.p, len(groups)
     best = [table[_bit(t)] for t in range(p)]
-    steps = [(np.dot, (kernel._word_metrics, groups.T, best[-1]))]
+    words, columns = kernel._word_metrics, groups.T
+    steps = [(np.dot, (words[:, :3], columns[:3], best[-1]))]
+    if p > 3:
+        terms = work("terms", best[-1].shape, np.float64)
+        for m in range(3, p, 3):
+            steps += [(np.dot, (words[:, m : m + 3], columns[m : m + 3], terms)), (np.add, (best[-1], terms, best[-1]))]
     low = next(t for t, n in enumerate(runs) if n)
     for t in range(p - 2, low - 1, -1):
         pairs = best[t + 1].reshape(2 << t, 2, rows)
@@ -271,20 +284,33 @@ def _best_steps(kernel: KernelMatrix, mode, groups, table, runs, work):
         return steps
     # log-sum-exp over each run, shifted by its best metric; the runs of
     # all bits lie one after another in "metrics" and in "total"
-    metrics = work("metrics", (sum(n * size for _, n, size in lse), rows), np.float64)
+    wide = rows > WIDE_ROWS
+    kept = [n * (1 if wide and size == 2 else size) for _, n, size in lse]
+    metrics = work("metrics", (sum(kept), rows), np.float64)
     total = work("total", (sum(n for _, n, _ in lse), rows), np.float64)
     sums, heads, word, head = [], [], 0, 0
-    for t, n, size in lse:
-        part = metrics[word : word + n * size].reshape(n, size, rows)
-        steps.append((np.subtract, (best[-1][: n * size].reshape(n, size, rows), best[t][:n, None], part)))
-        out = total[head : head + n]
-        sums.append((np.add, (part[:, 0], part[:, 1], out)) if size == 2 else (np.add.reduce, (part, 1, None, out)))
+    for (t, n, size), count in zip(lse, kept):
+        out, part = total[head : head + n], metrics[word : word + count].reshape(n, -1, rows)
+        if count == n:  # one exp per run of two
+            pairs, part = best[-1][: 2 * n].reshape(n, 2, rows), part[:, 0]
+            steps += [(np.fmin, (pairs[:, 0], pairs[:, 1], part)), (np.subtract, (part, best[t][:n], part))]
+            sums.append((np.add, (part, _UNIT, out)))
+        else:
+            steps.append((np.subtract, (best[-1][: n * size].reshape(n, size, rows), best[t][:n, None], part)))
+            if size == 4:
+                sums.append((np.add.reduce, (part, 1, None, out)))
+            else:
+                half = size // 2
+                while half > 1:  # adds in an order fixed for every R
+                    sums.append((np.add, (part[:, :half], part[:, half : 2 * half], part[:, :half])))
+                    half //= 2
+                sums.append((np.add, (part[:, 0], part[:, 1], out)))
         start = _bit(t).start
         if heads and heads[-1][1] == start:  # one add over adjacent rows
             heads[-1][1] += n
         else:
             heads.append([start, start + n, head])
-        word, head = word + n * size, head + n
+        word, head = word + count, head + n
     steps += [(np.exp, (metrics, metrics))] + sums + [(np.log, (total, total))]
     return steps + [(np.add, (table[a:b], total[o : o + b - a], table[a:b])) for a, b, o in heads]
 
@@ -294,13 +320,13 @@ def zero_prefix_steps(kernel: KernelMatrix, mode, groups, out, work, start=0):
 
     ``groups`` is a C-contiguous (R, p) float64 array of output LLRs per
     block and ``out`` a C-contiguous (p, R) one, which may be the same
-    memory: only the first step reads groups, and only the last steps
-    write out. The steps write into out[t] the update of bit t of each
-    block whose bits 0 .. t-1 are all known to be 0: row 2 (2^t - 1) of
-    what llr_candidate_steps leaves in its table in the same mode. Work
-    arrays come from the WorkArrays ``work`` under llr_candidate_steps'
-    roles: "candidates", a table of its layout from entry ``start``, and
-    in exact mode "metrics" and "total".
+    memory: only the first steps, the metric products, read groups, and
+    only the last steps write out. The steps write into out[t] the update
+    of bit t of each block whose bits 0 .. t-1 are all known to be 0: row
+    2 (2^t - 1) of what llr_candidate_steps leaves in its table in the
+    same mode. Work arrays come from the WorkArrays ``work`` under
+    llr_candidate_steps' roles: "candidates", a table of its layout from
+    entry ``start``, and those of _best_steps.
 
     _best_steps forms the log-sum-exp of only the two runs of prefix 0 of
     each bit t, words 0 .. 2^(p-t) - 1, in place of all 2^(t+1) runs: p
@@ -365,9 +391,8 @@ def llr_kernel_batch(kernel: KernelMatrix, i: int, llr_rows, ps_rows, mode="exac
     marginalized out, by the candidate pass and gather the decoder runs,
     limited to bit i: the best metrics of bits i .. p-1, then the
     log-sum-exp and difference of bit i's 2^(i+1) runs alone. Blocks are
-    independent. For p <= 3 each one gets exactly the update of a
-    one-block call, whatever the number of blocks in the call
-    (llr_candidate_steps states what differs for larger kernels).
+    independent: each one gets exactly the update of a one-block call,
+    whatever the number of blocks in the call.
 
     Raises IndexOutOfRange unless i is a whole number in [0, p) (1.0
     counts as 1), NonFiniteInput for LLRs that are NaN or above 1e300 in

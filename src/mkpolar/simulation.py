@@ -6,9 +6,7 @@ the channel LLR of an observation y is 2*y / sigma^2, saturated to
 +-LLR_MAX. Frame f of SNR point n draws from exactly
 np.random.default_rng([seed, n, f]): its message bits, what that
 generator's integers(0, 2, K, np.uint8) returns, then its noise. So
-with kernels of size 2 and 3, those of every code file, results do not
-depend on how the frames are batched (kernels.llr_candidate_steps has
-the caveat for larger kernels).
+results do not depend on how the frames are batched.
 Two vectorized passes serve a whole batch: numpy's SeedSequence hash
 (O'Neill's seed_seq_fe) over (pool word, frame) arrays gives every
 frame's PCG64 seed words (_frame_seeds), and a jump-ahead of the PCG64

@@ -215,6 +215,10 @@ def row_major_kernel_update(rows, i, llr_rows, ps_rows, mode="exact"):
     arrays, the first half holding the completions with u_i = 0. The
     result is saturated to +-40. These are the operations, in the same
     order, of the update before its work arrays became hypothesis-major.
+    For p >= 4 they fix the order of every sum, as the package does: a
+    metric adds the scores of at most 3 outputs at a time, left to right,
+    and a run of 8 or more adds its second half into its first until one
+    term is left.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     p = len(rows)
@@ -226,9 +230,17 @@ def row_major_kernel_update(rows, i, llr_rows, ps_rows, mode="exact"):
     if i:
         known = np.asarray(ps_rows, dtype=np.int64).reshape(len(llr_rows), i)
         groups = llr_rows * (1.0 - 2.0 * (known @ rows[:i] % 2))
-    metrics = (groups @ table).reshape(len(groups), 2, count >> 1)
+    metrics = groups[:, :3] @ table[:3]
+    for m in range(3, p, 3):
+        metrics = metrics + groups[:, m : m + 3] @ table[m : m + 3]
+    metrics = metrics.reshape(len(groups), 2, count >> 1)
     best = np.maximum.reduce(metrics, axis=2)
     if mode == "exact":
         shifted = np.exp(metrics - best[:, :, None])
-        best = best + np.log(np.add.reduce(shifted, axis=2))
+        if shifted.shape[2] < 8:
+            shifted = np.add.reduce(shifted, axis=2, keepdims=True)
+        while shifted.shape[2] > 1:
+            half = shifted.shape[2] // 2
+            shifted = shifted[:, :, :half] + shifted[:, :, half:]
+        best = best + np.log(shifted[:, :, 0])
     return np.clip(best[:, 0] - best[:, 1], -40.0, 40.0)

@@ -21,6 +21,7 @@ from mkpolar import (
     decode,
     decode_batch,
     encode,
+    llr_kernel_batch,
     simulate,
 )
 import mkpolar.decoder
@@ -35,6 +36,7 @@ CODE_223 = CodeSpec((2, 2, 3))
 # a custom 3x3 kernel and a kernel of size 4, for the last stage
 OTHER = KernelMatrix([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
 K4 = KernelMatrix([[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
+L4, L5 = (KernelMatrix(np.tril(np.ones((p, p), dtype=np.uint8))) for p in (4, 5))
 PAPER_CODES = [(2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3), (2, 2, 2, 2, 2, 2, 2, 3), (2, 2, 3, 3, 3, 3, 3)]
 # the frozen sets of the benchmark's decode-paper workload, K = N / 2
 PAPER_FROZEN = {tuple(map(int, key.split(","))): frozen for key, frozen in
@@ -591,10 +593,10 @@ def test_programs_bind_from_the_sub_code_tree(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
-def test_size_four_kernels_agree_to_rounding(mode):
-    # A kernel of size 4 sums 4 terms per metric and up to 8 per
-    # reduction, which numpy and BLAS may add in another order in
-    # another layout: decisions must agree, and LLRs up to rounding.
+def test_size_four_kernels_decode_as_the_reference_bit_for_bit(mode):
+    # A kernel of size 4 sums 4 terms per metric and up to 8 per run, in
+    # one order for every layout and number of blocks, which the reference
+    # executor's block-major rule follows.
     rng = np.random.default_rng(40)
     for bases in ((2, K4), (K4,), (3, K4), (K4, 2)):
         n = CodeSpec(bases).N
@@ -602,12 +604,52 @@ def test_size_four_kernels_agree_to_rounding(mode):
         llrs = mixed_frames(code, rng)
         decisions, final_llrs = reference_decode(code, llrs, mode)
         batch = decode_batch(code, llrs, mode)
-        assert np.array_equal(batch.u_hat, decisions), bases
-        assert np.abs(batch.final_llrs - final_llrs).max() <= 1e-12, bases
+        assert batch.u_hat.tobytes() == decisions.tobytes(), bases
+        assert batch.final_llrs.tobytes() == final_llrs.tobytes(), bases
         for f in range(len(llrs)):
             single = decode(code, llrs[f], mode)
-            assert np.array_equal(single.u_hat, batch.u_hat[f]), (bases, f)
-            assert np.abs(single.final_llrs - batch.final_llrs[f]).max() <= 1e-12, (bases, f)
+            assert single.u_hat.tobytes() == batch.u_hat[f].tobytes(), (bases, f)
+            assert single.final_llrs.tobytes() == batch.final_llrs[f].tobytes(), (bases, f)
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_kernels_of_size_four_and_five_give_the_same_bits_in_any_batch(mode, monkeypatch):
+    # Metrics of 4 and 5 terms and runs of 8 and 16 are summed in one order
+    # whatever the number of blocks (kernels._best_steps). On tie-prone
+    # LLRs, with the kernel first or last, one-block and many-block updates,
+    # batch rows and single decodes, and codes whose all-frozen sub-codes
+    # and REP nodes fold and the same codes decoded with no fold agree bit
+    # for bit. With the order left to BLAS and numpy, 144 (exact) and 154
+    # (minsum) of the 520 sampled updates, 51 and 45 of the 180 sampled
+    # rows, and 5 and 6 of the 41850 frames decoded with no fold differed.
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    rng = np.random.default_rng(41)
+    values = np.array([0.0, 0.7, -0.7, 1.3, -1.3, 2.9, -2.9, 40.0, -40.0])
+    for k in (K4, L4, L5):
+        for i in range(k.p):
+            llrs, known = rng.choice(values, (20000, k.p)), rng.integers(0, 2, (20000, i), dtype=np.uint8)
+            many = llr_kernel_batch(k, i, llrs, known, mode)
+            for r in rng.choice(len(llrs), 40, replace=False):
+                assert llr_kernel_batch(k, i, llrs[r], known[r], mode).tobytes() == many[r].tobytes(), (k.p, i, r)
+    for bases in ((K4, K4), (3, K4), (L5, 3)):
+        n = CodeSpec(bases).N
+        for frames in (1, 7, mkpolar.decoder.BATCH_LLR_ENTRIES // n):
+            rest = rng.choice(np.arange(1, n), n // 3, replace=False).tolist()
+            for frozen in ((), {*sub_code(bases, 1), *rest}, range(n)):
+                code = CodeSpec(bases, frozen)
+                llrs = rng.choice(values, (frames, n))
+                batch = decode_batch(code, llrs, mode)
+                for f in rng.choice(frames, min(frames, 12), replace=False):
+                    single = decode(code, llrs[f], mode)
+                    where = (bases, frames, f)
+                    assert single.u_hat.tobytes() == batch.u_hat[f].tobytes(), where
+                    assert single.final_llrs.tobytes() == batch.final_llrs[f].tobytes(), where
+                folded, unfolded = _Program(code, frames), _Program(code, frames)
+                unfolded.frozen = np.zeros(n, np.bool_)  # the walk finds no fold; the thresholds still freeze
+                folded.steps(mode), unfolded.run(code, llrs, mode)
+                assert (0 in folded.folds.values()) == (code.K == 0) and not unfolded.folds, (bases, frames)
+                assert unfolded.mem.decisions.tobytes() == batch.u_hat.tobytes(), (bases, frames)
+                assert unfolded.final_llrs.T.tobytes() == batch.final_llrs.tobytes(), (bases, frames)
 
 
 # (exact, minsum) steps of each paper code's single-frame program
@@ -653,7 +695,7 @@ def test_program_memory_against_the_paper_layout(bases):
     # larger work arrays of its leaf pass, and the walk its decided
     # candidates, thresholds per leaf row and walked entries: measured
     # 7.4-26.1x, against 7.1-8.9x before the look-ahead. Capped batches
-    # decide the last stage alone: 5.8-6.2x. A run ingests through the
+    # decide the last stage alone: 5.3-6.0x. A run ingests through the
     # code's channel order, so the program holds none. Under the frozen
     # sets of decode-paper the folds work in the tables and work arrays
     # the program holds, and add the digit order of each root stage.
@@ -1005,7 +1047,7 @@ def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
              ("cA", 3000, ["A 2500", "B 3500", "cA 3000"]),  # a construction evicts a decode's program
              ("A", 2500, ["B 3500", "cA 3000", "A 2500"]),
              ("cA", 3000, ["B 3500", "A 2500", "cA 3000"]),  # a hit on a construction's program
-             ("A", 3000, ["A 2500", "cA 3000", "A 3000"]),  # a decode binds its own next to it
+             ("A", 3000, ["B 3500", "A 2500", "cA 3000", "A 3000"]),  # a decode binds its own next to it
              ("cA", 2500, ["A 2500", "cA 3000", "A 3000", "cA 2500"]),  # and a construction next to a decode's
              ("A", cap, ["A 3000", "cA 2500", "A cap"]),
              ("cB", cap, ["A cap", "cB cap"]),
@@ -1367,15 +1409,11 @@ def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
     # Construction runs the all-frozen code's program, which folds the
     # whole code at stage 0: one zero-prefix pass per stage and a take. On
     # tie-prone LLRs it gives the decisions and LLRs of the reference
-    # executor bit for bit with kernels of size 2 and 3, in both modes. A
-    # size-4 kernel sums longer runs, which BLAS may order by batch size,
-    # so there they agree to rounding (up to 7.1e-15 seen).
+    # executor bit for bit, in both modes, with kernels of size 4 too.
     monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
     rng = np.random.default_rng(29)
     values = np.array([0.0, 0.7, -0.7, 1.3, -1.3, 2.9, -2.9, 40.0, -40.0])
-    cases = [(bases, 0.0) for bases in [*all_kernel_sequences(72), (2, 2, 2, 2, 3, 3)]]
-    cases += [((K4, K4), 1e-12), ((3, K4), 1e-12), ((K4, 3, 2), 1e-12)]
-    for bases, tol in cases:
+    for bases in [*all_kernel_sequences(72), (2, 2, 2, 2, 3, 3), (K4, K4), (3, K4), (K4, 3, 2)]:
         code = CodeSpec(bases, range(CodeSpec(bases).N))
         program = _Program(code, 1)
         program.run(code, np.zeros((1, code.N)), "exact")
@@ -1386,10 +1424,7 @@ def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
                 got, (decisions, want) = decode_batch(code, llrs, mode), reference_decode(code, llrs, mode)
                 where = (bases, frames, mode)
                 assert got.u_hat.tobytes() == decisions.tobytes(), where
-                if tol:
-                    assert np.abs(got.final_llrs - want).max() <= tol, where
-                else:
-                    assert got.final_llrs.tobytes() == want.tobytes(), where
+                assert got.final_llrs.tobytes() == want.tobytes(), where
 
 
 def test_all_frozen_noiseless_decode_is_error_free():

@@ -433,22 +433,20 @@ def update_inputs(rng, count, p, i):
     ids=["T2", "T3", "lower3", "lower4", "lower5"],
 )
 def test_batch_matches_row_major_update(p, rows):
-    # Sums of at most 3 terms and reductions over at most 4 come out the
-    # same in either layout, whatever the number of blocks; longer ones
-    # may be added in another order, so they agree up to rounding.
+    # Every sum is added in one order in either layout, whatever the number
+    # of blocks, on each side of WIDE_ROWS, where a run of two takes one
+    # exp in place of two.
     rows = np.tril(np.ones((p, p), dtype=np.uint8)) if rows is None else rows
     k = KernelMatrix(rows)
     rng = np.random.default_rng(48)
+    wide = mkpolar.kernels.WIDE_ROWS
     for i in range(p):
-        for count in (1, 7, 1000, 20000):
+        for count in (1, 7, wide, wide + 1, 1000, 20000):
             llr_rows, ps_rows = update_inputs(rng, count, p, i)
             for mode in ("exact", "minsum"):
                 got = llr_kernel_batch(k, i, llr_rows, ps_rows, mode)
                 want = row_major_kernel_update(rows, i, llr_rows, ps_rows, mode)
-                if p <= 3:
-                    assert got.tobytes() == want.tobytes(), (i, count, mode)
-                else:
-                    assert np.abs(got - want).max() <= 1e-12, (i, count, mode)
+                assert got.tobytes() == want.tobytes(), (i, count, mode)
 
 
 @pytest.mark.parametrize(
@@ -459,8 +457,7 @@ def test_batch_matches_row_major_update(p, rows):
 def test_candidates_are_the_updates_of_every_prefix(p, rows):
     # Row 2 (2^t - 1 + v) holds the update of bit t after the known
     # prefix v (first bit most significant): the same bits as the
-    # block-major rule for kernels of size <= 3, the same up to rounding
-    # beyond.
+    # block-major rule for kernels of every size.
     rows = np.tril(np.ones((p, p), dtype=np.uint8)) if rows is None else rows
     k = KernelMatrix(rows)
     rng = np.random.default_rng(49)
@@ -476,17 +473,15 @@ def test_candidates_are_the_updates_of_every_prefix(p, rows):
                     known = np.tile(np.array(prefix, dtype=np.uint8), (count, 1))
                     want = row_major_kernel_update(rows, t, llr_rows, known, mode)
                     got = table[2 * ((1 << t) - 1 + v)]
-                    if p <= 3:
-                        assert got.tobytes() == want.tobytes(), (t, v, count, mode)
-                    else:
-                        assert np.abs(got - want).max() <= 1e-12, (t, v, count, mode)
+                    assert got.tobytes() == want.tobytes(), (t, v, count, mode)
 
 
 @pytest.mark.parametrize("p, rows", [(3, T3), (5, None)], ids=["T3", "lower5"])
 def test_one_bit_update_exponentiates_only_its_own_runs(monkeypatch, p, rows):
     # A one-bit call forms the log-sum-exp of bit i's 2^(i+1) runs alone,
-    # 2^p words per block, and the last bit, whose runs are single words,
-    # none.
+    # 2^p words per block, or for bit p - 2 in a call of more than
+    # WIDE_ROWS blocks one word per run, 2^(p-1); and the last bit, whose
+    # runs are single words, none.
     k = KernelMatrix(np.tril(np.ones((p, p), dtype=np.uint8)) if rows is None else rows)
     sizes, exp = [], np.exp
 
@@ -496,12 +491,13 @@ def test_one_bit_update_exponentiates_only_its_own_runs(monkeypatch, p, rows):
 
     monkeypatch.setattr(np, "exp", counted)
     rng = np.random.default_rng(51)
-    for count in (1, 20):
+    for count in (1, 20, mkpolar.kernels.WIDE_ROWS + 1):
         llr_rows, _ = update_inputs(rng, count, p, 0)
         for i in range(p):
             sizes.clear()
             llr_kernel_batch(k, i, llr_rows, np.zeros((count, i), dtype=np.uint8))
-            assert sizes == ([(1 << p) * count] if i < p - 1 else []), (count, i)
+            words = 1 << p - (i == p - 2 and count > mkpolar.kernels.WIDE_ROWS)
+            assert sizes == ([words * count] if i < p - 1 else []), (count, i)
 
 
 @pytest.mark.parametrize("mode", ["exact", "minsum"])
