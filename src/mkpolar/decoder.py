@@ -55,7 +55,8 @@ all but the last (REP; Sarkis et al., IEEE JSAC 2014; Hanif and
 Ardakani, IEEE Comm. Lett. 2017), each is decided after the all-zero
 prefix inside it, so its LLR is the update after that prefix: one
 kernels.zero_prefix_steps pass per stage over every prefix at once forms
-them all. The walk meets the largest such node first; if its root stage
+them all. The node map (_kinds) holds the largest such node, the one
+the walk meets first; if its root stage
 is 0 <= j < top, so whole tail blocks, it binds in place of the node's
 subtree those passes of stages j+1 .. s over stage j's vector (the
 frames one more prefix axis), in place, one take of the digit-reversed
@@ -84,6 +85,20 @@ which is genie-aided construction (codes.construct_frozen_mc). As a
 program is bound for one frozen set, that fold's work lies in the
 construction's program alone, never in a decode's.
 
+A Monte-Carlo run reads only decisions, so simulate decodes by a third
+walk beside the two full ones, the decisions walk (_decisions): Rate-0
+nodes bind their push alone, and a REP node, in place of its fold, the
+chain of its last bit, two word metrics, a subtract and a clip per kernel
+over the entries of digit p-1 alone (kernels.last_bit_steps), with the
+bits of the fold's LLR (_Program states why); like the node rules of
+Sarkis et al. (IEEE JSAC 2014) it stays exact SC. decode, decode_batch
+and construction run the full walk, which returns or scores every bit's
+LLR. On the benchmark's simulate-fer workload, whose code has one REP
+node, the decisions walk cut a capped decode from 2.6 to 1.9-2.0 ms, and
+with the message and noise words drawn in one pass (simulation) simulate
+rose from 488k to 547k frames/s (1.12x, medians of 10 pairs,
+BENCH_37.json).
+
 With the benchmark's decode-paper frozen sets (K = N/2), 31-50% of each
 paper code's bits lie in folds at F = 1 and 44-50% at the batch cap, and
 a single-frame decode makes 4.6-6.5 numpy calls per bit in exact mode
@@ -100,8 +115,9 @@ codeword, with every sum in the order kernels._best_steps fixes: the
 look-ahead reads only values that the tail of the last stage alone
 computes, by the same pass.
 
-decode_batch takes its program out of one cache (_PROGRAMS) for the
-run, puts it back and returns copies; a call with no frames binds none.
+decode_batch and _decisions take their program out of one cache
+(_PROGRAMS) for the run, put it back and return copies; a call with no
+frames binds none.
 """
 
 from dataclasses import dataclass
@@ -114,7 +130,8 @@ import numpy as np
 from .codes import CodeSpec, channel_permutation
 from .errors import LengthMismatch
 from .kernels import (
-    WorkArrays, as_llrs, check_mode, llr_candidate_steps, llr_gather_steps, product_steps, zero_prefix_stages,
+    WorkArrays, as_llrs, check_mode, last_bit_steps, llr_candidate_steps, llr_gather_steps, product_steps,
+    zero_prefix_stages,
 )
 from .memory import DecoderMemory, allocate
 
@@ -244,9 +261,25 @@ class _Program:
     frozen bit decides 0 because its threshold is -inf, or because no step
     writes it, inside a fold, where it keeps the 0 that allocate gave it.
     The thresholds, their copies for the candidate rows of each leaf, and
-    the frozen mask that the walk finds the folds by are set here, from the
-    code's read-only mask, and never change: the program keeps one step
-    list per mode, walked once, and again only when a walk grew the pool.
+    the kind of every node the walk visits (self.kinds, _kinds) are set
+    here, from the code's read-only mask, and never change. A walk is the
+    step list that one run executes; the program keeps one per mode and
+    walk, bound once, and again only when a walk grew the pool.
+
+    The full walk, which decode_batch runs, binds per kind of node:
+    - Rate-0: its fold (the zero-prefix passes and the take into its
+      final-LLR rows) and a zero fill of its push;
+    - REP: its fold, the less of its last bit and its push;
+    - tail block: stage s's pass and the tail's walk (_bind_tail);
+    - inner: stage j+1's pass, then per digit the gather and the child.
+    The decisions walk, which simulate runs (_decisions), forms no LLR that
+    no decision reads: a Rate-0 node binds its zero fill alone, and a REP
+    node the chain of its last bit (kernels.last_bit_steps, _chain) in
+    place of its fold, then the same less and push; tail blocks and inner
+    nodes bind as in the full walk. The chain reproduces the fold's LLR of
+    the last bit bit for bit: a zero-prefix pass forms bit p-1 as the
+    difference of the metrics of words 0...00 and 0...01, by the same
+    products, and clips it, and no fmax or log-sum-exp is on that path.
 
     The tables buy speed with memory beyond the paper's layout. Counted
     over the distinct arrays it holds bound in both modes (nbytes), a
@@ -286,8 +319,9 @@ class _Program:
         self.index = np.empty(self.mem.llr[1].size, np.intp)
         self.work, self._bound, self._steps = WorkArrays(), {}, {}
         self.work("candidates", (self.starts[-1],), np.float64)  # every table at once, so no walk grows it table by table
-        # the folds and REP nodes' first bits that the walk meets; per root stage its digit order and pushed row
-        self.kernels, self.folds, self.reps, self.orders, self.pushed = code.kernels, {}, set(), {}, {}
+        # per fold root stage its digit order and pushed row
+        self.kernels, self.orders, self.pushed = code.kernels, {}, {}
+        self.kinds = _kinds(self.frozen, code.bases, self.top)
         if self.lookahead:
             # stage s-1's table row of entry k of vector h F + f
             rows = _tail_rows(upper, self.leaf)
@@ -424,65 +458,125 @@ class _Program:
         """The push of the node at stage j from bit a into column b of stage j's
         partial sums: a Rate-0 node's zero fill, a REP node's decision times the last
         row of T_{j+1} x ... x T_s in stage j's (digit-reversed) entry order, or else
-        the product of stage j+1's partial sums with T_{j+1}."""
+        ("product") the product of stage j+1's partial sums with T_{j+1}."""
         source, target = self.mem.ps[j], self.mem.ps[j - 1]
         if kind == "product":
             return product_steps(self.kernels[j], source, target.reshape(source.shape + target.shape[-1:])[..., b])
-        if kind == "fill":
+        if kind == "rate0":
             return [(target[..., b].fill, (0,))]
         row = self.pushed.setdefault(j, reduce(np.kron, [k.rows[-1] for k in self.kernels[j:][::-1]]))
         return [(np.multiply, (self.mem.decisions[:, a + target.shape[1] - 1, None], row, target[..., b]))]
 
-    def _node(self, j, a, mode, steps):
-        """Append the steps of the node at stage j from bit a, then its push unless it
-        ends the code. It folds if its bits are all frozen (Rate-0) or all but the last
-        (REP) and j < top; at top - 1 it is a tail block; else it is stage j+1's pass,
-        then at each digit b the gather and the child node."""
-        size, mask, bases = self.mem.llr[j].shape[1], self.frozen, self.bases
+    def _chain(self, j, last):
+        """The REP node at stage j's last-bit chain (kernels.last_bit_steps) into
+        final_llrs[last]: its steps up to the last kernel's products are bound once
+        per stage, as every node of stage j works in stage j's vector, the subtract
+        and clip into the node's own final-LLR row once per node."""
+        steps = last_bit_steps(self.kernels[j:], self.mem.llr[j].reshape(-1), self.final_llrs[last], self.work,
+                               self.starts[j])
+        return self._once(("chain", j), lambda: steps[:-2]) + self._once(("chain", j, last), lambda: steps[-2:])
+
+    def _node(self, j, a, mode, full, steps):
+        """Append the steps of the node at stage j from bit a by its kind
+        (self.kinds), then its push unless it ends the code. A Rate-0 or REP node
+        folds in the full walk; in the decisions walk a Rate-0 node binds its push
+        alone and a REP node its last bit's chain. A tail block is stage s's pass
+        and the tail's walk; an inner node stage j+1's pass, then at each digit b
+        the gather and the child node."""
+        size, kind = self.mem.llr[j].shape[1], self.kinds[j, a]
         last = a + size - 1
-        if j < self.top and mask[a:last].all():
-            self.folds[a], kind = j, "fill" if mask[last] else "push"
-            steps += self._fold(j, a, mode)
-            if kind == "push":
-                self.reps.add(a)
-                steps += self._once(("decide", last), lambda: [(np.less, (
-                    self.final_llrs[last], self.thresholds[last : last + 1], self.mem.decisions.view(np.bool_)[:, last]))])
-        elif j == self.top - 1:
+        if kind == "rate0":
+            steps += self._fold(j, a, mode) if full else []
+        elif kind == "rep":
+            steps += self._fold(j, a, mode) if full else self._chain(j, last)
+            steps += self._once(("decide", last), lambda: [(np.less, (
+                self.final_llrs[last], self.thresholds[last : last + 1], self.mem.decisions.view(np.bool_)[:, last]))])
+        elif kind == "tail":
             steps += self._once((self.top, mode), lambda: self._passes(self.top, mode))
             steps += self._once(("tail", a), lambda: self._bind_tail(a))
-            kind = "product" if self.lookahead else None  # the last stage's tail pushes its own block
-        else:
+        else:  # inner
             steps += self._once((j + 1, mode), lambda: self._passes(j + 1, mode))
-            kind = "product"
-            for b in range(bases[j]):
+            for b in range(self.bases[j]):
                 steps += self._once(("gather", j + 1, b), lambda: llr_gather_steps(
                     b, self._table(j + 1), self.known[j], self.mem.llr[j + 1].reshape(-1), self.index, self.offsets))
-                self._node(j + 1, a + b * size // bases[j], mode, steps)
-        if kind and j and last + 1 < len(self.final_llrs):
-            b = a // size % bases[j - 1]
-            steps += self._once((kind, j, a if kind == "push" else b), lambda: self._push(kind, j, a, b))
+                self._node(j + 1, a + b * size // self.bases[j], mode, full, steps)
+        # the last stage's tail pushes its own block
+        if j and last + 1 < len(self.final_llrs) and (kind != "tail" or self.lookahead):
+            b, push = a // size % self.bases[j - 1], kind if kind in ("rate0", "rep") else "product"
+            steps += self._once((push, j, a if push == "rep" else b), lambda: self._push(push, j, a, b))
 
-    def steps(self, mode):
-        """The steps of a run in mode: the walk of the tree from its root, which
-        records the folds and REP nodes it meets, kept per mode. A walk, whole or
-        stopped, that grew the pool drops every bound step, in both modes, and walks
-        again, which grows nothing: the pool only grows."""
-        while mode not in self._steps:
+    def steps(self, mode, full=True):
+        """The steps of a run in mode, the full walk or, if not full, the decisions
+        walk: the walk of the tree from its root, kept per mode and walk. A walk,
+        whole or stopped, that grew the pool drops every bound step, of every walk,
+        and walks again, which grows nothing: the pool only grows."""
+        walk = mode if full else (mode, "decisions")
+        while walk not in self._steps:
             if self.work.grown:
                 self._bound, self._steps, self.work.grown = {}, {}, 0
             steps = []
-            self._node(0, 0, mode, steps)
+            self._node(0, 0, mode, full, steps)
             if not self.work.grown:
-                self._steps[mode] = steps  # only once whole
+                self._steps[walk] = steps  # only once whole
                 _charge(self)
-        return self._steps[mode]
+        return self._steps[walk]
 
-    def run(self, code: CodeSpec, channel_llrs, mode):
+    def run(self, code: CodeSpec, channel_llrs, mode, full=True):
         """Decode (F, N) channel LLRs of code, the code the program was bound for,
-        into mem.decisions and final_llrs."""
+        into mem.decisions and, by the full walk, final_llrs."""
         channel_llrs.take(code.channel_order, 1, self.mem.llr[0], "clip")
-        for fn, args in self.steps(mode):
+        for fn, args in self.steps(mode, full):
             fn(*args)
+
+
+def _kinds(mask, bases, top):
+    """{(stage j, first bit a): kind} of every node that the walk of a code with
+    frozen mask and kernel sizes bases visits, the tail stages top .. s: "rate0"
+    if j < top and all its bits are frozen, "rep" if all but the last are, else
+    "tail" at j = top - 1 and "inner" above, whose children the walk visits."""
+    kinds, todo = {}, [(0, 0)]
+    while todo:
+        j, a = todo.pop()
+        size = prod(bases[j:])
+        last = a + size - 1
+        if j < top and mask[a:last].all():
+            kinds[j, a] = "rate0" if mask[last] else "rep"
+        elif j == top - 1:
+            kinds[j, a] = "tail"
+        else:
+            kinds[j, a] = "inner"
+            todo += [(j + 1, a + b * size // bases[j]) for b in range(bases[j])]
+    return kinds
+
+
+def _decode(code: CodeSpec, channel_llrs, mode, full):
+    """The decisions and, by the full walk, the (F, N) final LLRs of decode_batch,
+    as fresh arrays, from the program of the code in the cache."""
+    check_mode(mode)
+    llrs = as_llrs(channel_llrs, "channel LLRs")
+    if llrs.ndim != 2 or llrs.shape[1] != code.N:
+        raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
+    if code.frozen_mask.flags.writeable:  # it could disagree with code.frozen, the cache key
+        raise ValueError("the code's frozen_mask was made writeable")
+    if not len(llrs):  # nothing to decode, so bind no program
+        return np.zeros(llrs.shape, np.uint8), llrs.copy()
+    key = _key(code, len(llrs))
+    idle = _PROGRAMS.pop(key, None)
+    program, charged = (_Program(code, len(llrs)), 0) if idle is None else (idle, idle.charge)
+    try:
+        program.run(code, llrs, mode, full)
+        return program.mem.decisions.copy(), program.final_llrs.T.copy() if full else None
+    finally:
+        if llrs.size <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
+            _PROGRAMS[key] = program  # the most recently used
+            if program.charge != charged:  # the run bound it or more of its steps
+                _evict()
+
+
+def _decisions(code: CodeSpec, channel_llrs, mode):
+    """decode_batch(code, channel_llrs, mode).u_hat by the decisions walk, which
+    forms no LLR that no decision reads; simulate's decoder."""
+    return _decode(code, channel_llrs, mode, False)[0]
 
 
 def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeResult:
@@ -506,25 +600,7 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
     exactly what decode(code, channel_llrs[f], mode) returns. stats are
     the counters of each frame's decode. All are fresh arrays.
     """
-    check_mode(mode)
-    llrs = as_llrs(channel_llrs, "channel LLRs")
-    if llrs.ndim != 2 or llrs.shape[1] != code.N:
-        raise LengthMismatch(f"expected {code.N} LLRs per frame, got shape {llrs.shape}")
-    if code.frozen_mask.flags.writeable:  # it could disagree with code.frozen, the cache key
-        raise ValueError("the code's frozen_mask was made writeable")
-    if not len(llrs):  # nothing to decode, so bind no program
-        return DecodeResult(np.zeros(llrs.shape, np.uint8), llrs.copy(), _counters(code.bases).copy())
-    key = _key(code, len(llrs))
-    idle = _PROGRAMS.pop(key, None)
-    program, charged = (_Program(code, len(llrs)), 0) if idle is None else (idle, idle.charge)
-    try:
-        program.run(code, llrs, mode)
-        return DecodeResult(program.mem.decisions.copy(), program.final_llrs.T.copy(), _counters(code.bases).copy())
-    finally:
-        if llrs.size <= BATCH_LLR_ENTRIES:  # keep no huge memory alive
-            _PROGRAMS[key] = program  # the most recently used
-            if program.charge != charged:  # the run bound it or more of its steps
-                _evict()
+    return DecodeResult(*_decode(code, channel_llrs, mode, True), _counters(code.bases).copy())
 
 
 def _charge(program):

@@ -19,10 +19,12 @@ R blocks under every known prefix, llr_gather_steps picks each block's
 own, and llr_kernel_batch runs both for one bit. zero_prefix_steps
 forms only the updates after the all-zero prefix, which the decoder's
 all-frozen sub-codes read (zero_prefix_stages), and genie-aided
-construction, the decode of the all-frozen code. All of them bind the
-metrics and log-sum-exps by one core, _best_steps, so each candidate
-they share is formed by the same calls, each sum in one order whatever
-the number of blocks.
+construction, the decode of the all-frozen code; last_bit_steps only the
+last bit's, which is all that the decisions of a REP sub-code read. All of
+them bind the word metrics by one core, _metric_steps, and all but the
+last the log-sum-exps by _best_steps, so each candidate they share is
+formed by the same calls, each sum in one order whatever the number of
+blocks.
 
 LLR convention: L = ln(P(bit = 0) / P(bit = 1)); a negative LLR argues for
 bit 1. All update outputs are saturated to +-LLR_MAX.
@@ -223,6 +225,18 @@ def _bit(t):
     return slice(2 * ((1 << t) - 1), 2 * ((2 << t) - 1))
 
 
+def _metric_steps(words, columns, out, work):
+    """Steps writing the metrics words @ columns into ``out``: np.dot of at
+    most 3 columns each, added left to right into the first, the later ones
+    in the work array "terms"."""
+    steps = [(np.dot, (words[:, :3], columns[:3], out))]
+    if len(columns) > 3:
+        terms = work("terms", out.shape, np.float64)
+        for m in range(3, len(columns), 3):
+            steps += [(np.dot, (words[:, m : m + 3], columns[m : m + 3], terms)), (np.add, (out, terms, out))]
+    return steps
+
+
 def _best_steps(kernel: KernelMatrix, mode, groups, table, runs, work):
     """Steps writing into ``table``, laid out as llr_candidate_steps' (bit t
     owns rows _bit(t)), the best metric of each run of the R blocks of
@@ -267,12 +281,7 @@ def _best_steps(kernel: KernelMatrix, mode, groups, table, runs, work):
     """
     p, rows = kernel.p, len(groups)
     best = [table[_bit(t)] for t in range(p)]
-    words, columns = kernel._word_metrics, groups.T
-    steps = [(np.dot, (words[:, :3], columns[:3], best[-1]))]
-    if p > 3:
-        terms = work("terms", best[-1].shape, np.float64)
-        for m in range(3, p, 3):
-            steps += [(np.dot, (words[:, m : m + 3], columns[m : m + 3], terms)), (np.add, (best[-1], terms, best[-1]))]
+    steps = _metric_steps(kernel._word_metrics, groups.T, best[-1], work)
     low = next(t for t, n in enumerate(runs) if n)
     for t in range(p - 2, low - 1, -1):
         pairs = best[t + 1].reshape(2 << t, 2, rows)
@@ -351,6 +360,34 @@ def zero_prefix_stages(kernels, mode, level, work, start):
     come from ``work``, the candidates from entry ``start``."""
     return [step for k in kernels for step in
             zero_prefix_steps(k, mode, level.reshape(-1, k.p), level.reshape(k.p, -1), work, start)]
+
+
+def last_bit_steps(kernels, level, out, work, start):
+    """The update of the last bit of each of F vectors after the all-zero
+    prefix of all its other bits, as steps: out[f] gets, with the same bits,
+    the entry that zero_prefix_stages over the same kernels leaves for the
+    last bit of vector f.
+
+    ``level`` is a C-contiguous (F, p_1 ... p_n) float64 array and ``out``
+    an (F,) one. Bit p - 1 of a block after the all-zero prefix is the
+    difference of the metrics of its words 0...00 and 0...01, clipped, and
+    no fmax or log-sum-exp is on that path. So each kernel in turn takes the
+    products of those two word rows (_metric_steps, as _best_steps does)
+    in place of all 2^p, one subtract and one clip, over only the entries
+    of digit p - 1 that the kernel before left, each time 1 / p as many, in
+    place in the last 1 / p of them, and the last kernel into out. The
+    products take their room from the work array "candidates" from entry
+    start. Only the last two steps, the last kernel's subtract and clip,
+    write out.
+    """
+    steps = []
+    for i, k in enumerate(kernels, 1):
+        groups = level.reshape(-1, k.p)
+        words = work("candidates", (2, len(groups)), np.float64, start)
+        steps += _metric_steps(k._word_metrics[:2], groups.T, words, work)
+        level = level.reshape(k.p, -1)[-1] if i < len(kernels) else out
+        steps += [(np.subtract, (words[0], words[1], level)), (_clip, (level, _LO, _HI, level))]
+    return steps
 
 
 def llr_gather_steps(i, table, known, out, index, offsets):

@@ -12,32 +12,33 @@ Two vectorized passes serve a whole batch: numpy's SeedSequence hash
 frame's PCG64 seed words (_frame_seeds), and a jump-ahead of the PCG64
 LCG over (draw, frame) arrays gives every frame's message words
 (_draw_words). Up to _ZIGGURAT_NORMALS normals per frame, the same
-jump-ahead gives every frame's noise words, and the 98.5% of numpy's
-ziggurat draws that take one word are formed from them at once
-(_frame_normals); a frame with another draw, and every frame of a longer
-code, is drawn by its own generator, built inside its row of the noise
-(_frame_generators), so a batch holds one generator at a time and a
-noiseless run builds none. A batch's size comes from the errors counted
-so far (_batch_frames).
+jump-ahead, in the same call, gives every frame's noise words after
+them, and the 98.5% of numpy's ziggurat draws that take one word are
+formed from them at once (_frame_normals); a frame with another draw,
+and every frame of a longer code, is drawn by its own generator, built
+inside its row of the noise (_frame_generators), so a batch holds one
+generator at a time and a noiseless run builds none. A batch's size comes
+from the errors counted so far (_batch_frames).
 
 What a frame of a batch at the entry cap costs, in us, measured in exact
-mode on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4) in two runs; in
-brackets, the per-frame calls they replaced: default_rng for the
-generators, each generator's random_raw for the message bits (and
-integers before that), and for encode the tensordot encoder that
-kernels.product_steps replaced (minimum of 7 x 5 calls; the message bits
-are the median of 7 batches). The seed hash is _pcg64_seeds'. The
-generators are PCG64 and Generator construction from the precomputed
-words, inside the channel draw, one row at a time. The N = 12 row was
-measured with the batch noise draw (median of 7 batches, two processes):
-its generators are those of the ~17% of frames drawn again whole, built
-and drawn, its channel the batch's ziggurat draw and the scaling, and in
-brackets a generator and a standard_normal call for every frame.
+mode at 1 dB with the frozen sets of the benchmark's decode-paper
+workload, on a 2-vCPU x86-64 host (Python 3.11, numpy 2.4): the least of
+7 medians of 5 batches, in two processes. The seed hash is
+_frame_seeds'. The raw words are the jump-ahead and the message bits
+taken from it, at N = 12 with the noise words. The channel is
+awgn_llrs, generators included: at N = 12 those of the ~16% of frames
+drawn again whole, built and drawn, at N >= 144 one per frame, of which
+the column gives the building alone. Decode is simulate's decisions walk
+(decoder._decisions). Per frame, the calls these replaced cost 3.1-3.4,
+17-22 and 13 us for default_rng, 1.2-2.2 us for each generator's
+random_raw, 3.0 us at N = 12 for a generator and a standard_normal call,
+and 0.4-0.6, 9.6-13 and 74-98 us for the tensordot encoder that
+kernels.product_steps replaced.
 
-    N (F)      seed hash  generators           message bits                   encode               channel          decode
-    12 (5461)  0.05       0.49-0.57 (3.1-3.4)  0.06-0.07 (1.2-1.4; 7.5-10.5)  0.15-0.19 (0.4-0.6)  0.86-0.88 (3.0)  0.7-0.8
-    144 (455)  0.22       1.6-2.8 (17-22)      0.51-0.57 (1.0-1.4; 6.7-10.2)  2.9-3.0 (9.6-13)     8.5-10           26-37
-    972 (67)   1.1        1.8-2.3 (13)         3.3-3.4 (1.5-2.2; 7.6-8.4)     24 (74-98)           45-49            550-590
+    N (F)      seed hash  raw words  encode     channel    generators  decode
+    12 (5461)  0.06       0.40-0.42  0.13       0.55-0.57  0.35        0.39-0.40
+    144 (455)  0.27-0.28  0.53-0.55  2.79-2.85  4.3-4.5    1.35-1.47   13.1-13.6
+    972 (67)   1.7-1.9    3.0-3.3    22-23      18.6-19.1  1.6-1.8     177-189
 """
 
 import time
@@ -48,7 +49,7 @@ from math import ceil, sqrt
 import numpy as np
 
 from .codes import CodeSpec, encode
-from .decoder import BATCH_LLR_ENTRIES, decode_batch
+from .decoder import BATCH_LLR_ENTRIES, _decisions
 from .errors import InvalidRate, LengthMismatch, NonFiniteInput
 from .kernels import LLR_MAX, _all_bits, _whole, check_mode
 
@@ -141,17 +142,21 @@ def _frame_seeds(key, first: int, count: int):
 
 
 def _frame_generators(seeds):
-    """One Generator per row of seed words, each built only when the iteration reaches it."""
-    return (np.random.Generator(np.random.PCG64(_Seeded(s))) for s in seeds)
+    """One Generator per row of seed words, each built only when the iteration reaches it.
+    The classes are looked up once per call, not once per frame."""
+    generator, pcg64, seeded = np.random.Generator, np.random.PCG64, _Seeded
+    return (generator(pcg64(seeded(s))) for s in seeds)
 
 
 @dataclass
 class _FrameNoise:
     """The generators of a batch's frames, one per row of seed words, as the iterable that
     awgn_llrs takes. awgn_llrs draws their normals for the whole batch at once
-    (_frame_normals) and adds the frames it drew through a generator to generator_frames."""
+    (_frame_normals), from words, the (F, N) raw words that follow each seed if they were
+    drawn already, and adds the frames it drew through a generator to generator_frames."""
 
     seeds: np.ndarray
+    words: np.ndarray = None
     generator_frames: int = 0
 
     def __iter__(self):
@@ -159,14 +164,14 @@ class _FrameNoise:
 
 
 @lru_cache
-def _jump_table(words):
+def _jump_table(words, position):
     """(2, 4, words + 1, 1) uint64 constants (a, b) of the jumps a s + b inc mod 2**128 that
     _draw_words takes, each as (high word, low word, low word's low and high halves).
     The LCG state after seeding and j - 1 draws is S_j = M^j s + (1 + M + ... + M^j) inc:
-    row 0 is S_words - inc, rows 1 .. words are S_2 .. S_(words + 1)."""
+    row 0 is S_position - inc, rows 1 .. words are S_2 .. S_(words + 1)."""
     def geometric(j):  # 1 + M + ... + M^(j-1) mod 2**128, as (M^j - 1) / (M - 1)
         return (pow(_PCG_MULT, j, _PCG_MULT - 1 << 128) - 1) // (_PCG_MULT - 1)
-    rows = [(pow(_PCG_MULT, words, 1 << 128), geometric(words + 1) - 1)]
+    rows = [(pow(_PCG_MULT, position, 1 << 128), geometric(position + 1) - 1)]
     rows += [(pow(_PCG_MULT, j, 1 << 128), geometric(j + 1)) for j in range(2, words + 2)]
     limbs = [[(c >> 64 & _M64, c & _M64, c & _M32, c >> 32 & _M32) for c in col] for col in zip(*rows)]
     return np.array(limbs, np.uint64).transpose(0, 2, 1)[..., None]
@@ -189,15 +194,16 @@ def _mul128(high, low, const):
     return w, low * c_low
 
 
-def _draw_words(seeds, words: int):
+def _draw_words(seeds, words: int, position: int = None):
     """The first `words` raw words of the PCG64 seeded by each row of seed words, as a
     (count, words) uint64 array, drawn for all rows at once; each row then becomes the
-    seed whose generator starts right after those words.
+    seed whose generator starts right after the first `position` of them, by default
+    all.
 
     numpy seeds PCG64 from words (s_high, s_low, q_high, q_low) as inc = 2 q + 1 and state
     S_1 = (s + inc) M + inc, and a draw steps the state S to S M + inc and outputs the XSL-RR
-    rotation of its words (O'Neill, HMC-CS-2014-0905). Seeding with S_words - inc lands on
-    S_(words + 1), the state after the words. Every operand is uint64. The constants are
+    rotation of its words (O'Neill, HMC-CS-2014-0905). Seeding with S_position - inc lands
+    on S_(position + 1), the state after that many words. Every operand is uint64. The constants are
     tabulated once per word count (_jump_table), so the numpy calls do not depend on it.
 
     At the entry cap the jump-ahead takes about 220-330 us per batch, a fixed number of
@@ -207,7 +213,7 @@ def _draw_words(seeds, words: int):
     """
     s_high, s_low, q_high, q_low = seeds.T.copy()
     inc_high, inc_low = q_high << _U1 | q_low >> _U63, q_low << _U1 | _U1
-    a, b = _jump_table(words)
+    a, b = _jump_table(words, words if position is None else position)
     high, low = _mul128(s_high, s_low, a)
     b_high, b_low = _mul128(inc_high, inc_low, b)
     low += b_low
@@ -250,7 +256,7 @@ def _ziggurat():
     k = np.array([b if b > 0 and one_word(b - 1 << 9 | i) else 0 for i, b in enumerate(k)] * 2, np.uint64)
     w = np.array(w + [-x for x in w])
     seeds = _frame_seeds((0,), 0, 64)
-    got, slow = _ziggurat_draws(seeds, 4, w, k)
+    got, slow = _ziggurat_draws(_draw_words(seeds.copy(), 4), w, k)
     want = _generator_normals(seeds, 4)
     got[slow] = want[slow]
     if not np.array_equal(got.view(np.uint64), want.view(np.uint64)):
@@ -258,23 +264,23 @@ def _ziggurat():
     return w, k
 
 
-def _ziggurat_draws(seeds, n: int, w, k):
+def _ziggurat_draws(r, w, k):
     """The (F, n) normals whose row f the ziggurat's one-word draws (_ziggurat's w and k) give
-    from the first n raw words of the generator of seed words seeds[f], and the rows with a
-    draw that takes more words, whose values are then not numpy's."""
-    r = _draw_words(seeds.copy(), n)
+    from the (F, n) raw words r, which they overwrite, and the rows with a draw that takes
+    more words, whose values are then not numpy's."""
     layer = r & _U511
     r >>= _U9
     r &= _M52
     return r * w[layer], np.flatnonzero((r >= k[layer]).any(axis=1))
 
 
-def _frame_normals(seeds, n: int):
+def _frame_normals(seeds, n: int, words=None):
     """The (F, n) standard normals that the generator of each row of seed words draws first
     (_frame_generators), bit for bit, and how many frames were drawn through that generator.
 
     Up to _ZIGGURAT_NORMALS normals per frame, the ziggurat's one-word draws come from every
-    frame's raw words at once (_ziggurat_draws), and only a frame with another draw is
+    frame's first n raw words at once (_ziggurat_draws), drawn here unless given as the
+    (F, n) words, which they overwrite, and only a frame with another draw is
     drawn again whole by its generator; at N = 12, about 17% of frames. Beyond that, each
     frame is drawn by its generator, whose per-word cost in numpy is below that of the
     batch's emulated words.
@@ -287,7 +293,7 @@ def _frame_normals(seeds, n: int):
     """
     if n > _ZIGGURAT_NORMALS:
         return _generator_normals(seeds, n), len(seeds)
-    noise, slow = _ziggurat_draws(seeds, n, *_ziggurat())
+    noise, slow = _ziggurat_draws(_draw_words(seeds.copy(), n) if words is None else words, *_ziggurat())
     noise[slow] = _generator_normals(seeds[slow], n)
     return noise, len(slow)
 
@@ -295,8 +301,9 @@ def _frame_normals(seeds, n: int):
 def _generator_normals(seeds, n: int):
     """The (F, n) standard normals that the generator of each row of seed words draws first."""
     noise = np.empty((len(seeds), n))
-    for row, gen in zip(noise, _frame_generators(seeds)):
-        gen.standard_normal(out=row)
+    generator, pcg64, seeded = np.random.Generator, np.random.PCG64, _Seeded
+    for row, s in zip(noise, seeds):
+        generator(pcg64(seeded(s))).standard_normal(out=row)
     return noise
 
 
@@ -343,7 +350,7 @@ def awgn_llrs(codeword_bits, ebn0_db: float, rate: float, rng, noiseless: bool =
     if isinstance(rng, np.random.Generator):
         noise = rng.standard_normal(bits.shape)
     elif isinstance(rng, _FrameNoise) and bits.ndim == 2 and len(bits) == len(rng.seeds):
-        noise, drawn = _frame_normals(rng.seeds, bits.shape[1])
+        noise, drawn = _frame_normals(rng.seeds, bits.shape[1], rng.words)
         rng.generator_frames += drawn
     else:
         if bits.ndim != 2:
@@ -399,11 +406,11 @@ class SnrPointResult:
     fer: float
     ber: float
     elapsed_s: float
-    batches: int  # decode_batch calls
+    batches: int  # decoder calls, one per batch
     decoded_frames: int  # frames decoded, those past the stop included
     draw_s: float  # seeds, message words and channel
     encode_s: float
-    decode_s: float  # decode_batch
+    decode_s: float  # decoder._decisions, decode_batch's decisions alone
     generator_frames: int  # decoded frames whose noise a generator drew (_frame_normals)
 
 
@@ -464,6 +471,8 @@ def simulate(config: SimConfig) -> SimResult:
     info = np.asarray(code.info, dtype=np.int64)
     k = code.K
     words = -(-k // 8)  # raw words per frame: one information bit per byte
+    # the raw noise words per frame drawn with them, in one jump-ahead (_frame_normals)
+    noise_words = 0 if config.noiseless or code.N > _ZIGGURAT_NORMALS else code.N
     rate = _rate(k, code.N)
     cap = max(1, BATCH_LLR_ENTRIES // code.N)
     target = config.target_frame_errors
@@ -480,18 +489,19 @@ def simulate(config: SimConfig) -> SimResult:
             t0 = time.perf_counter()
             seeds = _frame_seeds((config.seed, point_index), frames, batch)
             u = np.zeros((batch, code.N), dtype=np.uint8)
+            # each seed left right after the message words, for frames drawn again by generator
+            raw = _draw_words(seeds, words + noise_words, words) if words + noise_words else None
             if k:
                 # as integers(0, 2, k, uint8): the top bits of the first k raw bytes
-                raw = _draw_words(seeds, words)
                 u[:, info] = raw.astype("<u8", copy=False).view(np.uint8)[:, :k] >> 7
             t1 = time.perf_counter()
             codewords = encode(code, u)
             t2 = time.perf_counter()
-            noise = _FrameNoise(seeds)
+            noise = _FrameNoise(seeds, raw[:, words:] if noise_words else None)
             llrs = awgn_llrs(codewords, ebn0_db, rate, noise, noiseless=config.noiseless)
             generator_frames += noise.generator_frames
             t3 = time.perf_counter()
-            u_hat = decode_batch(code, llrs, config.mode).u_hat
+            u_hat = _decisions(code, llrs, config.mode)
             t4 = time.perf_counter()
             draw_s, encode_s, decode_s = draw_s + (t1 - t0) + (t3 - t2), encode_s + (t2 - t1), decode_s + (t4 - t3)
             wrong = np.count_nonzero(u_hat[:, info] != u[:, info], axis=1)

@@ -18,8 +18,10 @@ group's outputs as JSON. A group is one code, whose cases are:
 
 The codes are every ordering of 2 and 3 up to N = 72, the paper codes,
 and codes with tests/test_decoder.py's OTHER and K4 and with a size-5
-kernel. Two more groups hold the simulate CSVs of three paper codes in
-both modes and meminfo's stdout. --cases PATH writes the hash of every
+kernel. More groups hold simulate CSVs in both modes: "simulate" of three
+paper codes with their decode-paper frozen sets, "simulate rep" of the REP
+frozen sets and "simulate half" of a random half frozen, over every
+ordering of 2 and 3 up to N = 72; and a last one meminfo's stdout. --cases PATH writes the hash of every
 case as JSON, to find where two trees differ. Run from the repository
 root:
 
@@ -52,6 +54,8 @@ EXTREMES = np.array([1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0, 5e-324, -5e-324,
 CONSTRUCTIONS = {(2, 2, 3): [(6, 1.0, 1000, 0)], (2, 2, 2, 3, 3): [(36, 1.0, 2000, 0)],
                  (2, 2, 2, 2, 3, 3): [(72, 1.0, 1000, 0), (72, 1.0, 40, 0)], (3, K4): [(6, 1.0, 7, 2)]}
 SIMULATED = ((2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3))
+# the simulate runs of each frozen set of "simulate rep" and "simulate half"
+SWEEP = {"snr_points_db": (1.0, 3.0), "max_frames": 2000, "target_frame_errors": 30, "seed": 3}
 MEMINFO = (["meminfo", "--paper-table"], ["meminfo", "--kernels", "2,3,2", "--kernels", "3,3", "--q", "4"])
 
 
@@ -108,6 +112,17 @@ def main():
                                target_frame_errors=50, seed=1, mode=mode)
             digest = cases[f"simulate {name(bases)} {mode}"] = sha(simulate(config).to_csv())
             groups["simulate"].update(digest.encode())
+    sweep = np.random.default_rng(2037)
+    groups["simulate rep"], groups["simulate half"] = hashlib.sha256(), hashlib.sha256()
+    for bases in all_kernel_sequences(72):
+        n = CodeSpec(bases).N
+        sets = [("rep", frozen) for frozen in rep_frozen_sets(bases, sweep)]
+        for group, frozen in sets + [("half", sweep.choice(n, n // 2, replace=False).tolist())]:
+            for mode in ("exact", "minsum"):
+                config = SimConfig(CodeSpec(bases, frozen), mode=mode, **SWEEP)
+                digest = sha(simulate(config).to_csv())
+                cases[f"simulate {group} {name(bases)} {sorted(frozen)} {mode}"] = digest
+                groups[f"simulate {group}"].update(digest.encode())
     groups["meminfo"] = hashlib.sha256()
     for argv in MEMINFO:
         out = io.StringIO()

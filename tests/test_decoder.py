@@ -52,6 +52,16 @@ def program_of(code, frames):
     return mkpolar.decoder._PROGRAMS[mkpolar.decoder._key(code, frames)]
 
 
+def folds(program):
+    """{first bit: root stage} of the Rate-0 and REP nodes, the nodes that fold, in a program's node map."""
+    return {a: j for (j, a), kind in program.kinds.items() if kind in ("rate0", "rep")}
+
+
+def reps(program):
+    """The first bits of the REP nodes in a program's node map."""
+    return {a for (j, a), kind in program.kinds.items() if kind == "rep"}
+
+
 def run_on_memory(code, llrs, mode="exact"):
     """Decode one frame with a freshly bound program; return its memory."""
     program = _Program(code, 1)
@@ -477,7 +487,7 @@ def test_folded_programs_match_reference_executor(mode, monkeypatch):
                         inside = any(b <= a < b + CodeSpec(bases[i:]).N for b, i in want.items())
                         if mask[a : a + size - 1].all() and not inside:
                             want[a] = j
-                assert program.folds == want, (bases, frames)
+                assert folds(program) == want, (bases, frames)
                 if frozen is folded:
                     assert roots.items() <= want.items(), (bases, frames)
                 else:
@@ -537,7 +547,7 @@ def test_rep_folds_match_reference_executor(mode, monkeypatch):
                 assert np.array_equal(u_hat, want_u[k]) and np.array_equal(final_llrs, want_llrs[k]), where
             for frames in (1, 7, cap):
                 program = program_of(code, frames)
-                folded |= {j for a, j in program.folds.items() if a in program.reps}
+                folded |= {j for a, j in folds(program).items() if a in reps(program)}
                 pushed |= {tuple(row.tolist()) for row in program.pushed.values()}
         # REP nodes folded at every root stage above the tail of the cap
         assert set(range(_Program(CodeSpec(bases), cap).top)) <= folded, (bases, folded)
@@ -562,8 +572,8 @@ def test_rep_and_rate0_folds_of_one_node_alternate(monkeypatch):
             for code in (rate0, rep, rate0, rep):
                 assert_same_as_reference(decode_batch(code, llrs), code, llrs, "exact", (bases, frames, code.K))
                 program = program_of(code, frames)
-                assert program.folds == {node.start: 1}, (bases, frames)
-                assert program.reps == ({node.start} if code is rep else set()), (bases, frames)
+                assert folds(program) == {node.start: 1}, (bases, frames)
+                assert reps(program) == ({node.start} if code is rep else set()), (bases, frames)
             assert program_of(rate0, frames) is not program_of(rep, frames), (bases, frames)
 
 
@@ -645,11 +655,76 @@ def test_kernels_of_size_four_and_five_give_the_same_bits_in_any_batch(mode, mon
                     assert single.u_hat.tobytes() == batch.u_hat[f].tobytes(), where
                     assert single.final_llrs.tobytes() == batch.final_llrs[f].tobytes(), where
                 folded, unfolded = _Program(code, frames), _Program(code, frames)
-                unfolded.frozen = np.zeros(n, np.bool_)  # the walk finds no fold; the thresholds still freeze
+                # the node map of no frozen bit, so the walk finds no fold; the thresholds still freeze
+                unfolded.kinds = _Program(CodeSpec(bases), frames).kinds
                 folded.steps(mode), unfolded.run(code, llrs, mode)
-                assert (0 in folded.folds.values()) == (code.K == 0) and not unfolded.folds, (bases, frames)
+                assert (0 in folds(folded).values()) == (code.K == 0) and not folds(unfolded), (bases, frames)
                 assert unfolded.mem.decisions.tobytes() == batch.u_hat.tobytes(), (bases, frames)
                 assert unfolded.final_llrs.T.tobytes() == batch.final_llrs.tobytes(), (bases, frames)
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_decisions_walk_decides_as_decode_batch(mode, monkeypatch):
+    # simulate's decisions walk binds a REP node's last-bit chain in place
+    # of its fold, and a Rate-0 node's push alone: its decisions are
+    # decode_batch's byte for byte, bound before the full walk on a fresh
+    # program and, at F = 1 and 7, after it, over every ordering up to N = 72, the paper
+    # codes and custom kernels, at F = 1, 7 and the cap, with no, all,
+    # half, REP-rich and decode-paper frozen sets, on Gaussian, tie-prone
+    # and extreme LLRs (tests/output_digest.py). With the last kernel's
+    # subtract of the chain bound once per stage, not per node, later REP
+    # nodes of a stage would read the first one's row.
+    from output_digest import EXTREMES, TIES
+
+    monkeypatch.setattr(mkpolar.decoder, "_PROGRAMS", {})
+    rng = np.random.default_rng(137)
+    codes = [*all_kernel_sequences(72), *PAPER_CODES[2:], (2, 2, OTHER), (3, K4), (K4, K4), (2, L5)]
+    for bases in codes:
+        n = CodeSpec(bases).N
+        sets = [(), range(n), rng.choice(n, n // 2, replace=False), *rep_frozen_sets(bases, rng)]
+        for frozen in sets + ([PAPER_FROZEN[bases]] if bases in PAPER_FROZEN else []):
+            code = CodeSpec(bases, frozen)
+            for frames in (1, 7, mkpolar.decoder.BATCH_LLR_ENTRIES // n):
+                kinds = [rng.normal(0.0, 2.0, (frames, n)), *(rng.choice(x, (frames, n)) for x in (TIES, EXTREMES))]
+                # the kinds one at a time at F = 1, else in turn by row
+                mixed = np.stack(kinds, 1).reshape(-1, n)[:frames]
+                for llrs in kinds if frames == 1 else (mixed,):
+                    first = mkpolar.decoder._decisions(code, llrs, mode)
+                    want = decode_batch(code, llrs, mode).u_hat
+                    assert first.tobytes() == want.tobytes(), (bases, code.K, frames)
+                    if frames < 8:  # again on the program the full walk bound
+                        again = mkpolar.decoder._decisions(code, llrs, mode)
+                        assert again.tobytes() == want.tobytes(), (bases, code.K, frames)
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_decisions_walk_drops_folds_for_chains(mode):
+    # Against the full walk of the same program, the decisions walk drops
+    # exactly the steps of the folds (their passes and takes), so a Rate-0
+    # node binds nothing but its zero fill, and adds only the chains of REP
+    # nodes, which bind products, adds, subtracts and clips, no exp, log or
+    # fmax. The all-frozen code's decisions walk is empty.
+    rng = np.random.default_rng(139)
+    chained = set()
+    for bases in PAPER_CODES + [(3, K4), (2, L5)]:
+        n = CodeSpec(bases).N
+        sets = [range(n), range(n - 1), rng.choice(n, n // 2, replace=False), *rep_frozen_sets(bases, rng)]
+        for frozen in sets + ([PAPER_FROZEN[bases]] if bases in PAPER_FROZEN else []):
+            code = CodeSpec(bases, frozen)
+            for frames in (1, mkpolar.decoder.BATCH_LLR_ENTRIES // n):
+                program = _Program(code, frames)
+                full, decisions = program.steps(mode), program.steps(mode, False)
+                by_key = {key: {id(step) for step in steps} for key, steps in program._bound.items()}
+                folds = set().union(*(ids for key, ids in by_key.items() if key[0] in ("fold", "take")))
+                chains = set().union(*(ids for key, ids in by_key.items() if key[0] == "chain"))
+                where = (bases, code.K, frames)
+                assert {id(step) for step in full} - {id(step) for step in decisions} == folds, where
+                assert {id(step) for step in decisions} - {id(step) for step in full} == chains, where
+                functions = {fn for key, steps in program._bound.items() if key[0] == "chain" for fn, _ in steps}
+                assert functions <= {np.dot, np.add, np.subtract, mkpolar.kernels._clip}, where
+                assert (decisions == []) == (code.K == 0), where
+                chained |= {key[1] for key in program._bound if key[0] == "chain"}
+    assert chained >= {0, 1, 2}
 
 
 # (exact, minsum) steps of each paper code's single-frame program
@@ -839,13 +914,13 @@ def test_thresholds_follow_the_frozen_set_of_each_call(monkeypatch):
     a, b = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 5, 9, 10, 11)), CodeSpec((2, 2, 3), (0, 1, 5, 8, 9, 10))
     again = CodeSpec(a.bases, a.frozen)
     # the look-ahead tail, then the last stage alone
-    for frames, folds, rep in ((1, {0: 1}, {}), (41, {0: 1, 9: 2}, {0: 2, 9: 2})):
+    for frames, rate0, rep in ((1, {0: 1}, {}), (41, {0: 1, 9: 2}, {0: 2, 9: 2})):
         llrs = np.random.default_rng(62).uniform(-3, 3, (frames, 12))
-        for code, want in ((a, folds), (b, rep), (a, folds), (again, folds)):
+        for code, want in ((a, rate0), (b, rep), (a, rate0), (again, rate0)):
             result = decode_batch(code, llrs)
             assert_same_as_reference(result, code, llrs, "exact", (frames, code.frozen))
             program = program_of(code, frames)
-            assert program.folds == want
+            assert folds(program) == want
             if code is a:
                 kept = result, list(program.steps("exact"))
         assert np.array_equal(result.u_hat, kept[0].u_hat) and np.array_equal(result.final_llrs, kept[0].final_llrs)
@@ -948,7 +1023,7 @@ def test_construction_binds_no_program(monkeypatch):
         construct_frozen_mc(*args)
     assert len(mkpolar.decoder._PROGRAMS) == 4
     for program in mkpolar.decoder._PROGRAMS.values():
-        assert program.folds == {0: 0}
+        assert folds(program) == {0: 0}
         assert {key[0] for key in program._bound} == {"fold", "take"}
         operands = [x for steps in program._bound.values() for fn, args in steps
                     for x in (getattr(fn, "__self__", None), *args) if isinstance(x, np.ndarray)]
@@ -1237,11 +1312,11 @@ def test_a_run_stopped_partway_goes_back_into_the_cache_once(monkeypatch):
     cache.puts.clear()
     real_steps = _Program.steps
 
-    def steps(self, mode):  # the steps a run runs
+    def steps(self, *walk):  # the steps a run runs
         monkeypatch.setattr(_Program, "steps", real_steps)
         if early:
             raise Stopped
-        bound = real_steps(self, mode)
+        bound = real_steps(self, *walk)
         stop_once_halfway(bound)
         return bound
 
@@ -1417,7 +1492,7 @@ def test_genie_pass_is_the_all_frozen_decode(monkeypatch):
         code = CodeSpec(bases, range(CodeSpec(bases).N))
         program = _Program(code, 1)
         program.run(code, np.zeros((1, code.N)), "exact")
-        assert (program.folds, program.reps) == ({0: 0}, set()), bases
+        assert (folds(program), reps(program)) == ({0: 0}, set()), bases
         for frames in (1, 7, mkpolar.decoder.BATCH_LLR_ENTRIES // code.N):
             llrs = rng.choice(values, (frames, code.N))
             for mode in ("exact", "minsum"):

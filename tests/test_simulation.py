@@ -198,6 +198,8 @@ def test_draw_words_equal_default_rng(words, count):
     # its generator right after them: its next raw words and normal draws
     # are default_rng's. Keys with words of 2**64 and more, and windows
     # that straddle 2**32, checked on the first, the last and sampled rows.
+    # Drawn with a seed position below the word count, the words are the
+    # same and each generator starts right after that many of them.
     rng = np.random.default_rng(words * count)
     rows = sorted({0, count - 1, *rng.integers(0, count, 12).tolist()})
     for key in [(5, 1), (2**64 + 7, 3), (2**96 - 1, 2**64)]:
@@ -222,6 +224,14 @@ def test_draw_words_equal_default_rng(words, count):
                 late = np.random.PCG64(simulation._Seeded(off_seed))
                 ref.bit_generator.state = state
                 assert not np.array_equal(late.random_raw(3), ref.bit_generator.random_raw(3)), where
+            for position in sorted({0, words // 2}):
+                moved = simulation._frame_seeds(key, first, count)
+                assert np.array_equal(simulation._draw_words(moved, words, position), raw), (key, position)
+                gens = list(simulation._frame_generators(moved))
+                for f in rows:
+                    ref = np.random.default_rng([*key, first + f]).bit_generator
+                    ref.random_raw(position)
+                    assert np.array_equal(gens[f].bit_generator.random_raw(3), ref.random_raw(3)), (key, f, position)
 
 
 def test_awgn_builds_each_generator_inside_its_row():
@@ -277,16 +287,20 @@ def test_noiseless_simulate_builds_no_generator(monkeypatch):
 def test_frame_normals_are_each_frames_own_draws(n):
     # A batch's normals are bit for bit what each frame's default_rng([*key, f])
     # draws after its K message bits, for K = 0 and K = n, for keys with words
-    # of 2**64 and more and for a window across frame 2**32. Up to the
-    # crossover, most frames come from the batch's raw words, the others from
-    # their generators; beyond it, every frame comes from its generator.
+    # of 2**64 and more and for a window across frame 2**32, the noise words
+    # drawn by _frame_normals or, as simulate does, with the message words.
+    # Up to the crossover, most frames come from the batch's raw words, the
+    # others from their generators; beyond it, every frame comes from its
+    # generator.
     count, frames, generator_frames = 2000 // n + 50, 0, 0
     for key, first in (((7001, 1), 0), ((2**64 + 3, 2**70), 2**32 - 40)):
-        for k in (0, n):
-            seeds = simulation._frame_seeds(key, first, count)
-            if k:
-                simulation._draw_words(seeds, -(-k // 8))
-            noise, drawn = simulation._frame_normals(seeds, n)
+        for k, with_message in ((0, False), (n, False), (0, True), (n, True)):
+            seeds, words, noise_words = simulation._frame_seeds(key, first, count), -(-k // 8), None
+            if with_message:
+                noise_words = simulation._draw_words(seeds, words + n, words)[:, words:]
+            elif k:
+                simulation._draw_words(seeds, words)
+            noise, drawn = simulation._frame_normals(seeds, n, noise_words)
             for f in range(count):
                 rng = np.random.default_rng([*key, first + f])
                 rng.integers(0, 2, k, dtype=np.uint8)
@@ -332,13 +346,13 @@ def test_simulate_takes_few_batches_past_few_frames(monkeypatch):
     # frames; counting the errors one standard deviation high takes 16
     # (8 and 8) for 14,991. 14,875 frames are counted either way.
     calls = []
-    real_decode_batch = simulation.decode_batch
+    real_decisions = simulation._decisions
 
-    def counting_decode_batch(code, llrs, mode):
+    def counting_decisions(code, llrs, mode):
         calls.append(len(llrs))
-        return real_decode_batch(code, llrs, mode)
+        return real_decisions(code, llrs, mode)
 
-    monkeypatch.setattr(simulation, "decode_batch", counting_decode_batch)
+    monkeypatch.setattr(simulation, "_decisions", counting_decisions)
     code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
     points = [p for seed in (1, 2) for p in
               simulate(SimConfig(code, (0.0, 4.0), max_frames=1_000_000, target_frame_errors=100, seed=seed)).points]
