@@ -145,7 +145,8 @@ def _load_llr_file(path, n):
         raise CodingError(f"LLR file {path}: {exc}") from None
     if values.size != n:
         raise CodingError(f"LLR file {path}: expected {n} values, got {values.size}")
-    return np.clip(values, -LLR_MAX, LLR_MAX)  # NaN stays, for decode to reject
+    # only infinities saturate: decode takes finite LLRs as they are and refuses NaN
+    return np.where(np.isinf(values), np.copysign(LLR_MAX, values), values)
 
 
 def _cmd_meminfo(args):

@@ -71,18 +71,19 @@ pass (kernels._best_steps), the row the gathers and walks would read, so
 outputs do not change. It works in the program's one work pool from
 stage j+1's candidate table on, over the tables of stages j+1 .. s, idle
 meanwhile, and the shared metrics and total; stage j's vector is
-refreshed, or the channel vector ingested, before it is read again.
-Where a fold needs more, the pool grows and the program binds again
-(_Program.steps). Each pass of a fold spans its root stage's whole
-vector, so a pass of T3 there can need more metrics floats than any
-candidate pass. In a whole-code fold it needs 4 F N where the stage-1
-candidate pass of T2 needs 2 F N, or 10/3 F N against F N in passes of
-more than kernels.WIDE_ROWS blocks, which keep one metrics row per run
-of two; such passes make a fold at root stage 1 grow it too, 5/3 F N
-against F N when T2 is the first kernel and T3 the last. The all-frozen
-code folds whole, at stage 0: its program is the s passes and the take,
-which is genie-aided construction (codes.construct_frozen_mc). As a
-program is bound for one frozen set, that fold's work lies in the
+refreshed, or the channel vector ingested, before it is read again. The
+first table bound sizes the candidates for every table, or with none the
+folds size them; where a fold needs more, the pool grows and the program
+binds again (_Program.steps). Each pass of a fold spans its root stage's
+whole vector, so a pass of T3 there can need more metrics floats than
+any candidate pass. In a whole-code fold it needs 4 F N where the
+stage-1 candidate pass of T2 needs 2 F N, or 10/3 F N against F N in
+passes of more than kernels.WIDE_ROWS blocks, which keep one metrics row
+per run of two; such passes make a fold at root stage 1 grow it too, 5/3
+F N against F N when T2 is the first kernel and T3 the last. The
+all-frozen code folds whole, at stage 0: its program is the s passes and
+the take, which is genie-aided construction (codes.construct_frozen_mc).
+As a program is bound for one frozen set, that fold's work lies in the
 construction's program alone, never in a decode's.
 
 A Monte-Carlo run reads only decisions, so simulate decodes by a third
@@ -133,7 +134,7 @@ from .kernels import (
     WorkArrays, as_llrs, check_mode, last_bit_steps, llr_candidate_steps, llr_gather_steps, product_steps,
     zero_prefix_stages,
 )
-from .memory import DecoderMemory, allocate
+from .memory import allocate
 
 # Most LLR entries (frames x N) that construction and simulation put into
 # one decode_batch call.
@@ -144,7 +145,7 @@ BATCH_LLR_ENTRIES = 1 << 16
 LOOKAHEAD_CANDIDATES = 2560
 STEP_BYTES = 400  # the Python objects of one bound step: measured 285-430 B
 # Two capped programs of any paper code, bound in both modes, charge at most
-# 14,860,982 B (14.17 MiB): (2,2,3,3,3,3,3) 7.49 MiB and (2,2,2,2,2,2,2,3) 6.69 MiB.
+# 14,859,578 B (14.17 MiB): (2,2,3,3,3,3,3) 7.49 MiB and (2,2,2,2,2,2,2,3) 6.68 MiB.
 CACHE_BYTES = 16 << 20
 
 
@@ -211,7 +212,7 @@ class DecodeResult:
 # the run returns or raises. A program stores its charge when it is bound and
 # whenever it binds steps (_charge); after a run that changed it, _evict keeps
 # the cache within CACHE_BYTES. On the paper codes a capped construction program
-# charges 7.38-7.55 MiB in exact mode. A sweep over F = 1, 2, 3, ... on one code
+# charges 6.24-6.33 MiB in exact mode. A sweep over F = 1, 2, 3, ... on one code
 # kept at most 16.9, 16.1 and 16.2 MiB under tracemalloc for N = 12 (F up to
 # 200), 144 (F up to 60) and 972 (F up to 20).
 _PROGRAMS = {}
@@ -236,35 +237,37 @@ def _counters(bases) -> DecodeStats:
     )
 
 
-def _tail_rows(digits, leaf):
-    """(V, p_s): the row of stage s-1's table that entry k of each tail
-    vector reads, for digits b < digits. After leaf input words
-    (w_0, ..., w_{b-1}) at digit b it is row 2 (2^b - 1 + v), where bit c
-    of v, first most significant, is entry k of the codeword of w_c. The
-    vectors run by b, then by the words read as one number, w_0 most
-    significant."""
+def _history(digits, leaf, frames):
+    """(V, F, p_s): the flat entry of stage s-1's table, of F frames, that
+    entry k of tail vector h reads in frame f, for digits b < digits. After
+    leaf input words (w_0, ..., w_{b-1}) at digit b it is in row
+    2 (2^b - 1 + v), where bit c of v, first most significant, is entry k of
+    the codeword of w_c. The vectors run by b, then by the words read as one
+    number, w_0 most significant."""
     rows = []
     for b in range(digits):
         words = np.array(list(product(range(1 << leaf.p), repeat=b)), np.intp)
         codewords = leaf.codewords[words].transpose(0, 2, 1)  # (histories, p_s, b)
         rows.append(2 * ((1 << b) - 1 + codewords @ (1 << np.arange(b - 1, -1, -1))))
-    return np.concatenate(rows)
+    columns = np.arange(frames * leaf.p).reshape(frames, leaf.p)
+    return np.concatenate(rows)[:, None] * columns.size + columns
 
 
 class _Program:
     """The SC walk of one code bound to the memory of F frames.
 
-    Each node of the sub-code tree becomes a few (function, args) on views
-    and work arrays fixed here, bound once and reused wherever it recurs.
-    Every scratch array a bound step uses, a candidate table too, is a view
-    of one grow-only pool, self.work; a walk that grew it binds again. A
-    frozen bit decides 0 because its threshold is -inf, or because no step
-    writes it, inside a fold, where it keeps the 0 that allocate gave it.
-    The thresholds, their copies for the candidate rows of each leaf, and
-    the kind of every node the walk visits (self.kinds, _kinds) are set
-    here, from the code's read-only mask, and never change. A walk is the
-    step list that one run executes; the program keeps one per mode and
-    walk, bound once, and again only when a walk grew the pool.
+    Each node of the sub-code tree becomes a few (function, args) on
+    views and work arrays fixed here, bound once and reused wherever it
+    recurs. Beyond allocate's stage memory, the final LLRs and the
+    thresholds, every array the program holds is a role of one grow-only
+    pool, self.work, made by the binder of the first step that reads it;
+    a walk that grew one binds again. A frozen bit decides 0 because its
+    threshold is -inf, or because no step writes it, inside a fold,
+    where it keeps the 0 that allocate gave it. The thresholds and the
+    kind of every node the walk visits (self.kinds, _kinds) are set
+    here, from the code's read-only mask, and never change. A walk is
+    the step list that one run executes; the program keeps one per mode
+    and walk, bound once, and again only when a walk grew the pool.
 
     The full walk, which decode_batch runs, binds per kind of node:
     - Rate-0: its fold (the zero-prefix passes and the take into its
@@ -281,25 +284,23 @@ class _Program:
     difference of the metrics of words 0...00 and 0...01, by the same
     products, and clips it, and no fmax or log-sum-exp is on that path.
 
-    The tables buy speed with memory beyond the paper's layout. Counted
-    over the distinct arrays it holds bound in both modes (nbytes), a
-    capped program holds 5.3-6.0 times the bytes of allocate(code, F) on the
-    paper codes, and at F = 1 7.4-26.1 times: 33 KiB at N = 72, small in
-    bytes but large against a layout of 1.3 KiB. At F = 1 the look-ahead
-    adds its table of 2 (2^P - 1) floats per frame (8 KiB for P = 9), its
-    vectors and the wider work arrays of its leaf pass, and the walk its
-    decided candidates (one byte each), the thresholds of each leaf's
-    candidate rows and the walked entries. Beyond the pool it holds a
-    digit order per fold root stage and a row per REP root stage.
-    memory.memory_report, and so meminfo, counts only the paper's layout.
+    The tables buy speed with memory beyond the paper's layout. Bound in
+    both modes (nbytes, _charge), a capped program holds 5.3-6.0 times the
+    bytes of allocate(code, F) on the paper codes, and at F = 1 7.4-26.0
+    times: 32 KiB at N = 72, small in bytes but large against a layout of
+    1.3 KiB. At F = 1 the look-ahead adds its table of 2 (2^P - 1) floats
+    per frame (8 KiB for P = 9), its vectors and history and the wider work
+    arrays of its leaf pass. Construction's program holds its fold's work
+    alone: 6.61 MB for the capped all-frozen (2,2,2,2,3,3) program, 0.67
+    MB of it stage memory that no step reads. memory.memory_report, and
+    so meminfo, counts only the paper's layout.
     """
 
     def __init__(self, code: CodeSpec, frames: int):
         self.mem = allocate(code, frames)
         # row i holds bit i's decision LLR in every frame
         self.final_llrs = np.empty((code.N, frames))
-        self.frozen = code.frozen_mask
-        self.thresholds = np.where(self.frozen, -np.inf, 0.0)
+        self.thresholds = np.where(code.frozen_mask, -np.inf, 0.0)
         self.bases = code.bases
         self.lookahead = code.s > 1 and frames * ((1 << prod(code.bases[-2:])) - 1) < LOOKAHEAD_CANDIDATES
         # the tail: stages top .. s, whose vectors the program never writes
@@ -307,46 +308,27 @@ class _Program:
         self.leaf = code.kernels[-1]
         upper, p = code.bases[-2] if self.lookahead else 1, self.leaf.p
         # before[d]: stage-(s-1) vectors per frame at digits below d
-        self.before = before = [sum(1 << b * p for b in range(d)) for d in range(upper + 1)]
-        width = before[-1] * frames
+        self.before = [sum(1 << b * p for b in range(d)) for d in range(upper + 1)]
         # stage a's candidates (llr_candidate_steps), in the pool from starts[a-1];
         # stage s's blocks are the leaf vectors, frame f's vector h in column h F + f
-        widths = [v.size for v in self.mem.llr[1:-1]] + [width]
+        widths = [v.size for v in self.mem.llr[1:-1]] + [self.before[-1] * frames]
         self.shapes = [(2 * (2**k.p - 1), w) for k, w in zip(code.kernels, widths)]
         self.starts = list(accumulate(map(prod, self.shapes), initial=0))
         self.known = [m.reshape(-1, m.shape[-1]) for m in self.mem.ps[:-1]]  # stage j: (blocks, width)
-        self.offsets = np.arange(max(self.mem.llr[1].size, width))
-        self.index = np.empty(self.mem.llr[1].size, np.intp)
-        self.work, self._bound, self._steps = WorkArrays(), {}, {}
-        self.work("candidates", (self.starts[-1],), np.float64)  # every table at once, so no walk grows it table by table
-        # per fold root stage its digit order and pushed row
-        self.kernels, self.orders, self.pushed = code.kernels, {}, {}
-        self.kinds = _kinds(self.frozen, code.bases, self.top)
-        if self.lookahead:
-            # stage s-1's table row of entry k of vector h F + f
-            rows = _tail_rows(upper, self.leaf)
-            self.vectors = np.empty((width, p))
-            columns = np.arange(frames * p).reshape(frames, p)
-            self.history = (rows[:, None] * columns.size + columns).reshape(-1)
-        # the walk down a tail block (_bind_tail)
-        inner = (1 << p - 1) - 1  # the rows of bits 0 .. p-2
-        linked = (1 << p) - 1 if upper > 1 else inner  # the rows with a successor
-        # successor entries, less h F + f, of each row deciding 0 and 1
-        zero = [2 * (2 * c + 1) * width if c < inner else (2 * (c - inner) + 1) * frames for c in range(linked)]
-        one = [e + (2 * width if c < inner else frames) for c, e in enumerate(zero)]
-        self.successors = np.array([zero, one])[..., None]
-        self.decided = np.zeros((linked, width), np.bool_)
-        # the bit of each row, and row l: the threshold of each row in leaf l
-        self.row_bits = np.array([c.bit_length() - 1 for c in range(1, linked + 1)], np.intp)
-        self.leaf_thresholds = self.thresholds.reshape(-1, p).take(self.row_bits, 1)
-        # row r: the entry that bit r of the block reads in each frame
-        self.walk = np.empty((upper * p, frames), np.intp)
-        self.walk[0] = self.offsets[:frames]
+        # every other array is a role of the pool, made by the binder of the first step that reads it
+        self.work, self._bound, self._steps, self.kernels = WorkArrays(), {}, {}, code.kernels
+        self.kinds = _kinds(code.frozen_mask, code.bases, self.top)
         _charge(self)
 
     def _table(self, a):
-        """Stage a's candidate table, a view of the pool."""
-        return self.work("candidates", self.shapes[a - 1], np.float64, self.starts[a - 1])
+        """Stage a's candidate table, a view of the pool's candidates, which the
+        first call sizes for every table, so that no walk grows it table by table."""
+        candidates = self.work("candidates", (self.starts[-1],), np.float64)
+        return candidates[self.starts[a - 1] : self.starts[a]].reshape(self.shapes[a - 1])
+
+    def _offsets(self):
+        """0, 1, 2, ... for the gathers' block offsets and the tail's entries."""
+        return self.work.fixed("offsets", lambda: np.arange(max(self.mem.llr[1].size, self.shapes[-1][1])))
 
     def _passes(self, a, mode):
         """Stage a's candidate pass, the one step that reads the mode, and
@@ -354,8 +336,11 @@ class _Program:
         table, kernel = self._table(a), self.kernels[a - 1]
         steps = llr_candidate_steps(kernel, mode, self.mem.llr[a - 1].reshape(-1, kernel.p), table, self.work)
         if self.lookahead and a == self.top:
-            steps.append((table.reshape(-1).take, (self.history, None, self.vectors.reshape(-1), "clip")))
-            steps += llr_candidate_steps(self.leaf, mode, self.vectors, self._table(len(self.shapes)), self.work)
+            leaf = self._table(len(self.shapes))
+            vectors = self.work("vectors", (leaf.shape[1], self.leaf.p), np.float64)
+            history = self.work.fixed("history", lambda: _history(self.bases[-2], self.leaf, self.final_llrs.shape[1]))
+            steps.append((table.reshape(-1).take, (history.reshape(-1), None, vectors.reshape(-1), "clip")))
+            steps += llr_candidate_steps(self.leaf, mode, vectors, leaf, self.work)
         return steps
 
     def _bind_tail(self, a):
@@ -405,31 +390,44 @@ class _Program:
         from 115k to 152k bits/s (medians of 11 pairs, BENCH_11.json), and
         the walk in place of the per-bit rule from 153k to 174k (1.14x,
         medians of 10 pairs, BENCH_19.json)."""
-        (size, frames), p = self.walk.shape, self.leaf.p
-        table, decided = self._table(len(self.shapes)), self.decided
-        width, rows = table.shape[1], len(decided)
+        table, p, frames = self._table(len(self.shapes)), self.leaf.p, self.final_llrs.shape[1]
+        size, width, offsets = (len(self.before) - 1) * p, table.shape[1], self._offsets()
+        inner = (1 << p - 1) - 1  # the rows of bits 0 .. p-2
+        rows = (1 << p) - 1 if size > p else inner  # the rows with a successor
         llrs, successors = table[: 2 * rows : 2], table[1 : 2 * rows : 2].view(np.intp)
+        decided = self.work("decided", (rows, width), np.bool_)
+
+        def successor_entries():  # less h F + f, of each row deciding 0 and 1
+            zero = [2 * (2 * c + 1) * width if c < inner else (2 * (c - inner) + 1) * frames for c in range(rows)]
+            return [zero, [e + (2 * width if c < inner else frames) for c, e in enumerate(zero)]]
+
+        entries = self.work.fixed("successors", successor_entries)
+        # row l: the threshold of each row in leaf l, by the bit of each row
+        leaf_thresholds = self.work.fixed("leaf thresholds", lambda: self.thresholds.reshape(-1, p).take(
+            [c.bit_length() - 1 for c in range(1, rows + 1)], 1))
+        # row r: the entry that bit r of the block reads in each frame, from 0, 1, .. F - 1 at r = 0
+        walk = self.work.fixed("walk", lambda: np.repeat(offsets[None, :frames], size, 0))
         steps = []
         for d in range(size // p):
             columns = slice(self.before[d] * frames, self.before[d + 1] * frames)
-            steps.append((np.less, (llrs[:, columns], self.leaf_thresholds[a // p + d, :, None], decided[:, columns])))
+            steps.append((np.less, (llrs[:, columns], leaf_thresholds[a // p + d, :, None], decided[:, columns])))
         steps += [
-            (np.copyto, (successors, self.successors[0])),
-            (np.copyto, (successors, self.successors[1], "no", decided)),
-            (np.add, (successors, self.offsets[:width], successors)),
+            (np.copyto, (successors, entries[0, :, None])),
+            (np.copyto, (successors, entries[1, :, None], "no", decided)),
+            (np.add, (successors, offsets[:width], successors)),
         ]
         middle = self.before[-2]  # vectors whose leaf is not the block's last
         if middle > 1:
             # 2^p h F + f is h F + f plus h (2^p - 1) F
-            last, gap = successors[(1 << p - 1) - 1 :, : middle * frames], ((1 << p) - 1) * frames
+            last, gap = successors[inner:, : middle * frames], ((1 << p) - 1) * frames
             last = last.reshape(-1, middle, frames)
-            steps.append((np.add, (last, self.offsets[: gap * middle : gap, None], last)))
+            steps.append((np.add, (last, offsets[: gap * middle : gap, None], last)))
         flat = table.reshape(-1)
         following = flat.view(np.intp)[width:]  # entry e + W holds the successor of entry e
-        steps += [(following.take, (self.walk[r - 1], None, self.walk[r], "clip")) for r in range(1, size)]
+        steps += [(following.take, (walk[r - 1], None, walk[r], "clip")) for r in range(1, size)]
         final, decisions = self.final_llrs[a : a + size], self.mem.decisions
         steps += [
-            (flat.take, (self.walk, None, final, "clip")),
+            (flat.take, (walk, None, final, "clip")),
             (np.less, (final, self.thresholds[a : a + size, None], decisions.view(np.bool_)[:, a : a + size].T)),
         ]
         if a + size < len(self.final_llrs):  # not the code's last block
@@ -451,8 +449,9 @@ class _Program:
         size = self.mem.llr[j].shape[1]
         passes = self._once(("fold", j, mode), lambda: zero_prefix_stages(
             self.kernels[j:], mode, self.mem.llr[j].reshape(-1), self.work, self.starts[j]))
-        return passes + self._once(("take", j, a), lambda: [(self.mem.llr[j].reshape(size, -1).take, (
-            self.orders.setdefault(j, channel_permutation(self.bases[j:])), 0, self.final_llrs[a : a + size], "clip"))])
+        order = self.work.fixed(("order", j), lambda: channel_permutation(self.bases[j:]))
+        return passes + self._once(("take", j, a), lambda: [
+            (self.mem.llr[j].reshape(size, -1).take, (order, 0, self.final_llrs[a : a + size], "clip"))])
 
     def _push(self, kind, j, a, b):
         """The push of the node at stage j from bit a into column b of stage j's
@@ -464,7 +463,7 @@ class _Program:
             return product_steps(self.kernels[j], source, target.reshape(source.shape + target.shape[-1:])[..., b])
         if kind == "rate0":
             return [(target[..., b].fill, (0,))]
-        row = self.pushed.setdefault(j, reduce(np.kron, [k.rows[-1] for k in self.kernels[j:][::-1]]))
+        row = self.work.fixed(("push", j), lambda: reduce(np.kron, [k.rows[-1] for k in self.kernels[j:][::-1]]))
         return [(np.multiply, (self.mem.decisions[:, a + target.shape[1] - 1, None], row, target[..., b]))]
 
     def _chain(self, j, last):
@@ -498,7 +497,8 @@ class _Program:
             steps += self._once((j + 1, mode), lambda: self._passes(j + 1, mode))
             for b in range(self.bases[j]):
                 steps += self._once(("gather", j + 1, b), lambda: llr_gather_steps(
-                    b, self._table(j + 1), self.known[j], self.mem.llr[j + 1].reshape(-1), self.index, self.offsets))
+                    b, self._table(j + 1), self.known[j], self.mem.llr[j + 1].reshape(-1),
+                    self.work("index", (self.mem.llr[1].size,), np.intp), self._offsets()))
                 self._node(j + 1, a + b * size // self.bases[j], mode, full, steps)
         # the last stage's tail pushes its own block
         if j and last + 1 < len(self.final_llrs) and (kind != "tail" or self.lookahead):
@@ -604,22 +604,14 @@ def decode_batch(code: CodeSpec, channel_llrs, mode: str = "exact") -> DecodeRes
 
 
 def _charge(program):
-    """Store a program's nbytes, the distinct base arrays it holds (for an SC
-    program its stage memory, work pool, index and final-LLR arrays and the
-    look-ahead's arrays), and its charge: nbytes plus STEP_BYTES per bound
-    step, for the step's Python objects, views and few-byte weights."""
-    todo = [v for k, v in vars(program).items() if k not in ("_bound", "_steps")]
-    arrays = {}
-    while todo:
-        x = todo.pop()
-        if isinstance(x, np.ndarray):
-            x = x if x.base is None else x.base  # numpy points views at the owner
-            arrays[id(x)] = x
-        elif isinstance(x, DecoderMemory):
-            todo.append(vars(x))
-        elif isinstance(x, (list, tuple, dict)):
-            todo += x.values() if isinstance(x, dict) else x
-    program.nbytes = sum(x.nbytes for x in arrays.values())
+    """Store a program's nbytes, the bytes of the arrays it holds: allocate's
+    stage memory, the final LLRs, the thresholds and the roles of its work
+    pool, which owns every other array its steps read; and its charge: nbytes
+    plus STEP_BYTES per bound step, for the step's Python objects, views and
+    few-byte weights."""
+    mem = program.mem
+    arrays = [*mem.llr, *mem.ps, mem.decisions, program.final_llrs, program.thresholds, *program.work.values()]
+    program.nbytes = sum(x.nbytes for x in arrays)
     program.charge = program.nbytes + STEP_BYTES * sum(map(len, program._bound.values()))
 
 

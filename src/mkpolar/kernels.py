@@ -201,6 +201,11 @@ class WorkArrays(dict):
             self[role] = np.empty(end, dtype)
         return self[role][start:end].reshape(shape)
 
+    def fixed(self, role, make):
+        """The role's table of constants, a copy of make() that the pool owns, made when
+        first asked for; asked for whole, it never grows and keeps its entries."""
+        return self[role] if role in self else self.setdefault(role, np.array(make()))
+
 
 def llr_candidate_steps(kernel: KernelMatrix, mode, groups, table, work):
     """The update of every input bit under every known prefix, as steps.

@@ -11,15 +11,16 @@ keeps s + 1 full-length LLR vectors, N (s + 1) entries, and s
 full-length bit vectors. _layout states these sizes once: allocate's
 arrays and memory_report's counts both read it, so the counts are the
 sizes of allocate's arrays by construction. memory_report, and the
-meminfo command, count only this layout, not the tables and work arrays
-of the decoder's bound program (decoder._Program).
+meminfo command, count only this layout, not the work pool of the
+decoder's bound program (decoder._Program).
 
 allocate builds this memory for F frames at once, each array with a
 leading frame axis (the inter-frame layout): ``ps[j-1][f, k, c]`` is the
 partial sum of sub-block c at block position k of stage j in frame f.
-The decoder runs on these arrays plus, per stage j, a work table of the
-2^p_j - 1 candidate updates of each kernel block (decoder._Program). Its
-tail decides into ``decisions`` and writes neither the stage-s vector
+The decoder runs on these arrays plus one work pool of the arrays its
+bound steps read, per stage j a table of the 2^p_j - 1 candidate updates
+of each kernel block among them, each made when first bound (decoder._Program).
+Its tail decides into ``decisions`` and writes neither the stage-s vector
 and partial-sum matrix nor, under the look-ahead, the stage-(s-1) vector
 (decoder._Program._bind_tail).
 """

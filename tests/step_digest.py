@@ -7,14 +7,16 @@ array as (its base array, byte offset, shape, strides, dtype), with base
 arrays numbered in order of first use within the program. It prints the
 SHA-256 of those lists, and of each program's nbytes and charge after
 every run. Two source trees that print the same digests bind the same
-calls on the same memory. It builds a program as _Program(code, frames)
-and runs it as run(code, llrs, mode), and touches nothing else of it.
+calls on the same memory. It builds a program as _Program(code, frames),
+runs it as run(code, llrs, mode), and reads only its steps(mode), nbytes,
+charge and work pool.
 
 steps_each_sha256 digests each list on its own, its base arrays numbered
 afresh, so two trees that lay out the same arrays differently across a
 program's lists still print the same one. --lists PATH writes per list
-its scenario, F, code index, mode order, mode, hash, nbytes and charge as
-JSON, to be diffed against another tree's. Run from the repository root:
+its scenario, F, code index, mode order, mode, hash, nbytes, the bytes of
+each role of the program's work pool (roles) and charge as JSON, to be
+diffed against another tree's. Run from the repository root:
 
     PYTHONPATH=src python tests/step_digest.py [--lists PATH]
 """
@@ -90,6 +92,7 @@ def main():
                         memory.update(repr((program.nbytes, program.charge)).encode())
                         lists.append({"scenario": repr(bases), "frames": frames, "code": index, "modes": modes,
                                       "mode": mode, "sha256": digest, "nbytes": program.nbytes,
+                                      "roles": {str(role): x.nbytes for role, x in program.work.items()},
                                       "charge": program.charge})
     if args.lists:
         args.lists.write_text(json.dumps(lists, indent=0))

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mkpolar import load_code
+from mkpolar import CodeSpec, decode, load_code, save_code
 from mkpolar.cli import MAX_SNR_POINTS, _snr_arg, _wilson_interval, run
 
 PAPER_TABLE = """\
@@ -175,6 +176,25 @@ def test_decode_saturates_infinite_llrs(capsys, tmp_path):
     status, out, _ = invoke(capsys, "decode", "--code", str(path), "--llrs", str(inf))
     assert status == 0
     assert len(out.strip().split("\n")) == 14
+
+
+def test_decode_passes_finite_llrs_through(capsys, tmp_path):
+    # Only infinities saturate: a file with finite LLRs beyond LLR_MAX
+    # decodes as mkpolar.decode decodes its values, where clipping them
+    # to +-40 changed the information bits of 58 of 200 such frames. An
+    # |LLR| above 1e300 fails as a file error.
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    path, llr_path = tmp_path / "code.txt", tmp_path / "llrs.txt"
+    save_code(code, path)
+    for llrs in np.random.default_rng(7).normal(0.0, 60.0, (20, code.N)):
+        llr_path.write_text(" ".join(map(repr, llrs.tolist())) + "\n")
+        status, out, _ = invoke(capsys, "decode", "--code", str(path), "--llrs", str(llr_path))
+        result = decode(code, llrs)
+        want = ["".join(str(b) for b in result.u_hat[list(code.info)]), "i,u_hat,llr"]
+        want += [f"{i},{b},{llr}" for i, (b, llr) in enumerate(zip(result.u_hat, result.final_llrs))]
+        assert status == 0 and out.splitlines() == want
+    llr_path.write_text(" ".join(["1e301"] + ["1.0"] * 11) + "\n")
+    assert invoke(capsys, "decode", "--code", str(path), "--llrs", str(llr_path))[0] == 2
 
 
 def test_simulate_sweep(capsys, tmp_path):

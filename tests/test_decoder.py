@@ -3,10 +3,12 @@
 import json
 import tracemalloc
 import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from mkpolar import (
     LLR_MAX,
@@ -548,7 +550,7 @@ def test_rep_folds_match_reference_executor(mode, monkeypatch):
             for frames in (1, 7, cap):
                 program = program_of(code, frames)
                 folded |= {j for a, j in folds(program).items() if a in reps(program)}
-                pushed |= {tuple(row.tolist()) for row in program.pushed.values()}
+                pushed |= {tuple(row.tolist()) for role, row in program.work.items() if role[:1] == ("push",)}
         # REP nodes folded at every root stage above the tail of the cap
         assert set(range(_Program(CodeSpec(bases), cap).top)) <= folded, (bases, folded)
     # with T3, T3 x T2 and T2 x T3 below the root, in reverse kernel order
@@ -786,33 +788,40 @@ def test_program_memory_against_the_paper_layout(bases):
             assert not any(x is order for x in vars(program).values() for order in orders)
 
 
-def uncharged_step_arrays(program, code):
-    """The base arrays that the program's bound steps use, as arguments or
-    as the array of a bound method, and that _charge does not count: each
-    one is charged again as if the program held it too, and counts as
-    uncharged if that raises nbytes. Module and kernel constants belong to
-    no program, and the gather weights, at most two int64, are charged
-    with their step (STEP_BYTES)."""
-    shared = [mkpolar.kernels._ONE, mkpolar.kernels._LO, mkpolar.kernels._HI]
-    shared += [x for k in code.kernels for x in (k.rows, k._word_metrics)]
-    shared = {id(x if x.base is None else x.base) for x in shared}
-    used = {}
+def charged_arrays(program):
+    """The arrays whose bytes _charge sums into a program's nbytes: allocate's
+    layout, the final LLRs, the thresholds and the roles of the work pool."""
+    mem = program.mem
+    arrays = [*mem.llr, *mem.ps, mem.decisions, program.final_llrs, program.thresholds, *program.work.values()]
+    assert program.nbytes == sum(x.nbytes for x in arrays), "nbytes counts other arrays"
+    return arrays
+
+
+def operand_bases(program):
+    """{id: (base array, [operands])} of the arrays that the program's bound
+    steps use, as arguments or as the array of a bound method, by the base
+    array that numpy points each view at."""
+    bases = {}
     for steps in program._bound.values():
         for fn, args in steps:
             for x in (getattr(fn, "__self__", None), *args):
                 if isinstance(x, np.ndarray):
-                    x = x if x.base is None else x.base
-                    if id(x) not in shared and x.nbytes > 16:
-                        used[id(x)] = x
-    held, uncharged = program.nbytes, []
-    for x in used.values():
-        program.probe = x
-        mkpolar.decoder._charge(program)
-        if program.nbytes != held:
-            uncharged.append(x.nbytes)
-    vars(program).pop("probe", None)
-    mkpolar.decoder._charge(program)
-    return uncharged
+                    base = x if x.base is None else x.base
+                    bases.setdefault(id(base), (base, []))[1].append(x)
+    return bases
+
+
+def uncharged_step_arrays(program, code):
+    """The bytes of each base array that the program's bound steps use and
+    that is none of the arrays _charge sums. Module and kernel constants
+    belong to no program, and the gather weights, at most two int64, are
+    charged with their step (STEP_BYTES)."""
+    shared = [mkpolar.kernels._ONE, mkpolar.kernels._LO, mkpolar.kernels._HI]
+    shared += [x for k in code.kernels for x in (k.rows, k._word_metrics)]
+    shared = {id(x if x.base is None else x.base) for x in shared}
+    charged = {id(x) for x in charged_arrays(program)}
+    return [base.nbytes for key, (base, _) in operand_bases(program).items()
+            if key not in shared | charged and base.nbytes > 16]
 
 
 @pytest.mark.parametrize("bases", PAPER_CODES)
@@ -828,6 +837,32 @@ def test_bound_steps_use_only_charged_arrays(bases):
                 for mode in modes:
                     program.run(code, np.zeros((frames, code.N)), mode)
                     assert uncharged_step_arrays(program, code) == [], (code.K, frames, modes, mode)
+
+
+@pytest.mark.parametrize("bases", PAPER_CODES)
+def test_a_program_holds_only_what_its_steps_read(bases):
+    # Beyond allocate's layout and the thresholds, a program holds its final
+    # LLRs and the roles of its work pool, each made by the binder of the
+    # first step that reads it and no longer than the furthest byte a step
+    # reaches: with no frozen bit, the frozen set of decode-paper and all
+    # frozen, at F = 1, 7 and the cap, in either mode, by the decisions walk
+    # and then the full one. The all-frozen code's decisions walk is empty,
+    # so only its final LLRs go unread. The capped all-frozen (2,2,2,2,3,3)
+    # program held 538,965 B that no step read, and a candidates array
+    # 706,160 B longer than its fold reached.
+    n = CodeSpec(bases).N
+    for code in (CodeSpec(bases), CodeSpec(bases, PAPER_FROZEN[bases]), genie_code(bases)):
+        for frames, mode in product((1, 7, mkpolar.decoder.BATCH_LLR_ENTRIES // n), ("exact", "minsum")):
+            program = _Program(code, frames)
+            for full in (False, True):
+                walk, where = program.steps(mode, full), (code.K, frames, mode, full)
+                mem, read = program.mem, operand_bases(program)
+                layout = {id(x) for x in [*mem.llr, *mem.ps, mem.decisions, program.thresholds]}
+                unread = [x.nbytes for x in charged_arrays(program) if id(x) not in layout and id(x) not in read]
+                assert unread == ([] if walk else [program.final_llrs.nbytes]), where
+                for role, x in program.work.items():
+                    reached = max(byte_bounds(view)[1] for view in read[id(x)][1])
+                    assert reached == byte_bounds(x)[1], (role, where)
 
 
 @pytest.mark.parametrize("bases", PAPER_CODES)
@@ -1124,10 +1159,10 @@ def test_cache_evicts_least_recently_used_within_its_byte_budget(monkeypatch):
              ("cA", 3000, ["B 3500", "A 2500", "cA 3000"]),  # a hit on a construction's program
              ("A", 3000, ["B 3500", "A 2500", "cA 3000", "A 3000"]),  # a decode binds its own next to it
              ("cA", 2500, ["A 2500", "cA 3000", "A 3000", "cA 2500"]),  # and a construction next to a decode's
-             ("A", cap, ["A 3000", "cA 2500", "A cap"]),
-             ("cB", cap, ["A cap", "cB cap"]),
-             ("A", cap, ["cB cap", "A cap"]),
-             ("B", 2000, ["A cap", "B 2000"])]  # a decode evicts a construction's program
+             ("A", cap, ["cA 3000", "A 3000", "cA 2500", "A cap"]),
+             ("cB", cap, ["cA 2500", "A cap", "cB cap"]),
+             ("A", cap, ["cA 2500", "cB cap", "A cap"]),
+             ("B", 2000, ["cB cap", "A cap", "B 2000"])]  # a decode evicts a construction's program
     names = {}
     for name, code in codes.items():
         for kind, run in (("", code), ("c", genie_code(code.bases))):
