@@ -4,7 +4,9 @@ Subcommands: meminfo, construct, encode, decode, simulate, digits.
 All output is plain text or CSV on stdout; errors go to stderr, as does
 simulate's line per SNR point (frames, decoded_frames, batches, elapsed_s
 and its draw_s, encode_s and decode_s, generator_frames, frames_per_s and
-the 95% Wilson interval on FER). Exit codes: 0 success, 1
+the 95% Wilson interval on FER). batches counts the point's batches, which
+share decoder calls with the other open points, and the times are the
+point's shares of them (simulation.simulate). Exit codes: 0 success, 1
 malformed arguments, 2 file or parse errors, 3 internal invariant violation.
 Every subcommand is deterministic given its arguments, including seeds.
 """

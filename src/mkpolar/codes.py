@@ -211,7 +211,7 @@ def construct_frozen_mc(kernels, k: int, design_snr_db: float, frames: int, seed
     batch = max(1, BATCH_LLR_ENTRIES // n)
     for start in range(0, frames, batch):
         count = min(frames - start, batch)
-        rngs = _FrameNoise(_frame_seeds((seed,), start, count))
+        rngs = _FrameNoise(_frame_seeds([((seed,), start, count)]))
         llrs = awgn_llrs(np.zeros((count, n), dtype=np.uint8), design_snr_db, rate, rngs)
         final = decode_batch(code, llrs).final_llrs
         scores += 2 * (final < -GENIE_TIE_TOL).sum(axis=0)

@@ -6,19 +6,23 @@ the channel LLR of an observation y is 2*y / sigma^2, saturated to
 +-LLR_MAX. Frame f of SNR point n draws from exactly
 np.random.default_rng([seed, n, f]): its message bits, what that
 generator's integers(0, 2, K, np.uint8) returns, then its noise. So
-results do not depend on how the frames are batched.
-Two vectorized passes serve a whole batch: numpy's SeedSequence hash
+results do not depend on how the frames are batched, nor on which points
+share a decoder call.
+simulate advances the open points together, in rounds: a round takes
+every open point's next batch, sized from the errors that point counted
+so far (_batch_frames), and packs the batches whole into runs of at most
+BATCH_LLR_ENTRIES / N frames (_runs). Two vectorized passes serve a whole
+run, whichever points its frames belong to: numpy's SeedSequence hash
 (O'Neill's seed_seq_fe) over (pool word, frame) arrays gives every
 frame's PCG64 seed words (_frame_seeds), and a jump-ahead of the PCG64
 LCG over (draw, frame) arrays gives every frame's message words
 (_draw_words). Up to _ZIGGURAT_NORMALS normals per frame, the same
 jump-ahead, in the same call, gives every frame's noise words after
 them, and the 98.5% of numpy's ziggurat draws that take one word are
-formed from them at once (_frame_normals); a frame with another draw,
-and every frame of a longer code, is drawn by its own generator, built
-inside its row of the noise (_frame_generators), so a batch holds one
-generator at a time and a noiseless run builds none. A batch's size comes
-from the errors counted so far (_batch_frames).
+formed from them at once, in one channel call per point (_frame_normals);
+a frame with another draw, and every frame of a longer code, is drawn by
+its own generator, built inside its row of the noise (_frame_generators),
+so a batch holds one generator at a time and a noiseless run builds none.
 
 What a frame of a batch at the entry cap costs, in us, measured in exact
 mode at 1 dB with the frozen sets of the benchmark's decode-paper
@@ -126,19 +130,34 @@ class _Seeded(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _frame_seeds(key, first: int, count: int):
-    """The (count, 4) uint64 seed words of np.random.default_rng([*key, f])'s PCG64 for f in
-    first .. first + count - 1, from one hash over the batch."""
-    if first < 1 << 32 < first + count:  # frames from 2**32 on take two words
-        split = (1 << 32) - first
-        return np.concatenate((_frame_seeds(key, first, split), _frame_seeds(key, 1 << 32, count - split)))
-    head = [k >> b & _M32 for k in map(int, key) for b in range(0, max(k.bit_length(), 1), 32)]
-    frames = np.arange(first, first + count, dtype=np.uint64)
-    rows = head + [frames & _M32] + ([frames >> 32] if first >> 32 else [])
-    words = np.zeros((max(len(rows), _POOL), count), np.uint32)
-    for i, row in enumerate(rows):
-        words[i] = row
-    return _pcg64_seeds(words)
+def _frame_seeds(runs):
+    """The (frames, 4) uint64 seed words of np.random.default_rng([*key, f])'s PCG64 for each
+    run (key, first, count) and f in first .. first + count - 1, one row per frame in run order.
+    An entropy's words are its key's, then its frame's: one below 2**32 and two from there on.
+    The frames whose entropies have the same layout of words share one hash, each with its own
+    key's words: so the frames of all runs, unless some frames are past 2**32 or some keys
+    are longer than the others."""
+    groups, rows = {}, 0  # (key words, frame words) -> [(first row, key words, first frame, count)]
+    for key, first, count in runs:
+        head = [k >> b & _M32 for k in map(int, key) for b in range(0, max(k.bit_length(), 1), 32)]
+        split = min(max(first, 1 << 32), first + count)  # the first frame from 2**32 on, or the end
+        for start, stop in ((first, split), (split, first + count)):
+            if start < stop:
+                groups.setdefault((len(head), 1 + (start >> 32 > 0)), []).append((rows, head, start, stop - start))
+                rows += stop - start
+    hashed = {}  # first row -> the seed words of its piece
+    for (width, frame_words), pieces in groups.items():
+        words, at = np.zeros((max(width + frame_words, _POOL), sum(count for *_, count in pieces)), np.uint32), 0
+        for _, head, start, count in pieces:
+            frames = np.arange(start, start + count, dtype=np.uint64)
+            for i, word in enumerate(head + [frames & _M32] + ([frames >> 32] if frame_words == 2 else [])):
+                words[i, at:at + count] = word
+            at += count
+        seeds, at = _pcg64_seeds(words), 0
+        for row, *_, count in pieces:
+            hashed[row], at = seeds[at:at + count], at + count
+    parts = [hashed[row] for row in sorted(hashed)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _frame_generators(seeds):
@@ -255,7 +274,7 @@ def _ziggurat():
     k = [min(int(ratio) - 2, 1 << 52) for ratio in [_ZIGGURAT_R / w[0]] + [2**52 * a / b for a, b in zip(w, w[1:])]]
     k = np.array([b if b > 0 and one_word(b - 1 << 9 | i) else 0 for i, b in enumerate(k)] * 2, np.uint64)
     w = np.array(w + [-x for x in w])
-    seeds = _frame_seeds((0,), 0, 64)
+    seeds = _frame_seeds([((0,), 0, 64)])
     got, slow = _ziggurat_draws(_draw_words(seeds.copy(), 4), w, k)
     want = _generator_normals(seeds, 4)
     got[slow] = want[slow]
@@ -405,8 +424,12 @@ class SnrPointResult:
     bit_errors: int
     fer: float
     ber: float
+    # This and the times below are the point's share, by frames, of each call it shares with
+    # the other points of its runs (simulate), and its own channel calls and counts.
     elapsed_s: float
-    batches: int  # decoder calls, one per batch
+    # one per round the point is open in; each shares its seed hash, draw, encode and decoder
+    # call with the batches of the other open points in its run
+    batches: int
     decoded_frames: int  # frames decoded, those past the stop included
     draw_s: float  # seeds, message words and channel
     encode_s: float
@@ -438,10 +461,20 @@ def _batch_frames(frames: int, frame_errors: int, target: int) -> int:
     target - frame_errors more frames. Beyond that, it takes the frames
     that the count so far predicts for the rest, counting the errors one
     Poisson standard deviation high, so a batch seldom decodes many frames
-    past the target, which are not counted; a batch costs about 145-195
-    N = 12 frames however few it holds. While no error is counted, batches double.
-    simulate caps a batch at BATCH_LLR_ENTRIES / N frames. Frames past the
-    stop are decoded but not counted, so the CSV does not depend on the rule.
+    past the target, which are not counted. While no error is counted,
+    batches double. simulate caps a batch at BATCH_LLR_ENTRIES / N frames,
+    and decodes it in a run with the batches of the other open points.
+    Frames past the stop are decoded but not counted, so the CSV does not
+    depend on the rule.
+
+    At N = 12 ((2,2,3), exact, 0 dB, the least of 300 calls, two processes
+    on a 2-vCPU x86-64 host) a run costs about 300 us however few frames it
+    holds, as much as 150-175 further frames at 1.7-2.0 us each, and each
+    further point in it about 80 us, its channel call and count; two
+    one-frame batches took 380 us in one run and 550-570 us as two. Over the
+    benchmark's sweeps ((2,2,3) at 0 and 4 dB to 100 errors, seeds
+    7001-7010) the 43 batches of the 300-frame sweeps take 23 runs, and the
+    79 of the sweeps to 10**6 frames 51.
 
     The rule trades a few uncounted frames for fewer batches. On the
     benchmark's full simulation ((2,2,3) at 0 and 4 dB to 100 errors, seeds
@@ -460,12 +493,33 @@ def _batch_frames(frames: int, frame_errors: int, target: int) -> int:
     return max(floor, ceil(floor * frames / (frame_errors + sqrt(frame_errors))))
 
 
+def _runs(batches, cap: int):
+    """A round's batches, (point index, its result, frames), whole and in point order, in runs of
+    at most cap frames: a batch that would take its run past cap starts the next run."""
+    run, size = [], 0
+    for batch in batches:
+        if size + batch[-1] > cap:
+            yield run
+            run, size = [], 0
+        run.append(batch)
+        size += batch[-1]
+    yield run
+
+
 def simulate(config: SimConfig) -> SimResult:
     """Run the Monte-Carlo sweep described by `config`.
 
-    Frames are drawn, encoded and decoded in batches, and counted in
-    frame order, so each point stops at exactly the frame where it
-    reaches target_frame_errors or max_frames.
+    The open SNR points advance together, in rounds. In each round every
+    open point takes its next batch, sized from its own counts
+    (_batch_frames) and capped at BATCH_LLR_ENTRIES / N frames; the batches
+    are packed whole, in point order, into runs of at most that many frames
+    (_runs). A run is one pass: one seed hash, raw-word draw and encode over
+    all its frames, one channel call per point on its own rows, and one
+    decoder call. Each point then counts its frames in frame order, so it
+    stops at exactly the frame where it reaches target_frame_errors or
+    max_frames, whichever other points share its runs. A point's draw_s,
+    encode_s, decode_s and elapsed_s hold its share, by frames, of each
+    shared call, and its own channel calls and counts.
     """
     code = config.code
     info = np.asarray(code.info, dtype=np.int64)
@@ -475,20 +529,17 @@ def simulate(config: SimConfig) -> SimResult:
     noise_words = 0 if config.noiseless or code.N > _ZIGGURAT_NORMALS else code.N
     rate = _rate(k, code.N)
     cap = max(1, BATCH_LLR_ENTRIES // code.N)
-    target = config.target_frame_errors
-    result = SimResult()
-    for point_index, ebn0_db in enumerate(config.snr_points_db):
-        start = time.perf_counter()
-        frames = frame_errors = bit_errors = batches = decoded = 0
-        draw_s = encode_s = decode_s = 0.0
-        generator_frames = 0
-        while frames < config.max_frames and frame_errors < target:
-            batch = _batch_frames(frames, frame_errors, target)
-            batch = min(batch, config.max_frames - frames, cap)
-            batches, decoded = batches + 1, decoded + batch
+    target, most = config.target_frame_errors, config.max_frames
+    points = [SnrPointResult(ebn0_db, 0, 0, 0, 0.0, 0.0, 0.0, 0, 0, 0.0, 0.0, 0.0, 0)
+              for ebn0_db in config.snr_points_db]
+    open_points = list(enumerate(points))
+    while open_points:
+        batches = [(n, p, min(_batch_frames(p.frames, p.frame_errors, target), most - p.frames, cap))
+                   for n, p in open_points]
+        for run in _runs(batches, cap):
             t0 = time.perf_counter()
-            seeds = _frame_seeds((config.seed, point_index), frames, batch)
-            u = np.zeros((batch, code.N), dtype=np.uint8)
+            seeds = _frame_seeds([((config.seed, n), p.frames, batch) for n, p, batch in run])
+            u = np.zeros((len(seeds), code.N), dtype=np.uint8)
             # each seed left right after the message words, for frames drawn again by generator
             raw = _draw_words(seeds, words + noise_words, words) if words + noise_words else None
             if k:
@@ -497,31 +548,33 @@ def simulate(config: SimConfig) -> SimResult:
             t1 = time.perf_counter()
             codewords = encode(code, u)
             t2 = time.perf_counter()
-            noise = _FrameNoise(seeds, raw[:, words:] if noise_words else None)
-            llrs = awgn_llrs(codewords, ebn0_db, rate, noise, noiseless=config.noiseless)
-            generator_frames += noise.generator_frames
+            llrs, own, start = [], [], 0
+            for n, p, batch in run:
+                t5, rows, start = time.perf_counter(), slice(start, start + batch), start + batch
+                noise = _FrameNoise(seeds[rows], raw[rows, words:] if noise_words else None)
+                llrs.append(awgn_llrs(codewords[rows], p.ebn0_db, rate, noise, noiseless=config.noiseless))
+                p.generator_frames += noise.generator_frames
+                own.append((rows, time.perf_counter() - t5))
             t3 = time.perf_counter()
-            u_hat = _decisions(code, llrs, config.mode)
+            u_hat = _decisions(code, np.concatenate(llrs), config.mode)
             t4 = time.perf_counter()
-            draw_s, encode_s, decode_s = draw_s + (t1 - t0) + (t3 - t2), encode_s + (t2 - t1), decode_s + (t4 - t3)
             wrong = np.count_nonzero(u_hat[:, info] != u[:, info], axis=1)
-            errors = np.cumsum(wrong > 0)
-            # the frames up to the one that reaches the target, or all
-            used = min(int(np.searchsorted(errors, target - frame_errors)) + 1, batch)
-            frames += used
-            frame_errors += int(errors[used - 1])
-            bit_errors += int(wrong[:used].sum())
-        result.points.append(
-            SnrPointResult(
-                ebn0_db=ebn0_db,
-                frames=frames,
-                frame_errors=frame_errors,
-                bit_errors=bit_errors,
-                fer=frame_errors / frames,
-                ber=bit_errors / (frames * k) if k else 0.0,
-                elapsed_s=time.perf_counter() - start,
-                batches=batches, decoded_frames=decoded,
-                draw_s=draw_s, encode_s=encode_s, decode_s=decode_s, generator_frames=generator_frames,
-            )
-        )
-    return result
+            shared = t2 - t0 + time.perf_counter() - t3  # all but the channel calls
+            for (_, p, batch), (rows, channel) in zip(run, own):
+                t5, share = time.perf_counter(), batch / len(seeds)
+                errors = np.cumsum(wrong[rows] > 0)
+                # the frames up to the one that reaches the target, or all
+                used = min(int(np.searchsorted(errors, target - p.frame_errors)) + 1, batch)
+                p.frames += used
+                p.frame_errors += int(errors[used - 1])
+                p.bit_errors += int(wrong[rows][:used].sum())
+                p.batches, p.decoded_frames = p.batches + 1, p.decoded_frames + batch
+                p.draw_s += share * (t1 - t0) + channel
+                p.encode_s += share * (t2 - t1)
+                p.decode_s += share * (t4 - t3)
+                p.elapsed_s += share * shared + channel + time.perf_counter() - t5
+        open_points = [(n, p) for n, p in open_points if p.frames < most and p.frame_errors < target]
+    for p in points:
+        p.fer = p.frame_errors / p.frames
+        p.ber = p.bit_errors / (p.frames * k) if k else 0.0
+    return SimResult(points)

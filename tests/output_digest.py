@@ -18,10 +18,13 @@ group's outputs as JSON. A group is one code, whose cases are:
 
 The codes are every ordering of 2 and 3 up to N = 72, the paper codes,
 and codes with tests/test_decoder.py's OTHER and K4 and with a size-5
-kernel. More groups hold simulate CSVs in both modes: "simulate" of three
-paper codes with their decode-paper frozen sets, "simulate rep" of the REP
-frozen sets and "simulate half" of a random half frozen, over every
-ordering of 2 and 3 up to N = 72; and a last one meminfo's stdout. --cases PATH writes the hash of every
+kernel. More groups hold simulate runs in both modes, each hashed as its
+CSV and each point's frames, decoded_frames, batches and
+generator_frames: "simulate" of three paper codes with their
+decode-paper frozen sets, "simulate sweep" of sweeps of five and six
+points with those sets, "simulate rep" of the REP frozen sets and
+"simulate half" of a random half frozen, over every ordering of 2 and 3
+up to N = 72; and a last one meminfo's stdout. --cases PATH writes the hash of every
 case as JSON, to find where two trees differ. Run from the repository
 root:
 
@@ -56,6 +59,9 @@ CONSTRUCTIONS = {(2, 2, 3): [(6, 1.0, 1000, 0)], (2, 2, 2, 3, 3): [(36, 1.0, 200
 SIMULATED = ((2, 2, 3), (2, 2, 2, 3, 3), (2, 2, 2, 2, 3, 3))
 # the simulate runs of each frozen set of "simulate rep" and "simulate half"
 SWEEP = {"snr_points_db": (1.0, 3.0), "max_frames": 2000, "target_frame_errors": 30, "seed": 3}
+# sweeps whose points stop in different rounds, and at N = 144, whose first round of five batches
+# of 100 frames is more than the BATCH_LLR_ENTRIES // N = 455 that one decoder call takes
+SWEEPS = (((2, 2, 3), (-1.0, 0.0, 1.0, 2.0, 3.0, 4.0)), ((2, 2, 2, 2, 3, 3), (-2.0, -1.0, 0.0, 1.0, 2.0)))
 MEMINFO = (["meminfo", "--paper-table"], ["meminfo", "--kernels", "2,3,2", "--kernels", "3,3", "--q", "4"])
 
 
@@ -69,6 +75,13 @@ def sha(*arrays):
     for x in arrays:
         digest.update(np.ascontiguousarray(x).tobytes() if isinstance(x, np.ndarray) else repr(x).encode())
     return digest.hexdigest()
+
+
+def simulated(config):
+    """The hash of a simulate run's CSV and of each point's frames, decoded frames, batches and
+    generator frames."""
+    result = simulate(config)
+    return sha(result.to_csv(), [(p.frames, p.decoded_frames, p.batches, p.generator_frames) for p in result.points])
 
 
 def code_cases(bases, rng):
@@ -110,8 +123,15 @@ def main():
         for mode in ("exact", "minsum"):
             config = SimConfig(CodeSpec(bases, PAPER_FROZEN[bases]), (0.0, 2.0), max_frames=3000,
                                target_frame_errors=50, seed=1, mode=mode)
-            digest = cases[f"simulate {name(bases)} {mode}"] = sha(simulate(config).to_csv())
+            digest = cases[f"simulate {name(bases)} {mode}"] = simulated(config)
             groups["simulate"].update(digest.encode())
+    groups["simulate sweep"] = hashlib.sha256()
+    for bases, snrs in SWEEPS:
+        for mode in ("exact", "minsum"):
+            config = SimConfig(CodeSpec(bases, PAPER_FROZEN[bases]), snrs, max_frames=20000, target_frame_errors=100,
+                               seed=5, mode=mode)
+            digest = cases[f"simulate sweep {name(bases)} {snrs} {mode}"] = simulated(config)
+            groups["simulate sweep"].update(digest.encode())
     sweep = np.random.default_rng(2037)
     groups["simulate rep"], groups["simulate half"] = hashlib.sha256(), hashlib.sha256()
     for bases in all_kernel_sequences(72):
@@ -120,7 +140,7 @@ def main():
         for group, frozen in sets + [("half", sweep.choice(n, n // 2, replace=False).tolist())]:
             for mode in ("exact", "minsum"):
                 config = SimConfig(CodeSpec(bases, frozen), mode=mode, **SWEEP)
-                digest = sha(simulate(config).to_csv())
+                digest = simulated(config)
                 cases[f"simulate {group} {name(bases)} {sorted(frozen)} {mode}"] = digest
                 groups[f"simulate {group}"].update(digest.encode())
     groups["meminfo"] = hashlib.sha256()

@@ -385,9 +385,10 @@ def test_construct_seeds_share_no_frame(monkeypatch):
     real_frame_seeds = simulation._frame_seeds
     requested = []
 
-    def recording_frame_seeds(key, first, count):
-        requested[-1].update((*key, f) for f in range(first, first + count))
-        return real_frame_seeds(key, first, count)
+    def recording_frame_seeds(runs):
+        for key, first, count in runs:
+            requested[-1].update((*key, f) for f in range(first, first + count))
+        return real_frame_seeds(runs)
 
     monkeypatch.setattr(simulation, "_frame_seeds", recording_frame_seeds)
     for seed in (0, 1):

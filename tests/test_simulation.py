@@ -21,6 +21,7 @@ from mkpolar import (
     simulate,
 )
 from mkpolar import simulation
+from mkpolar.decoder import BATCH_LLR_ENTRIES
 from oracles import TooLarge, exact_sc_oracle_llr, ml_oracle_decode
 from reference_sc import f_exact, kernel_marginal_llr
 
@@ -147,18 +148,29 @@ def test_simulate_counts_do_not_depend_on_batching(monkeypatch, batch):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**70 + 3])
-def test_frame_generators_equal_default_rng(seed):
+def test_frame_generators_equal_default_rng(monkeypatch, seed):
     # Keys of one and of several uint32 words, and a frame window that
     # straddles 2**32, where a frame's entropy grows from one word to two.
-    for key in [(seed,)] + [(seed, point) for point in (0, 1, 1000)]:
-        for first, count in ((0, 5), (2**32 - 2, 4)):
-            gens = list(simulation._frame_generators(simulation._frame_seeds(key, first, count)))
-            assert len(gens) == count
-            for f, gen in zip(range(first, first + count), gens):
-                ref = np.random.default_rng([*key, f])
-                where = (key, f)
-                assert np.array_equal(gen.bit_generator.random_raw(7), ref.bit_generator.random_raw(7)), where
-                assert np.array_equal(gen.normal(0.0, 1.5, 13), ref.normal(0.0, 1.5, 13)), where
+    # Then the frames of points 0, 1 and 1000 together, in one hash, or in
+    # one per layout of words when a window straddles 2**32.
+    hashes = []
+    real_pcg64_seeds = simulation._pcg64_seeds
+    monkeypatch.setattr(simulation, "_pcg64_seeds", lambda words: hashes.append(words) or real_pcg64_seeds(words))
+    runs = [[(key, first, count)] for key in [(seed,)] + [(seed, point) for point in (0, 1, 1000)]
+            for first, count in ((0, 5), (2**32 - 2, 4))]
+    for window in ((3, 4), (2**32 - 2, 4)):
+        runs.append([((seed, 0), 0, 5), ((seed, 1), *window), ((seed, 1000), 9, 2)])
+    for run in runs:
+        hashes.clear()
+        gens = list(simulation._frame_generators(simulation._frame_seeds(run)))
+        frames = [(key, f) for key, first, count in run for f in range(first, first + count)]
+        assert len(gens) == len(frames)
+        assert len(hashes) == 1 + any(first < 2**32 < first + count for _, first, count in run)
+        for (key, f), gen in zip(frames, gens):
+            ref = np.random.default_rng([*key, f])
+            where = (key, f)
+            assert np.array_equal(gen.bit_generator.random_raw(7), ref.bit_generator.random_raw(7)), where
+            assert np.array_equal(gen.normal(0.0, 1.5, 13), ref.normal(0.0, 1.5, 13)), where
 
 
 @pytest.mark.parametrize("count", [1, 40, 1000, 5461])
@@ -180,7 +192,7 @@ def test_pcg64_seeds_equal_seed_sequence(count):
             assert np.array_equal(seeds[f], want), (n, f)
     for key in [(2**64,), (2**64 + 7, 3), (5, 2**96 - 1)]:
         for first in (2**32 - count // 2, 2**40 + 11):
-            gens = list(simulation._frame_generators(simulation._frame_seeds(key, first, count)))
+            gens = list(simulation._frame_generators(simulation._frame_seeds([(key, first, count)])))
             assert len(gens) == count
             for f in rows:
                 want = np.random.default_rng([*key, first + f]).bit_generator.state
@@ -204,7 +216,7 @@ def test_draw_words_equal_default_rng(words, count):
     rows = sorted({0, count - 1, *rng.integers(0, count, 12).tolist()})
     for key in [(5, 1), (2**64 + 7, 3), (2**96 - 1, 2**64)]:
         for first in (0, 2**32 - count // 2 - 1):
-            seeds = simulation._frame_seeds(key, first, count)
+            seeds = simulation._frame_seeds([(key, first, count)])
             raw = simulation._draw_words(seeds, words)
             assert raw.shape == (count, words) and raw.dtype == np.uint64
             gens = list(simulation._frame_generators(seeds))
@@ -225,7 +237,7 @@ def test_draw_words_equal_default_rng(words, count):
                 ref.bit_generator.state = state
                 assert not np.array_equal(late.random_raw(3), ref.bit_generator.random_raw(3)), where
             for position in sorted({0, words // 2}):
-                moved = simulation._frame_seeds(key, first, count)
+                moved = simulation._frame_seeds([(key, first, count)])
                 assert np.array_equal(simulation._draw_words(moved, words, position), raw), (key, position)
                 gens = list(simulation._frame_generators(moved))
                 for f in rows:
@@ -239,7 +251,7 @@ def test_awgn_builds_each_generator_inside_its_row():
     # so a capped batch holds one, not 5461 of about 750 B each (4 MB).
     count, n = 5461, 12
     bits = np.random.default_rng(1).integers(0, 2, (count, n), dtype=np.uint8)
-    seeds = simulation._frame_seeds((3, 0), 0, count)
+    seeds = simulation._frame_seeds([((3, 0), 0, count)])
     tracemalloc.start()
     try:
         llrs = awgn_llrs(bits, 1.0, 0.5, simulation._frame_generators(seeds))
@@ -253,7 +265,7 @@ def test_awgn_builds_each_generator_inside_its_row():
     # a generator per row, counted as the iterable yields them
     for many in (count - 1, count + 1):
         with pytest.raises(LengthMismatch):
-            awgn_llrs(bits, 1.0, 0.5, simulation._frame_generators(simulation._frame_seeds((3, 0), 0, many)))
+            awgn_llrs(bits, 1.0, 0.5, simulation._frame_generators(simulation._frame_seeds([((3, 0), 0, many)])))
 
 
 def test_noiseless_simulate_builds_no_generator(monkeypatch):
@@ -295,7 +307,7 @@ def test_frame_normals_are_each_frames_own_draws(n):
     count, frames, generator_frames = 2000 // n + 50, 0, 0
     for key, first in (((7001, 1), 0), ((2**64 + 3, 2**70), 2**32 - 40)):
         for k, with_message in ((0, False), (n, False), (0, True), (n, True)):
-            seeds, words, noise_words = simulation._frame_seeds(key, first, count), -(-k // 8), None
+            seeds, words, noise_words = simulation._frame_seeds([(key, first, count)]), -(-k // 8), None
             if with_message:
                 noise_words = simulation._draw_words(seeds, words + n, words)[:, words:]
             elif k:
@@ -361,12 +373,52 @@ def test_simulate_takes_few_batches_past_few_frames(monkeypatch):
         (361, 100, 295), (7430, 100, 279), (406, 100, 282), (6678, 100, 293)]
     assert len(calls) < 39
     assert sum(calls) <= 1.03 * sum(p.frames for p in points)
-    assert sum(p.batches for p in points) == len(calls)
+    assert len(calls) < sum(p.batches for p in points)
     assert sum(p.decoded_frames for p in points) == sum(calls)
     # doubling before the first error, then the remaining errors over the
     # count plus its standard deviation: 96 * 100 / (4 + 2), 1 * 1000 / (99 + 9.95)
     rule = [simulation._batch_frames(*args) for args in ((0, 0, 100), (300, 0, 100), (100, 4, 100), (1000, 99, 100))]
     assert rule == [100, 300, 1600, 10]
+
+
+@pytest.mark.parametrize("bases,frozen", [((2, 2, 3), (0, 1, 2, 3, 4, 6)), ((2, 2, 2, 2, 3, 3), range(72))])
+def test_open_points_share_decoder_calls(monkeypatch, bases, frozen):
+    # The open points of a sweep decode their batches together, in calls of
+    # at most BATCH_LLR_ENTRIES // N frames: at N = 144, 455 frames, so the
+    # first round's five batches of 100 take two calls.
+    calls = []
+    real_decisions = simulation._decisions
+
+    def counting_decisions(code, llrs, mode):
+        calls.append(len(llrs))
+        return real_decisions(code, llrs, mode)
+
+    monkeypatch.setattr(simulation, "_decisions", counting_decisions)
+    code = CodeSpec(bases, frozen)
+    snrs = (0.0, 4.0) if code.N == 12 else (0.0, 1.0, 2.0, 3.0, 4.0)
+    points = simulate(SimConfig(code, snrs, max_frames=20000, target_frame_errors=100)).points
+    assert len(calls) < sum(p.batches for p in points)
+    assert max(calls) <= BATCH_LLR_ENTRIES // code.N
+    assert sum(calls) == sum(p.decoded_frames for p in points)
+    if code.N == 144:
+        assert calls[:2] == [400, 100]
+
+
+@pytest.mark.parametrize("mode", ["exact", "minsum"])
+def test_a_point_does_not_depend_on_the_points_beside_it(mode):
+    # Point n draws from default_rng([seed, n, f]) and sizes its batches from
+    # its own counts, so its CSV row and counts are the same whichever other
+    # points share its rounds and calls.
+    code = CodeSpec((2, 2, 3), (0, 1, 2, 3, 4, 6))
+    sweeps = [simulate(SimConfig(code, snrs, max_frames=3000, target_frame_errors=60, seed=11, mode=mode))
+              for snrs in ((0.0, 4.0), (0.0, 4.0, -1.0, 2.0), (0.0,))]
+
+    def row(result, n):
+        p = result.points[n]
+        return result.to_csv().splitlines()[1 + n], p.decoded_frames, p.batches, p.generator_frames
+
+    assert [row(sweeps[0], n) for n in (0, 1)] == [row(sweeps[1], n) for n in (0, 1)]
+    assert row(sweeps[0], 0) == row(sweeps[2], 0)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**40 + 1])
